@@ -142,6 +142,19 @@ def hajek_contrast(weights_treated: np.ndarray, weights_control: np.ndarray,
     return treated - control
 
 
+def r_weights(t: np.ndarray, v: np.ndarray, e: np.ndarray,
+              pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Selection-weighted complement weights R, split into (treated, control):
+    (1-V)T / (e(1-pi)) and (1-V)(1-T) / ((1-e)(1-pi)). Zero on validation rows."""
+    nv = 1.0 - v
+    return nv * t / (e * (1.0 - pi)), nv * (1.0 - t) / ((1.0 - e) * (1.0 - pi))
+
+
+def d_weights(t: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-sample weights D, split into (treated, control): T/e and (1-T)/(1-e)."""
+    return t / e, (1.0 - t) / (1.0 - e)
+
+
 def tau_oracle(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
     """IPW contrast on the true outcome: mean(T*Y/e) - mean((1-T)*Y/(1-e)).
 
@@ -223,18 +236,14 @@ def tau_s_nonval(frame: ObservationFrame, props: PropensityPair,
                  corrected: bool = True) -> AteEstimate:
     """Hajek contrast of Y* over the complement with selection weighting.
 
-    Treated weights (1-V)*T / (e*(1-pi)), control weights
-    (1-V)*(1-T) / ((1-e)*(1-pi)). With ``corrected`` the two ratio-of-sums
-    arm means go through ``corrected_contrast`` (pooled rates: the raw
-    difference scaled by 1/(p11 - p10)); otherwise the raw Hajek difference
-    is returned.
+    Weighted by the complement weights R (``r_weights``). With ``corrected``
+    the two ratio-of-sums arm means go through ``corrected_contrast`` (pooled
+    rates: the raw difference scaled by 1/(p11 - p10)); otherwise the raw
+    Hajek difference is returned.
     """
-    pi = props.require_selection()
-    nv = 1.0 - frame.v
-    w_treated = nv * frame.t / (props.e * (1.0 - pi))
-    w_control = nv * (1.0 - frame.t) / ((1.0 - props.e) * (1.0 - pi))
+    weights = r_weights(frame.t, frame.v, props.e, props.require_selection())
     try:
-        treated, control = hajek_means(w_treated, w_control, frame.y_star)
+        treated, control = hajek_means(*weights, frame.y_star)
     except EmptyArm as exc:
         raise EmptyComplementArm(str(exc)) from None
     if not corrected:
@@ -261,11 +270,10 @@ def tau_s_combined(frame: ObservationFrame, props: PropensityPair,
 def tau_all_silver(frame: ObservationFrame, props: PropensityPair,
                    rates: MisclassRates | ArmRates) -> AteEstimate:
     """Corrected Hajek contrast of Y* over the full sample: the weighted means
-    of Y* under T/e and under (1-T)/(1-e), through ``corrected_contrast``
-    (pooled rates: their difference times 1/(p11-p10))."""
-    w_treated = frame.t / props.e
-    w_control = (1.0 - frame.t) / (1.0 - props.e)
-    treated, control = hajek_means(w_treated, w_control, frame.y_star)
+    of Y* under the D weights T/e and (1-T)/(1-e), through
+    ``corrected_contrast`` (pooled rates: their difference times
+    1/(p11-p10))."""
+    treated, control = hajek_means(*d_weights(frame.t, props.e), frame.y_star)
     return AteEstimate("all_silver", corrected_contrast(rates, treated, control))
 
 

@@ -1,30 +1,46 @@
 """Stacked estimating equations and empirical sandwich inference.
 
-Two stacked systems are supported, differing in which rows identify the
-corrected outcome contrast:
+Every standard error of a frame, every delta-method blend and the s_opt
+weight come from the joint sandwich covariance of one stack of estimating
+equations. The stack is made of named blocks, each a group of parameters
+with its per-subject estimating rows:
 
-* kind "A": the weighted-least-squares rows run over the non-validation rows
-  with weights R_i = (1-V)T/(e(1-pi)) + (1-V)(1-T)/((1-e)(1-pi)), so the
-  slope block recovers the selection-weighted complement Hajek contrast.
-* kind "B": the WLS rows run over every row with weights
-  D_i = T/e + (1-T)/(1-e) under a second copy of the treatment model
-  (gamma_s), so the slope block recovers the full-sample corrected contrast.
+* ``gamma``: the treatment model (logistic score rows).
+* ``eta0``: the constant selection model (intercept only); ``eta``: the
+  fitted selection model.
+* ``gamma_p``: a copy of gamma whose score rows carry the fitted selection
+  probability (the ``printed`` score variant). It serves the blocks built on
+  the fitted selection model and exists only when there is one: a constant
+  selection probability only rescales rows, so the constant-selection blocks
+  use gamma.
+* ``rates``: (p11, p10) counted on the validated rows when pooled, and
+  (p11_0, p10_0, p11_1, p10_1) counted within each treatment arm ("by_arm").
+* ``tau_oracle``, ``tau_naive``: the plain IPW contrasts of Y and of Y*.
+* ``tau_val``, ``tau_s_val``: the validation contrast weighted by the
+  constant and by the fitted selection model.
+* ``r_const``, ``r_fit``: (alpha, beta) of the weighted least-squares rows
+  over the complement with weights R = (1-V)T/(e(1-pi)) +
+  (1-V)(1-T)/((1-e)(1-pi)), under the constant and under the fitted
+  selection model; ``d``: the same over every row with D = T/e + (1-T)/(1-e).
+  alpha is the control arm's weighted silver mean and beta the
+  misclassification-corrected contrast, so the rows fit the treated arm's
+  silver mean as p10_1 + (p11_1 - p10_1) * (beta + (alpha - p10_0) /
+  (p11_0 - p10_0)), which is alpha + (p11 - p10) * beta under pooled rates.
 
-Parameter layout: (tau_s_val, gamma, eta, alpha, beta, rates[, gamma_s]).
-alpha is the control arm's weighted mean of the silver outcome and beta the
-misclassification-corrected contrast, so the WLS rows fit the treated arm's
-silver mean as p10_1 + (p11_1 - p10_1) * (beta + (alpha - p10_0) /
-(p11_0 - p10_0)), which is alpha + (p11 - p10) * beta under pooled rates.
-``rates`` is (p11, p10) when the misclassification rates are pooled, and
-(p11_0, p10_0, p11_1, p10_1) when they are counted within each treatment arm
-("by_arm"); each rate row counts on the validated rows of its arm. The
-covariance returned by :func:`sandwich` is already on the
-variance scale of the estimators (divided by n).
+A block's rows read only its own parameters and its parents' (the models and
+rates it is built on), so the stack is block lower-triangular: the joint
+covariance of a block and its parents equals the sandwich of that sub-stack
+alone (Stefanski & Boos 2002). A frame's stack therefore holds only the
+blocks its requested estimators read, plus their parents. Without a
+selection design the validation sample is treated as a simple random
+sample: the fitted selection model is then the constant one, and each
+fitted-selection block is its constant-selection twin. The covariance
+returned by :func:`sandwich` is already on the variance scale of the
+estimators (divided by n).
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
-runner and the CLI: it fits the propensity models, computes every requested
-point estimate, and attaches sandwich standard errors and confidence
-intervals from the appropriate stack.
+runner and the CLI: it builds and solves the frame's stack, computes every
+requested point estimate, and reads each SE from the one sandwich.
 """
 
 from __future__ import annotations
@@ -38,11 +54,8 @@ from .errors import (
     DegenerateValidation,
     EmptyArm,
     EmptyComplementArm,
-    InvalidPropensity,
     MismeasureError,
-    MissingGoldOutcomes,
     NegativeVariance,
-    NonIdentifiable,
     ResidualCheckFailed,
 )
 from .frames import (
@@ -70,208 +83,204 @@ from .numerics import (
 RESIDUAL_TOL = 1e-6
 SCORE_VARIANTS = ("standard", "printed")
 
+# block -> (kind, treatment model, selection model) its rows read; the WLS
+# kinds read the rates too. Parents come first, which is the stacked order.
+BLOCKS = {
+    "gamma": ("treatment", None, None),
+    "eta0": ("selection", None, None),
+    "eta": ("selection", None, None),
+    "gamma_p": ("treatment", None, "eta"),
+    "rates": ("rates", None, None),
+    "tau_oracle": ("ipw", "gamma", None),
+    "tau_naive": ("ipw", "gamma", None),
+    "tau_val": ("validation", "gamma", "eta0"),
+    "tau_s_val": ("validation", "gamma_p", "eta"),
+    "r_const": ("wls_r", "gamma", "eta0"),
+    "r_fit": ("wls_r", "gamma_p", "eta"),
+    "d": ("wls_d", "gamma", None),
+}
 
-def weight_r(t: float, v: float, e: float, pi: float) -> float:
-    """Complement weight R = (1-V)T/(e(1-pi)) + (1-V)(1-T)/((1-e)(1-pi)).
-
-    Zero on validation rows. Propensities must lie strictly in (0, 1).
-    """
-    if not (0.0 < e < 1.0 and 0.0 < pi < 1.0):
-        raise InvalidPropensity(f"propensities e={e}, pi={pi} must lie in (0, 1)")
-    return (1.0 - v) * (t / (e * (1.0 - pi)) + (1.0 - t) / ((1.0 - e) * (1.0 - pi)))
-
-
-def weight_d(t: float, e: float) -> float:
-    """Full-sample weight D = T/e + (1-T)/(1-e)."""
-    if not 0.0 < e < 1.0:
-        raise InvalidPropensity(f"propensity e={e} must lie in (0, 1)")
-    return t / e + (1.0 - t) / (1.0 - e)
-
-
-@dataclass(frozen=True)
-class SystemLayout:
-    """Index map for the stacked parameter vector."""
-
-    tau: int
-    gamma: slice
-    eta: slice
-    alpha: int
-    beta: int
-    rates: slice  # (p11, p10) pooled, or (p11_0, p10_0, p11_1, p10_1) by arm
-    gamma_s: slice | None
-    dim: int
-
-
-@dataclass(frozen=True)
-class StackedParams:
-    """Joint parameters of a stacked system (see module docstring)."""
-
-    tau_s_val: float
-    gamma: np.ndarray
-    eta: np.ndarray
-    alpha: float
-    beta: float
-    rates: np.ndarray  # layout as SystemLayout.rates
-    gamma_s: np.ndarray | None = None
-
-    def to_vector(self) -> np.ndarray:
-        parts = [np.atleast_1d(self.tau_s_val), self.gamma, self.eta,
-                 [self.alpha, self.beta], self.rates]
-        if self.gamma_s is not None:
-            parts.append(self.gamma_s)
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, layout: SystemLayout) -> "StackedParams":
-        gamma_s = None if layout.gamma_s is None else vec[layout.gamma_s].copy()
-        return cls(
-            tau_s_val=float(vec[layout.tau]),
-            gamma=vec[layout.gamma].copy(),
-            eta=vec[layout.eta].copy(),
-            alpha=float(vec[layout.alpha]),
-            beta=float(vec[layout.beta]),
-            rates=vec[layout.rates].copy(),
-            gamma_s=gamma_s,
-        )
+# estimator id -> the stacked parameters its SE reads, as (block, row); row 1
+# of a WLS block is its slope beta. A blend weights its two parameters with
+# the coefficients analyze_frame gives it.
+READS = {
+    "oracle": (("tau_oracle", 0),),
+    "naive": (("tau_naive", 0),),
+    "val_only": (("tau_val", 0),),
+    "nonval_corrected": (("r_const", 1),),
+    "sy_combined": (("tau_val", 0), ("r_const", 1)),
+    "s_val_only": (("tau_s_val", 0),),
+    "s_nonval": (("r_fit", 1),),
+    "s_combined": (("tau_s_val", 0), ("r_fit", 1)),
+    "all_silver": (("d", 1),),
+    "s_weighted": (("tau_s_val", 0), ("d", 1)),
+    "s_opt": (("tau_s_val", 0), ("d", 1)),
+}
 
 
 class EstimatingSystem:
-    """Per-subject residual evaluator for one stacked system.
+    """Per-subject residual evaluator for one stack of named blocks.
 
-    Stateless after construction; safe to share across workers. Row i of
-    ``per_subject_residuals(theta)`` is that subject's estimating-function
-    contribution at theta.
+    ``blocks`` names what the stack must hold; their parents are added, and
+    under a simple random sample (``x_sel`` None) or the standard score the
+    blocks that coincide with another are replaced by it (see ``resolve``).
+    ``layout`` maps each block to its slice of the parameter vector.
+    Stateless after construction; safe to share across workers.
     """
 
-    def __init__(self, frame: ObservationFrame, kind: str, x_treat: np.ndarray,
-                 x_sel: np.ndarray, score_variant: str = "standard",
+    def __init__(self, frame: ObservationFrame, blocks, x_treat: np.ndarray,
+                 x_sel: np.ndarray | None = None, score_variant: str = "standard",
                  misclassification: str = "pooled"):
-        if kind not in ("A", "B"):
-            raise ValueError(f"kind must be 'A' or 'B', got {kind!r}")
         if score_variant not in SCORE_VARIANTS:
             raise ValueError(f"score_variant must be one of {SCORE_VARIANTS}")
         if misclassification not in MISCLASSIFICATION_MODES:
             raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}")
-        if frame.n_v == 0:
-            raise DegenerateValidation("stacked system needs at least one validated row")
-        self.kind = kind
+        self.frame = frame
+        self.x_treat = np.asarray(x_treat, dtype=float)
+        self.x_sel = None if x_sel is None else np.asarray(x_sel, dtype=float)
         self.score_variant = score_variant
         self.misclassification = misclassification
-        self.x_treat = np.asarray(x_treat, dtype=float)
-        self.x_sel = np.asarray(x_sel, dtype=float)
-        self._t = frame.t
-        self._v = frame.v
-        self._y_star = frame.y_star
         self._yv = frame.y_validated
-        self._n = frame.n
         self._n_v = frame.n_v
+        self._alias = {}
+        if score_variant == "standard" or x_sel is None:
+            self._alias["gamma_p"] = "gamma"
+        if x_sel is None:
+            self._alias.update(eta="eta0", tau_s_val="tau_val", r_fit="r_const")
+        self._designs = {"gamma": self.x_treat, "gamma_p": self.x_treat,
+                         "eta0": np.ones((frame.n, 1)), "eta": self.x_sel}
         # validated rows each (p11, p10) pair counts on
         if misclassification == "pooled":
-            self._rate_rows = (self._v,)
+            self._rate_rows = (frame.v,)
         else:
-            self._rate_rows = (self._v * (1.0 - self._t), self._v * self._t)
+            self._rate_rows = (frame.v * (1.0 - frame.t), frame.v * frame.t)
 
-        p_t = self.x_treat.shape[1]
-        p_s = self.x_sel.shape[1]
-        pos = 1
-        gamma = slice(pos, pos + p_t)
-        pos += p_t
-        eta = slice(pos, pos + p_s)
-        pos += p_s
-        alpha, beta = pos, pos + 1
-        pos += 2
-        rates = slice(pos, pos + 2 * len(self._rate_rows))
-        pos = rates.stop
-        gamma_s = None
-        if kind == "B":
-            gamma_s = slice(pos, pos + p_t)
-            pos += p_t
-        self.layout = SystemLayout(0, gamma, eta, alpha, beta, rates, gamma_s, pos)
+        needed, pending = set(), [self.resolve(name) for name in blocks]
+        while pending:
+            name = pending.pop()
+            if name not in needed:
+                needed.add(name)
+                pending.extend(self.parents(name))
+        self.blocks = tuple(name for name in BLOCKS if name in needed)
+        self.layout = {}
+        pos = 0
+        for name in self.blocks:
+            kind = BLOCKS[name][0]
+            if kind in ("treatment", "selection"):
+                size = self._designs[name].shape[1]
+            elif kind == "rates":
+                size = 2 * len(self._rate_rows)
+            else:
+                size = 2 if kind.startswith("wls") else 1
+            self.layout[name] = slice(pos, pos + size)
+            pos += size
+        self.dim = pos
 
-    @property
-    def dim(self) -> int:
-        return self.layout.dim
+    def resolve(self, name: str) -> str:
+        """The block that stands for ``name`` in this stack."""
+        return self._alias.get(name, name)
+
+    def spec(self, name: str) -> tuple[str, str | None, str | None]:
+        """(kind, treatment model, selection model) of a block, resolved."""
+        kind, treat, sel = BLOCKS[name]
+        return kind, treat and self.resolve(treat), sel and self.resolve(sel)
+
+    def parents(self, name: str) -> list[str]:
+        kind, treat, sel = self.spec(name)
+        found = [p for p in (treat, sel) if p is not None]
+        return found + ["rates"] if kind.startswith("wls") else found
+
+    def design(self, name: str) -> np.ndarray:
+        """Design matrix of a treatment or selection model block."""
+        return self._designs[name]
+
+    def index(self, name: str, row: int = 0) -> int:
+        """Position of row ``row`` of block ``name`` in the parameter vector."""
+        return self.layout[self.resolve(name)].start + row
+
+    def restrict(self, names) -> "EstimatingSystem":
+        """The same stack holding only ``names`` (which must include their parents)."""
+        return EstimatingSystem(self.frame, names, self.x_treat, self.x_sel,
+                                self.score_variant, self.misclassification)
 
     def per_subject_residuals(self, theta) -> np.ndarray:
         """(n, dim) matrix whose row i is phi_i(theta)."""
-        vec = theta.to_vector() if isinstance(theta, StackedParams) else np.asarray(theta, dtype=float)
-        lay = self.layout
-        tau = vec[lay.tau]
-        gamma = vec[lay.gamma]
-        eta = vec[lay.eta]
-        alpha, beta = vec[lay.alpha], vec[lay.beta]
-        rates = vec[lay.rates].reshape(-1, 2)
-        # (control, treated) rates; one pooled pair serves both arms
-        (p11_0, p10_0), (p11_1, p10_1) = rates[0], rates[-1]
-
-        t, v, y_star, yv = self._t, self._v, self._y_star, self._yv
-        e_raw = expit(self.x_treat @ gamma)
-        e = clamp_probability(e_raw)
-        pi_raw = expit(self.x_sel @ eta)
-        pi = clamp_probability(pi_raw)
-
-        out = np.empty((self._n, lay.dim))
-        out[:, lay.tau] = yv * (v * t / (e * pi) - v * (1.0 - t) / ((1.0 - e) * pi)) - tau
-
-        score_t = (t - e_raw)[:, None] * self.x_treat
-        if self.score_variant == "printed":
-            score_t = score_t * pi_raw[:, None]
-        out[:, lay.gamma] = score_t
-        out[:, lay.eta] = (v - pi_raw)[:, None] * self.x_sel
-
-        if self.kind == "A":
-            wls_w = (1.0 - v) * (t / (e * (1.0 - pi)) + (1.0 - t) / ((1.0 - e) * (1.0 - pi)))
-        else:
-            e_s_raw = expit(self.x_treat @ vec[lay.gamma_s])
-            e_s = clamp_probability(e_s_raw)
-            wls_w = t / e_s + (1.0 - t) / (1.0 - e_s)
-            out[:, lay.gamma_s] = (t - e_s_raw)[:, None] * self.x_treat
-
-        # treated-minus-control silver mean implied by (alpha, beta); T is
-        # binary, so the per-arm rates enter as scalars. Pooled rates make the
-        # first and last terms exactly zero, leaving (p11 - p10) * beta.
-        gap0, gap1 = p11_0 - p10_0, p11_1 - p10_1
-        shift = (p10_1 - p10_0) + gap1 * beta + (gap1 / gap0 - 1.0) * (alpha - p10_0)
-        wls_resid = y_star - alpha - shift * t
-        out[:, lay.alpha] = wls_w * wls_resid
-        out[:, lay.beta] = wls_w * t * wls_resid
-
-        scale = self._n / self._n_v
-        for k, counted in enumerate(self._rate_rows):
-            p11, p10 = rates[k]
-            col = lay.rates.start + 2 * k
-            out[:, col] = (yv * y_star - p11 * yv) * counted * scale
-            out[:, col + 1] = ((1.0 - yv) * y_star - p10 * (1.0 - yv)) * counted * scale
+        theta = np.asarray(theta, dtype=float)
+        frame = self.frame
+        t, v, y_star, yv = frame.t, frame.v, frame.y_star, self._yv
+        out = np.empty((frame.n, self.dim))
+        raw, prob = {}, {}  # model block -> fitted probabilities at theta
+        for name in self.blocks:
+            kind, treat, sel = self.spec(name)
+            cols = self.layout[name]
+            par = theta[cols]
+            if kind in ("treatment", "selection"):
+                design = self._designs[name]
+                raw[name] = expit(design @ par)
+                prob[name] = clamp_probability(raw[name])
+                score = ((t if kind == "treatment" else v) - raw[name])[:, None] * design
+                out[:, cols] = score if sel is None else score * raw[sel][:, None]
+            elif kind == "rates":
+                scale = frame.n / self._n_v
+                for k, counted in enumerate(self._rate_rows):
+                    p11, p10 = par[2 * k], par[2 * k + 1]
+                    col = cols.start + 2 * k
+                    out[:, col] = (yv * y_star - p11 * yv) * counted * scale
+                    out[:, col + 1] = ((1.0 - yv) * y_star - p10 * (1.0 - yv)) * counted * scale
+            elif kind == "ipw":
+                e = prob[treat]
+                outcome = frame.y if name == "tau_oracle" else y_star
+                out[:, cols.start] = t * outcome / e - (1.0 - t) * outcome / (1.0 - e) - par[0]
+            elif kind == "validation":
+                e, pi = prob[treat], prob[sel]
+                out[:, cols.start] = yv * (v * t / (e * pi) - v * (1.0 - t) / ((1.0 - e) * pi)) - par[0]
+            else:
+                w_t, w_c = (est.r_weights(t, v, prob[treat], prob[sel]) if kind == "wls_r"
+                            else est.d_weights(t, prob[treat]))
+                wls_w = w_t + w_c  # one of the two is zero on every row
+                alpha, beta = par
+                # (control, treated) rates; one pooled pair serves both arms
+                rates = theta[self.layout["rates"]].reshape(-1, 2)
+                (p11_0, p10_0), (p11_1, p10_1) = rates[0], rates[-1]
+                # treated-minus-control silver mean implied by (alpha, beta);
+                # T is binary, so the per-arm rates enter as scalars. Pooled
+                # rates make the first and last terms exactly zero, leaving
+                # (p11 - p10) * beta.
+                gap0, gap1 = p11_0 - p10_0, p11_1 - p10_1
+                shift = (p10_1 - p10_0) + gap1 * beta + (gap1 / gap0 - 1.0) * (alpha - p10_0)
+                resid = y_star - alpha - shift * t
+                out[:, cols.start] = wls_w * resid
+                out[:, cols.start + 1] = wls_w * t * resid
         return out
 
     def summed_residuals(self, theta) -> np.ndarray:
         return self.per_subject_residuals(theta).sum(axis=0)
 
     def mean_residuals(self, theta) -> np.ndarray:
-        return self.summed_residuals(theta) / self._n
+        return self.summed_residuals(theta) / self.frame.n
 
 
-def build_system(frame: ObservationFrame, kind: str, *, x_treat=None, x_sel=None,
-                 score_variant: str = "standard",
+def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_treat=None,
+                 x_sel=None, score_variant: str = "standard",
                  misclassification: str = "pooled") -> EstimatingSystem:
-    """Construct the stacked system for a frame.
+    """The stack that the SEs of ``estimator_ids`` read (see ``READS``).
 
+    The treatment design defaults to an intercept plus every covariate.
+    ``x_sel`` is the selection-model design; None treats the validation
+    sample as a simple random sample (constant selection probability).
     ``misclassification`` picks two pooled rate rows or four per-arm ones.
-
-    Defaults: treatment design is an intercept plus every covariate;
-    selection design is an intercept, the treatment indicator, and every
-    covariate. Under the "printed" score variant the treatment-score rows
-    carry a multiplicative selection-probability factor; the plain ML point
-    estimate of gamma does not zero those rows, so the residual check in
-    :func:`solve_plugin` skips the treatment block in that case.
+    Under the "printed" score variant the fitted-selection blocks read
+    ``gamma_p``, whose rows carry a multiplicative selection-probability
+    factor; the plain ML estimate of gamma does not zero those rows, so the
+    residual check in :func:`solve_plugin` skips that block.
     """
+    unknown = [i for i in estimator_ids if i not in READS]
+    if unknown:
+        raise ValueError(f"unknown estimator ids: {unknown}")
     if x_treat is None:
         x_treat = DesignMatrix.with_intercept(frame.x).values
-    if x_sel is None:
-        x_sel = DesignMatrix.with_intercept(
-            np.column_stack([frame.t, frame.x])
-        ).values
-    return EstimatingSystem(frame, kind, x_treat, x_sel, score_variant, misclassification)
+    blocks = {name for est_id in estimator_ids for name, _ in READS[est_id]}
+    return EstimatingSystem(frame, blocks, x_treat, x_sel, score_variant, misclassification)
 
 
 def fit_selection(x_sel: np.ndarray, v: np.ndarray) -> LogisticFit:
@@ -292,124 +301,160 @@ def fit_selection(x_sel: np.ndarray, v: np.ndarray) -> LogisticFit:
     return fit_logistic(x_sel, v)
 
 
-def _wls_closed_form(weights: np.ndarray, t: np.ndarray, y_star: np.ndarray,
-                     rates: MisclassRates | ArmRates, kind: str) -> tuple[float, float]:
-    """Exact solution of the WLS rows.
+def _wls_closed_form(weights: tuple[np.ndarray, np.ndarray], y_star: np.ndarray,
+                     rates: MisclassRates | ArmRates, complement: bool) -> tuple[float, float]:
+    """Exact solution of a WLS block from its (treated, control) weights.
 
     Returns (alpha, beta): the control arm's weighted mean of Y* and the
     misclassification-corrected Hajek arm contrast.
     """
     try:
-        mean1, mean0 = est.hajek_means(weights * t, weights * (1.0 - t), y_star)
+        mean1, mean0 = est.hajek_means(*weights, y_star)
     except EmptyArm:
-        if kind == "A":
+        if complement:
             raise EmptyComplementArm("complement lacks a treatment arm; WLS block undefined") from None
         raise EmptyArm("a treatment arm has zero weight; WLS block undefined") from None
     return mean0, est.corrected_contrast(rates, mean1, mean0)
 
 
-def solve_plugin(frame: ObservationFrame, kind: str, *, system: EstimatingSystem | None = None,
-                 x_treat=None, x_sel=None, score_variant: str = "standard",
-                 treat_fit: LogisticFit | None = None, sel_fit: LogisticFit | None = None,
-                 rates: MisclassRates | ArmRates | None = None,
-                 check: bool = True) -> StackedParams:
+@dataclass(frozen=True)
+class StackedParams:
+    """Plug-in solution of a stack.
+
+    ``system`` is the stack restricted to the blocks that solved and
+    ``theta`` their parameters; ``failed`` maps every other block to the
+    error that stopped it or one of its parents. ``e`` is the fitted
+    treatment propensity, ``pi`` the fitted probabilities of each selection
+    block that solved, and ``rates`` the counted misclassification rates
+    (None unless their block solved).
+    """
+
+    system: EstimatingSystem
+    theta: np.ndarray
+    failed: dict[str, MismeasureError]
+    e: np.ndarray
+    pi: dict[str, np.ndarray]
+    rates: MisclassRates | ArmRates | None
+
+    def block(self, name: str) -> np.ndarray:
+        """Parameters of block ``name`` (resolved as the stack resolves it)."""
+        return self.theta[self.system.layout[self.system.resolve(name)]]
+
+
+def _failed_parent(system: EstimatingSystem, name: str, failed: dict) -> str | None:
+    return next((p for p in system.parents(name) if p in failed), None)
+
+
+def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
+                 rates: MisclassRates | ArmRates | None = None) -> StackedParams:
     """Fill the stacked parameters by sequential plug-in and verify them.
 
-    gamma (and gamma_s) come from full-sample ML of the treatment model, eta
-    from ML of the selection model, the rates from validation counting
-    (pooled or per arm, as the system's layout says), (alpha, beta) from the
-    closed-form WLS with R (kind A) or D (kind B) weights, and the leading
-    slot from the selection-weighted validation contrast. Without a
-    ``system``, per-arm ``rates`` select the per-arm layout. Raises
-    ValueError if ``rates`` do not fit the system's layout, and
-    ResidualCheckFailed if the stacked residual mean exceeds 1e-6 in max
-    norm.
+    gamma (and gamma_p) come from full-sample ML of the treatment model, eta0
+    and eta from ML of the selection models, the rates from validation
+    counting (pooled or per arm, as the system says), each (alpha, beta)
+    from its closed-form WLS, and each tau from its IPW contrast. A block
+    whose plug-in raises a MismeasureError, or whose residual mean exceeds
+    1e-6 in max norm (ResidualCheckFailed), is left out together with every
+    block built on it. A treatment-model fit that fails raises. ``rates``
+    replaces the counted rates; ValueError if they do not fit the system's
+    layout.
     """
-    if system is None:
-        system = build_system(frame, kind, x_treat=x_treat, x_sel=x_sel,
-                              score_variant=score_variant,
-                              misclassification="by_arm" if isinstance(rates, ArmRates)
-                              else "pooled")
-    if treat_fit is None:
-        treat_fit = fit_logistic(system.x_treat, frame.t)
-    if sel_fit is None:
-        sel_fit = fit_selection(system.x_sel, frame.v)
-    if rates is None:
-        rates = est.estimate_misclassification(frame, system.misclassification)
-    rate_vector = rates.to_vector()
-    if rate_vector.size != system.layout.rates.stop - system.layout.rates.start:
-        raise ValueError(f"{type(rates).__name__} does not fit a "
-                         f"{system.misclassification!r} stacked system")
-
+    treat_fit = fit_logistic(system.x_treat, frame.t)
     e = predict_proba(treat_fit, system.x_treat)
-    pi = predict_proba(sel_fit, system.x_sel)
-    if system.kind == "A":
-        weights = (1.0 - frame.v) * (
-            frame.t / (e * (1.0 - pi)) + (1.0 - frame.t) / ((1.0 - e) * (1.0 - pi))
-        )
-    else:
-        weights = frame.t / e + (1.0 - frame.t) / (1.0 - e)
-    alpha, beta = _wls_closed_form(weights, frame.t, frame.y_star, rates, system.kind)
+    t, v = frame.t, frame.v
+    values, failed, pi = {}, {}, {}
+    for name in system.blocks:
+        parent = _failed_parent(system, name, failed)
+        if parent is not None:
+            failed[name] = failed[parent]
+            continue
+        kind, _, sel = system.spec(name)
+        try:
+            if kind == "treatment":
+                value = treat_fit.coefficients
+            elif kind == "selection":
+                sel_fit = fit_selection(system.design(name), v)
+                pi[name] = predict_proba(sel_fit, system.design(name))
+                value = sel_fit.coefficients
+            elif kind == "rates":
+                if rates is None:
+                    rates = est.estimate_misclassification(frame, system.misclassification)
+                value = rates.to_vector()
+                if value.size != system.layout[name].stop - system.layout[name].start:
+                    raise ValueError(f"{type(rates).__name__} does not fit a "
+                                     f"{system.misclassification!r} stacked system")
+            elif kind == "ipw":
+                point = est.tau_oracle if name == "tau_oracle" else est.tau_naive
+                value = point(frame, PropensityPair(e=e)).tau
+            elif kind == "validation":
+                value = est.tau_s_val_only(frame, PropensityPair(e=e, pi_v=pi[sel])).tau
+            elif kind == "wls_r":
+                value = _wls_closed_form(est.r_weights(t, v, e, pi[sel]), frame.y_star, rates,
+                                         complement=True)
+            else:
+                value = _wls_closed_form(est.d_weights(t, e), frame.y_star, rates,
+                                         complement=False)
+        except MismeasureError as exc:
+            failed[name] = exc
+            continue
+        values[name] = np.atleast_1d(np.asarray(value, dtype=float))
 
-    props = PropensityPair(e=e, pi_v=pi)
-    tau_s_val = est.tau_s_val_only(frame, props).tau
-
-    params = StackedParams(
-        tau_s_val=tau_s_val,
-        gamma=np.asarray(treat_fit.coefficients, dtype=float),
-        eta=np.asarray(sel_fit.coefficients, dtype=float),
-        alpha=alpha,
-        beta=beta,
-        rates=rate_vector,
-        gamma_s=np.asarray(treat_fit.coefficients, dtype=float) if system.kind == "B" else None,
-    )
-
-    if check:
-        means = np.abs(system.mean_residuals(params))
-        if system.score_variant == "printed":
-            means[system.layout.gamma] = 0.0  # plain-ML gamma does not zero the printed rows
-        worst = float(np.max(means))
-        if worst > RESIDUAL_TOL:
-            raise ResidualCheckFailed(
-                f"stacked residual mean max-norm {worst:.3e} exceeds {RESIDUAL_TOL:.0e}"
-            )
-    return params
+    solved = system.restrict(values)
+    if solved.dim:
+        theta = np.concatenate([values[name] for name in solved.blocks])
+        means = np.abs(solved.mean_residuals(theta))
+        for name in solved.blocks:
+            parent = _failed_parent(solved, name, failed)
+            worst = float(np.max(means[solved.layout[name]]))
+            if parent is not None:
+                failed[name] = failed[parent]
+            # plain-ML gamma does not zero the printed rows
+            elif name != "gamma_p" and worst > RESIDUAL_TOL:
+                failed[name] = ResidualCheckFailed(
+                    f"{name} residual mean max-norm {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
+        solved = system.restrict(name for name in values if name not in failed)
+    theta = np.concatenate([values[name] for name in solved.blocks] or [np.empty(0)])
+    return StackedParams(solved, theta, failed, e, pi,
+                         rates if "rates" in solved.layout else None)
 
 
 @dataclass(frozen=True)
 class SandwichResult:
     """Joint covariance (variance scale, already divided by n) and SEs."""
 
-    theta_hat: StackedParams
+    theta: np.ndarray
     covariance: np.ndarray
     se: np.ndarray
-    layout: SystemLayout
+    layout: dict[str, slice]
 
 
-def _sandwich_core(system, theta_vec: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    jac = numeric_jacobian(system.summed_residuals, theta_vec)
-    bread = -jac / n
-    phi = system.per_subject_residuals(theta_vec)
-    meat = phi.T @ phi / n
-    bread_inv = solve_linear(bread, np.eye(len(theta_vec)))
-    cov = bread_inv @ meat @ bread_inv.T / n
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov)
-    if np.any(diag < -1e-12):
-        raise NegativeVariance(f"sandwich produced negative variance {float(diag.min()):.3e}")
-    return cov, np.sqrt(np.maximum(diag, 0.0))
-
-
-def sandwich(frame: ObservationFrame, system: EstimatingSystem,
-             theta_hat: StackedParams) -> SandwichResult:
+def sandwich(frame: ObservationFrame, system: EstimatingSystem, theta) -> SandwichResult:
     """Empirical sandwich covariance A^-1 B A^-T / n at the plug-in solution.
 
     The bread A is the central-difference Jacobian of the summed residuals
     divided by -n; the meat B is the mean outer product of per-subject
-    residuals. The result is symmetrized as (C + C^T)/2.
+    residuals; A^-1 B A^-T takes two linear solves. The result is
+    symmetrized as (C + C^T)/2.
     """
-    cov, se = _sandwich_core(system, theta_hat.to_vector(), frame.n)
-    return SandwichResult(theta_hat, cov, se, system.layout)
+    theta = np.asarray(theta, dtype=float)
+    n = frame.n
+    bread = -numeric_jacobian(system.summed_residuals, theta) / n
+    # the sandwich is invariant to rescaling any estimating equation; scaling
+    # each to unit max-norm in the bread keeps blocks of different magnitude
+    # (a nearly separated selection fit next to the tau rows) from reading
+    # as a singular system
+    row_max = np.max(np.abs(bread), axis=1)
+    scale = 1.0 / np.where(row_max > 0.0, row_max, 1.0)
+    bread = bread * scale[:, None]
+    phi = system.per_subject_residuals(theta)
+    phi *= scale
+    meat = phi.T @ phi / n
+    cov = solve_linear(bread, solve_linear(bread, meat).T) / n
+    cov = 0.5 * (cov + cov.T)
+    diag = np.diag(cov)
+    if np.any(diag < -1e-12):
+        raise NegativeVariance(f"sandwich produced negative variance {float(diag.min()):.3e}")
+    return SandwichResult(theta, cov, np.sqrt(np.maximum(diag, 0.0)), system.layout)
 
 
 def combine_delta(result: SandwichResult, weights: tuple[float, float],
@@ -422,8 +467,7 @@ def combine_delta(result: SandwichResult, weights: tuple[float, float],
     """
     c_a, c_b = weights
     ia, ib = indices
-    vec = result.theta_hat.to_vector()
-    point = c_a * float(vec[ia]) + c_b * float(vec[ib])
+    point = c_a * float(result.theta[ia]) + c_b * float(result.theta[ib])
     cov = result.covariance
     var = (c_a ** 2) * cov[ia, ia] + (c_b ** 2) * cov[ib, ib] + 2.0 * c_a * c_b * cov[ia, ib]
     if var < 0.0:
@@ -439,54 +483,7 @@ def confidence_interval(point: float, se: float, level: float = 0.95) -> tuple[f
     return point - z * se, point + z * se
 
 
-class _PlainIpwSystem:
-    """Two-block stack (tau, gamma) for the uncorrected IPW estimator."""
-
-    def __init__(self, frame: ObservationFrame, outcome: np.ndarray, x_treat: np.ndarray):
-        self._t = frame.t
-        self._outcome = np.asarray(outcome, dtype=float)
-        self.x_treat = np.asarray(x_treat, dtype=float)
-        self._n = frame.n
-
-    @property
-    def dim(self) -> int:
-        return 1 + self.x_treat.shape[1]
-
-    def per_subject_residuals(self, vec: np.ndarray) -> np.ndarray:
-        tau, gamma = vec[0], vec[1:]
-        e_raw = expit(self.x_treat @ gamma)
-        e = clamp_probability(e_raw)
-        t, outcome = self._t, self._outcome
-        out = np.empty((self._n, self.dim))
-        out[:, 0] = t * outcome / e - (1.0 - t) * outcome / (1.0 - e) - tau
-        out[:, 1:] = (t - e_raw)[:, None] * self.x_treat
-        return out
-
-    def summed_residuals(self, vec: np.ndarray) -> np.ndarray:
-        return self.per_subject_residuals(vec).sum(axis=0)
-
-
-def ipw_point_and_se(frame: ObservationFrame, outcome: np.ndarray,
-                     x_treat: np.ndarray, treat_fit: LogisticFit) -> tuple[float, float]:
-    """Plain IPW contrast on a fully observed outcome plus its sandwich SE."""
-    e = predict_proba(treat_fit, x_treat)
-    tau = est.ipw_difference(frame.t, 1.0 - frame.t, outcome, e, float(frame.n))
-    system = _PlainIpwSystem(frame, outcome, x_treat)
-    theta = np.concatenate([[tau], treat_fit.coefficients])
-    cov, se = _sandwich_core(system, theta, frame.n)
-    return tau, float(se[0])
-
-
 # --- frame-level orchestration ------------------------------------------------
-
-RATE_CONSUMERS = frozenset({
-    "nonval_corrected", "sy_combined", "s_nonval", "s_combined",
-    "all_silver", "s_weighted", "s_opt",
-})
-EQ1_FAMILY = ("val_only", "nonval_corrected", "sy_combined")
-S_FAMILY_A = ("s_val_only", "s_nonval", "s_combined")
-S_FAMILY_B = ("all_silver", "s_weighted", "s_opt")
-
 
 @dataclass
 class FrameAnalysis:
@@ -504,10 +501,6 @@ class FrameAnalysis:
     b_opt: float | None = None
 
 
-def _reason(exc: Exception) -> str:
-    return type(exc).__name__
-
-
 def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel=None,
                   w: float = 0.5, b: float | None = None,
                   score_variant: str = "standard", misclassification: str = "pooled",
@@ -516,10 +509,12 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
 
     ``x_sel`` is the selection-model design matrix; pass None when the
     validation sample is (treated as) a simple random sample, in which case
-    the selection propensity is the constant n_V / n and the selection block
-    of every stack is intercept-only. The estimators that ignore selection
-    weighting always draw their SEs from the intercept-only stack regardless
-    of ``x_sel``.
+    the selection propensity is the constant n_V / n. The estimators that
+    ignore selection weighting draw their SEs from the constant-selection
+    blocks regardless of ``x_sel``. The SEs of nonval_corrected and
+    sy_combined read the slope beta of ``r_const``, a Hajek (ratio) contrast
+    over the complement, while their reported points use the IPW complement
+    means normalized by n - n_V; the two contrasts differ.
 
     ``b`` is the fixed weight of the non-optimal blend of s_val_only and
     all_silver; None (the default) weights them proportionally to the
@@ -529,210 +524,99 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     ``misclassification`` is "pooled" (one (p11, p10) over every validated
     row) or "by_arm" (rates counted and applied within each treatment arm,
     for misclassification that depends on treatment); every rate-consuming
-    estimator and its stack follow it.
+    estimator and its blocks follow it.
 
-    Point-estimate failures and SE-only failures are recorded separately and
-    never abort the remaining estimators.
+    The frame's stack is built from the requested ids, solved once and
+    sandwiched once. A point estimate fails when the rates or the selection
+    probabilities it needs are missing, or when it raises itself; an SE
+    fails when a block it reads failed to solve, or when the sandwich
+    fails. Failures are recorded by reason and never abort the remaining
+    estimators; a failed treatment-model fit raises.
     """
     ids = list(estimator_ids)
-    unknown = [i for i in ids if i not in ESTIMATOR_IDS]
-    if unknown:
-        raise ValueError(f"unknown estimator ids: {unknown}")
+    system = build_system(frame, ids, x_treat=x_treat, x_sel=x_sel,
+                          score_variant=score_variant, misclassification=misclassification)
+    params = solve_plugin(frame, system)
+    result = se_error = None
+    if params.system.dim:
+        try:
+            result = sandwich(frame, params.system, params.theta)
+        except MismeasureError as exc:
+            se_error = exc
 
-    analysis = FrameAnalysis()
-    if x_treat is None:
-        x_treat = DesignMatrix.with_intercept(frame.x).values
-    treat_fit = fit_logistic(x_treat, frame.t)
-    e = predict_proba(treat_fit, x_treat)
     n, n_v = frame.n, frame.n_v
-
-    def fail(est_ids, exc):
-        for est_id in est_ids:
-            if est_id in ids and est_id not in analysis.estimates and est_id not in analysis.failures:
-                analysis.failures[est_id] = _reason(exc)
-
-    def attach(est_id, tau, se, weight=None):
-        if se is None:
-            analysis.estimates[est_id] = AteEstimate(est_id, tau, weight_used=weight)
-        else:
-            low, high = confidence_interval(tau, se, level)
-            analysis.estimates[est_id] = AteEstimate(est_id, tau, se, low, high, weight)
-
-    # gold-outcome benchmarks on their own two-block stacks
-    for est_id, outcome in (("oracle", frame.y), ("naive", frame.y_star)):
-        if est_id not in ids:
-            continue
-        try:
-            if est_id == "oracle" and np.any(np.isnan(frame.y)):
-                raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
-            tau, se = ipw_point_and_se(frame, outcome, x_treat, treat_fit)
-            attach(est_id, tau, se)
-        except MismeasureError as exc:
-            fail([est_id], exc)
-
-    try:
-        rates = est.estimate_misclassification(frame, misclassification)
-        analysis.rates = rates
-    except (DegenerateValidation, NonIdentifiable) as exc:
-        rates = None
-        fail(RATE_CONSUMERS, exc)
-
-    # selection propensities for the point estimates
-    sel_fit = None
-    pi_points = None
+    rates = params.rates
+    plain = PropensityPair(e=params.e)
+    # point estimates use the fitted selection model, or the validation share
+    selected = selection_error = None
     if x_sel is not None:
-        try:
-            sel_fit = fit_selection(x_sel, frame.v)
-            pi_points = predict_proba(sel_fit, x_sel)
-        except MismeasureError as exc:
-            fail(S_FAMILY_A + S_FAMILY_B, exc)
+        if "eta" in params.pi:
+            selected = PropensityPair(e=params.e, pi_v=params.pi["eta"])
+        selection_error = params.failed.get("eta")
     elif n_v > 0:
-        pi_points = clamp_probability(np.full(n, n_v / n))
+        selected = PropensityPair(e=params.e, pi_v=clamp_probability(np.full(n, n_v / n)))
     else:
-        fail(S_FAMILY_A + S_FAMILY_B, DegenerateValidation("no validated rows"))
+        selection_error = DegenerateValidation("no validated rows")
 
-    props_plain = PropensityPair(e=e)
-    props_sel = PropensityPair(e=e, pi_v=pi_points) if pi_points is not None else None
+    def located(est_id):
+        """Stack positions an SE reads; raises why they are unavailable."""
+        for name, _ in READS[est_id]:
+            if system.resolve(name) in params.failed:
+                raise params.failed[system.resolve(name)]
+        if result is None:
+            raise se_error
+        return [params.system.index(name, row) for name, row in READS[est_id]]
 
-    # stacks, built lazily and shared across the estimators they serve;
-    # each cache slot holds (SandwichResult | None, error | None)
-    x_sel_const = np.ones((n, 1))
-    stacks: dict[str, tuple] = {}
+    def optimal_blend():
+        ia, ib = located("s_opt")
+        cov = result.covariance
+        return est.tau_s_opt(frame, selected, rates, float(cov[ia, ia]), float(cov[ib, ib]),
+                             float(cov[ia, ib]))
 
-    def stack(which):
-        if which == "A" and x_sel is None:
-            which = "eq1"  # SRS: the fitted-selection stack IS the constant stack
-        if which in stacks:
-            return stacks[which]
-        try:
-            if which == "eq1":
-                system = build_system(frame, "A", x_treat=x_treat, x_sel=x_sel_const,
-                                      score_variant=score_variant,
-                                      misclassification=misclassification)
-                params = solve_plugin(frame, "A", system=system, treat_fit=treat_fit,
-                                      rates=rates)
-            elif which == "A":
-                system = build_system(frame, "A", x_treat=x_treat, x_sel=x_sel,
-                                      score_variant=score_variant,
-                                      misclassification=misclassification)
-                params = solve_plugin(frame, "A", system=system, treat_fit=treat_fit,
-                                      sel_fit=sel_fit, rates=rates)
-            else:
-                sel_design = x_sel_const if x_sel is None else x_sel
-                system = build_system(frame, "B", x_treat=x_treat, x_sel=sel_design,
-                                      score_variant=score_variant,
-                                      misclassification=misclassification)
-                params = solve_plugin(frame, "B", system=system, treat_fit=treat_fit,
-                                      sel_fit=sel_fit, rates=rates)
-            entry = (sandwich(frame, system, params), None)
-        except MismeasureError as exc:
-            entry = (None, exc)
-        stacks[which] = entry
-        return entry
-
-    def point_then_se(est_id, point_fn, se_fn, stack_name, weight=None):
-        """Compute the point estimate, then its SE from the named stack."""
-        if est_id not in ids:
-            return
-        try:
-            tau = point_fn()
-        except MismeasureError as exc:
-            fail([est_id], exc)
-            return
-        res, err = stack(stack_name)
-        se = None
-        if res is not None:
-            try:
-                se = se_fn(res)
-            except MismeasureError as exc:
-                err = exc
-        if se is None and err is not None:
-            analysis.se_failures[est_id] = _reason(err)
-        attach(est_id, tau, se, weight)
-
-    lam = None
-    if n > 0:
-        lam = w * n_v / (w * n_v + (1.0 - w) * (n - n_v)) if n_v < n else 1.0
+    lam = w * n_v / (w * n_v + (1.0 - w) * (n - n_v)) if n_v < n else 1.0
     b_eff = n_v / n if b is None else b
+    # estimator id -> (point estimate, coefficients of the parameters it reads)
+    table = {
+        "oracle": (lambda: est.tau_oracle(frame, plain), (1.0,)),
+        "naive": (lambda: est.tau_naive(frame, plain), (1.0,)),
+        "val_only": (lambda: est.tau_val_only(frame, plain), (1.0,)),
+        "nonval_corrected": (lambda: est.tau_nonval_corrected(frame, plain, rates), (1.0,)),
+        "sy_combined": (lambda: est.tau_sy_combined(frame, plain, rates, w=w), (lam, 1.0 - lam)),
+        "s_val_only": (lambda: est.tau_s_val_only(frame, selected), (1.0,)),
+        "s_nonval": (lambda: est.tau_s_nonval(frame, selected, rates), (1.0,)),
+        "s_combined": (lambda: est.tau_s_combined(frame, selected, rates),
+                       (n_v / n, (n - n_v) / n)),
+        "all_silver": (lambda: est.tau_all_silver(frame, plain, rates), (1.0,)),
+        "s_weighted": (lambda: est.tau_s_weighted(frame, selected, rates, b=b_eff),
+                       (b_eff, 1.0 - b_eff)),
+        "s_opt": (optimal_blend, None),
+    }
 
-    point_then_se(
-        "val_only",
-        lambda: est.tau_val_only(frame, props_plain).tau,
-        lambda res: float(res.se[res.layout.tau]),
-        "eq1",
-    )
-    if rates is not None:
-        point_then_se(
-            "nonval_corrected",
-            lambda: est.tau_nonval_corrected(frame, props_plain, rates).tau,
-            lambda res: float(res.se[res.layout.beta]),
-            "eq1",
-        )
-        point_then_se(
-            "sy_combined",
-            lambda: est.tau_sy_combined(frame, props_plain, rates, w=w).tau,
-            lambda res: combine_delta(res, (lam, 1.0 - lam),
-                                      (res.layout.tau, res.layout.beta))[1],
-            "eq1",
-            weight=w,
-        )
-
-    if props_sel is not None:
-        point_then_se(
-            "s_val_only",
-            lambda: est.tau_s_val_only(frame, props_sel).tau,
-            lambda res: float(res.se[res.layout.tau]),
-            "A",
-        )
-        if rates is not None:
-            point_then_se(
-                "s_nonval",
-                lambda: est.tau_s_nonval(frame, props_sel, rates).tau,
-                lambda res: float(res.se[res.layout.beta]),
-                "A",
-            )
-            point_then_se(
-                "s_combined",
-                lambda: est.tau_s_combined(frame, props_sel, rates).tau,
-                lambda res: combine_delta(res, (n_v / n, (n - n_v) / n),
-                                          (res.layout.tau, res.layout.beta))[1],
-                "A",
-            )
-            point_then_se(
-                "all_silver",
-                lambda: est.tau_all_silver(frame, props_sel, rates).tau,
-                lambda res: float(res.se[res.layout.beta]),
-                "B",
-            )
-            point_then_se(
-                "s_weighted",
-                lambda: est.tau_s_weighted(frame, props_sel, rates, b=b_eff).tau,
-                lambda res: combine_delta(res, (b_eff, 1.0 - b_eff),
-                                          (res.layout.tau, res.layout.beta))[1],
-                "B",
-                weight=b_eff,
-            )
-            if "s_opt" in ids:
-                res, err = stack("B")
-                if res is None:
-                    fail(["s_opt"], err)
-                else:
-                    try:
-                        lay = res.layout
-                        cov = res.covariance
-                        b_opt = est.compute_b_opt(
-                            float(cov[lay.tau, lay.tau]), float(cov[lay.beta, lay.beta]),
-                            float(cov[lay.tau, lay.beta]),
-                        )
-                        analysis.b_opt = b_opt
-                        tau = est.tau_s_weighted(frame, props_sel, rates, b=b_opt).tau
-                        _, se = combine_delta(res, (b_opt, 1.0 - b_opt), (lay.tau, lay.beta))
-                        low, high = confidence_interval(tau, se, level)
-                        analysis.estimates["s_opt"] = AteEstimate("s_opt", tau, se, low, high, b_opt)
-                    except MismeasureError as exc:
-                        fail(["s_opt"], exc)
-
-    for est_id in ids:
-        if est_id not in analysis.estimates and est_id not in analysis.failures:
-            analysis.failures[est_id] = "NotComputed"
+    analysis = FrameAnalysis(rates=rates)
+    for est_id in (i for i in ESTIMATOR_IDS if i in ids):
+        point, coefficients = table[est_id]
+        kinds = [BLOCKS[name] for name, _ in READS[est_id]]
+        try:
+            if rates is None and any(kind.startswith("wls") for kind, _, _ in kinds):
+                raise params.failed["rates"]
+            if selected is None and any(sel == "eta" for _, _, sel in kinds):
+                raise selection_error
+            estimate = point()
+        except MismeasureError as exc:
+            analysis.failures[est_id] = type(exc).__name__
+            continue
+        if est_id == "s_opt":
+            analysis.b_opt = estimate.weight_used
+            coefficients = (analysis.b_opt, 1.0 - analysis.b_opt)
+        try:
+            where = located(est_id)
+            se = (float(result.se[where[0]]) if len(where) == 1
+                  else combine_delta(result, coefficients, where)[1])
+        except MismeasureError as exc:
+            analysis.se_failures[est_id] = type(exc).__name__
+            analysis.estimates[est_id] = estimate
+            continue
+        low, high = confidence_interval(estimate.tau, se, level)
+        analysis.estimates[est_id] = AteEstimate(est_id, estimate.tau, se, low, high,
+                                                 estimate.weight_used)
     return analysis

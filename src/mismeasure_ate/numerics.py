@@ -1,9 +1,9 @@
 """Foundational numerical routines.
 
-Logistic-model fitting by iteratively reweighted least squares, a partially
-pivoted LU linear solver, central-difference Jacobians, and the stable
-logistic / normal-quantile functions everything else consumes. All functions
-are pure; nothing here holds state.
+Logistic-model fitting by iteratively reweighted least squares, a
+conditioning-checked linear solver, central-difference Jacobians, and the
+stable logistic / normal-quantile functions everything else consumes. All
+functions are pure; nothing here holds state.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ MAX_ITER = 100
 MAX_HALVINGS = 10      # step halvings per Newton step before giving up
 SEPARATION_COEF = 30.0 # |coef| beyond this at failure suggests separation
 
-PIVOT_RTOL = 1e-12     # pivot magnitude below PIVOT_RTOL * max|a| is singular
+PIVOT_RTOL = 1e-12     # a condition number above 1 / PIVOT_RTOL is singular
 
 
 def expit(u):
@@ -261,46 +261,25 @@ def numeric_jacobian(f, theta, step=None) -> np.ndarray:
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve a X = b by partially pivoted LU decomposition.
+    """Solve a X = b with LAPACK (``np.linalg.solve``).
 
     Accepts a vector or matrix right-hand side and preserves its shape.
-    Raises SingularSystem when a pivot magnitude falls below
-    1e-12 * max|a|.
+    Raises SingularSystem when ``a`` is singular or its condition number
+    exceeds 1 / PIVOT_RTOL.
     """
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"coefficient matrix must be square, got {a.shape}")
-    n = a.shape[0]
-    b_arr = np.array(b, dtype=float)
-    vector_rhs = b_arr.ndim == 1
-    rhs = b_arr[:, None] if vector_rhs else b_arr
-    if rhs.shape[0] != n:
-        raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows, expected {n}")
-
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    tol = PIVOT_RTOL * scale
-    lu = a.copy()
-    perm = np.arange(n)
-
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(lu[col:, col])))
-        if np.abs(lu[pivot_row, col]) <= tol:
-            raise SingularSystem(f"pivot {np.abs(lu[pivot_row, col]):.3e} below tolerance {tol:.3e}")
-        if pivot_row != col:
-            lu[[col, pivot_row]] = lu[[pivot_row, col]]
-            perm[[col, pivot_row]] = perm[[pivot_row, col]]
-        factors = lu[col + 1:, col] / lu[col, col]
-        lu[col + 1:, col] = factors
-        lu[col + 1:, col + 1:] -= factors[:, None] * lu[col, col + 1:]
-
-    x = rhs[perm].copy()
-    for col in range(n):                      # forward substitution (unit lower)
-        x[col + 1:] -= lu[col + 1:, col][:, None] * x[col]
-    for col in range(n - 1, -1, -1):          # back substitution
-        x[col] /= lu[col, col]
-        x[:col] -= lu[:col, col][:, None] * x[col]
-
-    return x[:, 0] if vector_rhs else x
+    rhs = np.asarray(b, dtype=float)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected {a.shape[0]} rows")
+    try:
+        cond = np.linalg.cond(a)
+        if not cond <= 1.0 / PIVOT_RTOL:
+            raise SingularSystem(f"condition number {cond:.3e} exceeds {1.0 / PIVOT_RTOL:.0e}")
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"singular coefficient matrix: {exc}") from None
 
 
 def normal_quantile(p: float) -> float:

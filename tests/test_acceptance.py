@@ -266,28 +266,31 @@ def test_5_exact_identities():
     v_draw = (rng.random(3000) < expit(pi_lin)).astype(float)
     sim_frame = ObservationFrame(x=population.x, t=population.t,
                                  y_star=population.y_star, v=v_draw, y=population.y)
-    for kind in ("A", "B"):
-        system = inf.build_system(sim_frame, kind)
-        params = inf.solve_plugin(sim_frame, kind, system=system)
-        worst = float(np.max(np.abs(system.mean_residuals(params))))
-        if not worst <= 1e-6:
-            failures.append(f"plug-in residual mean {worst:.2e} (kind {kind})")
-        xt = system.x_treat
-        e_hat = predict_proba(fit_logistic(xt, sim_frame.t), xt)
-        pi_hat = predict_proba(inf.fit_selection(system.x_sel, sim_frame.v), system.x_sel)
-        frame_props = PropensityPair(e=e_hat, pi_v=pi_hat)
-        frame_rates = est.estimate_misclassification(sim_frame)
-        target = (est.tau_s_nonval(sim_frame, frame_props, frame_rates).tau if kind == "A"
-                  else est.tau_all_silver(sim_frame, frame_props, frame_rates).tau)
-        if not abs(params.beta - target) <= 1e-10:
-            failures.append(f"WLS-slope identity (kind {kind}): {params.beta!r} vs {target!r}")
-        result = inf.sandwich(sim_frame, system, params)
-        if not np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10:
-            failures.append(f"sandwich asymmetry (kind {kind})")
-        if kind == "A":
-            independent = oracles.logistic_sandwich_se(xt, sim_frame.t, params.gamma)
-            if not np.allclose(result.se[system.layout.gamma], independent, rtol=1e-6):
-                failures.append("treatment-model sandwich block mismatch")
+    x_sel = np.column_stack([np.ones(sim_frame.n), sim_frame.t, sim_frame.x])
+    system = inf.build_system(sim_frame, x_sel=x_sel)
+    params = inf.solve_plugin(sim_frame, system)
+    if params.failed:
+        failures.append(f"plug-in blocks failed: {sorted(params.failed)}")
+    worst = float(np.max(np.abs(params.system.mean_residuals(params.theta))))
+    if not worst <= 1e-6:
+        failures.append(f"plug-in residual mean {worst:.2e}")
+    xt = system.x_treat
+    e_hat = predict_proba(fit_logistic(xt, sim_frame.t), xt)
+    pi_hat = predict_proba(inf.fit_selection(x_sel, sim_frame.v), x_sel)
+    frame_props = PropensityPair(e=e_hat, pi_v=pi_hat)
+    frame_rates = est.estimate_misclassification(sim_frame)
+    for block, target in (
+            ("r_fit", est.tau_s_nonval(sim_frame, frame_props, frame_rates).tau),
+            ("d", est.tau_all_silver(sim_frame, frame_props, frame_rates).tau)):
+        beta = params.block(block)[1]
+        if not abs(beta - target) <= 1e-10:
+            failures.append(f"WLS-slope identity ({block}): {beta!r} vs {target!r}")
+    result = inf.sandwich(sim_frame, params.system, params.theta)
+    if not np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10:
+        failures.append("sandwich asymmetry")
+    independent = oracles.logistic_sandwich_se(xt, sim_frame.t, params.block("gamma"))
+    if not np.allclose(result.se[result.layout["gamma"]], independent, rtol=1e-6):
+        failures.append("treatment-model sandwich block mismatch")
 
     ok = check("5 exact identities", not failures,
                "D6 oracle equivalence, reductions, WLS/Hajek and sandwich checks"

@@ -7,7 +7,6 @@ from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
 from mismeasure_ate.errors import (
     DegenerateValidation,
-    InvalidPropensity,
     NegativeVariance,
     ResidualCheckFailed,
 )
@@ -35,43 +34,45 @@ def simulated_frame(seed=5, n=3000, *, srs=False, p11=0.67, p10=0.24, p10_treate
     return ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
 
 
-def test_weight_r_examples():
-    assert inf.weight_r(t=1, v=1, e=0.5, pi=0.5) == 0.0
-    assert inf.weight_r(t=1, v=0, e=0.5, pi=0.5) == pytest.approx(4.0)
-    assert inf.weight_r(t=0, v=0, e=0.25, pi=0.2) == pytest.approx(1.0 / (0.75 * 0.8))
-    with pytest.raises(InvalidPropensity):
-        inf.weight_r(t=1, v=0, e=1.0, pi=0.5)
+def selection_design(frame):
+    """Fitted selection design: intercept, treatment and every covariate."""
+    return np.column_stack([np.ones(frame.n), frame.t, frame.x])
 
 
-def test_weight_d_examples():
-    assert inf.weight_d(t=1, e=0.5) == pytest.approx(2.0)
-    assert inf.weight_d(t=0, e=0.8) == pytest.approx(5.0)
-    assert inf.weight_d(t=0, e=0.5) == inf.weight_d(t=1, e=0.5) == pytest.approx(2.0)
-    with pytest.raises(InvalidPropensity):
-        inf.weight_d(t=1, e=0.0)
+def fitted_props(frame, system):
+    """The propensities the plug-in fits, recomputed from scratch."""
+    from mismeasure_ate.numerics import fit_logistic, predict_proba
+
+    e = predict_proba(fit_logistic(system.x_treat, frame.t), system.x_treat)
+    pi = predict_proba(inf.fit_selection(system.x_sel, frame.v), system.x_sel)
+    return PropensityPair(e=e, pi_v=pi)
 
 
 def test_plugin_zeroes_residual_blocks_exactly():
     frame = simulated_frame(n=5000)
-    system = inf.build_system(frame, "A")
-    params = inf.solve_plugin(frame, "A", system=system)
-    means = np.abs(system.mean_residuals(params))
-    assert means[system.layout.tau] <= 1e-12           # definition of the estimator
-    assert float(means[system.layout.rates].max()) <= 1e-12  # plug-in identity
-    assert means[system.layout.alpha] <= 1e-10         # closed-form WLS
-    assert means[system.layout.beta] <= 1e-10
-    assert float(means.max()) <= 1e-6                  # whole stack
+    system = inf.build_system(frame, x_sel=selection_design(frame))
+    params = inf.solve_plugin(frame, system)
+    assert not params.failed and params.system.blocks == system.blocks
+    lay = params.system.layout
+    means = np.abs(params.system.mean_residuals(params.theta))
+    for name in ("tau_oracle", "tau_naive", "tau_val", "tau_s_val"):
+        assert float(means[lay[name]].max()) <= 1e-12     # definition of the estimator
+    assert float(means[lay["rates"]].max()) <= 1e-12      # plug-in identity
+    for name in ("r_const", "r_fit", "d"):
+        assert float(means[lay[name]].max()) <= 1e-10     # closed-form WLS
+    assert float(means.max()) <= 1e-6                     # whole stack
 
 
 def test_plugin_residuals_small_for_both_kinds_and_variants():
     frame = simulated_frame(seed=9)
-    for kind in ("A", "B"):
+    for x_sel in (None, selection_design(frame)):
         for variant in ("standard", "printed"):
-            system = inf.build_system(frame, kind, score_variant=variant)
-            params = inf.solve_plugin(frame, kind, system=system, score_variant=variant)
-            means = np.abs(system.mean_residuals(params))
-            if variant == "printed":
-                means[system.layout.gamma] = 0.0
+            system = inf.build_system(frame, x_sel=x_sel, score_variant=variant)
+            params = inf.solve_plugin(frame, system)
+            assert not params.failed
+            means = np.abs(params.system.mean_residuals(params.theta))
+            if "gamma_p" in params.system.layout:
+                means[params.system.layout["gamma_p"]] = 0.0
             assert float(means.max()) <= 1e-6
 
 
@@ -79,37 +80,44 @@ def test_printed_variant_treatment_rows_not_zeroed_by_plain_ml():
     # the estimating function as printed is not solved by the plain ML fit,
     # which is exactly why the residual check skips that block
     frame = simulated_frame(seed=21, n=2000)
-    system = inf.build_system(frame, "A", score_variant="printed")
-    params = inf.solve_plugin(frame, "A", system=system, score_variant="printed")
-    gamma_rows = np.abs(system.mean_residuals(params))[system.layout.gamma]
-    assert float(gamma_rows.max()) > 1e-6
+    system = inf.build_system(frame, x_sel=selection_design(frame), score_variant="printed")
+    params = inf.solve_plugin(frame, system)
+    assert not params.failed
+    lay = params.system.layout
+    means = np.abs(params.system.mean_residuals(params.theta))
+    assert float(means[lay["gamma_p"]].max()) > 1e-6
+    assert float(means[lay["gamma"]].max()) <= 1e-6
+    np.testing.assert_array_equal(params.block("gamma_p"), params.block("gamma"))
+    # the constant-selection blocks and the SRS stack read the standard gamma
+    assert inf.build_system(frame, score_variant="printed").blocks == inf.build_system(frame).blocks
 
 
 def test_mismatched_rates_fail_residual_check():
     frame = simulated_frame(seed=13, n=1500)
-    with pytest.raises(ResidualCheckFailed):
-        inf.solve_plugin(frame, "A", rates=MisclassRates(0.9, 0.05))
+    system = inf.build_system(frame, x_sel=selection_design(frame))
+    params = inf.solve_plugin(frame, system, rates=MisclassRates(0.9, 0.05))
+    assert isinstance(params.failed["rates"], ResidualCheckFailed)
+    # the blocks built on the rates go with them; the others stay
+    assert {name: params.failed[name] for name in ("r_const", "r_fit", "d")} == {
+        name: params.failed["rates"] for name in ("r_const", "r_fit", "d")}
+    assert params.rates is None
+    assert set(params.system.blocks) == set(system.blocks) - {"rates", "r_const", "r_fit", "d"}
 
 
 def test_wls_slope_equals_hajek_contrast_identity():
-    # beta of kind A is the corrected complement contrast; beta of kind B is
-    # the corrected full-sample contrast
+    # beta of the fitted R block is the corrected complement contrast; beta
+    # of the D block is the corrected full-sample contrast
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         frame, _, _ = make_random_frame(rng, 400)
-        params_a = inf.solve_plugin(frame, "A")
-        params_b = inf.solve_plugin(frame, "B")
+        system = inf.build_system(frame, x_sel=selection_design(frame))
+        params = inf.solve_plugin(frame, system)
         rates = est.estimate_misclassification(frame)
-        system = inf.build_system(frame, "A")
-        from mismeasure_ate.numerics import fit_logistic, predict_proba
-
-        e = predict_proba(fit_logistic(system.x_treat, frame.t), system.x_treat)
-        pi = predict_proba(inf.fit_selection(system.x_sel, frame.v), system.x_sel)
-        props = PropensityPair(e=e, pi_v=pi)
-        assert params_a.beta == pytest.approx(
+        props = fitted_props(frame, system)
+        assert params.block("r_fit")[1] == pytest.approx(
             est.tau_s_nonval(frame, props, rates).tau, abs=1e-10
         )
-        assert params_b.beta == pytest.approx(
+        assert params.block("d")[1] == pytest.approx(
             est.tau_all_silver(frame, props, rates).tau, abs=1e-10
         )
 
@@ -117,9 +125,8 @@ def test_wls_slope_equals_hajek_contrast_identity():
 def test_perfect_classification_reduction():
     frame = simulated_frame(seed=3, n=2000, p11=1.0 - 1e-9, p10=1e-9)
     clean = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y, v=frame.v, y=frame.y)
-    params = inf.solve_plugin(frame.__class__(
-        x=clean.x, t=clean.t, y_star=clean.y_star, v=clean.v, y=clean.y), "B")
-    system = inf.build_system(clean, "B")
+    system = inf.build_system(clean, ["all_silver"])
+    params = inf.solve_plugin(clean, system)
     from mismeasure_ate.numerics import fit_logistic, predict_proba
 
     e = predict_proba(fit_logistic(system.x_treat, clean.t), system.x_treat)
@@ -127,48 +134,48 @@ def test_perfect_classification_reduction():
     w_c = (1.0 - clean.t) / (1.0 - e)
     hajek = est.hajek_contrast(w_t, w_c, clean.y)
     rates = est.estimate_misclassification(clean)
-    assert params.beta * rates.gap == pytest.approx(hajek, abs=1e-10)
+    assert params.block("d")[1] * rates.gap == pytest.approx(hajek, abs=1e-10)
 
 
 def test_sandwich_symmetry_and_nonnegative_diagonal():
     frame = simulated_frame(seed=17, n=2500)
-    for kind in ("A", "B"):
-        system = inf.build_system(frame, kind)
-        params = inf.solve_plugin(frame, kind, system=system)
-        result = inf.sandwich(frame, system, params)
+    for x_sel in (None, selection_design(frame)):
+        params = inf.solve_plugin(frame, inf.build_system(frame, x_sel=x_sel))
+        result = inf.sandwich(frame, params.system, params.theta)
+        assert result.covariance.shape == (params.system.dim, params.system.dim)
         assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
         assert np.all(np.diag(result.covariance) >= 0.0)
 
 
 def test_gamma_block_matches_independent_logistic_sandwich():
     frame = simulated_frame(seed=29, n=2500)
-    system = inf.build_system(frame, "A")
-    params = inf.solve_plugin(frame, "A", system=system)
-    result = inf.sandwich(frame, system, params)
-    se_gamma = result.se[system.layout.gamma]
-    independent = oracles.logistic_sandwich_se(system.x_treat, frame.t, params.gamma)
+    system = inf.build_system(frame, x_sel=selection_design(frame))
+    params = inf.solve_plugin(frame, system)
+    result = inf.sandwich(frame, params.system, params.theta)
+    se_gamma = result.se[result.layout["gamma"]]
+    independent = oracles.logistic_sandwich_se(system.x_treat, frame.t, params.block("gamma"))
     np.testing.assert_allclose(se_gamma, independent, rtol=1e-6)
 
 
 def test_combine_delta_examples():
     frame = simulated_frame(seed=31, n=1200)
-    system = inf.build_system(frame, "B")
-    params = inf.solve_plugin(frame, "B", system=system)
-    result = inf.sandwich(frame, system, params)
-    lay = result.layout
-    point, se = inf.combine_delta(result, (1.0, 0.0), (lay.tau, lay.beta))
-    assert point == pytest.approx(params.tau_s_val)
-    assert se == pytest.approx(float(result.se[lay.tau]), rel=1e-12)
+    system = inf.build_system(frame, ["s_opt"], x_sel=selection_design(frame))
+    params = inf.solve_plugin(frame, system)
+    result = inf.sandwich(frame, params.system, params.theta)
+    tau, beta = params.system.index("tau_s_val"), params.system.index("d", 1)
+    point, se = inf.combine_delta(result, (1.0, 0.0), (tau, beta))
+    assert point == pytest.approx(float(params.block("tau_s_val")[0]))
+    assert se == pytest.approx(float(result.se[tau]), rel=1e-12)
 
-    fake = inf.SandwichResult(params, np.diag(np.full(result.covariance.shape[0], 4.0)),
-                              np.full(result.covariance.shape[0], 2.0), lay)
-    _, se_fake = inf.combine_delta(fake, (0.5, 0.5), (lay.tau, lay.beta))
+    dim = result.covariance.shape[0]
+    fake = inf.SandwichResult(result.theta, np.diag(np.full(dim, 4.0)), np.full(dim, 2.0),
+                              result.layout)
+    _, se_fake = inf.combine_delta(fake, (0.5, 0.5), (tau, beta))
     assert se_fake == pytest.approx(np.sqrt(2.0))
 
-    negative = inf.SandwichResult(params, -np.eye(result.covariance.shape[0]),
-                                  np.zeros(result.covariance.shape[0]), lay)
+    negative = inf.SandwichResult(result.theta, -np.eye(dim), np.zeros(dim), result.layout)
     with pytest.raises(NegativeVariance):
-        inf.combine_delta(negative, (1.0, 0.0), (lay.tau, lay.beta))
+        inf.combine_delta(negative, (1.0, 0.0), (tau, beta))
 
 
 def test_confidence_interval_examples():
@@ -256,28 +263,26 @@ def test_by_arm_stacked_identities():
     # the stacked-system identities of acceptance check 5, on the per-arm layout
     frame = simulated_frame(seed=53, n=3000, p10=0.12, p10_treated=0.18)
     rates = est.estimate_misclassification(frame, "by_arm")
-    for kind in ("A", "B"):
-        pooled_dim = inf.build_system(frame, kind).dim
-        system = inf.build_system(frame, kind, misclassification="by_arm")
-        assert system.dim == pooled_dim + 2
-        params = inf.solve_plugin(frame, kind, system=system)
-        np.testing.assert_array_equal(params.rates, rates.to_vector())
-        means = np.abs(system.mean_residuals(params))
-        assert float(means[system.layout.rates].max()) <= 1e-12
-        assert float(means.max()) <= 1e-6
+    x_sel = selection_design(frame)
+    pooled_dim = inf.build_system(frame, x_sel=x_sel).dim
+    system = inf.build_system(frame, x_sel=x_sel, misclassification="by_arm")
+    assert system.dim == pooled_dim + 2
+    params = inf.solve_plugin(frame, system)
+    assert not params.failed
+    np.testing.assert_array_equal(params.block("rates"), rates.to_vector())
+    means = np.abs(params.system.mean_residuals(params.theta))
+    assert float(means[params.system.layout["rates"]].max()) <= 1e-12
+    assert float(means.max()) <= 1e-6
 
-        from mismeasure_ate.numerics import fit_logistic, predict_proba
+    props = fitted_props(frame, system)
+    assert params.block("r_fit")[1] == pytest.approx(
+        est.tau_s_nonval(frame, props, rates).tau, abs=1e-10)
+    assert params.block("d")[1] == pytest.approx(
+        est.tau_all_silver(frame, props, rates).tau, abs=1e-10)
 
-        e = predict_proba(fit_logistic(system.x_treat, frame.t), system.x_treat)
-        pi = predict_proba(inf.fit_selection(system.x_sel, frame.v), system.x_sel)
-        props = PropensityPair(e=e, pi_v=pi)
-        target = (est.tau_s_nonval(frame, props, rates).tau if kind == "A"
-                  else est.tau_all_silver(frame, props, rates).tau)
-        assert params.beta == pytest.approx(target, abs=1e-10)
-
-        result = inf.sandwich(frame, system, params)
-        assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
-        assert np.all(np.diag(result.covariance) >= 0.0)
+    result = inf.sandwich(frame, params.system, params.theta)
+    assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
+    assert np.all(np.diag(result.covariance) >= 0.0)
 
 
 def test_plugin_rates_must_fit_the_layout():
@@ -285,14 +290,14 @@ def test_plugin_rates_must_fit_the_layout():
     pooled = est.estimate_misclassification(frame)
     by_arm_rates = est.estimate_misclassification(frame, "by_arm")
     with pytest.raises(ValueError):
-        inf.solve_plugin(frame, "B", system=inf.build_system(frame, "B"), rates=by_arm_rates)
-    by_arm = inf.build_system(frame, "B", misclassification="by_arm")
+        inf.solve_plugin(frame, inf.build_system(frame), rates=by_arm_rates)
+    by_arm = inf.build_system(frame, misclassification="by_arm")
     with pytest.raises(ValueError):
-        inf.solve_plugin(frame, "B", system=by_arm, rates=pooled)
-    # without a system, the rates pick the layout
-    assert inf.solve_plugin(frame, "B", rates=pooled).rates.size == 2
-    params = inf.solve_plugin(frame, "B", rates=by_arm_rates)
-    np.testing.assert_array_equal(params.rates, by_arm_rates.to_vector())
+        inf.solve_plugin(frame, by_arm, rates=pooled)
+    assert inf.solve_plugin(frame, inf.build_system(frame), rates=pooled).block("rates").size == 2
+    params = inf.solve_plugin(frame, by_arm, rates=by_arm_rates)
+    np.testing.assert_array_equal(params.block("rates"), by_arm_rates.to_vector())
+    assert params.rates is by_arm_rates
 
 
 def test_analyze_frame_by_arm_full_set_no_failures():
@@ -319,21 +324,112 @@ def test_analyze_frame_by_arm_full_set_no_failures():
 def test_analyze_frame_by_arm_degenerate_arm_degrades_gracefully():
     # every validated control row is a gold negative: the control arm's p11
     # cannot be counted, so the rate consumers fail with a typed reason. The
-    # stacks carry the rate rows, so the rate-free validation estimators keep
-    # their points but lose their sandwich SEs (as under pooled rates).
+    # validation estimators read no rates, so they keep their points and
+    # their SEs, which equal those of the pooled analysis.
     x = np.linspace(-1.0, 1.0, 8)[:, None]
     t = np.array([1, 0, 1, 0, 1, 0, 1, 0], dtype=float)
     y = np.array([1, 0, 0, 0, np.nan, np.nan, np.nan, np.nan])
     y_star = np.array([1, 0, 0, 1, 1, 0, 1, 0], dtype=float)
     v = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=float)
     frame = ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
-    analysis = inf.analyze_frame(frame, ["val_only", "s_val_only", "all_silver", "s_opt"],
-                                 x_sel=None, misclassification="by_arm")
+    ids = ["val_only", "s_val_only", "all_silver", "s_opt"]
+    analysis = inf.analyze_frame(frame, ids, x_sel=None, misclassification="by_arm")
+    pooled = inf.analyze_frame(frame, ids, x_sel=None)
     for est_id in ("val_only", "s_val_only"):
         assert np.isfinite(analysis.estimates[est_id].tau)
-        assert analysis.estimates[est_id].se is None
-        assert analysis.se_failures[est_id] == "DegenerateValidation"
+        assert analysis.estimates[est_id].se == pytest.approx(
+            pooled.estimates[est_id].se, rel=1e-12)
+        assert analysis.estimates[est_id].se == pytest.approx(0.26535, abs=1e-5)
+    assert not analysis.se_failures
     assert analysis.failures == {"all_silver": "DegenerateValidation",
                                  "s_opt": "DegenerateValidation"}
     with pytest.raises(DegenerateValidation):
         est.estimate_misclassification(frame, "by_arm")
+
+
+# --- one stack per frame -------------------------------------------------------
+
+VARIANTS = ("fitted", "srs", "by_arm", "printed")
+
+
+def frame_variant(label):
+    """(frame, analyze_frame keywords): a fitted selection model with pooled
+    rates, a simple random sample, per-arm rates, or the printed score."""
+    if label == "srs":
+        return simulated_frame(seed=71, n=2000, srs=True), dict(x_sel=None)
+    if label == "by_arm":
+        frame = simulated_frame(seed=73, n=2000, p10=0.12, p10_treated=0.18)
+        return frame, dict(x_sel=selection_design(frame), misclassification="by_arm")
+    frame = simulated_frame(seed=67, n=2000)
+    variant = "printed" if label == "printed" else "standard"
+    return frame, dict(x_sel=selection_design(frame), score_variant=variant)
+
+
+@pytest.mark.parametrize("label", VARIANTS)
+def test_each_estimator_alone_matches_the_full_stack(label):
+    # each estimator's blocks and their parents form a closed sub-block of the
+    # block lower-triangular stack, so its SE does not depend on what else
+    # the stack holds
+    from mismeasure_ate.frames import ESTIMATOR_IDS
+
+    frame, kwargs = frame_variant(label)
+    full = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
+    assert not full.failures and not full.se_failures
+    for est_id in ESTIMATOR_IDS:
+        alone = inf.analyze_frame(frame, [est_id], **kwargs)
+        assert not alone.failures and not alone.se_failures
+        got, want = alone.estimates[est_id], full.estimates[est_id]
+        if est_id == "s_opt":
+            # its weight comes from the covariance, so it moves with its last bits
+            assert got.weight_used == pytest.approx(want.weight_used, rel=1e-12)
+            assert got.tau == pytest.approx(want.tau, abs=1e-15)
+        else:
+            assert got.tau == want.tau
+        assert got.se == pytest.approx(want.se, rel=1e-12)
+
+
+@pytest.mark.parametrize("label", VARIANTS)
+def test_analyze_frame_takes_one_jacobian_of_the_whole_stack(label, monkeypatch):
+    from mismeasure_ate.frames import ESTIMATOR_IDS
+
+    frame, kwargs = frame_variant(label)
+    widths = []
+    original = inf.numeric_jacobian
+
+    def counting(f, theta, *args, **kw):
+        widths.append(len(theta))
+        return original(f, theta, *args, **kw)
+
+    monkeypatch.setattr(inf, "numeric_jacobian", counting)
+    for ids in (ESTIMATOR_IDS, ["val_only", "s_opt"]):
+        widths.clear()
+        inf.analyze_frame(frame, ids, **kwargs)
+        system = inf.build_system(frame, ids, **kwargs)
+        assert widths == [system.dim]
+
+
+def test_analyze_frame_without_validated_rows_keeps_naive_se():
+    frame = simulated_frame(seed=79, n=600)
+    bare = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y_star,
+                            v=np.zeros(frame.n), y=np.full(frame.n, np.nan))
+    analysis = inf.analyze_frame(bare, ["naive", "val_only", "s_val_only"])
+    assert analysis.estimates["naive"].se > 0
+    assert analysis.failures == {"val_only": "EmptyValidationArm",
+                                 "s_val_only": "DegenerateValidation"}
+
+
+def test_blocks_of_different_scale_do_not_read_as_singular():
+    # every treated row is validated, so the fitted selection model is nearly
+    # separated and its score rows are orders of magnitude smaller than the
+    # tau rows; the stack is still well posed once each equation is scaled
+    x = np.array([[-0.81, 0.62], [1.13, -0.11], [-0.84, -0.82], [0.65, 0.74],
+                  [0.54, -0.67], [0.23, 0.12], [0.22, 0.87], [0.22, 0.68]])
+    t = np.array([1, 1, 0, 1, 1, 0, 1, 0], dtype=float)
+    y = np.array([1, 1, 0, 0, 0, 0, 0, 1], dtype=float)
+    y_star = np.array([0, 1, 1, 1, 1, 0, 1, 0], dtype=float)
+    v = np.array([1, 1, 0, 1, 1, 0, 1, 1], dtype=float)
+    frame = ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
+    ids = ["oracle", "naive", "all_silver", "s_weighted"]
+    analysis = inf.analyze_frame(frame, ids, x_sel=selection_design(frame))
+    assert not analysis.failures and not analysis.se_failures
+    assert all(analysis.estimates[est_id].se > 0 for est_id in ids)
