@@ -203,6 +203,21 @@ def tau_nonval_corrected(frame: ObservationFrame, props: PropensityPair,
     return AteEstimate("nonval_corrected", corrected_contrast(rates, treated, control))
 
 
+def sy_combined_weight(n: int, n_v: int, w: float) -> float:
+    """Weight lam = w*n_V / (w*n_V + (1-w)*(n - n_V)) of val_only in sy_combined.
+
+    A zero denominator means w puts the whole blend on a piece with no rows:
+    EmptyValidationArm when there are no validated rows (w = 1), EmptyComplement
+    when every row is validated (w = 0).
+    """
+    denom = w * n_v + (1.0 - w) * (n - n_v)
+    if denom == 0.0:
+        error = EmptyValidationArm if n_v == 0 else EmptyComplement
+        raise error(f"sy_combined with w = {w} weights only an empty piece "
+                    f"({n_v} of {n} rows validated)")
+    return w * n_v / denom
+
+
 def tau_sy_combined(frame: ObservationFrame, props: PropensityPair,
                     rates: MisclassRates | ArmRates, w: float = 0.5) -> AteEstimate:
     """Sample-size-weighted blend of val_only and nonval_corrected.
@@ -212,8 +227,7 @@ def tau_sy_combined(frame: ObservationFrame, props: PropensityPair,
     """
     if not 0.0 <= w <= 1.0:
         raise WeightOutOfRange(f"w must lie in [0, 1], got {w}")
-    n_v = frame.n_v
-    lam = w * n_v / (w * n_v + (1.0 - w) * (frame.n - n_v))
+    lam = sy_combined_weight(frame.n, frame.n_v, w)
     part_val = tau_val_only(frame, props).tau
     part_nonval = tau_nonval_corrected(frame, props, rates).tau
     return AteEstimate("sy_combined", lam * part_val + (1.0 - lam) * part_nonval,

@@ -36,7 +36,12 @@ selection design the validation sample is treated as a simple random
 sample: the fitted selection model is then the constant one, and each
 fitted-selection block is its constant-selection twin. The covariance
 returned by :func:`sandwich` is already on the variance scale of the
-estimators (divided by n).
+estimators (divided by n). Its bread is the stack's Jacobian in closed form
+(``EstimatingSystem.jacobian``): logistic information for the model blocks,
+counts for the rate rows, and for the tau and WLS rows their derivatives in
+their own parameters, in the rates and, through the weights, in the fitted
+propensities, as for IPW with estimated propensities (Lunceford & Davidian
+2004).
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
 runner and the CLI: it builds and solves the frame's stack, computes every
@@ -56,6 +61,7 @@ from .errors import (
     EmptyComplementArm,
     MismeasureError,
     NegativeVariance,
+    NonFiniteEvaluation,
     ResidualCheckFailed,
 )
 from .frames import (
@@ -75,7 +81,6 @@ from .numerics import (
     fit_logistic,
     logit,
     normal_quantile,
-    numeric_jacobian,
     predict_proba,
     solve_linear,
 )
@@ -238,20 +243,113 @@ class EstimatingSystem:
                 w_t, w_c = (est.r_weights(t, v, prob[treat], prob[sel]) if kind == "wls_r"
                             else est.d_weights(t, prob[treat]))
                 wls_w = w_t + w_c  # one of the two is zero on every row
-                alpha, beta = par
-                # (control, treated) rates; one pooled pair serves both arms
-                rates = theta[self.layout["rates"]].reshape(-1, 2)
-                (p11_0, p10_0), (p11_1, p10_1) = rates[0], rates[-1]
-                # treated-minus-control silver mean implied by (alpha, beta);
-                # T is binary, so the per-arm rates enter as scalars. Pooled
-                # rates make the first and last terms exactly zero, leaving
-                # (p11 - p10) * beta.
-                gap0, gap1 = p11_0 - p10_0, p11_1 - p10_1
-                shift = (p10_1 - p10_0) + gap1 * beta + (gap1 / gap0 - 1.0) * (alpha - p10_0)
-                resid = y_star - alpha - shift * t
+                shift, _ = self._shift(theta, name)
+                resid = y_star - par[0] - shift * t
                 out[:, cols.start] = wls_w * resid
                 out[:, cols.start + 1] = wls_w * t * resid
         return out
+
+    def _shift(self, theta, name: str):
+        """Treated-minus-control silver mean implied by WLS block ``name``.
+
+        Returns the shift and its partials as (column of theta, partial)
+        pairs, in alpha and beta and in each rate. A pooled pair of rates
+        serves both arms, so its columns appear twice; the two partials sum
+        to (beta, -beta) there.
+        """
+        alpha, beta = theta[self.layout[name]]
+        rate_cols = self.layout["rates"]
+        # (control, treated) rates; one pooled pair serves both arms
+        rates = theta[rate_cols].reshape(-1, 2)
+        (p11_0, p10_0), (p11_1, p10_1) = rates[0], rates[-1]
+        # T is binary, so the per-arm rates enter as scalars. Pooled rates
+        # make the first and last terms exactly zero, leaving (p11 - p10) * beta.
+        gap0, gap1 = p11_0 - p10_0, p11_1 - p10_1
+        shift = (p10_1 - p10_0) + gap1 * beta + (gap1 / gap0 - 1.0) * (alpha - p10_0)
+        control = (alpha - p10_0) / gap0  # the control arm's corrected mean
+        first, c0, c1 = self.layout[name].start, rate_cols.start, rate_cols.stop - 2
+        return shift, ((first, gap1 / gap0 - 1.0), (first + 1, gap1),
+                       (c0, -gap1 * control / gap0), (c0 + 1, gap1 * (control - 1.0) / gap0),
+                       (c1, beta + control), (c1 + 1, 1.0 - beta - control))
+
+    def jacobian(self, theta) -> np.ndarray:
+        """(dim, dim) Jacobian of ``summed_residuals`` at theta, in closed form.
+
+        Walks the blocks in the order ``per_subject_residuals`` does. A model
+        block's own rows give minus its logistic information (the printed
+        rows also move with the selection probability they carry); a rate
+        row gives its count; the tau and WLS rows move with their own
+        parameters, with the rates through the WLS shift, and with e and pi,
+        each fitted probability moving by p(1-p)x per unit of its model's
+        coefficients. Where ``clamp_probability`` binds, the clamped
+        probability is constant, so its derivative is zero.
+        """
+        theta = np.asarray(theta, dtype=float)
+        frame = self.frame
+        t, v, y_star, yv = frame.t, frame.v, frame.y_star, self._yv
+        jac = np.zeros((self.dim, self.dim))
+        raw, prob, slope = {}, {}, {}  # model block -> p, clamped p, d(clamped p)/d(x'par)
+
+        def through(row, model, d_prob):
+            """Add row ``row``'s derivative in ``model``'s coefficients, given
+            the per-subject derivative ``d_prob`` of the row in its probability."""
+            jac[row, self.layout[model]] += (d_prob * slope[model]) @ self._designs[model]
+
+        for name in self.blocks:
+            kind, treat, sel = self.spec(name)
+            cols = self.layout[name]
+            par = theta[cols]
+            row = cols.start
+            if kind in ("treatment", "selection"):
+                design = self._designs[name]
+                raw[name] = expit(design @ par)
+                prob[name] = clamp_probability(raw[name])
+                info = raw[name] * (1.0 - raw[name])
+                slope[name] = np.where(prob[name] == raw[name], info, 0.0)
+                if sel is None:
+                    jac[cols, cols] = -(design.T @ (design * info[:, None]))
+                else:
+                    # printed rows (t - p) x pi: pi is the unclamped selection fit
+                    carried = raw[sel] * (1.0 - raw[sel]) * (t - raw[name])
+                    jac[cols, cols] = -(design.T @ (design * (info * raw[sel])[:, None]))
+                    jac[cols, self.layout[sel]] = design.T @ (self._designs[sel] * carried[:, None])
+            elif kind == "rates":
+                scale = frame.n / self._n_v
+                for k, counted in enumerate(self._rate_rows):
+                    col = row + 2 * k
+                    jac[col, col] = -float(np.sum(yv * counted)) * scale
+                    jac[col + 1, col + 1] = -float(np.sum((1.0 - yv) * counted)) * scale
+            elif kind == "ipw":
+                e = prob[treat]
+                outcome = frame.y if name == "tau_oracle" else y_star
+                jac[row, row] = -frame.n
+                through(row, treat, -(t * outcome / e ** 2 + (1.0 - t) * outcome / (1.0 - e) ** 2))
+            elif kind == "validation":
+                e, pi = prob[treat], prob[sel]
+                jac[row, row] = -frame.n
+                through(row, treat, -yv * v * (t / e ** 2 + (1.0 - t) / (1.0 - e) ** 2) / pi)
+                through(row, sel, -yv * (v * t / (e * pi) - v * (1.0 - t) / ((1.0 - e) * pi)) / pi)
+            else:
+                e = prob[treat]
+                w_t, w_c = (est.r_weights(t, v, e, prob[sel]) if kind == "wls_r"
+                            else est.d_weights(t, e))
+                wls_w = w_t + w_c
+                shift, partials = self._shift(theta, name)
+                resid = y_star - par[0] - shift * t
+                # rows W (Y* - alpha - shift T) and W T (Y* - alpha - shift T)
+                total, treated = float(np.sum(wls_w)), float(np.sum(wls_w * t))
+                jac[row, row] = -total
+                jac[row + 1, row] = -treated
+                for col, partial in partials:
+                    jac[cols, col] -= treated * partial
+                # the weights move with e (and with pi under R weights)
+                d_weight = {treat: -w_t / e + w_c / (1.0 - e)}
+                if kind == "wls_r":
+                    d_weight[sel] = wls_w / (1.0 - prob[sel])
+                for model, d_w in d_weight.items():
+                    through(row, model, d_w * resid)
+                    through(row + 1, model, d_w * t * resid)
+        return jac
 
     def summed_residuals(self, theta) -> np.ndarray:
         return self.per_subject_residuals(theta).sum(axis=0)
@@ -431,14 +529,21 @@ class SandwichResult:
 def sandwich(frame: ObservationFrame, system: EstimatingSystem, theta) -> SandwichResult:
     """Empirical sandwich covariance A^-1 B A^-T / n at the plug-in solution.
 
-    The bread A is the central-difference Jacobian of the summed residuals
-    divided by -n; the meat B is the mean outer product of per-subject
-    residuals; A^-1 B A^-T takes two linear solves. The result is
-    symmetrized as (C + C^T)/2.
+    The bread A is the closed-form Jacobian of the summed residuals
+    (``EstimatingSystem.jacobian``) divided by -n; the meat B is the mean
+    outer product of per-subject residuals; A^-1 B A^-T takes two linear
+    solves. The result is symmetrized as (C + C^T)/2. A propensity held at
+    a bound by ``clamp_probability`` is constant near theta, so its rows add
+    nothing to the bread's columns of the model it comes from: the
+    derivative of a clamped probability is zero. NonFiniteEvaluation when
+    the residuals or the bread are not finite.
     """
     theta = np.asarray(theta, dtype=float)
     n = frame.n
-    bread = -numeric_jacobian(system.summed_residuals, theta) / n
+    bread = -system.jacobian(theta) / n
+    phi = system.per_subject_residuals(theta)
+    if not (np.all(np.isfinite(bread)) and np.all(np.isfinite(phi))):
+        raise NonFiniteEvaluation("stacked residuals or their Jacobian are not finite")
     # the sandwich is invariant to rescaling any estimating equation; scaling
     # each to unit max-norm in the bread keeps blocks of different magnitude
     # (a nearly separated selection fit next to the tau rows) from reading
@@ -446,7 +551,6 @@ def sandwich(frame: ObservationFrame, system: EstimatingSystem, theta) -> Sandwi
     row_max = np.max(np.abs(bread), axis=1)
     scale = 1.0 / np.where(row_max > 0.0, row_max, 1.0)
     bread = bread * scale[:, None]
-    phi = system.per_subject_residuals(theta)
     phi *= scale
     meat = phi.T @ phi / n
     cov = solve_linear(bread, solve_linear(bread, meat).T) / n
@@ -573,15 +677,16 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
         return est.tau_s_opt(frame, selected, rates, float(cov[ia, ia]), float(cov[ib, ib]),
                              float(cov[ia, ib]))
 
-    lam = w * n_v / (w * n_v + (1.0 - w) * (n - n_v)) if n_v < n else 1.0
     b_eff = n_v / n if b is None else b
-    # estimator id -> (point estimate, coefficients of the parameters it reads)
+    # estimator id -> (point estimate, coefficients of the parameters it
+    # reads); the two blends whose weights can fail or come from the
+    # covariance get theirs once their point exists
     table = {
         "oracle": (lambda: est.tau_oracle(frame, plain), (1.0,)),
         "naive": (lambda: est.tau_naive(frame, plain), (1.0,)),
         "val_only": (lambda: est.tau_val_only(frame, plain), (1.0,)),
         "nonval_corrected": (lambda: est.tau_nonval_corrected(frame, plain, rates), (1.0,)),
-        "sy_combined": (lambda: est.tau_sy_combined(frame, plain, rates, w=w), (lam, 1.0 - lam)),
+        "sy_combined": (lambda: est.tau_sy_combined(frame, plain, rates, w=w), None),
         "s_val_only": (lambda: est.tau_s_val_only(frame, selected), (1.0,)),
         "s_nonval": (lambda: est.tau_s_nonval(frame, selected, rates), (1.0,)),
         "s_combined": (lambda: est.tau_s_combined(frame, selected, rates),
@@ -608,6 +713,9 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
         if est_id == "s_opt":
             analysis.b_opt = estimate.weight_used
             coefficients = (analysis.b_opt, 1.0 - analysis.b_opt)
+        elif est_id == "sy_combined":
+            lam = est.sy_combined_weight(n, n_v, w)  # the point computed it without raising
+            coefficients = (lam, 1.0 - lam)
         try:
             where = located(est_id)
             se = (float(result.se[where[0]]) if len(where) == 1

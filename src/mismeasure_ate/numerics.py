@@ -1,9 +1,9 @@
 """Foundational numerical routines.
 
 Logistic-model fitting by iteratively reweighted least squares, a
-conditioning-checked linear solver, central-difference Jacobians, and the
-stable logistic / normal-quantile functions everything else consumes. All
-functions are pure; nothing here holds state.
+conditioning-checked linear solver, and the stable logistic /
+normal-quantile functions everything else consumes. All functions are pure;
+nothing here holds state.
 """
 
 from __future__ import annotations
@@ -230,34 +230,6 @@ def predict_proba(fit: LogisticFit, x) -> np.ndarray:
             f"design has {xv.shape[1]} columns but fit has {beta.shape[0]} coefficients"
         )
     return clamp_probability(expit(xv @ beta))
-
-
-def numeric_jacobian(f, theta, step=None) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued function.
-
-    J[i, j] = (f(theta + h_j e_j)[i] - f(theta - h_j e_j)[i]) / (2 h_j) with
-    h_j = 1e-6 * max(1, |theta_j|) unless an explicit scalar step is given.
-
-    Raises NonFiniteEvaluation if f returns NaN or infinity anywhere.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if step is None:
-        h = 1e-6 * np.maximum(1.0, np.abs(theta))
-    else:
-        h = np.full(theta.shape, float(step))
-
-    columns = []
-    for j in range(theta.size):
-        up = theta.copy()
-        up[j] += h[j]
-        down = theta.copy()
-        down[j] -= h[j]
-        f_up = np.atleast_1d(np.asarray(f(up), dtype=float))
-        f_down = np.atleast_1d(np.asarray(f(down), dtype=float))
-        if not (np.all(np.isfinite(f_up)) and np.all(np.isfinite(f_down))):
-            raise NonFiniteEvaluation(f"function returned non-finite values near coordinate {j}")
-        columns.append((f_up - f_down) / (2.0 * h[j]))
-    return np.column_stack(columns)
 
 
 def solve_linear(a, b) -> np.ndarray:

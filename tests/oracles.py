@@ -3,7 +3,7 @@
 Everything here is deliberately written as plain Python loops over rows with
 math.fsum accumulation, sharing no code with the package: these are the
 second route of every dual-route check (estimator formulas, logistic fitting,
-the logistic sandwich). Do not import from mismeasure_ate in this module.
+the logistic sandwich, the bread of the stacked sandwich). Do not import from mismeasure_ate in this module.
 """
 
 from __future__ import annotations
@@ -215,3 +215,32 @@ def logistic_sandwich_se(x, y, beta):
     bread_inv = np.linalg.inv(bread)
     cov = bread_inv @ meat @ bread_inv.T / n
     return np.sqrt(np.diag(cov))
+
+
+# --- central-difference Jacobian -------------------------------------------------
+# The second route of the stacked sandwich's closed-form bread.
+
+def numeric_jacobian(f, theta, step=None):
+    """Central-difference Jacobian of a vector-valued function.
+
+    J[i, j] = (f(theta + h_j e_j)[i] - f(theta - h_j e_j)[i]) / (2 h_j) with
+    h_j = 1e-6 * max(1, |theta_j|) unless an explicit scalar step is given.
+    Raises FloatingPointError if f returns NaN or infinity anywhere.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if step is None:
+        h = 1e-6 * np.maximum(1.0, np.abs(theta))
+    else:
+        h = np.full(theta.shape, float(step))
+    columns = []
+    for j in range(theta.size):
+        up = theta.copy()
+        up[j] += h[j]
+        down = theta.copy()
+        down[j] -= h[j]
+        f_up = np.atleast_1d(np.asarray(f(up), dtype=float))
+        f_down = np.atleast_1d(np.asarray(f(down), dtype=float))
+        if not (np.all(np.isfinite(f_up)) and np.all(np.isfinite(f_down))):
+            raise FloatingPointError(f"function returned non-finite values near coordinate {j}")
+        columns.append((f_up - f_down) / (2.0 * h[j]))
+    return np.column_stack(columns)

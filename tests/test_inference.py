@@ -7,11 +7,13 @@ from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
 from mismeasure_ate.errors import (
     DegenerateValidation,
+    EmptyValidationArm,
     NegativeVariance,
+    NonFiniteEvaluation,
     ResidualCheckFailed,
 )
 from mismeasure_ate.frames import ArmRates, MisclassRates, ObservationFrame, PropensityPair
-from mismeasure_ate.numerics import expit
+from mismeasure_ate.numerics import clamp_probability, expit
 
 
 def simulated_frame(seed=5, n=3000, *, srs=False, p11=0.67, p10=0.24, p10_treated=None):
@@ -352,15 +354,16 @@ def test_analyze_frame_by_arm_degenerate_arm_degrades_gracefully():
 VARIANTS = ("fitted", "srs", "by_arm", "printed")
 
 
-def frame_variant(label):
+def frame_variant(label, seed=0):
     """(frame, analyze_frame keywords): a fitted selection model with pooled
-    rates, a simple random sample, per-arm rates, or the printed score."""
+    rates, a simple random sample, per-arm rates, or the printed score.
+    ``seed`` shifts the frame's seed."""
     if label == "srs":
-        return simulated_frame(seed=71, n=2000, srs=True), dict(x_sel=None)
+        return simulated_frame(seed=71 + 100 * seed, n=2000, srs=True), dict(x_sel=None)
     if label == "by_arm":
-        frame = simulated_frame(seed=73, n=2000, p10=0.12, p10_treated=0.18)
+        frame = simulated_frame(seed=73 + 100 * seed, n=2000, p10=0.12, p10_treated=0.18)
         return frame, dict(x_sel=selection_design(frame), misclassification="by_arm")
-    frame = simulated_frame(seed=67, n=2000)
+    frame = simulated_frame(seed=67 + 100 * seed, n=2000)
     variant = "printed" if label == "printed" else "standard"
     return frame, dict(x_sel=selection_design(frame), score_variant=variant)
 
@@ -388,24 +391,98 @@ def test_each_estimator_alone_matches_the_full_stack(label):
         assert got.se == pytest.approx(want.se, rel=1e-12)
 
 
+def bread_gap(system, theta):
+    """Largest row-relative gap between the closed-form Jacobian of the summed
+    residuals and the central-difference oracle (a row that is zero on both,
+    such as a rate row counting no rows, has gap 0)."""
+    numeric = oracles.numeric_jacobian(system.summed_residuals, theta)
+    return row_relative_gap(system.jacobian(theta), numeric)
+
+
+def row_relative_gap(analytic, numeric):
+    scale = np.max(np.abs(numeric), axis=1)
+    gap = np.max(np.abs(analytic - numeric), axis=1)
+    return float(np.max(gap / np.where(scale > 0.0, scale, 1.0)))
+
+
 @pytest.mark.parametrize("label", VARIANTS)
-def test_analyze_frame_takes_one_jacobian_of_the_whole_stack(label, monkeypatch):
+def test_analytic_bread_matches_numeric_oracle(label, d6_frame):
     from mismeasure_ate.frames import ESTIMATOR_IDS
 
+    rng = np.random.default_rng(83)
+    for seed in (0, 1, 2):
+        frame, kwargs = frame_variant(label, seed)
+        params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
+        assert not params.failed
+        assert bread_gap(params.system, params.theta) <= 1e-6
+        # the derivative holds at every theta, not only at the plug-in solution
+        moved = params.theta + rng.normal(scale=0.05, size=params.system.dim)
+        assert bread_gap(params.system, moved) <= 1e-6
+    # the D6 fixture is too small to fit every block, so its stack is checked
+    # at a drawn theta whose rates are plausible (p11 > p10)
+    kwargs = dict(frame_variant(label)[1])
+    if kwargs.get("x_sel") is not None:
+        kwargs["x_sel"] = selection_design(d6_frame)
+    system = inf.build_system(d6_frame, ESTIMATOR_IDS, **kwargs)
+    theta = rng.normal(scale=0.3, size=system.dim)
+    rates = theta[system.layout["rates"]]  # a view into theta
+    rates[0::2] = rng.uniform(0.6, 0.9, size=rates.size // 2)
+    rates[1::2] = rng.uniform(0.1, 0.3, size=rates.size // 2)
+    assert bread_gap(system, theta) <= 1e-6
+
+
+@pytest.mark.parametrize("label", VARIANTS)
+def test_analyze_frame_never_calls_the_numeric_oracle(label, monkeypatch):
+    from mismeasure_ate.frames import ESTIMATOR_IDS
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the production path took a numeric Jacobian")
+
+    monkeypatch.setattr(oracles, "numeric_jacobian", refuse)
     frame, kwargs = frame_variant(label)
-    widths = []
-    original = inf.numeric_jacobian
+    analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
+    assert not analysis.failures and not analysis.se_failures
 
-    def counting(f, theta, *args, **kw):
-        widths.append(len(theta))
-        return original(f, theta, *args, **kw)
 
-    monkeypatch.setattr(inf, "numeric_jacobian", counting)
-    for ids in (ESTIMATOR_IDS, ["val_only", "s_opt"]):
-        widths.clear()
-        inf.analyze_frame(frame, ids, **kwargs)
-        system = inf.build_system(frame, ids, **kwargs)
-        assert widths == [system.dim]
+def test_clamped_propensities_have_zero_derivative():
+    # selection is nearly deterministic in the first covariate, so the fitted
+    # selection probability is held at a bound on rows at both ends
+    rng = np.random.default_rng(89)
+    frame = simulated_frame(seed=89, n=2000)
+    v = (rng.random(frame.n) < expit(-1.0 + 14.0 * frame.x[:, 0])).astype(float)
+    frame = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y_star, v=v, y=frame.y)
+    system = inf.build_system(frame, x_sel=selection_design(frame))
+    params = inf.solve_plugin(frame, system)
+    assert not params.failed
+    pi = expit(selection_design(frame) @ params.block("eta"))
+    assert np.sum(clamp_probability(pi) != pi) >= 20
+    assert bread_gap(params.system, params.theta) <= 1e-6
+
+    # at the plug-in only rows whose weights stay moderate are held at a
+    # bound. With the selection model reversed, validated gold positives get
+    # a pi below the bound, so 1/pi reaches 1e12 and an unclamped slope
+    # p(1-p) would count there. The oracle differences each subject's rows
+    # before summing, which keeps those constant terms exact. (The s_val_only
+    # stack is used: near pi = 1 the complement weight 1/(1-pi) reads 1 - pi
+    # to a few digits only, which a central difference cannot resolve.)
+    system = params.system.restrict(("gamma", "eta", "tau_s_val"))
+    theta = np.concatenate([params.block(name) for name in system.blocks])
+    theta[system.layout["eta"]] *= -1.0
+    pi = expit(selection_design(frame) @ theta[system.layout["eta"]])
+    assert np.sum((pi < 1e-12) & (pi > 1e-16) & (frame.y_validated == 1)) >= 10
+    n, dim = frame.n, system.dim
+    per_subject = oracles.numeric_jacobian(lambda th: system.per_subject_residuals(th).ravel(),
+                                           theta).reshape(n, dim, dim).sum(axis=0)
+    assert row_relative_gap(system.jacobian(theta), per_subject) <= 1e-6
+
+
+def test_sandwich_raises_typed_error_on_non_finite_residuals():
+    frame = simulated_frame(seed=97, n=800)
+    params = inf.solve_plugin(frame, inf.build_system(frame, ["naive", "all_silver"]))
+    theta = params.theta.copy()
+    theta[params.system.index("d")] = np.nan
+    with pytest.raises(NonFiniteEvaluation):
+        inf.sandwich(frame, params.system, theta)
 
 
 def test_analyze_frame_without_validated_rows_keeps_naive_se():
@@ -416,6 +493,29 @@ def test_analyze_frame_without_validated_rows_keeps_naive_se():
     assert analysis.estimates["naive"].se > 0
     assert analysis.failures == {"val_only": "EmptyValidationArm",
                                  "s_val_only": "DegenerateValidation"}
+
+
+def test_sy_combined_weight_on_an_empty_piece_is_a_recorded_failure():
+    # w = 1 puts sy_combined wholly on the validated rows and w = 0 wholly on
+    # the complement; with that piece empty the blend weight is 0/0
+    frame = simulated_frame(seed=79, n=600)
+    bare = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y_star,
+                            v=np.zeros(frame.n), y=np.full(frame.n, np.nan))
+    alone = inf.analyze_frame(bare, ["naive"], w=1.0)
+    assert alone.estimates["naive"].se > 0 and not alone.failures
+    blended = inf.analyze_frame(bare, ["naive", "sy_combined"], w=1.0)
+    assert blended.estimates["naive"] == alone.estimates["naive"]
+    assert blended.failures == {"sy_combined": "DegenerateValidation"}
+    # the rates fail first there; the blend weight itself is typed too
+    with pytest.raises(EmptyValidationArm):
+        est.tau_sy_combined(bare, PropensityPair(e=np.full(bare.n, 0.5)),
+                            MisclassRates(0.8, 0.2), w=1.0)
+
+    full = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y_star,
+                            v=np.ones(frame.n), y=frame.y)
+    analysis = inf.analyze_frame(full, ["val_only", "sy_combined"], w=0.0)
+    assert np.isfinite(analysis.estimates["val_only"].tau)
+    assert analysis.failures == {"sy_combined": "EmptyComplement"}
 
 
 def test_blocks_of_different_scale_do_not_read_as_singular():
