@@ -37,18 +37,20 @@ PIVOT_RTOL = 1e-12     # a condition number above 1 / PIVOT_RTOL is singular
 def expit(u):
     """Logistic function 1 / (1 + exp(-u)), stable for large |u|.
 
-    Scalar in, float out; array in, array out. Negative and nonnegative
-    arguments take different branches so exp never overflows.
+    Scalar in, float out; array in, array out. One exponential per entry:
+    with eu = exp(-|u|), which never overflows, the value is eu / (1 + eu)
+    for u < 0 and 1 / (1 + eu) otherwise.
     """
     arr = np.asarray(u, dtype=float)
-    out = np.empty_like(arr)
-    neg = arr < 0
-    out[~neg] = 1.0 / (1.0 + np.exp(-arr[~neg]))
-    eu = np.exp(arr[neg])
-    out[neg] = eu / (1.0 + eu)
+    out = _expit_from(arr, np.exp(-np.abs(arr)))
     if arr.ndim == 0:
         return float(out)
     return out
+
+
+def _expit_from(u: np.ndarray, eu: np.ndarray) -> np.ndarray:
+    # expit(u) given eu = exp(-|u|)
+    return np.where(u < 0, eu, 1.0) / (1.0 + eu)
 
 
 def logit(p):
@@ -128,9 +130,10 @@ def _as_design(x) -> np.ndarray:
     return DesignMatrix(np.asarray(x, dtype=float)).values
 
 
-def _bernoulli_loglik(u: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    # log L = sum w * (y*u - log(1 + exp(u))), with logaddexp for stability
-    return float(np.sum(w * (y * u - np.logaddexp(0.0, u))))
+def _log_likelihood(u: np.ndarray, eu: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> float:
+    # sum w (y u - softplus(u)) with eu = exp(-|u|); no w weighs every row 1
+    terms = y * u - (np.maximum(u, 0.0) + np.log1p(eu))
+    return float(np.sum(terms if w is None else w * terms))
 
 
 def fit_logistic(x, y, weights=None) -> LogisticFit:
@@ -146,6 +149,10 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
     coefficient step max-norm drops to 1e-10. Newton steps that would lower
     the log-likelihood are halved up to 10 times, which survives
     near-separation without oscillating.
+
+    Each step takes one exponential per row: u = X beta and exp(-|u|) give
+    the probabilities and the log-likelihood, whose softplus(u) is
+    max(u, 0) + log1p(exp(-|u|)); an accepted candidate's are carried over.
 
     Raises
     ------
@@ -163,10 +170,9 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
         raise DimensionMismatch(f"y has shape {y.shape}, expected ({n},)")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y entries must be 0 or 1")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
+    w = weights
+    if w is not None:
+        w = np.asarray(w, dtype=float)
         if w.shape != (n,):
             raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
@@ -174,35 +180,38 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
 
     beta = np.zeros(k)
     u = xv @ beta
-    loglik = _bernoulli_loglik(u, y, w)
+    eu = np.exp(-np.abs(u))
+    loglik = _log_likelihood(u, eu, y, w)
     max_abs_score = np.inf
 
     for iteration in range(1, MAX_ITER + 1):
-        p = expit(u)
-        score = xv.T @ (w * (y - p))
+        p = _expit_from(u, eu)
+        score = xv.T @ (y - p if w is None else w * (y - p))
         max_abs_score = float(np.max(np.abs(score))) if k else 0.0
         if max_abs_score <= SCORE_TOL:
             return LogisticFit(beta, True, iteration - 1, max_abs_score)
 
-        info = xv.T @ (xv * (w * p * (1.0 - p))[:, None])
+        curvature = (p if w is None else w * p) * (1.0 - p)
+        info = xv.T @ (xv * curvature[:, None])
         step = solve_linear(info, score)
 
-        # step halving keeps the likelihood monotone near separation
+        # step halving keeps the likelihood monotone near separation; if the
+        # full step and MAX_HALVINGS halvings all lower it, one more is taken
         scale = 1.0
-        for _ in range(MAX_HALVINGS + 1):
+        for halving in range(MAX_HALVINGS + 2):
             candidate = beta + scale * step
             u_new = xv @ candidate
-            if _bernoulli_loglik(u_new, y, w) >= loglik:
+            eu_new = np.exp(-np.abs(u_new))
+            loglik_new = _log_likelihood(u_new, eu_new, y, w)
+            if loglik_new >= loglik or halving > MAX_HALVINGS:
                 break
             scale *= 0.5
-        beta = beta + scale * step
-        u = xv @ beta
-        loglik = _bernoulli_loglik(u, y, w)
+        beta, u, eu, loglik = candidate, u_new, eu_new, loglik_new
 
         if float(np.max(np.abs(scale * step))) <= STEP_TOL:
-            p = expit(u)
-            max_abs_score = float(np.max(np.abs(xv.T @ (w * (y - p)))))
-            return LogisticFit(beta, True, iteration, max_abs_score)
+            p = _expit_from(u, eu)
+            score = xv.T @ (y - p if w is None else w * (y - p))
+            return LogisticFit(beta, True, iteration, float(np.max(np.abs(score))))
 
     failed = LogisticFit(beta, False, MAX_ITER, max_abs_score)
     if np.any(np.abs(beta) > SEPARATION_COEF):

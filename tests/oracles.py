@@ -2,8 +2,9 @@
 
 Everything here is deliberately written as plain Python loops over rows with
 math.fsum accumulation, sharing no code with the package: these are the
-second route of every dual-route check (estimator formulas, logistic fitting,
-the logistic sandwich, the bread of the stacked sandwich). Do not import from mismeasure_ate in this module.
+second route of every dual-route check (estimator formulas, logistic fitting
+and the arithmetic of its kernel, the logistic sandwich, the bread of the
+stacked sandwich). Do not import from mismeasure_ate in this module.
 """
 
 from __future__ import annotations
@@ -180,6 +181,29 @@ def newton_logistic(x, y, weights=None, tol=1e-12, max_iter=200):
         if np.max(np.abs(step)) < tol:
             break
     return beta
+
+
+def expit_two_branch(u):
+    """The package's former vectorized expit: 1 / (1 + exp(-u)) on u >= 0 and
+    exp(u) / (1 + exp(u)) on u < 0, each branch gathered and scattered by a
+    boolean mask. Scalar in, float out."""
+    arr = np.asarray(u, dtype=float)
+    out = np.empty_like(arr)
+    neg = arr < 0
+    out[~neg] = 1.0 / (1.0 + np.exp(-arr[~neg]))
+    eu = np.exp(arr[neg])
+    out[neg] = eu / (1.0 + eu)
+    if arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def logaddexp_loglik(u, y, weights=None):
+    """Bernoulli log-likelihood sum w (y u - log(1 + exp(u))), with the
+    softplus written as numpy's logaddexp(0, u)."""
+    u = np.asarray(u, dtype=float)
+    w = np.ones(u.shape) if weights is None else np.asarray(weights, dtype=float)
+    return float(np.sum(w * (np.asarray(y, dtype=float) * u - np.logaddexp(0.0, u))))
 
 
 def logistic_score(x, y, beta, weights=None):

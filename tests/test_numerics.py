@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from mismeasure_ate.errors import (
 )
 from mismeasure_ate.numerics import (
     DesignMatrix,
+    _log_likelihood,
     expit,
     fit_logistic,
     logit,
@@ -30,6 +33,59 @@ def test_expit_examples():
 @given(st.floats(min_value=-700, max_value=700, allow_nan=False))
 def test_expit_symmetry(u):
     assert expit(u) + expit(-u) == pytest.approx(1.0, abs=1e-15)
+
+
+EXPIT_EDGES = [np.inf, -np.inf, 0.0, -0.0, np.nan, 745.2, -745.2, 800.0, -800.0,
+               1e-300, -1e-300]
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+def test_expit_is_bitwise_the_two_branch_form_at_the_edges():
+    for u in EXPIT_EDGES:
+        value = expit(u)
+        assert type(value) is float
+        assert _bits(value) == _bits(oracles.expit_two_branch(u)), u
+    edges = np.array(EXPIT_EDGES)
+    assert _bits(expit(edges)) == _bits(oracles.expit_two_branch(edges))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(min_value=-750, max_value=750), min_size=1, max_size=40))
+def test_expit_is_bitwise_the_two_branch_form(values):
+    u = np.array(values)
+    assert _bits(expit(u)) == _bits(oracles.expit_two_branch(u))
+    assert _bits(expit(values[0])) == _bits(oracles.expit_two_branch(values[0]))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40))
+def test_softplus_matches_logaddexp_row_by_row(values):
+    # with y = 0 the log-likelihood of one row is -softplus(u)
+    with np.errstate(over="raise", invalid="raise"):
+        for value in values:
+            u = np.array([value])
+            ours = _log_likelihood(u, np.exp(-np.abs(u)), np.zeros(1), None)
+            reference = oracles.logaddexp_loglik(u, np.zeros(1))
+            assert ours == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([40.0, 1e3]),
+       st.booleans())
+def test_log_likelihood_matches_logaddexp_form(seed, bound, weighted):
+    # relative to the sum: a single term y u - softplus(u) with y = 1 cancels
+    # (about 2e-13 relative near u = 5 in either form), a sum of many does not
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-bound, bound, size=200)
+    y = rng.integers(0, 2, size=200).astype(float)
+    w = rng.uniform(0.1, 5.0, size=200) if weighted else None
+    with np.errstate(over="raise", invalid="raise"):
+        ours = _log_likelihood(u, np.exp(-np.abs(u)), y, w)
+        reference = oracles.logaddexp_loglik(u, y, w)
+    assert ours == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 def test_normal_quantile_reference_value():
@@ -79,6 +135,57 @@ def test_weighted_fit_matches_independent_solver():
     fit = fit_logistic(x, y, weights=w)
     reference = oracles.newton_logistic(x.values, y, weights=w)
     np.testing.assert_allclose(fit.coefficients, reference, atol=1e-8)
+
+
+def _quasi_separated():
+    # a steep design (slope x8) whose labels are the sign of z, with one
+    # label flipped on each side of zero so the MLE stays finite
+    z = np.linspace(-3.0, 3.0, 60)
+    y = (z > 0).astype(float)
+    y[[27, 32]] = 1.0 - y[[27, 32]]
+    return DesignMatrix.with_intercept(8.0 * z), y, None
+
+
+def _rare_event():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(3000, 2))
+    y = (rng.random(3000) < expit(-6.5 + x @ np.array([0.8, -0.5]))).astype(float)
+    assert y.sum() == 6.0  # 0.2% positives
+    return DesignMatrix.with_intercept(x), y, None
+
+
+def _steep_weighted():
+    rng = np.random.default_rng(4)
+    x = DesignMatrix.with_intercept(rng.normal(size=(400, 2)))
+    y = (rng.random(400) < expit(x.values @ np.array([0.5, 4.0, -3.0]))).astype(float)
+    return x, y, rng.uniform(0.1, 5.0, size=400)
+
+
+@pytest.mark.parametrize("design", [_quasi_separated, _rare_event, _steep_weighted],
+                         ids=["quasi_separated", "rare_event", "steep_weighted"])
+def test_hard_fits_converge_to_the_independent_solver(design):
+    # step-halving counts are not pinned: where a full step is rejected, the
+    # two log-likelihoods compared differ only in their last bits
+    x, y, w = design()
+    fit = fit_logistic(x, y, weights=w)
+    assert fit.converged
+    reference = oracles.newton_logistic(x.values, y, weights=w)
+    np.testing.assert_allclose(fit.coefficients, reference, rtol=0.0, atol=1e-8)
+
+
+def test_fit_working_memory_stays_within_twice_the_design():
+    # the kernel keeps n-vectors and one (n, k) product, never a copy of the
+    # design in another layout
+    rng = np.random.default_rng(5)
+    x = DesignMatrix.with_intercept(rng.normal(size=(50_000, 5)))
+    y = (rng.random(50_000) < expit(x.values @ np.linspace(-1.0, 1.0, 6))).astype(float)
+    tracemalloc.start()
+    try:
+        fit_logistic(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * x.values.nbytes
 
 
 def test_converged_fit_has_tiny_analytic_score():
