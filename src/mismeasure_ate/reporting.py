@@ -16,6 +16,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -33,88 +34,146 @@ from .simulation import (
 )
 
 DATASET_BASE_COLUMNS = ("t", "ystar", "v", "y")
+# Rows parsed or written per block: each column is converted in one call per
+# block, and only one block of raw cells is held at a time.
+DATASET_BLOCK_ROWS = 4096
 
 
 # --- dataset CSV ----------------------------------------------------------------
 
 def write_dataset_csv(frame: ObservationFrame, path) -> None:
-    """Export a frame; the gold outcome is written only on validation rows."""
+    """Export a frame; the gold outcome is written only on validation rows.
+
+    No cell needs csv quoting (float reprs, 0, 1 and empty cells), so rows
+    are joined directly into the bytes csv.writer would write, CRLF included.
+    """
     header = [f"x{j + 1}" for j in range(frame.p)] + list(DATASET_BASE_COLUMNS)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i in range(frame.n):
-            row = [repr(float(value)) for value in frame.x[i]]
-            row += [str(int(frame.t[i])), str(int(frame.y_star[i])), str(int(frame.v[i]))]
-            row.append(str(int(frame.y[i])) if frame.v[i] == 1.0 else "")
-            writer.writerow(row)
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, frame.n, DATASET_BLOCK_ROWS):
+            block = slice(start, start + DATASET_BLOCK_ROWS)
+            validated = frame.v[block] == 1.0
+            columns = [map(repr, frame.x[block, j].tolist()) for j in range(frame.p)]
+            columns += [np.where(frame.t[block] == 1.0, "1", "0").tolist(),
+                        np.where(frame.y_star[block] == 1.0, "1", "0").tolist(),
+                        np.where(validated, "1", "0").tolist(),
+                        np.where(validated, np.where(frame.y[block] == 1.0, "1", "0"), "").tolist()]
+            handle.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def _parse_binary(value: str, column: str, line: int) -> float:
-    if value == "0":
-        return 0.0
-    if value == "1":
-        return 1.0
-    raise SchemaError(f"line {line}: column {column!r} must be 0 or 1, got {value!r}")
+def _covariate_column(cells: tuple) -> tuple[np.ndarray, int]:
+    """Parse one block's covariate column; also return the index of its first
+    cell that is not a real number (the block length when there is none)."""
+    try:
+        return np.fromiter(map(float, cells), float, len(cells)), len(cells)
+    except ValueError:
+        pass
+    values = np.full(len(cells), np.nan)
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            return values, i
+
+
+# 0 and 1 parse to themselves, an empty cell to NaN; any other text maps to
+# _NOT_BINARY.
+_BINARY_CODES = {"0": 0.0, "1": 1.0, "": np.nan}
+_NOT_BINARY = 2.0
+
+
+def _parse_block(rows: list, line: int, p: int) -> tuple:
+    """Columns x, t, y_star, v, y of the rows that start on ``line``.
+
+    A schema fault raises SchemaError for the lowest offending line, naming
+    the first failing check on it in the order: field count, covariates
+    (real, then finite), t, ystar, v, y.
+    """
+    width = p + len(DATASET_BASE_COLUMNS)
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    short = np.flatnonzero(lengths != width)
+    if short.size:
+        first = int(short[0])
+        if first:
+            _parse_block(rows[:first], line, p)  # a fault on an earlier line comes first
+        raise SchemaError(f"line {line + first}: expected {width} fields, got {lengths[first]}")
+
+    k = len(rows)
+    cells = list(zip(*rows))
+    x = np.empty((k, p))
+    faults = []  # (row, message): the first failure of each check, in check order
+    for j in range(p):
+        x[:, j], bad = _covariate_column(cells[j])
+        if bad < k:
+            faults.append((bad, "covariates must be real numbers"))
+    t, y_star, v, y = (np.fromiter(map(_BINARY_CODES.get, column, repeat(_NOT_BINARY)), float, k)
+                       for column in cells[p:])
+    validated, empty = v == 1.0, np.isnan(y)
+    checks = [(~np.isfinite(x[:, j]), f"column 'x{j + 1}' must be finite, got {{!r}}", cells[j])
+              for j in range(p)]
+    checks += [((values != 0.0) & (values != 1.0), f"column {name!r} must be 0 or 1, got {{!r}}",
+                column) for name, values, column in zip(("t", "ystar", "v"), (t, y_star, v), cells[p:])]
+    checks += [(validated & empty, "y must be present where v=1", cells[-1]),
+               (validated & (y == _NOT_BINARY), "column 'y' must be 0 or 1, got {!r}", cells[-1]),
+               ((v == 0.0) & ~empty, "y must be empty where v=0", cells[-1])]
+    for mask, message, column in checks:
+        bad = np.flatnonzero(mask)
+        if bad.size:
+            i = int(bad[0])
+            faults.append((i, message.format(column[i])))
+    if faults:
+        i, message = min(faults, key=lambda fault: fault[0])
+        raise SchemaError(f"line {line + i}: {message}")
+    return x, t, y_star, v, y
 
 
 def read_dataset_csv(path) -> ObservationFrame:
     """Parse a dataset CSV, enforcing the schema strictly.
 
-    Raises SchemaError for missing or unknown columns, non-binary indicator
-    values, unparsable covariates, a gold outcome present off-validation, or
-    one missing on a validation row.
+    Accepts LF or CRLF line ends, an optional UTF-8 byte-order mark, and
+    empty lines at the end of the file; quoting is that of Python's csv
+    module. Raises SchemaError for missing or unknown columns, a wrong field
+    count, non-binary indicator values, unparsable or non-finite
+    covariates, a gold outcome present off-validation, or one missing on a
+    validation row; a fault names the lowest offending line.
     """
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError("dataset is empty") from None
-        rows = list(reader)
 
-    covariate_columns = [name for name in header if name not in DATASET_BASE_COLUMNS]
-    expected_covariates = [f"x{j + 1}" for j in range(len(covariate_columns))]
-    if covariate_columns != expected_covariates:
-        raise SchemaError(
-            f"expected covariate columns {expected_covariates} before {DATASET_BASE_COLUMNS}, "
-            f"got {covariate_columns}"
-        )
-    expected_header = expected_covariates + list(DATASET_BASE_COLUMNS)
-    if header != expected_header:
-        raise SchemaError(f"expected header {expected_header}, got {header}")
-    if not rows:
+        covariate_columns = [name for name in header if name not in DATASET_BASE_COLUMNS]
+        expected_covariates = [f"x{j + 1}" for j in range(len(covariate_columns))]
+        if covariate_columns != expected_covariates:
+            raise SchemaError(
+                f"expected covariate columns {expected_covariates} before "
+                f"{DATASET_BASE_COLUMNS}, got {covariate_columns}"
+            )
+        expected_header = expected_covariates + list(DATASET_BASE_COLUMNS)
+        if header != expected_header:
+            raise SchemaError(f"expected header {expected_header}, got {header}")
+
+        p = len(covariate_columns)
+        blocks = []
+        line = 2  # line of the block's first row; the header is line 1
+        blank = 0  # empty lines since the last non-empty row
+        for rows in iter(lambda: list(islice(reader, DATASET_BLOCK_ROWS)), []):
+            kept = len(rows)
+            while kept and not rows[kept - 1]:
+                kept -= 1
+            if kept:
+                if blank:  # a row follows them, so those empty lines are mid-file
+                    raise SchemaError(f"line {line - blank}: expected {len(header)} fields, got 0")
+                blocks.append(_parse_block(rows[:kept], line, p))
+                blank = 0
+            blank += len(rows) - kept
+            line += len(rows)
+
+    if not blocks:
         raise SchemaError("dataset has a header but no rows")
-
-    p = len(covariate_columns)
-    index = {name: i for i, name in enumerate(header)}
-    n = len(rows)
-    x = np.empty((n, p))
-    t = np.empty(n)
-    y_star = np.empty(n)
-    v = np.empty(n)
-    y = np.empty(n)
-    for i, row in enumerate(rows):
-        line = i + 2  # header is line 1
-        if len(row) != len(header):
-            raise SchemaError(f"line {line}: expected {len(header)} fields, got {len(row)}")
-        try:
-            for j in range(p):
-                x[i, j] = float(row[index[f"x{j + 1}"]])
-        except ValueError:
-            raise SchemaError(f"line {line}: covariates must be real numbers") from None
-        t[i] = _parse_binary(row[index["t"]], "t", line)
-        y_star[i] = _parse_binary(row[index["ystar"]], "ystar", line)
-        v[i] = _parse_binary(row[index["v"]], "v", line)
-        y_raw = row[index["y"]]
-        if v[i] == 1.0:
-            if y_raw == "":
-                raise SchemaError(f"line {line}: y must be present where v=1")
-            y[i] = _parse_binary(y_raw, "y", line)
-        else:
-            if y_raw != "":
-                raise SchemaError(f"line {line}: y must be empty where v=0")
-            y[i] = np.nan
+    x, t, y_star, v, y = (np.concatenate(parts) for parts in zip(*blocks))
     return ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
 
 

@@ -4,11 +4,13 @@ Everything here is deliberately written as plain Python loops over rows with
 math.fsum accumulation, sharing no code with the package: these are the
 second route of every dual-route check (estimator formulas, logistic fitting
 and the arithmetic of its kernel, the logistic sandwich, the bread of the
-stacked sandwich). Do not import from mismeasure_ate in this module.
+stacked sandwich, the dataset CSV reader and writer). Do not import from
+mismeasure_ate in this module.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -268,3 +270,79 @@ def numeric_jacobian(f, theta, step=None):
             raise FloatingPointError(f"function returned non-finite values near coordinate {j}")
         columns.append((f_up - f_down) / (2.0 * h[j]))
     return np.column_stack(columns)
+
+
+# --- dataset CSV, row by row ----------------------------------------------------
+# The second route of the column-wise dataset reader and writer: one csv row
+# and one Python value per cell. Schema faults raise ValueError with the
+# package's SchemaError message text.
+
+_DATASET_BASE_COLUMNS = ("t", "ystar", "v", "y")
+
+
+def write_dataset_csv_rows(x, t, y_star, v, y, path):
+    """Write the dataset CSV through csv.writer, one row at a time."""
+    x = np.asarray(x, dtype=float)
+    header = [f"x{j + 1}" for j in range(x.shape[1])] + list(_DATASET_BASE_COLUMNS)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for i in range(x.shape[0]):
+            row = [repr(float(value)) for value in x[i]]
+            row += [str(int(t[i])), str(int(y_star[i])), str(int(v[i]))]
+            row.append(str(int(y[i])) if v[i] == 1.0 else "")
+            writer.writerow(row)
+
+
+def _binary_cell(value, column, line):
+    if value == "0":
+        return 0.0
+    if value == "1":
+        return 1.0
+    raise ValueError(f"line {line}: column {column!r} must be 0 or 1, got {value!r}")
+
+
+def read_dataset_csv_rows(path):
+    """Parse a dataset CSV cell by cell; returns (x, t, y_star, v, y) with NaN
+    for the gold outcome off the validation rows."""
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("dataset is empty") from None
+        rows = list(reader)
+    covariates = [name for name in header if name not in _DATASET_BASE_COLUMNS]
+    expected = [f"x{j + 1}" for j in range(len(covariates))]
+    if covariates != expected:
+        raise ValueError(f"expected covariate columns {expected} before "
+                         f"{_DATASET_BASE_COLUMNS}, got {covariates}")
+    if header != expected + list(_DATASET_BASE_COLUMNS):
+        raise ValueError(f"expected header {expected + list(_DATASET_BASE_COLUMNS)}, got {header}")
+    if not rows:
+        raise ValueError("dataset has a header but no rows")
+    p = len(covariates)
+    n = len(rows)
+    x = np.empty((n, p))
+    t, y_star, v, y = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    for i, row in enumerate(rows):
+        line = i + 2
+        if len(row) != len(header):
+            raise ValueError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+        try:
+            for j in range(p):
+                x[i, j] = float(row[j])
+        except ValueError:
+            raise ValueError(f"line {line}: covariates must be real numbers") from None
+        t[i] = _binary_cell(row[p], "t", line)
+        y_star[i] = _binary_cell(row[p + 1], "ystar", line)
+        v[i] = _binary_cell(row[p + 2], "v", line)
+        if v[i] == 1.0:
+            if row[p + 3] == "":
+                raise ValueError(f"line {line}: y must be present where v=1")
+            y[i] = _binary_cell(row[p + 3], "y", line)
+        else:
+            if row[p + 3] != "":
+                raise ValueError(f"line {line}: y must be empty where v=0")
+            y[i] = np.nan
+    return x, t, y_star, v, y

@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from mismeasure_ate import cli
 from mismeasure_ate import reporting as rep
 from mismeasure_ate import simulation as sim
@@ -118,6 +121,200 @@ def test_estimate_rejects_gold_outcome_off_validation(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == cli.CONFIG_EXIT
     assert "y must be empty where v=0" in captured.err
+
+
+BLOCK = rep.DATASET_BLOCK_ROWS
+
+
+def grid_frame(n):
+    """A deterministic frame: row i is validated iff i % 3 == 0."""
+    i = np.arange(n)
+    v = (i % 3 == 0).astype(float)
+    return ObservationFrame(x=np.column_stack([i / 7.0, -i / 3.0]), t=i % 2,
+                            y_star=(i // 2) % 2, v=v, y=np.where(v == 1, (i // 5) % 2, np.nan))
+
+
+def write_with_edits(path, frame, edits=(), *, tail=""):
+    """Write ``frame``, then set cells by (line, column, text); column None
+    replaces the whole line. Lines end in LF."""
+    rep.write_dataset_csv(frame, path)
+    lines = path.read_bytes().decode().splitlines()
+    header = lines[0].split(",")
+    for line, column, text in edits:
+        if column is None:
+            lines[line - 1] = text
+        else:
+            cells = lines[line - 1].split(",")
+            cells[header.index(column)] = text
+            lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n" + tail)
+    return path
+
+
+def schema_error(path):
+    with pytest.raises(SchemaError) as info:
+        rep.read_dataset_csv(path)
+    return str(info.value)
+
+
+# Line 4 is row 2 (v=0), line 5 is row 3 (v=1).
+@pytest.mark.parametrize("edits, message", [
+    ([(4, None, "0.5,0.5,1,0,0,,")], "line 4: expected 6 fields, got 7"),
+    ([(4, None, "0.5,1,0,0")], "line 4: expected 6 fields, got 4"),
+    ([(4, "x2", "abc")], "line 4: covariates must be real numbers"),
+    ([(4, "x1", "")], "line 4: covariates must be real numbers"),
+    ([(4, "t", "2")], "line 4: column 't' must be 0 or 1, got '2'"),
+    ([(4, "ystar", "yes")], "line 4: column 'ystar' must be 0 or 1, got 'yes'"),
+    ([(4, "v", " 1")], "line 4: column 'v' must be 0 or 1, got ' 1'"),
+    ([(5, "y", "1.0")], "line 5: column 'y' must be 0 or 1, got '1.0'"),
+    ([(5, "y", "")], "line 5: y must be present where v=1"),
+    ([(4, "y", "0")], "line 4: y must be empty where v=0"),
+    # two faults on one line: the first check in the order
+    # fields, covariates, t, ystar, v, y is reported
+    ([(5, "y", ""), (5, "x1", "?")], "line 5: covariates must be real numbers"),
+    ([(4, "v", "1"), (4, "t", "-1")], "line 4: column 't' must be 0 or 1, got '-1'"),
+    ([(4, "ystar", "2"), (4, "v", "2")], "line 4: column 'ystar' must be 0 or 1, got '2'"),
+])
+def test_schema_errors_name_message_and_line(tmp_path, capsys, edits, message):
+    data = write_with_edits(tmp_path / "bad.csv", grid_frame(20), edits)
+    assert schema_error(data) == message
+    spec = tmp_path / "spec.json"
+    write_model_spec(spec, selection=("x1",))
+    assert cli.main(["estimate", str(data), str(spec)]) == cli.CONFIG_EXIT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_schema_errors_on_empty_files(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("")
+    assert schema_error(data) == "dataset is empty"
+    data.write_text("x1,x2,t,ystar,v,y\n")
+    assert schema_error(data) == "dataset has a header but no rows"
+
+
+def test_schema_error_reports_the_lowest_line_across_blocks(tmp_path):
+    frame = grid_frame(3 * BLOCK + 7)
+    low = -(-(BLOCK + 5) // 3) * 3 + 2  # a validated row in the second block
+    # a late check on the lower line beats an early check on the line after
+    # it, and a field-count fault in the third block comes later still
+    edits = [(low, "y", ""), (low + 1, "x1", "abc"), (2 * BLOCK + 30, None, "1,2")]
+    data = write_with_edits(tmp_path / "d.csv", frame, edits)
+    assert schema_error(data) == f"line {low}: y must be present where v=1"
+    data = write_with_edits(tmp_path / "d.csv", frame, edits[1:])
+    assert schema_error(data) == f"line {low + 1}: covariates must be real numbers"
+    data = write_with_edits(tmp_path / "d.csv", frame, edits[2:] + [(3 * BLOCK + 8, "t", "")])
+    assert schema_error(data) == f"line {2 * BLOCK + 30}: expected 6 fields, got 2"
+
+
+def random_frame(rng, n, p=3):
+    """Covariates over many magnitudes, with signed zeros and subnormals."""
+    x = rng.normal(size=(n, p)) * 10.0 ** rng.integers(-300, 300, size=(n, p))
+    x[rng.random((n, p)) < 0.05] = rng.choice([0.0, -0.0, 5e-324, 1e-310, 1.0])
+    v = rng.integers(0, 2, n)
+    return ObservationFrame(x=x, t=rng.integers(0, 2, n), y_star=rng.integers(0, 2, n), v=v,
+                            y=np.where(v == 1, rng.integers(0, 2, n), np.nan))
+
+
+def oracle_write(frame, path):
+    oracles.write_dataset_csv_rows(frame.x, frame.t, frame.y_star, frame.v, frame.y, path)
+
+
+def assert_frame_is(frame, arrays):
+    for name, expected in zip(("x", "t", "y_star", "v", "y"), arrays):
+        np.testing.assert_array_equal(getattr(frame, name), expected, err_msg=name)
+        assert getattr(frame, name).dtype == np.float64
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_dataset_io_matches_the_row_loop_oracle(tmp_path, n):
+    frame = random_frame(np.random.default_rng(n), n)
+    rep.write_dataset_csv(frame, tmp_path / "new.csv")
+    oracle_write(frame, tmp_path / "oracle.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    loaded = rep.read_dataset_csv(tmp_path / "oracle.csv")
+    assert_frame_is(loaded, oracles.read_dataset_csv_rows(tmp_path / "oracle.csv"))
+    np.testing.assert_array_equal(loaded.x, frame.x)
+
+
+FAULT_TEXTS = st.sampled_from(["", "0", "1", "2", "-1", "1.0", " 1", "abc", "1e5", "0x1"])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 25), seed=st.integers(0, 2**32 - 1), block=st.integers(1, 8),
+       faults=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 7), FAULT_TEXTS), max_size=3))
+def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, block, faults):
+    # Each fault (row, column, text) sets a cell; column 6 appends text as an
+    # extra field and column 7 drops the row's last field. Both readers must
+    # return the same frame or fail with the same message.
+    frame = random_frame(np.random.default_rng(seed), n, p=2)
+    path = tmp_path / "d.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rep, "DATASET_BLOCK_ROWS", block)
+        rep.write_dataset_csv(frame, path)
+        oracle_write(frame, tmp_path / "oracle.csv")
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        lines = [line.split(",") for line in path.read_bytes().decode().split("\r\n")[:-1]]
+        for row, column, text in faults:
+            cells = lines[1 + row % n]
+            if column == 6:
+                cells.append(text)
+            elif column == 7:
+                cells.pop()
+            else:
+                cells[column] = text
+        path.write_bytes("".join(",".join(cells) + "\r\n" for cells in lines).encode())
+        try:
+            expected = oracles.read_dataset_csv_rows(path)
+        except ValueError as exc:
+            assert schema_error(path) == str(exc)
+        else:
+            assert_frame_is(rep.read_dataset_csv(path), expected)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([(4, "x2", "nan")], "line 4: column 'x2' must be finite, got 'nan'"),
+    ([(4, "x1", "-Infinity")], "line 4: column 'x1' must be finite, got '-Infinity'"),
+    ([(5, "x2", "1e999"), (5, "x1", "inf")], "line 5: column 'x1' must be finite, got 'inf'"),
+    ([(5, "x2", "nan"), (6, "x1", "nan")], "line 5: column 'x2' must be finite, got 'nan'"),
+    # an unparsable cell on the same line is reported first
+    ([(4, "x1", "inf"), (4, "x2", "abc")], "line 4: covariates must be real numbers"),
+])
+def test_non_finite_covariates_are_schema_errors(tmp_path, capsys, edits, message):
+    # x2 is in neither model: such a cell used to pass unnoticed, and one in
+    # x1 used to fail inside the logistic fit with exit code 3 and no line
+    data = write_with_edits(tmp_path / "d.csv", grid_frame(20), edits)
+    assert schema_error(data) == message
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"treatment_covariates": ["x1"], "selection_covariates": ["x1"]}))
+    assert cli.main(["estimate", str(data), str(spec)]) == cli.CONFIG_EXIT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_reader_accepts_a_byte_order_mark(tmp_path):
+    frame = grid_frame(30)
+    path = tmp_path / "d.csv"
+    rep.write_dataset_csv(frame, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert_frame_is(rep.read_dataset_csv(path), (frame.x, frame.t, frame.y_star, frame.v, frame.y))
+
+
+@pytest.mark.parametrize("n, tail", [(30, "\n"), (30, "\r\n\r\n"), (BLOCK - 2, "\n" * 5)])
+def test_reader_ignores_empty_lines_at_the_end(tmp_path, n, tail):
+    frame = grid_frame(n)
+    data = write_with_edits(tmp_path / "d.csv", frame, tail=tail)
+    assert_frame_is(rep.read_dataset_csv(data), (frame.x, frame.t, frame.y_star, frame.v, frame.y))
+    header_only = tmp_path / "h.csv"
+    header_only.write_text("x1,x2,t,ystar,v,y\n" + tail)
+    assert schema_error(header_only) == "dataset has a header but no rows"
+
+
+@pytest.mark.parametrize("line", [3, BLOCK + 1])
+def test_reader_rejects_an_empty_line_mid_file(tmp_path, line):
+    # line BLOCK + 1 ends the first block, so the row after it is in the next
+    data = write_with_edits(tmp_path / "d.csv", grid_frame(BLOCK + 10), [(line, None, "")],
+                            tail="\n")
+    assert schema_error(data) == f"line {line}: expected 6 fields, got 0"
 
 
 def test_estimate_schema_errors(tmp_path, capsys):
