@@ -10,9 +10,10 @@ Subcommands:
 * ``true-ate <scenario|config.json>``: Monte Carlo estimate of the true
   average treatment effect implied by a data-generating process.
 
-Exit codes: 0 on success, 2 on configuration/schema errors, 3 on
-computation errors. Formats: aligned table (default), csv, json via
-``--format``; ``--out`` writes the rendered report to a file as well.
+Exit codes: 0 on success, 2 on configuration/schema errors and on files
+that cannot be opened, read or written (OSError), 3 on computation errors.
+Formats: aligned table (default), csv, json via ``--format``; ``--out``
+writes the rendered report to a file as well.
 
 Seed precedence: ``--seed`` beats a config file's ``seed`` key, which beats
 the MISMEASURE_ATE_SEED environment variable, which beats the built-in
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigParseError, SchemaError, UnknownScenario) as exc:
+    except (ConfigParseError, SchemaError, UnknownScenario, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return CONFIG_EXIT
     except MismeasureError as exc:

@@ -135,13 +135,6 @@ def hajek_means(weights_treated: np.ndarray, weights_control: np.ndarray,
     return float(np.sum(weights_treated * outcome)) / wt, float(np.sum(weights_control * outcome)) / wc
 
 
-def hajek_contrast(weights_treated: np.ndarray, weights_control: np.ndarray,
-                   outcome: np.ndarray) -> float:
-    """Difference of the two ``hajek_means``."""
-    treated, control = hajek_means(weights_treated, weights_control, outcome)
-    return treated - control
-
-
 def r_weights(t: np.ndarray, v: np.ndarray, e: np.ndarray,
               pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Selection-weighted complement weights R, split into (treated, control):

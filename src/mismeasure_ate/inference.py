@@ -36,16 +36,18 @@ selection design the validation sample is treated as a simple random
 sample: the fitted selection model is then the constant one, and each
 fitted-selection block is its constant-selection twin. The covariance
 returned by :func:`sandwich` is already on the variance scale of the
-estimators (divided by n). Its bread is the stack's Jacobian in closed form
-(``EstimatingSystem.jacobian``): logistic information for the model blocks,
-counts for the rate rows, and for the tau and WLS rows their derivatives in
-their own parameters, in the rates and, through the weights, in the fitted
-propensities, as for IPW with estimated propensities (Lunceford & Davidian
-2004).
+estimators (divided by n). One walk of the blocks
+(``EstimatingSystem.evaluate``) gives the per-subject residuals for the meat
+and the stack's Jacobian in closed form for the bread: logistic information
+for the model blocks, counts for the rate rows, and for the tau and WLS rows
+their derivatives in their own parameters, in the rates and, through the
+weights, in the fitted propensities, as for IPW with estimated propensities
+(Lunceford & Davidian 2004).
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
-runner and the CLI: it builds and solves the frame's stack, computes every
-requested point estimate, and reads each SE from the one sandwich.
+runner and the CLI: it builds and solves the frame's stack, which evaluates
+it once, computes every requested point estimate, and reads each SE from the
+one sandwich of that evaluation.
 """
 
 from __future__ import annotations
@@ -124,12 +126,13 @@ READS = {
 
 
 class EstimatingSystem:
-    """Per-subject residual evaluator for one stack of named blocks.
+    """Residuals and their Jacobian for one stack of named blocks.
 
     ``blocks`` names what the stack must hold; their parents are added, and
     under a simple random sample (``x_sel`` None) or the standard score the
     blocks that coincide with another are replaced by it (see ``resolve``).
-    ``layout`` maps each block to its slice of the parameter vector.
+    ``layout`` maps each block to its slice of the parameter vector, and
+    ``evaluate`` gives the residuals and their Jacobian at a theta.
     Stateless after construction; safe to share across workers.
     """
 
@@ -208,47 +211,6 @@ class EstimatingSystem:
         return EstimatingSystem(self.frame, names, self.x_treat, self.x_sel,
                                 self.score_variant, self.misclassification)
 
-    def per_subject_residuals(self, theta) -> np.ndarray:
-        """(n, dim) matrix whose row i is phi_i(theta)."""
-        theta = np.asarray(theta, dtype=float)
-        frame = self.frame
-        t, v, y_star, yv = frame.t, frame.v, frame.y_star, self._yv
-        out = np.empty((frame.n, self.dim))
-        raw, prob = {}, {}  # model block -> fitted probabilities at theta
-        for name in self.blocks:
-            kind, treat, sel = self.spec(name)
-            cols = self.layout[name]
-            par = theta[cols]
-            if kind in ("treatment", "selection"):
-                design = self._designs[name]
-                raw[name] = expit(design @ par)
-                prob[name] = clamp_probability(raw[name])
-                score = ((t if kind == "treatment" else v) - raw[name])[:, None] * design
-                out[:, cols] = score if sel is None else score * raw[sel][:, None]
-            elif kind == "rates":
-                scale = frame.n / self._n_v
-                for k, counted in enumerate(self._rate_rows):
-                    p11, p10 = par[2 * k], par[2 * k + 1]
-                    col = cols.start + 2 * k
-                    out[:, col] = (yv * y_star - p11 * yv) * counted * scale
-                    out[:, col + 1] = ((1.0 - yv) * y_star - p10 * (1.0 - yv)) * counted * scale
-            elif kind == "ipw":
-                e = prob[treat]
-                outcome = frame.y if name == "tau_oracle" else y_star
-                out[:, cols.start] = t * outcome / e - (1.0 - t) * outcome / (1.0 - e) - par[0]
-            elif kind == "validation":
-                e, pi = prob[treat], prob[sel]
-                out[:, cols.start] = yv * (v * t / (e * pi) - v * (1.0 - t) / ((1.0 - e) * pi)) - par[0]
-            else:
-                w_t, w_c = (est.r_weights(t, v, prob[treat], prob[sel]) if kind == "wls_r"
-                            else est.d_weights(t, prob[treat]))
-                wls_w = w_t + w_c  # one of the two is zero on every row
-                shift, _ = self._shift(theta, name)
-                resid = y_star - par[0] - shift * t
-                out[:, cols.start] = wls_w * resid
-                out[:, cols.start + 1] = wls_w * t * resid
-        return out
-
     def _shift(self, theta, name: str):
         """Treated-minus-control silver mean implied by WLS block ``name``.
 
@@ -272,13 +234,16 @@ class EstimatingSystem:
                        (c0, -gap1 * control / gap0), (c0 + 1, gap1 * (control - 1.0) / gap0),
                        (c1, beta + control), (c1 + 1, 1.0 - beta - control))
 
-    def jacobian(self, theta) -> np.ndarray:
-        """(dim, dim) Jacobian of ``summed_residuals`` at theta, in closed form.
+    def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Per-subject residuals and their summed Jacobian at theta.
 
-        Walks the blocks in the order ``per_subject_residuals`` does. A model
-        block's own rows give minus its logistic information (the printed
-        rows also move with the selection probability they carry); a rate
-        row gives its count; the tau and WLS rows move with their own
+        Returns (phi, jacobian): the (n, dim) matrix whose row i is
+        phi_i(theta), and the (dim, dim) Jacobian of its column sums in
+        closed form. One walk of the blocks in stacked order writes both, each
+        block from the same fitted probabilities, weights, shift and residual.
+        A model block's own rows give minus its logistic information (the
+        printed rows also move with the selection probability they carry); a
+        rate row gives its count; the tau and WLS rows move with their own
         parameters, with the rates through the WLS shift, and with e and pi,
         each fitted probability moving by p(1-p)x per unit of its model's
         coefficients. Where ``clamp_probability`` binds, the clamped
@@ -287,6 +252,7 @@ class EstimatingSystem:
         theta = np.asarray(theta, dtype=float)
         frame = self.frame
         t, v, y_star, yv = frame.t, frame.v, frame.y_star, self._yv
+        phi = np.empty((frame.n, self.dim))
         jac = np.zeros((self.dim, self.dim))
         raw, prob, slope = {}, {}, {}  # model block -> p, clamped p, d(clamped p)/d(x'par)
 
@@ -306,37 +272,48 @@ class EstimatingSystem:
                 prob[name] = clamp_probability(raw[name])
                 info = raw[name] * (1.0 - raw[name])
                 slope[name] = np.where(prob[name] == raw[name], info, 0.0)
+                score = ((t if kind == "treatment" else v) - raw[name])[:, None] * design
                 if sel is None:
+                    phi[:, cols] = score
                     jac[cols, cols] = -(design.T @ (design * info[:, None]))
                 else:
                     # printed rows (t - p) x pi: pi is the unclamped selection fit
+                    phi[:, cols] = score * raw[sel][:, None]
                     carried = raw[sel] * (1.0 - raw[sel]) * (t - raw[name])
                     jac[cols, cols] = -(design.T @ (design * (info * raw[sel])[:, None]))
                     jac[cols, self.layout[sel]] = design.T @ (self._designs[sel] * carried[:, None])
             elif kind == "rates":
                 scale = frame.n / self._n_v
                 for k, counted in enumerate(self._rate_rows):
+                    p11, p10 = par[2 * k], par[2 * k + 1]
                     col = row + 2 * k
+                    phi[:, col] = (yv * y_star - p11 * yv) * counted * scale
+                    phi[:, col + 1] = ((1.0 - yv) * y_star - p10 * (1.0 - yv)) * counted * scale
                     jac[col, col] = -float(np.sum(yv * counted)) * scale
                     jac[col + 1, col + 1] = -float(np.sum((1.0 - yv) * counted)) * scale
             elif kind == "ipw":
                 e = prob[treat]
                 outcome = frame.y if name == "tau_oracle" else y_star
+                phi[:, row] = t * outcome / e - (1.0 - t) * outcome / (1.0 - e) - par[0]
                 jac[row, row] = -frame.n
                 through(row, treat, -(t * outcome / e ** 2 + (1.0 - t) * outcome / (1.0 - e) ** 2))
             elif kind == "validation":
                 e, pi = prob[treat], prob[sel]
+                weighted = yv * (v * t / (e * pi) - v * (1.0 - t) / ((1.0 - e) * pi))
+                phi[:, row] = weighted - par[0]
                 jac[row, row] = -frame.n
                 through(row, treat, -yv * v * (t / e ** 2 + (1.0 - t) / (1.0 - e) ** 2) / pi)
-                through(row, sel, -yv * (v * t / (e * pi) - v * (1.0 - t) / ((1.0 - e) * pi)) / pi)
+                through(row, sel, -weighted / pi)
             else:
                 e = prob[treat]
                 w_t, w_c = (est.r_weights(t, v, e, prob[sel]) if kind == "wls_r"
                             else est.d_weights(t, e))
-                wls_w = w_t + w_c
+                wls_w = w_t + w_c  # one of the two is zero on every row
                 shift, partials = self._shift(theta, name)
                 resid = y_star - par[0] - shift * t
                 # rows W (Y* - alpha - shift T) and W T (Y* - alpha - shift T)
+                phi[:, row] = wls_w * resid
+                phi[:, row + 1] = wls_w * t * resid
                 total, treated = float(np.sum(wls_w)), float(np.sum(wls_w * t))
                 jac[row, row] = -total
                 jac[row + 1, row] = -treated
@@ -349,13 +326,7 @@ class EstimatingSystem:
                 for model, d_w in d_weight.items():
                     through(row, model, d_w * resid)
                     through(row + 1, model, d_w * t * resid)
-        return jac
-
-    def summed_residuals(self, theta) -> np.ndarray:
-        return self.per_subject_residuals(theta).sum(axis=0)
-
-    def mean_residuals(self, theta) -> np.ndarray:
-        return self.summed_residuals(theta) / self.frame.n
+        return phi, jac
 
 
 def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_treat=None,
@@ -420,15 +391,18 @@ class StackedParams:
     """Plug-in solution of a stack.
 
     ``system`` is the stack restricted to the blocks that solved and
-    ``theta`` their parameters; ``failed`` maps every other block to the
-    error that stopped it or one of its parents. ``e`` is the fitted
-    treatment propensity, ``pi`` the fitted probabilities of each selection
-    block that solved, and ``rates`` the counted misclassification rates
-    (None unless their block solved).
+    ``theta`` their parameters; ``phi`` and ``jacobian`` are that stack
+    evaluated at theta (``EstimatingSystem.evaluate``), which the sandwich
+    reads. ``failed`` maps every other block to the error that stopped it or
+    one of its parents. ``e`` is the fitted treatment propensity, ``pi`` the
+    fitted probabilities of each selection block that solved, and ``rates``
+    the counted misclassification rates (None unless their block solved).
     """
 
     system: EstimatingSystem
     theta: np.ndarray
+    phi: np.ndarray
+    jacobian: np.ndarray
     failed: dict[str, MismeasureError]
     e: np.ndarray
     pi: dict[str, np.ndarray]
@@ -453,9 +427,11 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
     from its closed-form WLS, and each tau from its IPW contrast. A block
     whose plug-in raises a MismeasureError, or whose residual mean exceeds
     1e-6 in max norm (ResidualCheckFailed), is left out together with every
-    block built on it. A treatment-model fit that fails raises. ``rates``
-    replaces the counted rates; ValueError if they do not fit the system's
-    layout.
+    block built on it. The solved stack is evaluated once for that check,
+    and again, restricted, only when the check drops a block; the returned
+    ``phi`` and ``jacobian`` are those of the final stack. A treatment-model
+    fit that fails raises. ``rates`` replaces the counted rates; ValueError
+    if they do not fit the system's layout.
     """
     treat_fit = fit_logistic(system.x_treat, frame.t)
     e = predict_proba(treat_fit, system.x_treat)
@@ -498,21 +474,24 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
         values[name] = np.atleast_1d(np.asarray(value, dtype=float))
 
     solved = system.restrict(values)
-    if solved.dim:
-        theta = np.concatenate([values[name] for name in solved.blocks])
-        means = np.abs(solved.mean_residuals(theta))
-        for name in solved.blocks:
-            parent = _failed_parent(solved, name, failed)
-            worst = float(np.max(means[solved.layout[name]]))
-            if parent is not None:
-                failed[name] = failed[parent]
-            # plain-ML gamma does not zero the printed rows
-            elif name != "gamma_p" and worst > RESIDUAL_TOL:
-                failed[name] = ResidualCheckFailed(
-                    f"{name} residual mean max-norm {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
-        solved = system.restrict(name for name in values if name not in failed)
     theta = np.concatenate([values[name] for name in solved.blocks] or [np.empty(0)])
-    return StackedParams(solved, theta, failed, e, pi,
+    phi, jacobian = solved.evaluate(theta)
+    means = np.abs(phi.sum(axis=0) / frame.n)
+    for name in solved.blocks:
+        parent = _failed_parent(solved, name, failed)
+        worst = float(np.max(means[solved.layout[name]]))
+        if parent is not None:
+            failed[name] = failed[parent]
+        # plain-ML gamma does not zero the printed rows
+        elif name != "gamma_p" and worst > RESIDUAL_TOL:
+            failed[name] = ResidualCheckFailed(
+                f"{name} residual mean max-norm {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
+    kept = [name for name in solved.blocks if name not in failed]
+    if len(kept) < len(solved.blocks):
+        solved = system.restrict(kept)
+        theta = np.concatenate([values[name] for name in solved.blocks] or [np.empty(0)])
+        phi, jacobian = solved.evaluate(theta)
+    return StackedParams(solved, theta, phi, jacobian, failed, e, pi,
                          rates if "rates" in solved.layout else None)
 
 
@@ -526,23 +505,18 @@ class SandwichResult:
     layout: dict[str, slice]
 
 
-def sandwich(frame: ObservationFrame, system: EstimatingSystem, theta) -> SandwichResult:
+def sandwich(params: StackedParams) -> SandwichResult:
     """Empirical sandwich covariance A^-1 B A^-T / n at the plug-in solution.
 
-    The bread A is the closed-form Jacobian of the summed residuals
-    (``EstimatingSystem.jacobian``) divided by -n; the meat B is the mean
-    outer product of per-subject residuals; A^-1 B A^-T takes two linear
-    solves. The result is symmetrized as (C + C^T)/2. A propensity held at
-    a bound by ``clamp_probability`` is constant near theta, so its rows add
-    nothing to the bread's columns of the model it comes from: the
-    derivative of a clamped probability is zero. NonFiniteEvaluation when
-    the residuals or the bread are not finite.
+    Reads the evaluation ``solve_plugin`` stored and walks nothing: the
+    bread A is ``params.jacobian`` divided by -n; the meat B is the mean
+    outer product of the rows of ``params.phi``; A^-1 B A^-T takes two
+    linear solves. The result is symmetrized as (C + C^T)/2.
+    NonFiniteEvaluation when the residuals or the bread are not finite.
     """
-    theta = np.asarray(theta, dtype=float)
-    n = frame.n
-    bread = -system.jacobian(theta) / n
-    phi = system.per_subject_residuals(theta)
-    if not (np.all(np.isfinite(bread)) and np.all(np.isfinite(phi))):
+    n = params.phi.shape[0]
+    bread = -params.jacobian / n
+    if not (np.all(np.isfinite(bread)) and np.all(np.isfinite(params.phi))):
         raise NonFiniteEvaluation("stacked residuals or their Jacobian are not finite")
     # the sandwich is invariant to rescaling any estimating equation; scaling
     # each to unit max-norm in the bread keeps blocks of different magnitude
@@ -551,14 +525,15 @@ def sandwich(frame: ObservationFrame, system: EstimatingSystem, theta) -> Sandwi
     row_max = np.max(np.abs(bread), axis=1)
     scale = 1.0 / np.where(row_max > 0.0, row_max, 1.0)
     bread = bread * scale[:, None]
-    phi *= scale
+    phi = params.phi * scale
     meat = phi.T @ phi / n
     cov = solve_linear(bread, solve_linear(bread, meat).T) / n
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov)
     if np.any(diag < -1e-12):
         raise NegativeVariance(f"sandwich produced negative variance {float(diag.min()):.3e}")
-    return SandwichResult(theta, cov, np.sqrt(np.maximum(diag, 0.0)), system.layout)
+    return SandwichResult(params.theta, cov, np.sqrt(np.maximum(diag, 0.0)),
+                          params.system.layout)
 
 
 def combine_delta(result: SandwichResult, weights: tuple[float, float],
@@ -630,8 +605,8 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     for misclassification that depends on treatment); every rate-consuming
     estimator and its blocks follow it.
 
-    The frame's stack is built from the requested ids, solved once and
-    sandwiched once. A point estimate fails when the rates or the selection
+    The frame's stack is built from the requested ids, solved, evaluated
+    and sandwiched once. A point estimate fails when the rates or the selection
     probabilities it needs are missing, or when it raises itself; an SE
     fails when a block it reads failed to solve, or when the sandwich
     fails. Failures are recorded by reason and never abort the remaining
@@ -644,7 +619,7 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     result = se_error = None
     if params.system.dim:
         try:
-            result = sandwich(frame, params.system, params.theta)
+            result = sandwich(params)
         except MismeasureError as exc:
             se_error = exc
 

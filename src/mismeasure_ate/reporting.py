@@ -127,6 +127,25 @@ def _parse_block(rows: list, line: int, p: int) -> tuple:
     return x, t, y_star, v, y
 
 
+def _take(reader, count: int) -> list:
+    """The next ``count`` rows of a csv reader, fewer at the end of the file.
+
+    A tokeniser fault, such as a field over ``csv.field_size_limit``, is a
+    SchemaError naming the physical line it was read on; that runs ahead of
+    the record lines the schema errors name once a quoted field has held a
+    line break. A byte that is not UTF-8 is a SchemaError placing it at or
+    after the line that follows the last one read, since text is decoded in
+    chunks.
+    """
+    try:
+        return list(islice(reader, count))
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"line {reader.line_num + 1} or later: not UTF-8 text "
+                          f"({exc.reason})") from None
+
+
 def read_dataset_csv(path) -> ObservationFrame:
     """Parse a dataset CSV, enforcing the schema strictly.
 
@@ -135,14 +154,15 @@ def read_dataset_csv(path) -> ObservationFrame:
     module. Raises SchemaError for missing or unknown columns, a wrong field
     count, non-binary indicator values, unparsable or non-finite
     covariates, a gold outcome present off-validation, or one missing on a
-    validation row; a fault names the lowest offending line.
+    validation row; a fault names the lowest offending line. Faults of the
+    tokeniser and of the text decoding are SchemaErrors too (see ``_take``).
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("dataset is empty") from None
+        first = _take(reader, 1)
+        if not first:
+            raise SchemaError("dataset is empty")
+        header = first[0]
 
         covariate_columns = [name for name in header if name not in DATASET_BASE_COLUMNS]
         expected_covariates = [f"x{j + 1}" for j in range(len(covariate_columns))]
@@ -159,7 +179,7 @@ def read_dataset_csv(path) -> ObservationFrame:
         blocks = []
         line = 2  # line of the block's first row; the header is line 1
         blank = 0  # empty lines since the last non-empty row
-        for rows in iter(lambda: list(islice(reader, DATASET_BLOCK_ROWS)), []):
+        for rows in iter(lambda: _take(reader, DATASET_BLOCK_ROWS), []):
             kept = len(rows)
             while kept and not rows[kept - 1]:
                 kept -= 1

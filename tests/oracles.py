@@ -101,6 +101,14 @@ def all_silver_tau(t, y_star, e, p11, p10):
     return (num_t / den_t - num_c / den_c) / (p11 - p10)
 
 
+def hajek_contrast(weights_treated, weights_control, outcome):
+    """Weight-normalized treated mean minus weight-normalized control mean."""
+    n = len(outcome)
+    treated = math.fsum(weights_treated[i] * outcome[i] for i in range(n))
+    control = math.fsum(weights_control[i] * outcome[i] for i in range(n))
+    return treated / math.fsum(weights_treated) - control / math.fsum(weights_control)
+
+
 def s_weighted_tau(t, y, y_star, v, e, pi, p11, p10, b=0.5):
     return b * s_val_only_tau(t, y, v, e, pi) + (1 - b) * all_silver_tau(
         t, y_star, e, p11, p10

@@ -249,7 +249,7 @@ def test_5_exact_identities():
     w_t = clean.t / props.e
     w_c = (1.0 - clean.t) / (1.0 - props.e)
     if not abs(est.tau_all_silver(clean, props, perfect).tau
-               - est.hajek_contrast(w_t, w_c, clean.y)) <= 1e-12:
+               - oracles.hajek_contrast(w_t, w_c, clean.y)) <= 1e-12:
         failures.append("perfect-rates full-sample reduction")
     nv = 1.0 - clean.v
     m = clean.n - clean.n_v
@@ -271,7 +271,8 @@ def test_5_exact_identities():
     params = inf.solve_plugin(sim_frame, system)
     if params.failed:
         failures.append(f"plug-in blocks failed: {sorted(params.failed)}")
-    worst = float(np.max(np.abs(params.system.mean_residuals(params.theta))))
+    phi, _ = params.system.evaluate(params.theta)
+    worst = float(np.max(np.abs(phi.sum(axis=0) / sim_frame.n)))
     if not worst <= 1e-6:
         failures.append(f"plug-in residual mean {worst:.2e}")
     xt = system.x_treat
@@ -285,7 +286,7 @@ def test_5_exact_identities():
         beta = params.block(block)[1]
         if not abs(beta - target) <= 1e-10:
             failures.append(f"WLS-slope identity ({block}): {beta!r} vs {target!r}")
-    result = inf.sandwich(sim_frame, params.system, params.theta)
+    result = inf.sandwich(params)
     if not np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10:
         failures.append("sandwich asymmetry")
     independent = oracles.logistic_sandwich_se(xt, sim_frame.t, params.block("gamma"))

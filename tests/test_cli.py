@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -243,9 +243,12 @@ FAULT_TEXTS = st.sampled_from(["", "0", "1", "2", "-1", "1.0", " 1", "abc", "1e5
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=st.integers(1, 25), seed=st.integers(0, 2**32 - 1), block=st.integers(1, 8),
        faults=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 7), FAULT_TEXTS), max_size=3))
+# a dropped field followed by an edit of the cell it held
+@example(n=1, seed=0, block=1, faults=[(0, 7, ""), (0, 5, "")])
 def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, block, faults):
     # Each fault (row, column, text) sets a cell; column 6 appends text as an
-    # extra field and column 7 drops the row's last field. Both readers must
+    # extra field and column 7 drops the row's last field. The cell edits are
+    # made first, so each names a cell of the written row. Both readers must
     # return the same frame or fail with the same message.
     frame = random_frame(np.random.default_rng(seed), n, p=2)
     path = tmp_path / "d.csv"
@@ -255,7 +258,7 @@ def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, b
         oracle_write(frame, tmp_path / "oracle.csv")
         assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         lines = [line.split(",") for line in path.read_bytes().decode().split("\r\n")[:-1]]
-        for row, column, text in faults:
+        for row, column, text in sorted(faults, key=lambda fault: fault[1] >= 6):
             cells = lines[1 + row % n]
             if column == 6:
                 cells.append(text)
@@ -327,6 +330,53 @@ def test_estimate_schema_errors(tmp_path, capsys):
 
     with pytest.raises(SchemaError):
         rep.read_dataset_csv(data)
+
+
+def estimate_error(data, spec, capsys):
+    """The one stderr line of an ``estimate`` run that must exit with code 2."""
+    assert cli.main(["estimate", str(data), str(spec)]) == cli.CONFIG_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err[len("error: "):-1]
+
+
+@pytest.mark.parametrize("edits, line", [
+    ([(4, "x2", '"' + "1" * 200_000 + '"')], 4),
+    # a quoted line break on line 3 puts the record of line 5 on physical line 6
+    ([(3, "x1", '"1\n2"'), (5, "x2", '"' + "1" * 200_000 + '"')], 6),
+])
+def test_over_long_field_is_a_schema_error(tmp_path, capsys, edits, line):
+    data = write_with_edits(tmp_path / "d.csv", grid_frame(20), edits)
+    message = f"line {line}: field larger than field limit (131072)"
+    assert schema_error(data) == message
+    spec = tmp_path / "spec.json"
+    write_model_spec(spec, selection=("x1",))
+    assert estimate_error(data, spec, capsys) == message
+
+
+def test_non_utf8_byte_is_a_schema_error(tmp_path, capsys):
+    frame = grid_frame(3 * BLOCK)
+    data = write_with_edits(tmp_path / "d.csv", frame, [(2 * BLOCK, "x2", "1")])
+    raw = data.read_bytes().split(b"\n")
+    raw[2 * BLOCK - 1] = raw[2 * BLOCK - 1][:-1] + b"\xff"  # line 2 * BLOCK
+    data.write_bytes(b"\n".join(raw))
+    message = schema_error(data)
+    where, _, what = message.partition(" or later: ")
+    assert what == "not UTF-8 text (invalid start byte)"
+    assert 1 < int(where.removeprefix("line ")) <= 2 * BLOCK
+    spec = tmp_path / "spec.json"
+    write_model_spec(spec, selection=("x1",))
+    assert estimate_error(data, spec, capsys) == message
+
+
+def test_missing_input_files_exit_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    rep.write_dataset_csv(grid_frame(20), data)
+    spec = tmp_path / "spec.json"
+    write_model_spec(spec, selection=("x1",))
+    for args in ((tmp_path / "absent.csv", spec), (data, tmp_path / "absent.json")):
+        message = estimate_error(*args, capsys)
+        assert message.startswith("[Errno 2] No such file or directory") and "absent" in message
 
 
 def test_simulate_unknown_scenario_exits_2(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -50,13 +52,19 @@ def fitted_props(frame, system):
     return PropensityPair(e=e, pi_v=pi)
 
 
+def mean_residuals(params):
+    """Residual means of a solved stack, from a fresh evaluation."""
+    phi, _ = params.system.evaluate(params.theta)
+    return phi.sum(axis=0) / phi.shape[0]
+
+
 def test_plugin_zeroes_residual_blocks_exactly():
     frame = simulated_frame(n=5000)
     system = inf.build_system(frame, x_sel=selection_design(frame))
     params = inf.solve_plugin(frame, system)
     assert not params.failed and params.system.blocks == system.blocks
     lay = params.system.layout
-    means = np.abs(params.system.mean_residuals(params.theta))
+    means = np.abs(mean_residuals(params))
     for name in ("tau_oracle", "tau_naive", "tau_val", "tau_s_val"):
         assert float(means[lay[name]].max()) <= 1e-12     # definition of the estimator
     assert float(means[lay["rates"]].max()) <= 1e-12      # plug-in identity
@@ -72,7 +80,7 @@ def test_plugin_residuals_small_for_both_kinds_and_variants():
             system = inf.build_system(frame, x_sel=x_sel, score_variant=variant)
             params = inf.solve_plugin(frame, system)
             assert not params.failed
-            means = np.abs(params.system.mean_residuals(params.theta))
+            means = np.abs(mean_residuals(params))
             if "gamma_p" in params.system.layout:
                 means[params.system.layout["gamma_p"]] = 0.0
             assert float(means.max()) <= 1e-6
@@ -86,7 +94,7 @@ def test_printed_variant_treatment_rows_not_zeroed_by_plain_ml():
     params = inf.solve_plugin(frame, system)
     assert not params.failed
     lay = params.system.layout
-    means = np.abs(params.system.mean_residuals(params.theta))
+    means = np.abs(mean_residuals(params))
     assert float(means[lay["gamma_p"]].max()) > 1e-6
     assert float(means[lay["gamma"]].max()) <= 1e-6
     np.testing.assert_array_equal(params.block("gamma_p"), params.block("gamma"))
@@ -134,7 +142,7 @@ def test_perfect_classification_reduction():
     e = predict_proba(fit_logistic(system.x_treat, clean.t), system.x_treat)
     w_t = clean.t / e
     w_c = (1.0 - clean.t) / (1.0 - e)
-    hajek = est.hajek_contrast(w_t, w_c, clean.y)
+    hajek = oracles.hajek_contrast(w_t, w_c, clean.y)
     rates = est.estimate_misclassification(clean)
     assert params.block("d")[1] * rates.gap == pytest.approx(hajek, abs=1e-10)
 
@@ -143,7 +151,7 @@ def test_sandwich_symmetry_and_nonnegative_diagonal():
     frame = simulated_frame(seed=17, n=2500)
     for x_sel in (None, selection_design(frame)):
         params = inf.solve_plugin(frame, inf.build_system(frame, x_sel=x_sel))
-        result = inf.sandwich(frame, params.system, params.theta)
+        result = inf.sandwich(params)
         assert result.covariance.shape == (params.system.dim, params.system.dim)
         assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
         assert np.all(np.diag(result.covariance) >= 0.0)
@@ -153,7 +161,7 @@ def test_gamma_block_matches_independent_logistic_sandwich():
     frame = simulated_frame(seed=29, n=2500)
     system = inf.build_system(frame, x_sel=selection_design(frame))
     params = inf.solve_plugin(frame, system)
-    result = inf.sandwich(frame, params.system, params.theta)
+    result = inf.sandwich(params)
     se_gamma = result.se[result.layout["gamma"]]
     independent = oracles.logistic_sandwich_se(system.x_treat, frame.t, params.block("gamma"))
     np.testing.assert_allclose(se_gamma, independent, rtol=1e-6)
@@ -163,7 +171,7 @@ def test_combine_delta_examples():
     frame = simulated_frame(seed=31, n=1200)
     system = inf.build_system(frame, ["s_opt"], x_sel=selection_design(frame))
     params = inf.solve_plugin(frame, system)
-    result = inf.sandwich(frame, params.system, params.theta)
+    result = inf.sandwich(params)
     tau, beta = params.system.index("tau_s_val"), params.system.index("d", 1)
     point, se = inf.combine_delta(result, (1.0, 0.0), (tau, beta))
     assert point == pytest.approx(float(params.block("tau_s_val")[0]))
@@ -272,7 +280,7 @@ def test_by_arm_stacked_identities():
     params = inf.solve_plugin(frame, system)
     assert not params.failed
     np.testing.assert_array_equal(params.block("rates"), rates.to_vector())
-    means = np.abs(params.system.mean_residuals(params.theta))
+    means = np.abs(mean_residuals(params))
     assert float(means[params.system.layout["rates"]].max()) <= 1e-12
     assert float(means.max()) <= 1e-6
 
@@ -282,7 +290,7 @@ def test_by_arm_stacked_identities():
     assert params.block("d")[1] == pytest.approx(
         est.tau_all_silver(frame, props, rates).tau, abs=1e-10)
 
-    result = inf.sandwich(frame, params.system, params.theta)
+    result = inf.sandwich(params)
     assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
     assert np.all(np.diag(result.covariance) >= 0.0)
 
@@ -395,8 +403,8 @@ def bread_gap(system, theta):
     """Largest row-relative gap between the closed-form Jacobian of the summed
     residuals and the central-difference oracle (a row that is zero on both,
     such as a rate row counting no rows, has gap 0)."""
-    numeric = oracles.numeric_jacobian(system.summed_residuals, theta)
-    return row_relative_gap(system.jacobian(theta), numeric)
+    numeric = oracles.numeric_jacobian(lambda th: system.evaluate(th)[0].sum(axis=0), theta)
+    return row_relative_gap(system.evaluate(theta)[1], numeric)
 
 
 def row_relative_gap(analytic, numeric):
@@ -444,6 +452,45 @@ def test_analyze_frame_never_calls_the_numeric_oracle(label, monkeypatch):
     assert not analysis.failures and not analysis.se_failures
 
 
+def count_evaluations(monkeypatch):
+    """Record the dimension of every stack ``EstimatingSystem.evaluate`` walks."""
+    calls, evaluate = [], inf.EstimatingSystem.evaluate
+
+    def counted(self, theta):
+        calls.append(self.dim)
+        return evaluate(self, theta)
+
+    monkeypatch.setattr(inf.EstimatingSystem, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", VARIANTS)
+def test_analyze_frame_evaluates_the_stack_once(label, monkeypatch):
+    # the residual check and the sandwich read the same evaluation
+    from mismeasure_ate.frames import ESTIMATOR_IDS
+
+    frame, kwargs = frame_variant(label)
+    calls = count_evaluations(monkeypatch)
+    analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
+    assert not analysis.failures and not analysis.se_failures
+    assert len(calls) == 1
+
+
+def test_stored_evaluation_is_that_of_the_restricted_stack(monkeypatch):
+    # the check drops the rates and the blocks built on them, so the stack
+    # that is left is evaluated once more, and that evaluation is stored
+    frame = simulated_frame(seed=13, n=1500)
+    system = inf.build_system(frame, x_sel=selection_design(frame))
+    calls = count_evaluations(monkeypatch)
+    params = inf.solve_plugin(frame, system, rates=MisclassRates(0.9, 0.05))
+    assert isinstance(params.failed["rates"], ResidualCheckFailed)
+    assert calls == [system.dim, params.system.dim] and params.system.dim < system.dim
+    phi, jacobian = params.system.evaluate(params.theta)
+    assert phi.shape == (frame.n, params.system.dim)
+    assert params.phi.tobytes() == phi.tobytes()
+    assert params.jacobian.tobytes() == jacobian.tobytes()
+
+
 def test_clamped_propensities_have_zero_derivative():
     # selection is nearly deterministic in the first covariate, so the fitted
     # selection probability is held at a bound on rows at both ends
@@ -471,9 +518,9 @@ def test_clamped_propensities_have_zero_derivative():
     pi = expit(selection_design(frame) @ theta[system.layout["eta"]])
     assert np.sum((pi < 1e-12) & (pi > 1e-16) & (frame.y_validated == 1)) >= 10
     n, dim = frame.n, system.dim
-    per_subject = oracles.numeric_jacobian(lambda th: system.per_subject_residuals(th).ravel(),
+    per_subject = oracles.numeric_jacobian(lambda th: system.evaluate(th)[0].ravel(),
                                            theta).reshape(n, dim, dim).sum(axis=0)
-    assert row_relative_gap(system.jacobian(theta), per_subject) <= 1e-6
+    assert row_relative_gap(system.evaluate(theta)[1], per_subject) <= 1e-6
 
 
 def test_sandwich_raises_typed_error_on_non_finite_residuals():
@@ -481,8 +528,9 @@ def test_sandwich_raises_typed_error_on_non_finite_residuals():
     params = inf.solve_plugin(frame, inf.build_system(frame, ["naive", "all_silver"]))
     theta = params.theta.copy()
     theta[params.system.index("d")] = np.nan
+    phi, jacobian = params.system.evaluate(theta)
     with pytest.raises(NonFiniteEvaluation):
-        inf.sandwich(frame, params.system, theta)
+        inf.sandwich(replace(params, theta=theta, phi=phi, jacobian=jacobian))
 
 
 def test_analyze_frame_without_validated_rows_keeps_naive_se():
