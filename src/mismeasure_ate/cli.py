@@ -162,26 +162,19 @@ def cmd_estimate(args) -> int:
 
     started = time.perf_counter()
     if frame.n_v == 0:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            analysis = analyze_frame(frame, ["naive"], x_treat=x_treat)
-        report = report_from_analysis(analysis, metadata=metadata, order=ESTIMATE_ORDER,
-                                      elapsed=time.perf_counter() - started)
-        report.warnings.insert(
-            0, "no validated rows: only the naive estimator is available")
-        report.warnings.extend(_collect_warnings(caught))
-        _emit(report, args)
-        return 0
-
+        ids, leading = ("naive",), ["no validated rows: only the naive estimator is available"]
+    else:
+        ids, leading = ESTIMATE_ORDER, []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         analysis = analyze_frame(
-            frame, ESTIMATE_ORDER, x_treat=x_treat, x_sel=x_sel,
+            frame, ids, x_treat=x_treat, x_sel=x_sel,
             w=args.w, b=args.b,
             score_variant=args.selection_score_variant or "standard",
         )
     report = report_from_analysis(analysis, metadata=metadata, order=ESTIMATE_ORDER,
                                   elapsed=time.perf_counter() - started)
+    report.warnings[:0] = leading
     report.warnings.extend(_collect_warnings(caught))
     if not analysis.estimates:
         sys.stderr.write("error: no estimator could be computed\n")

@@ -166,16 +166,21 @@ def tau_naive(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
     return AteEstimate("naive", tau)
 
 
-def tau_val_only(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
-    """IPW contrast using gold outcomes on validation rows, normalized by n_V."""
-    n_v = frame.n_v
-    if n_v < 1:
+def require_validation_arms(frame: ObservationFrame) -> None:
+    """EmptyValidationArm unless the validated rows hold both treatment arms."""
+    if frame.n_v < 1:
         raise EmptyValidationArm("no validated rows")
     v = frame.v
     if not (np.any((v == 1.0) & (frame.t == 1.0)) and np.any((v == 1.0) & (frame.t == 0.0))):
         raise EmptyValidationArm("validation rows must include both treatment arms")
+
+
+def tau_val_only(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
+    """IPW contrast using gold outcomes on validation rows, normalized by n_V."""
+    require_validation_arms(frame)
+    v = frame.v
     tau = ipw_difference(v * frame.t, v * (1.0 - frame.t), frame.y_validated,
-                         props.e, float(n_v))
+                         props.e, float(frame.n_v))
     return AteEstimate("val_only", tau)
 
 
@@ -196,13 +201,21 @@ def tau_nonval_corrected(frame: ObservationFrame, props: PropensityPair,
     return AteEstimate("nonval_corrected", corrected_contrast(rates, treated, control))
 
 
+def unit_weight(name: str, value: float) -> float:
+    """``value`` if it lies in [0, 1]; WeightOutOfRange otherwise."""
+    if not 0.0 <= value <= 1.0:
+        raise WeightOutOfRange(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
 def sy_combined_weight(n: int, n_v: int, w: float) -> float:
     """Weight lam = w*n_V / (w*n_V + (1-w)*(n - n_V)) of val_only in sy_combined.
 
-    A zero denominator means w puts the whole blend on a piece with no rows:
-    EmptyValidationArm when there are no validated rows (w = 1), EmptyComplement
-    when every row is validated (w = 0).
+    w must lie in [0, 1]. A zero denominator means w puts the whole blend on
+    a piece with no rows: EmptyValidationArm when there are no validated rows
+    (w = 1), EmptyComplement when every row is validated (w = 0).
     """
+    unit_weight("w", w)
     denom = w * n_v + (1.0 - w) * (n - n_v)
     if denom == 0.0:
         error = EmptyValidationArm if n_v == 0 else EmptyComplement
@@ -218,8 +231,6 @@ def tau_sy_combined(frame: ObservationFrame, props: PropensityPair,
     lam = w*n_V / (w*n_V + (1-w)*(n - n_V)); w = 0.5 weights the two pieces
     proportionally to their sizes.
     """
-    if not 0.0 <= w <= 1.0:
-        raise WeightOutOfRange(f"w must lie in [0, 1], got {w}")
     lam = sy_combined_weight(frame.n, frame.n_v, w)
     part_val = tau_val_only(frame, props).tau
     part_nonval = tau_nonval_corrected(frame, props, rates).tau
@@ -229,8 +240,10 @@ def tau_sy_combined(frame: ObservationFrame, props: PropensityPair,
 
 def tau_s_val_only(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
     """Validation-only contrast reweighted by selection propensities:
-    mean(V*T*Y/(e*pi)) - mean(V*(1-T)*Y/((1-e)*pi))."""
+    mean(V*T*Y/(e*pi)) - mean(V*(1-T)*Y/((1-e)*pi)); as for val_only, the
+    validated rows must hold both treatment arms."""
     pi = props.require_selection()
+    require_validation_arms(frame)
     v = frame.v
     y = frame.y_validated
     tau = ipw_difference(v * frame.t, v * (1.0 - frame.t), y / pi,
@@ -263,9 +276,11 @@ def tau_s_nonval(frame: ObservationFrame, props: PropensityPair,
 def tau_s_combined(frame: ObservationFrame, props: PropensityPair,
                    rates: MisclassRates | ArmRates) -> AteEstimate:
     """Selection-weighted blend: (n_V/n) * s_val_only plus
-    ((n - n_V)/n) * corrected complement Hajek contrast."""
-    n = frame.n
-    n_v = frame.n_v
+    ((n - n_V)/n) * corrected complement Hajek contrast; a part of weight
+    zero (no validated rows, or every row validated) is left out."""
+    n, n_v = frame.n, frame.n_v
+    if n_v == 0:
+        return AteEstimate("s_combined", tau_s_nonval(frame, props, rates).tau)
     part_val = tau_s_val_only(frame, props).tau
     if n_v == n:
         return AteEstimate("s_combined", part_val)
@@ -287,8 +302,7 @@ def tau_all_silver(frame: ObservationFrame, props: PropensityPair,
 def tau_s_weighted(frame: ObservationFrame, props: PropensityPair,
                    rates: MisclassRates | ArmRates, b: float = 0.5) -> AteEstimate:
     """Fixed-weight blend b * s_val_only + (1 - b) * all_silver."""
-    if not 0.0 <= b <= 1.0:
-        raise WeightOutOfRange(f"b must lie in [0, 1], got {b}")
+    unit_weight("b", b)
     part_val = tau_s_val_only(frame, props).tau
     part_silver = tau_all_silver(frame, props, rates).tau
     return AteEstimate("s_weighted", b * part_val + (1.0 - b) * part_silver,

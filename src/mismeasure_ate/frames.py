@@ -4,6 +4,7 @@ and the point-estimate record every estimator returns."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,11 +85,12 @@ class ObservationFrame:
     def p(self) -> int:
         return self.x.shape[1]
 
-    @property
+    # computed on first access and kept: a frame's arrays are not modified
+    @cached_property
     def n_v(self) -> int:
         return int(np.sum(self.v))
 
-    @property
+    @cached_property
     def y_validated(self) -> np.ndarray:
         """Gold outcome with zeros off the validation rows (NaN-safe for
         expressions that multiply by the validation indicator)."""

@@ -6,8 +6,9 @@ equations. The stack is made of named blocks, each a group of parameters
 with its per-subject estimating rows:
 
 * ``gamma``: the treatment model (logistic score rows).
-* ``eta0``: the constant selection model (intercept only); ``eta``: the
-  fitted selection model.
+* ``eta0``: the constant selection probability, the validation share
+  s = n_V / n (rows V - s); ``eta``: the fitted selection model (logistic
+  score rows).
 * ``gamma_p``: a copy of gamma whose score rows carry the fitted selection
   probability (the ``printed`` score variant). It serves the blocks built on
   the fitted selection model and exists only when there is one: a constant
@@ -46,8 +47,9 @@ weights, in the fitted propensities, as for IPW with estimated propensities
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
 runner and the CLI: it builds and solves the frame's stack, which evaluates
-it once, computes every requested point estimate, and reads each SE from the
-one sandwich of that evaluation.
+it once, and reads each estimator's point and SE from the same parameters of
+the solved stack: the point from theta, the SE from the one sandwich of that
+evaluation. ``estimators.tau_*`` compute the same points directly.
 """
 
 from __future__ import annotations
@@ -60,8 +62,10 @@ from . import estimators as est
 from .errors import (
     DegenerateValidation,
     EmptyArm,
+    EmptyComplement,
     EmptyComplementArm,
     MismeasureError,
+    MissingGoldOutcomes,
     NegativeVariance,
     NonFiniteEvaluation,
     ResidualCheckFailed,
@@ -77,11 +81,9 @@ from .frames import (
 )
 from .numerics import (
     DesignMatrix,
-    LogisticFit,
     clamp_probability,
     expit,
     fit_logistic,
-    logit,
     normal_quantile,
     predict_proba,
     solve_linear,
@@ -94,7 +96,7 @@ SCORE_VARIANTS = ("standard", "printed")
 # kinds read the rates too. Parents come first, which is the stacked order.
 BLOCKS = {
     "gamma": ("treatment", None, None),
-    "eta0": ("selection", None, None),
+    "eta0": ("share", None, None),
     "eta": ("selection", None, None),
     "gamma_p": ("treatment", None, "eta"),
     "rates": ("rates", None, None),
@@ -107,9 +109,9 @@ BLOCKS = {
     "d": ("wls_d", "gamma", None),
 }
 
-# estimator id -> the stacked parameters its SE reads, as (block, row); row 1
-# of a WLS block is its slope beta. A blend weights its two parameters with
-# the coefficients analyze_frame gives it.
+# estimator id -> the stacked parameters its point and SE read, as (block,
+# row); row 1 of a WLS block is its slope beta. A blend weights its two
+# parameters with the coefficients analyze_frame gives it.
 READS = {
     "oracle": (("tau_oracle", 0),),
     "naive": (("tau_naive", 0),),
@@ -148,8 +150,6 @@ class EstimatingSystem:
         self.x_sel = None if x_sel is None else np.asarray(x_sel, dtype=float)
         self.score_variant = score_variant
         self.misclassification = misclassification
-        self._yv = frame.y_validated
-        self._n_v = frame.n_v
         self._alias = {}
         if score_variant == "standard" or x_sel is None:
             self._alias["gamma_p"] = "gamma"
@@ -242,16 +242,17 @@ class EstimatingSystem:
         closed form. One walk of the blocks in stacked order writes both, each
         block from the same fitted probabilities, weights, shift and residual.
         A model block's own rows give minus its logistic information (the
-        printed rows also move with the selection probability they carry); a
-        rate row gives its count; the tau and WLS rows move with their own
-        parameters, with the rates through the WLS shift, and with e and pi,
-        each fitted probability moving by p(1-p)x per unit of its model's
-        coefficients. Where ``clamp_probability`` binds, the clamped
+        printed rows also move with the selection probability they carry),
+        and the share row -n; a rate row gives its count; the tau and WLS
+        rows move with their own parameters, with the rates through the WLS
+        shift, and with e and pi, each fitted probability moving by p(1-p)x
+        per unit of its model's coefficients and the constant one by 1 per
+        unit of the share. Where ``clamp_probability`` binds, the clamped
         probability is constant, so its derivative is zero.
         """
         theta = np.asarray(theta, dtype=float)
         frame = self.frame
-        t, v, y_star, yv = frame.t, frame.v, frame.y_star, self._yv
+        t, v, y_star, yv = frame.t, frame.v, frame.y_star, frame.y_validated
         phi = np.empty((frame.n, self.dim))
         jac = np.zeros((self.dim, self.dim))
         raw, prob, slope = {}, {}, {}  # model block -> p, clamped p, d(clamped p)/d(x'par)
@@ -266,11 +267,12 @@ class EstimatingSystem:
             cols = self.layout[name]
             par = theta[cols]
             row = cols.start
-            if kind in ("treatment", "selection"):
+            if kind in ("treatment", "selection", "share"):
+                # the share is an intercept-only model with the identity link
                 design = self._designs[name]
-                raw[name] = expit(design @ par)
+                raw[name] = design @ par if kind == "share" else expit(design @ par)
                 prob[name] = clamp_probability(raw[name])
-                info = raw[name] * (1.0 - raw[name])
+                info = np.ones(frame.n) if kind == "share" else raw[name] * (1.0 - raw[name])
                 slope[name] = np.where(prob[name] == raw[name], info, 0.0)
                 score = ((t if kind == "treatment" else v) - raw[name])[:, None] * design
                 if sel is None:
@@ -283,7 +285,7 @@ class EstimatingSystem:
                     jac[cols, cols] = -(design.T @ (design * (info * raw[sel])[:, None]))
                     jac[cols, self.layout[sel]] = design.T @ (self._designs[sel] * carried[:, None])
             elif kind == "rates":
-                scale = frame.n / self._n_v
+                scale = frame.n / frame.n_v
                 for k, counted in enumerate(self._rate_rows):
                     p11, p10 = par[2 * k], par[2 * k + 1]
                     col = row + 2 * k
@@ -352,24 +354,6 @@ def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_trea
     return EstimatingSystem(frame, blocks, x_treat, x_sel, score_variant, misclassification)
 
 
-def fit_selection(x_sel: np.ndarray, v: np.ndarray) -> LogisticFit:
-    """ML fit of the selection indicator.
-
-    An intercept-only design is solved in closed form (logit of the
-    validation share), which zeroes its score row exactly; anything else
-    goes through IRLS.
-    """
-    x_sel = np.asarray(x_sel, dtype=float)
-    if x_sel.shape[1] == 1 and np.all(x_sel[:, 0] == 1.0):
-        share = float(np.mean(v))
-        if not 0.0 < share < 1.0:
-            raise DegenerateValidation("validation indicator is constant; cannot fit selection model")
-        coef = np.array([logit(share)])
-        score = float(abs(np.sum(v - expit(coef[0]))))
-        return LogisticFit(coef, True, 0, score)
-    return fit_logistic(x_sel, v)
-
-
 def _wls_closed_form(weights: tuple[np.ndarray, np.ndarray], y_star: np.ndarray,
                      rates: MisclassRates | ArmRates, complement: bool) -> tuple[float, float]:
     """Exact solution of a WLS block from its (treated, control) weights.
@@ -391,12 +375,12 @@ class StackedParams:
     """Plug-in solution of a stack.
 
     ``system`` is the stack restricted to the blocks that solved and
-    ``theta`` their parameters; ``phi`` and ``jacobian`` are that stack
-    evaluated at theta (``EstimatingSystem.evaluate``), which the sandwich
-    reads. ``failed`` maps every other block to the error that stopped it or
-    one of its parents. ``e`` is the fitted treatment propensity, ``pi`` the
-    fitted probabilities of each selection block that solved, and ``rates``
-    the counted misclassification rates (None unless their block solved).
+    ``theta`` their parameters, from which every point estimate is read;
+    ``phi`` and ``jacobian`` are that stack evaluated at theta
+    (``EstimatingSystem.evaluate``), which the sandwich reads. ``failed``
+    maps every other block to the error that stopped it or one of its
+    parents. ``e`` is the fitted treatment propensity and ``rates`` the
+    counted misclassification rates (None unless their block solved).
     """
 
     system: EstimatingSystem
@@ -405,7 +389,6 @@ class StackedParams:
     jacobian: np.ndarray
     failed: dict[str, MismeasureError]
     e: np.ndarray
-    pi: dict[str, np.ndarray]
     rates: MisclassRates | ArmRates | None
 
     def block(self, name: str) -> np.ndarray:
@@ -422,16 +405,19 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
     """Fill the stacked parameters by sequential plug-in and verify them.
 
     gamma (and gamma_p) come from full-sample ML of the treatment model, eta0
-    and eta from ML of the selection models, the rates from validation
+    is the validation share (DegenerateValidation without validated rows),
+    eta comes from ML of the selection model, the rates from validation
     counting (pooled or per arm, as the system says), each (alpha, beta)
-    from its closed-form WLS, and each tau from its IPW contrast. A block
-    whose plug-in raises a MismeasureError, or whose residual mean exceeds
-    1e-6 in max norm (ResidualCheckFailed), is left out together with every
-    block built on it. The solved stack is evaluated once for that check,
-    and again, restricted, only when the check drops a block; the returned
-    ``phi`` and ``jacobian`` are those of the final stack. A treatment-model
-    fit that fails raises. ``rates`` replaces the counted rates; ValueError
-    if they do not fit the system's layout.
+    from its closed-form WLS (EmptyComplement over R weights when every row
+    is validated), and each tau from its IPW contrast (EmptyValidationArm
+    for a validation contrast unless the validated rows hold both treatment
+    arms). A block whose plug-in raises a MismeasureError, or whose residual
+    mean exceeds 1e-6 in max norm (ResidualCheckFailed), is left out
+    together with every block built on it. The solved stack is evaluated
+    once for that check, and again, restricted, only when the check drops a
+    block; the returned ``phi`` and ``jacobian`` are those of the final
+    stack. A treatment-model fit that fails raises. ``rates`` replaces the
+    counted rates; ValueError if they do not fit the system's layout.
     """
     treat_fit = fit_logistic(system.x_treat, frame.t)
     e = predict_proba(treat_fit, system.x_treat)
@@ -446,8 +432,13 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
         try:
             if kind == "treatment":
                 value = treat_fit.coefficients
+            elif kind == "share":
+                if frame.n_v == 0:
+                    raise DegenerateValidation("no validated rows; the validation share is 0")
+                value = frame.n_v / frame.n
+                pi[name] = clamp_probability(np.full(frame.n, value))
             elif kind == "selection":
-                sel_fit = fit_selection(system.design(name), v)
+                sel_fit = fit_logistic(system.design(name), v)
                 pi[name] = predict_proba(sel_fit, system.design(name))
                 value = sel_fit.coefficients
             elif kind == "rates":
@@ -458,11 +449,17 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
                     raise ValueError(f"{type(rates).__name__} does not fit a "
                                      f"{system.misclassification!r} stacked system")
             elif kind == "ipw":
-                point = est.tau_oracle if name == "tau_oracle" else est.tau_naive
-                value = point(frame, PropensityPair(e=e)).tau
+                if name == "tau_oracle" and np.any(np.isnan(frame.y)):
+                    raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
+                outcome = frame.y if name == "tau_oracle" else frame.y_star
+                value = est.ipw_difference(t, 1.0 - t, outcome, e, float(frame.n))
             elif kind == "validation":
-                value = est.tau_s_val_only(frame, PropensityPair(e=e, pi_v=pi[sel])).tau
+                est.require_validation_arms(frame)
+                value = est.ipw_difference(v * t, v * (1.0 - t), frame.y_validated / pi[sel], e,
+                                           float(frame.n))
             elif kind == "wls_r":
+                if frame.n_v == frame.n:
+                    raise EmptyComplement("every row is validated; the complement is empty")
                 value = _wls_closed_form(est.r_weights(t, v, e, pi[sel]), frame.y_star, rates,
                                          complement=True)
             else:
@@ -491,7 +488,7 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
         solved = system.restrict(kept)
         theta = np.concatenate([values[name] for name in solved.blocks] or [np.empty(0)])
         phi, jacobian = solved.evaluate(theta)
-    return StackedParams(solved, theta, phi, jacobian, failed, e, pi,
+    return StackedParams(solved, theta, phi, jacobian, failed, e,
                          rates if "rates" in solved.layout else None)
 
 
@@ -588,12 +585,9 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
 
     ``x_sel`` is the selection-model design matrix; pass None when the
     validation sample is (treated as) a simple random sample, in which case
-    the selection propensity is the constant n_V / n. The estimators that
-    ignore selection weighting draw their SEs from the constant-selection
-    blocks regardless of ``x_sel``. The SEs of nonval_corrected and
-    sy_combined read the slope beta of ``r_const``, a Hajek (ratio) contrast
-    over the complement, while their reported points use the IPW complement
-    means normalized by n - n_V; the two contrasts differ.
+    the selection propensity is the validation share n_V / n (the ``eta0``
+    block). The estimators that ignore selection weighting read the
+    constant-selection blocks regardless of ``x_sel``.
 
     ``b`` is the fixed weight of the non-optimal blend of s_val_only and
     all_silver; None (the default) weights them proportionally to the
@@ -606,9 +600,21 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     estimator and its blocks follow it.
 
     The frame's stack is built from the requested ids, solved, evaluated
-    and sandwiched once. A point estimate fails when the rates or the selection
-    probabilities it needs are missing, or when it raises itself; an SE
-    fails when a block it reads failed to solve, or when the sandwich
+    and sandwiched once. Each point is its blend coefficients times the
+    solved parameters it reads (``READS``), the combination whose SE the
+    sandwich gives. The coefficients are 1 for a single parameter,
+    (lam, 1 - lam) for sy_combined, (n_V/n, (n - n_V)/n) for s_combined,
+    (b, 1 - b) for s_weighted and (b_opt, 1 - b_opt) for s_opt, with b_opt
+    from the covariance. nonval_corrected and sy_combined take the IPW
+    complement contrast normalized by n - n_V in place of the slope of
+    ``r_const``, a Hajek (ratio) complement contrast that their SEs read;
+    the two contrasts differ.
+
+    A point exists exactly when the blocks it reads have solved. Otherwise
+    its reason is the error of the first failed block in ``READS`` order;
+    after that come its blend weight's own errors (w or b outside [0, 1],
+    sy_combined's weight on an empty piece, and for s_opt a failed
+    sandwich). An SE fails only when the sandwich or the delta method
     fails. Failures are recorded by reason and never abort the remaining
     estimators; a failed treatment-model fit raises.
     """
@@ -624,82 +630,58 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
             se_error = exc
 
     n, n_v = frame.n, frame.n_v
-    rates = params.rates
-    plain = PropensityPair(e=params.e)
-    # point estimates use the fitted selection model, or the validation share
-    selected = selection_error = None
-    if x_sel is not None:
-        if "eta" in params.pi:
-            selected = PropensityPair(e=params.e, pi_v=params.pi["eta"])
-        selection_error = params.failed.get("eta")
-    elif n_v > 0:
-        selected = PropensityPair(e=params.e, pi_v=clamp_probability(np.full(n, n_v / n)))
-    else:
-        selection_error = DegenerateValidation("no validated rows")
 
-    def located(est_id):
-        """Stack positions an SE reads; raises why they are unavailable."""
-        for name, _ in READS[est_id]:
-            if system.resolve(name) in params.failed:
-                raise params.failed[system.resolve(name)]
-        if result is None:
-            raise se_error
-        return [params.system.index(name, row) for name, row in READS[est_id]]
+    def blend(est_id, where):
+        """(coefficients of the parameters at ``where``, reported weight)."""
+        if est_id == "sy_combined":
+            lam = est.sy_combined_weight(n, n_v, w)
+            return (lam, 1.0 - lam), w
+        if est_id == "s_combined":
+            return (n_v / n, (n - n_v) / n), None
+        if est_id == "s_weighted":
+            b_used = est.unit_weight("b", n_v / n if b is None else b)
+            return (b_used, 1.0 - b_used), b_used
+        if est_id == "s_opt":
+            if result is None:
+                raise se_error
+            cov = result.covariance
+            ia, ib = where
+            b_opt = est.compute_b_opt(float(cov[ia, ia]), float(cov[ib, ib]),
+                                      float(cov[ia, ib]))
+            return (b_opt, 1.0 - b_opt), b_opt
+        return (1.0,), None
 
-    def optimal_blend():
-        ia, ib = located("s_opt")
-        cov = result.covariance
-        return est.tau_s_opt(frame, selected, rates, float(cov[ia, ia]), float(cov[ib, ib]),
-                             float(cov[ia, ib]))
-
-    b_eff = n_v / n if b is None else b
-    # estimator id -> (point estimate, coefficients of the parameters it
-    # reads); the two blends whose weights can fail or come from the
-    # covariance get theirs once their point exists
-    table = {
-        "oracle": (lambda: est.tau_oracle(frame, plain), (1.0,)),
-        "naive": (lambda: est.tau_naive(frame, plain), (1.0,)),
-        "val_only": (lambda: est.tau_val_only(frame, plain), (1.0,)),
-        "nonval_corrected": (lambda: est.tau_nonval_corrected(frame, plain, rates), (1.0,)),
-        "sy_combined": (lambda: est.tau_sy_combined(frame, plain, rates, w=w), None),
-        "s_val_only": (lambda: est.tau_s_val_only(frame, selected), (1.0,)),
-        "s_nonval": (lambda: est.tau_s_nonval(frame, selected, rates), (1.0,)),
-        "s_combined": (lambda: est.tau_s_combined(frame, selected, rates),
-                       (n_v / n, (n - n_v) / n)),
-        "all_silver": (lambda: est.tau_all_silver(frame, plain, rates), (1.0,)),
-        "s_weighted": (lambda: est.tau_s_weighted(frame, selected, rates, b=b_eff),
-                       (b_eff, 1.0 - b_eff)),
-        "s_opt": (optimal_blend, None),
-    }
-
-    analysis = FrameAnalysis(rates=rates)
+    analysis = FrameAnalysis(rates=params.rates)
     for est_id in (i for i in ESTIMATOR_IDS if i in ids):
-        point, coefficients = table[est_id]
-        kinds = [BLOCKS[name] for name, _ in READS[est_id]]
         try:
-            if rates is None and any(kind.startswith("wls") for kind, _, _ in kinds):
-                raise params.failed["rates"]
-            if selected is None and any(sel == "eta" for _, _, sel in kinds):
-                raise selection_error
-            estimate = point()
+            for name, _ in READS[est_id]:
+                if system.resolve(name) in params.failed:
+                    raise params.failed[system.resolve(name)]
+            where = [params.system.index(name, row) for name, row in READS[est_id]]
+            coefficients, weight = blend(est_id, where)
         except MismeasureError as exc:
             analysis.failures[est_id] = type(exc).__name__
             continue
+        parts = [float(params.theta[i]) for i in where]
+        if est_id in ("nonval_corrected", "sy_combined"):
+            # the IPW complement contrast, which no block holds yet, in place
+            # of the Hajek slope of r_const that their SE reads
+            parts[-1] = est.tau_nonval_corrected(frame, PropensityPair(e=params.e),
+                                                 params.rates).tau
+        tau = coefficients[0] * parts[0]
+        if len(parts) == 2:
+            tau += coefficients[1] * parts[1]
         if est_id == "s_opt":
-            analysis.b_opt = estimate.weight_used
-            coefficients = (analysis.b_opt, 1.0 - analysis.b_opt)
-        elif est_id == "sy_combined":
-            lam = est.sy_combined_weight(n, n_v, w)  # the point computed it without raising
-            coefficients = (lam, 1.0 - lam)
+            analysis.b_opt = weight
         try:
-            where = located(est_id)
+            if result is None:
+                raise se_error
             se = (float(result.se[where[0]]) if len(where) == 1
                   else combine_delta(result, coefficients, where)[1])
         except MismeasureError as exc:
             analysis.se_failures[est_id] = type(exc).__name__
-            analysis.estimates[est_id] = estimate
+            analysis.estimates[est_id] = AteEstimate(est_id, tau, weight_used=weight)
             continue
-        low, high = confidence_interval(estimate.tau, se, level)
-        analysis.estimates[est_id] = AteEstimate(est_id, estimate.tau, se, low, high,
-                                                 estimate.weight_used)
+        low, high = confidence_interval(tau, se, level)
+        analysis.estimates[est_id] = AteEstimate(est_id, tau, se, low, high, weight)
     return analysis

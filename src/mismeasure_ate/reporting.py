@@ -217,6 +217,8 @@ def load_model_spec(path) -> ModelSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"model spec is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"model spec is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -286,6 +288,8 @@ def load_scenario_config(path, *, name: str | None = None,
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"config is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise ConfigParseError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"

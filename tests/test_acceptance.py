@@ -277,7 +277,7 @@ def test_5_exact_identities():
         failures.append(f"plug-in residual mean {worst:.2e}")
     xt = system.x_treat
     e_hat = predict_proba(fit_logistic(xt, sim_frame.t), xt)
-    pi_hat = predict_proba(inf.fit_selection(x_sel, sim_frame.v), x_sel)
+    pi_hat = predict_proba(fit_logistic(x_sel, sim_frame.v), x_sel)
     frame_props = PropensityPair(e=e_hat, pi_v=pi_hat)
     frame_rates = est.estimate_misclassification(sim_frame)
     for block, target in (

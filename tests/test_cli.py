@@ -95,10 +95,11 @@ def test_estimate_without_validated_rows_degrades_to_naive(tmp_path, capsys):
     write_model_spec(spec)
     code = cli.main(["estimate", str(data), str(spec), "--format", "json"])
     captured = capsys.readouterr()
-    assert code == 0
+    assert code == 0 and captured.err == ""
     payload = json.loads(captured.out)
     assert [row["estimator"] for row in payload["rows"]] == ["naive"]
-    assert any("naive" in warning for warning in payload["warnings"])
+    assert payload["rows"][0]["se"] > 0
+    assert payload["warnings"][0] == "no validated rows: only the naive estimator is available"
 
 
 def test_estimate_rejects_gold_outcome_off_validation(tmp_path, capsys):
@@ -367,6 +368,22 @@ def test_non_utf8_byte_is_a_schema_error(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_model_spec(spec, selection=("x1",))
     assert estimate_error(data, spec, capsys) == message
+
+
+def test_model_spec_not_utf8_exits_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    rep.write_dataset_csv(grid_frame(20), data)
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{"treatment_covariates": ["x1\xff"]}')
+    assert estimate_error(data, spec, capsys).startswith("model spec is not UTF-8 text")
+
+
+def test_scenario_config_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "scenario.json"
+    config.write_bytes(b'{"dgp": {"n": 400}, "selection": {"kind": "srs\xff"}, "iterations": 2}')
+    assert cli.main(["simulate", str(config)]) == cli.CONFIG_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not UTF-8 text") and err.count("\n") == 1
 
 
 def test_missing_input_files_exit_2(tmp_path, capsys):

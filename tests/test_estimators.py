@@ -149,12 +149,21 @@ def test_val_only_reductions(d6_frame, d6_props):
 
 
 def test_val_only_requires_both_arms():
-    frame = ObservationFrame(
-        x=np.zeros(3), t=np.array([1, 1, 0]), y_star=np.array([1, 0, 0]),
-        v=np.array([1, 1, 0]), y=np.array([1.0, 0.0, np.nan]),
-    )
-    with pytest.raises(EmptyValidationArm):
-        est.tau_val_only(frame, PropensityPair(e=np.full(3, 0.5)))
+    # so does s_val_only: under a simple random sample it is the same contrast
+    props = PropensityPair(e=np.full(3, 0.5), pi_v=np.full(3, 0.5))
+    for v in (np.array([1, 1, 0]), np.zeros(3)):
+        frame = ObservationFrame(
+            x=np.zeros(3), t=np.array([1, 1, 0]), y_star=np.array([1, 0, 0]),
+            v=v, y=np.where(v == 1, [1.0, 0.0, 0.0], np.nan),
+        )
+        for point in (est.tau_val_only, est.tau_s_val_only):
+            with pytest.raises(EmptyValidationArm):
+                point(frame, props)
+
+
+def test_frame_counts_are_computed_once(d6_frame):
+    assert d6_frame.n_v == 3 and d6_frame.y_validated is d6_frame.y_validated
+    np.testing.assert_array_equal(d6_frame.y_validated, [1, 0, 0, 0, 0, 0])
 
 
 def test_nonval_correction_factor(d6_frame, d6_props):

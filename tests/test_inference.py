@@ -7,6 +7,7 @@ import oracles
 from conftest import make_random_frame
 from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
+from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import (
     DegenerateValidation,
     EmptyValidationArm,
@@ -14,8 +15,14 @@ from mismeasure_ate.errors import (
     NonFiniteEvaluation,
     ResidualCheckFailed,
 )
-from mismeasure_ate.frames import ArmRates, MisclassRates, ObservationFrame, PropensityPair
-from mismeasure_ate.numerics import clamp_probability, expit
+from mismeasure_ate.frames import (
+    ESTIMATOR_IDS,
+    ArmRates,
+    MisclassRates,
+    ObservationFrame,
+    PropensityPair,
+)
+from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic, predict_proba
 
 
 def simulated_frame(seed=5, n=3000, *, srs=False, p11=0.67, p10=0.24, p10_treated=None):
@@ -45,10 +52,8 @@ def selection_design(frame):
 
 def fitted_props(frame, system):
     """The propensities the plug-in fits, recomputed from scratch."""
-    from mismeasure_ate.numerics import fit_logistic, predict_proba
-
     e = predict_proba(fit_logistic(system.x_treat, frame.t), system.x_treat)
-    pi = predict_proba(inf.fit_selection(system.x_sel, frame.v), system.x_sel)
+    pi = predict_proba(fit_logistic(system.x_sel, frame.v), system.x_sel)
     return PropensityPair(e=e, pi_v=pi)
 
 
@@ -399,6 +404,101 @@ def test_each_estimator_alone_matches_the_full_stack(label):
         assert got.se == pytest.approx(want.se, rel=1e-12)
 
 
+@pytest.mark.parametrize("label", VARIANTS)
+def test_points_read_from_the_stack_match_the_estimator_functions(label):
+    # the second route for the points: the estimators module computes each
+    # one directly from the same fitted propensities and counted rates
+    frame, kwargs = frame_variant(label)
+    analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
+    assert not analysis.failures and not analysis.se_failures
+    system = inf.build_system(frame, ESTIMATOR_IDS, **kwargs)
+    if kwargs["x_sel"] is None:
+        e = predict_proba(fit_logistic(system.x_treat, frame.t), system.x_treat)
+        props = PropensityPair(e=e, pi_v=clamp_probability(np.full(frame.n, frame.n_v / frame.n)))
+    else:
+        props = fitted_props(frame, system)
+    plain = PropensityPair(e=props.e)
+    rates = est.estimate_misclassification(frame, kwargs.get("misclassification", "pooled"))
+    params = inf.solve_plugin(frame, system)
+    cov = inf.sandwich(params).covariance
+    ia, ib = params.system.index("tau_s_val"), params.system.index("d", 1)
+    want = {
+        "oracle": est.tau_oracle(frame, plain),
+        "naive": est.tau_naive(frame, plain),
+        "val_only": est.tau_val_only(frame, plain),
+        "nonval_corrected": est.tau_nonval_corrected(frame, plain, rates),
+        "sy_combined": est.tau_sy_combined(frame, plain, rates),
+        "s_val_only": est.tau_s_val_only(frame, props),
+        "s_nonval": est.tau_s_nonval(frame, props, rates),
+        "s_combined": est.tau_s_combined(frame, props, rates),
+        "all_silver": est.tau_all_silver(frame, plain, rates),
+        "s_weighted": est.tau_s_weighted(frame, props, rates, b=frame.n_v / frame.n),
+        "s_opt": est.tau_s_opt(frame, props, rates, cov[ia, ia], cov[ib, ib], cov[ia, ib]),
+    }
+    for est_id in ESTIMATOR_IDS:
+        got, expected = analysis.estimates[est_id], want[est_id]
+        assert got.tau == pytest.approx(expected.tau, abs=1e-12)
+        if expected.weight_used is None:
+            assert got.weight_used is None
+        else:
+            assert got.weight_used == pytest.approx(expected.weight_used, abs=1e-12)
+    # the one point still computed outside the stack is that very call
+    assert analysis.estimates["nonval_corrected"].tau == want["nonval_corrected"].tau
+
+
+@pytest.mark.parametrize("label", VARIANTS)
+def test_analyze_frame_never_calls_the_point_functions(label, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point was computed outside the solved stack")
+
+    for name in vars(est).copy():
+        if name.startswith("tau_") and name != "tau_nonval_corrected":
+            monkeypatch.setattr(est, name, refuse)
+    frame, kwargs = frame_variant(label)
+    analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
+    assert not analysis.failures and not analysis.se_failures
+
+
+@pytest.mark.parametrize("label", ("srs", "fitted"))
+def test_every_row_validated_keeps_the_validation_estimators(label):
+    # the validation share is 1 there; its block still solves, so val_only
+    # has an SE, and the complement blocks have no rows
+    frame, kwargs = frame_variant(label)
+    frame = replace(frame, v=np.ones(frame.n))
+    if kwargs["x_sel"] is not None:
+        kwargs = dict(kwargs, x_sel=selection_design(frame))
+    analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
+    kept = ["oracle", "naive", "val_only", "all_silver"]
+    empty = ["nonval_corrected", "sy_combined"]
+    if label == "srs":  # the selection-weighted ids read the same blocks
+        kept += ["s_val_only", "s_weighted", "s_opt"]
+        empty += ["s_nonval", "s_combined"]
+        assert analysis.estimates["s_val_only"] == replace(
+            analysis.estimates["val_only"], estimator_id="s_val_only")
+    for est_id in kept:
+        assert np.isfinite(analysis.estimates[est_id].tau)
+        assert analysis.estimates[est_id].se > 0
+    assert {i: analysis.failures[i] for i in empty} == dict.fromkeys(empty, "EmptyComplement")
+    assert not analysis.se_failures
+
+
+def test_one_armed_validation_sample_fails_every_validation_estimator():
+    config = sim.scenario_catalog()["main_nonprob"]
+    selection, _ = sim.resolve_selection(config)
+    rng = sim._rng(sim.child_seed(config.base_seed, 0))
+    population = sim.generate_population(replace(config.dgp, n=600), rng)
+    drawn = sim.select_validation(population, selection, rng).with_full_y(population.y)
+    frame = replace(drawn, v=drawn.v * drawn.t)  # only treated rows stay validated
+    assert 0 < frame.n_v < np.sum(drawn.v)
+    six = ("val_only", "sy_combined", "s_val_only", "s_combined", "s_weighted", "s_opt")
+    # the treatment column would separate this selection indicator, so the
+    # fitted selection model reads the covariates only
+    for x_sel in (None, np.column_stack([np.ones(frame.n), frame.x])):
+        analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, x_sel=x_sel)
+        assert analysis.failures == dict.fromkeys(six, "EmptyValidationArm")
+        assert not analysis.se_failures
+
+
 def bread_gap(system, theta):
     """Largest row-relative gap between the closed-form Jacobian of the summed
     residuals and the central-difference oracle (a row that is zero on both,
@@ -539,7 +639,9 @@ def test_analyze_frame_without_validated_rows_keeps_naive_se():
                             v=np.zeros(frame.n), y=np.full(frame.n, np.nan))
     analysis = inf.analyze_frame(bare, ["naive", "val_only", "s_val_only"])
     assert analysis.estimates["naive"].se > 0
-    assert analysis.failures == {"val_only": "EmptyValidationArm",
+    # under a simple random sample both read the block of the validation
+    # share, which has no value without validated rows
+    assert analysis.failures == {"val_only": "DegenerateValidation",
                                  "s_val_only": "DegenerateValidation"}
 
 
