@@ -146,8 +146,9 @@ class EstimatingSystem:
         if misclassification not in MISCLASSIFICATION_MODES:
             raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}")
         self.frame = frame
-        self.x_treat = np.asarray(x_treat, dtype=float)
-        self.x_sel = None if x_sel is None else np.asarray(x_sel, dtype=float)
+        # designs are kept column-contiguous (see ``numerics``)
+        self.x_treat = np.asfortranarray(x_treat, dtype=float)
+        self.x_sel = None if x_sel is None else np.asfortranarray(x_sel, dtype=float)
         self.score_variant = score_variant
         self.misclassification = misclassification
         self._alias = {}
@@ -238,22 +239,26 @@ class EstimatingSystem:
         """Per-subject residuals and their summed Jacobian at theta.
 
         Returns (phi, jacobian): the (n, dim) matrix whose row i is
-        phi_i(theta), and the (dim, dim) Jacobian of its column sums in
-        closed form. One walk of the blocks in stacked order writes both, each
-        block from the same fitted probabilities, weights, shift and residual.
+        phi_i(theta), stored column by column (Fortran order) so that each
+        block writes contiguous residual columns, and the (dim, dim) Jacobian
+        of its column sums in closed form. One walk of the blocks in stacked
+        order writes both, each block from the same fitted probabilities,
+        weights, shift and residual.
         A model block's own rows give minus its logistic information (the
         printed rows also move with the selection probability they carry),
         and the share row -n; a rate row gives its count; the tau and WLS
         rows move with their own parameters, with the rates through the WLS
         shift, and with e and pi, each fitted probability moving by p(1-p)x
         per unit of its model's coefficients and the constant one by 1 per
-        unit of the share. Where ``clamp_probability`` binds, the clamped
-        probability is constant, so its derivative is zero.
+        unit of the share. Where ``clamp_probability`` binds on a fitted
+        probability, the clamped probability is constant, so its derivative is
+        zero. The share is not clamped: it lies in (0, 1], and at 1 (every row
+        validated) no block that divides by 1 - s has solved.
         """
         theta = np.asarray(theta, dtype=float)
         frame = self.frame
         t, v, y_star, yv = frame.t, frame.v, frame.y_star, frame.y_validated
-        phi = np.empty((frame.n, self.dim))
+        phi = np.empty((frame.n, self.dim), order="F")
         jac = np.zeros((self.dim, self.dim))
         raw, prob, slope = {}, {}, {}  # model block -> p, clamped p, d(clamped p)/d(x'par)
 
@@ -268,12 +273,16 @@ class EstimatingSystem:
             par = theta[cols]
             row = cols.start
             if kind in ("treatment", "selection", "share"):
-                # the share is an intercept-only model with the identity link
                 design = self._designs[name]
-                raw[name] = design @ par if kind == "share" else expit(design @ par)
-                prob[name] = clamp_probability(raw[name])
-                info = np.ones(frame.n) if kind == "share" else raw[name] * (1.0 - raw[name])
-                slope[name] = np.where(prob[name] == raw[name], info, 0.0)
+                if kind == "share":
+                    # an intercept-only model with the identity link, unclamped
+                    raw[name] = prob[name] = design @ par
+                    info = slope[name] = np.ones(frame.n)
+                else:
+                    raw[name] = expit(design @ par)
+                    prob[name] = clamp_probability(raw[name])
+                    info = raw[name] * (1.0 - raw[name])
+                    slope[name] = np.where(prob[name] == raw[name], info, 0.0)
                 score = ((t if kind == "treatment" else v) - raw[name])[:, None] * design
                 if sel is None:
                     phi[:, cols] = score
@@ -436,7 +445,7 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
                 if frame.n_v == 0:
                     raise DegenerateValidation("no validated rows; the validation share is 0")
                 value = frame.n_v / frame.n
-                pi[name] = clamp_probability(np.full(frame.n, value))
+                pi[name] = np.full(frame.n, value)
             elif kind == "selection":
                 sel_fit = fit_logistic(system.design(name), v)
                 pi[name] = predict_proba(sel_fit, system.design(name))
@@ -507,8 +516,9 @@ def sandwich(params: StackedParams) -> SandwichResult:
 
     Reads the evaluation ``solve_plugin`` stored and walks nothing: the
     bread A is ``params.jacobian`` divided by -n; the meat B is the mean
-    outer product of the rows of ``params.phi``; A^-1 B A^-T takes two
-    linear solves. The result is symmetrized as (C + C^T)/2.
+    outer product of the rows of ``params.phi``, formed as phi^T phi / n on
+    its column-contiguous columns; A^-1 B A^-T takes two linear solves. The
+    result is symmetrized as (C + C^T)/2.
     NonFiniteEvaluation when the residuals or the bread are not finite.
     """
     n = params.phi.shape[0]

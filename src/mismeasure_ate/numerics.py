@@ -4,6 +4,10 @@ Logistic-model fitting by iteratively reweighted least squares, a
 conditioning-checked linear solver, and the stable logistic /
 normal-quantile functions everything else consumes. All functions are pure;
 nothing here holds state.
+
+Designs are stored column by column (Fortran order): every per-row product
+of an (n, k) design with a length-n vector then runs down contiguous
+columns. Functions accept either order and convert a row-major design once.
 """
 
 from __future__ import annotations
@@ -93,13 +97,18 @@ class DesignMatrix:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def with_intercept(cls, x: np.ndarray) -> "DesignMatrix":
-        """Prepend an intercept column to raw covariates (n,) or (n, k)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
-        ones = np.ones((x.shape[0], 1))
-        return cls(np.hstack([ones, x]), has_intercept=True)
+    def with_intercept(cls, x: np.ndarray, *more: np.ndarray) -> "DesignMatrix":
+        """Prepend an intercept column to raw covariates.
+
+        Each argument is an (n,) column or an (n, k) block; they follow the
+        intercept in order. The values are written in place into one
+        column-contiguous (Fortran-order) array.
+        """
+        blocks = [np.asarray(block, dtype=float).reshape(len(block), -1) for block in (x, *more)]
+        values = np.empty((len(blocks[0]), 1 + sum(b.shape[1] for b in blocks)), order="F")
+        values[:, 0] = 1.0
+        np.concatenate(blocks, axis=1, out=values[:, 1:])
+        return cls(values, has_intercept=True)
 
     @classmethod
     def intercept_only(cls, n: int) -> "DesignMatrix":
@@ -125,9 +134,11 @@ class LogisticFit:
 
 
 def _as_design(x) -> np.ndarray:
-    if isinstance(x, DesignMatrix):
-        return x.values
-    return DesignMatrix(np.asarray(x, dtype=float)).values
+    """The checked design values, column-contiguous (a no-op for a design
+    built column by column)."""
+    if not isinstance(x, DesignMatrix):
+        x = DesignMatrix(np.asarray(x, dtype=float))
+    return np.asfortranarray(x.values)
 
 
 def _log_likelihood(u: np.ndarray, eu: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> float:
@@ -154,10 +165,14 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
     the probabilities and the log-likelihood, whose softplus(u) is
     max(u, 0) + log1p(exp(-|u|)); an accepted candidate's are carried over.
 
+    The Newton step checks the symmetric information's 2-norm condition
+    number, the criterion of ``solve_linear``, by ``spd_condition``.
+
     Raises
     ------
     SingularSystem
-        Weighted information matrix is rank deficient.
+        Weighted information matrix is rank deficient: its smallest
+        eigenvalue is not positive or its condition number exceeds 1e12.
     SeparationSuspected
         No convergence and some |coefficient| exceeds 30.
     NoConvergence
@@ -193,7 +208,11 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
 
         curvature = (p if w is None else w * p) * (1.0 - p)
         info = xv.T @ (xv * curvature[:, None])
-        step = solve_linear(info, score)
+        cond = spd_condition(info)
+        if not cond <= 1.0 / PIVOT_RTOL:
+            raise SingularSystem(
+                f"information condition number {cond:.3e} exceeds {1.0 / PIVOT_RTOL:.0e}")
+        step = np.linalg.solve(info, score)
 
         # step halving keeps the likelihood monotone near separation; if the
         # full step and MAX_HALVINGS halvings all lower it, one more is taken
@@ -239,6 +258,19 @@ def predict_proba(fit: LogisticFit, x) -> np.ndarray:
             f"design has {xv.shape[1]} columns but fit has {beta.shape[0]} coefficients"
         )
     return clamp_probability(expit(xv @ beta))
+
+
+def spd_condition(a) -> float:
+    """2-norm condition number of a symmetric matrix expected to be positive
+    definite: the ratio of its extreme eigenvalues (``np.linalg.eigvalsh``),
+    which equals ``np.linalg.cond`` there without an SVD. Infinite when the
+    smallest eigenvalue is not positive or the eigenvalues cannot be found.
+    """
+    try:
+        eig = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(eig[-1] / eig[0]) if eig[0] > 0.0 else np.inf
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigParseError, SchemaError
 from .frames import ESTIMATOR_IDS, ArmRates, ObservationFrame
+from .numerics import DesignMatrix
 from .simulation import (
     DEFAULT_SEED,
     TABLE_ESTIMATORS,
@@ -243,10 +244,9 @@ def load_model_spec(path) -> ModelSpec:
 
 
 def design_from_columns(frame: ObservationFrame, columns, *, include_treatment: bool) -> np.ndarray:
-    """Intercept plus the named x-columns (plus t for selection designs)."""
-    pieces = [np.ones(frame.n)]
-    if include_treatment:
-        pieces.append(frame.t)
+    """Intercept plus the named x-columns (plus t for selection designs),
+    built column-contiguous (``DesignMatrix.with_intercept``)."""
+    pieces = [frame.t] if include_treatment else []
     for name in columns:
         if not name.startswith("x"):
             raise ConfigParseError(f"unknown covariate column {name!r}")
@@ -257,7 +257,9 @@ def design_from_columns(frame: ObservationFrame, columns, *, include_treatment: 
         if not 0 <= j < frame.p:
             raise ConfigParseError(f"column {name!r} is out of range for {frame.p} covariates")
         pieces.append(frame.x[:, j])
-    return np.column_stack(pieces)
+    if not pieces:
+        return DesignMatrix.intercept_only(frame.n).values
+    return DesignMatrix.with_intercept(*pieces).values
 
 
 # --- scenario config files ----------------------------------------------------------

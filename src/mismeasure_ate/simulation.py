@@ -255,7 +255,7 @@ class TruthEstimate:
 def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
     rng = _rng(child_seed(base_seed, index))
     population = generate_population(dgp_large, rng)
-    x_treat = DesignMatrix.with_intercept(population.x).values
+    x_treat = DesignMatrix.with_intercept(population.x)
     fit = fit_logistic(x_treat, population.t)
     e = predict_proba(fit, x_treat)
     return est.ipw_difference(population.t, 1.0 - population.t, population.y,
@@ -318,13 +318,12 @@ def _selection_design(frame: ObservationFrame, selection: SelectionConfig):
     """Design matrix for *fitting* the selection model; None under SRS."""
     if selection.kind == "srs":
         return None
-    return np.column_stack([np.ones(frame.n), frame.t,
-                            _analysis_covariates(frame, selection)])
+    return DesignMatrix.with_intercept(frame.t, _analysis_covariates(frame, selection)).values
 
 
 def _treatment_design(frame: ObservationFrame, selection: SelectionConfig) -> np.ndarray:
     """Design matrix for the fitted treatment model (analyst's covariates)."""
-    return np.column_stack([np.ones(frame.n), _analysis_covariates(frame, selection)])
+    return DesignMatrix.with_intercept(_analysis_covariates(frame, selection)).values
 
 
 def _run_iteration(config: ScenarioConfig, index: int):

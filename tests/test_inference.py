@@ -7,6 +7,7 @@ import oracles
 from conftest import make_random_frame
 from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
+from mismeasure_ate import reporting as rep
 from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import (
     DegenerateValidation,
@@ -404,17 +405,30 @@ def test_each_estimator_alone_matches_the_full_stack(label):
         assert got.se == pytest.approx(want.se, rel=1e-12)
 
 
-@pytest.mark.parametrize("label", VARIANTS)
+@pytest.mark.parametrize("label", VARIANTS + ("srs_every_row_validated",))
 def test_points_read_from_the_stack_match_the_estimator_functions(label):
     # the second route for the points: the estimators module computes each
     # one directly from the same fitted propensities and counted rates
-    frame, kwargs = frame_variant(label)
+    frame, kwargs = frame_variant(label.removesuffix("_every_row_validated"))
+    if label.endswith("_every_row_validated"):
+        # the validation share is exactly 1 and is not clamped: val_only
+        # divides its contrast by 1, as est.tau_val_only does, bit for bit,
+        # and the share's derivative stays 1 (the central difference steps
+        # past 1); the complement blocks fail before a weight divides by 1 - s
+        frame = replace(frame, v=np.ones(frame.n))
+        analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
+        params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
+        assert params.block("eta0")[0] == 1.0
+        assert analysis.estimates["val_only"].tau == est.tau_val_only(
+            frame, PropensityPair(e=params.e)).tau
+        assert bread_gap(params.system, params.theta) <= 1e-6
+        return
     analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
     assert not analysis.failures and not analysis.se_failures
     system = inf.build_system(frame, ESTIMATOR_IDS, **kwargs)
     if kwargs["x_sel"] is None:
         e = predict_proba(fit_logistic(system.x_treat, frame.t), system.x_treat)
-        props = PropensityPair(e=e, pi_v=clamp_probability(np.full(frame.n, frame.n_v / frame.n)))
+        props = PropensityPair(e=e, pi_v=np.full(frame.n, frame.n_v / frame.n))
     else:
         props = fitted_props(frame, system)
     plain = PropensityPair(e=props.e)
@@ -574,6 +588,40 @@ def test_analyze_frame_evaluates_the_stack_once(label, monkeypatch):
     analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
     assert not analysis.failures and not analysis.se_failures
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label", VARIANTS)
+def test_analyze_frame_agrees_on_either_memory_order(label):
+    frame, kwargs = frame_variant(label)
+    rows = dict(kwargs, x_treat=np.column_stack([np.ones(frame.n), frame.x]))
+    columns = {key: np.asfortranarray(value) if key.startswith("x_") and value is not None
+               else value for key, value in rows.items()}
+    assert rows["x_treat"].flags.c_contiguous and columns["x_treat"].flags.f_contiguous
+    by_row = inf.analyze_frame(frame, ESTIMATOR_IDS, **rows)
+    by_column = inf.analyze_frame(frame, ESTIMATOR_IDS, **columns)
+    assert by_row.failures == by_column.failures and not by_row.se_failures
+    assert by_row.estimates.keys() == by_column.estimates.keys()
+    for est_id, got in by_row.estimates.items():
+        assert got.tau == pytest.approx(by_column.estimates[est_id].tau, rel=0, abs=1e-12)
+        assert got.se == pytest.approx(by_column.estimates[est_id].se, rel=1e-12)
+
+
+def test_designs_and_residuals_are_column_contiguous():
+    frame, kwargs = frame_variant("fitted")
+    selection = sim.SelectionConfig(kind="non_probability", alpha0=(-2.9, 0.5, 1, 1, 1, 1, 0))
+    designs = [
+        inf.build_system(frame).x_treat,
+        sim._treatment_design(frame, selection),
+        sim._selection_design(frame, selection),
+        sim._selection_design(frame, replace(selection, misspecify_drop=2)),
+        rep.design_from_columns(frame, ["x1", "x3"], include_treatment=False),
+        rep.design_from_columns(frame, ["x2"], include_treatment=True),
+        rep.design_from_columns(frame, [], include_treatment=False),
+    ]
+    for design in designs:
+        assert design.flags.f_contiguous and design.shape[0] == frame.n
+    params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
+    assert params.phi.flags.f_contiguous and params.phi.shape == (frame.n, params.system.dim)
 
 
 def test_stored_evaluation_is_that_of_the_restricted_stack(monkeypatch):

@@ -20,6 +20,7 @@ from mismeasure_ate.numerics import (
     normal_quantile,
     predict_proba,
     solve_linear,
+    spd_condition,
 )
 
 
@@ -97,6 +98,9 @@ def test_normal_quantile_reference_value():
 def test_design_matrix_invariants():
     dm = DesignMatrix.with_intercept(np.arange(6.0))
     assert dm.rows == 6 and dm.cols == 2 and dm.has_intercept
+    t, x = np.arange(6.0) % 2, np.arange(12.0).reshape(6, 2)
+    np.testing.assert_array_equal(DesignMatrix.with_intercept(t, x).values,
+                                  np.column_stack([np.ones(6), t, x]))
     with pytest.raises(DimensionMismatch):
         DesignMatrix(np.ones((2, 3)))
     with pytest.raises(NonFiniteEvaluation):
@@ -219,6 +223,52 @@ def test_singular_information_raises():
     y = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=float)
     with pytest.raises(SingularSystem):
         fit_logistic(x, y)
+
+
+def test_near_collinear_information_raises():
+    # not exactly singular, but the information's condition number is about
+    # 1e14, beyond the 1e12 the Newton step accepts
+    rng = np.random.default_rng(29)
+    z = rng.normal(size=200)
+    x = np.column_stack([np.ones(200), z, z + 1e-7 * rng.normal(size=200)])
+    y = (rng.random(200) < expit(0.3 * z)).astype(float)
+    info = 0.25 * x.T @ x  # the information at the first step, p = 1/2
+    assert 1e13 < np.linalg.cond(info) < 1e16
+    with pytest.raises(SingularSystem):
+        fit_logistic(x, y)
+
+
+def test_fit_and_predict_agree_on_either_memory_order():
+    rng = np.random.default_rng(19)
+    x = DesignMatrix.with_intercept(rng.normal(size=(500, 4))).values
+    y = (rng.random(500) < expit(x @ np.array([-0.4, 0.5, -0.3, 0.2, 0.1]))).astype(float)
+    rows = np.ascontiguousarray(x)
+    assert x.flags.f_contiguous and rows.flags.c_contiguous and not rows.flags.f_contiguous
+    for weights in (None, rng.uniform(0.5, 2.0, size=500)):
+        by_column, by_row = fit_logistic(x, y, weights), fit_logistic(rows, y, weights)
+        np.testing.assert_allclose(by_row.coefficients, by_column.coefficients, rtol=0, atol=1e-12)
+        assert by_row.iterations == by_column.iterations
+        np.testing.assert_allclose(predict_proba(by_column, rows), predict_proba(by_column, x),
+                                   rtol=0, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=25),
+       st.floats(min_value=0.0, max_value=8.0))
+def test_spd_condition_matches_the_svd_condition_number(seed, k, log_cond):
+    # the second route is np.linalg.cond, from the singular values: on a
+    # symmetric positive definite matrix they are its eigenvalues
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    a = (q * np.logspace(0.0, log_cond, k)) @ q.T
+    a = 0.5 * (a + a.T)
+    assert spd_condition(a) == pytest.approx(np.linalg.cond(a), rel=1e-6)
+
+
+def test_spd_condition_is_infinite_off_the_positive_definite_cone():
+    assert spd_condition(np.array([[1.0, 2.0], [2.0, 1.0]])) == np.inf  # eigenvalues -1, 3
+    assert spd_condition(np.diag([1.0, 0.0])) == np.inf  # singular
+    assert spd_condition(np.full((2, 2), np.nan)) == np.inf
 
 
 def test_predict_proba_contract():
