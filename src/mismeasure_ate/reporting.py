@@ -2,7 +2,10 @@
 
 The dataset CSV schema: header row with columns x1..xp (real), t (0/1),
 ystar (0/1), v (0/1), y (0/1 or empty, empty exactly where v=0); UTF-8,
-comma-delimited, "." decimal separator.
+comma-delimited, "." decimal separator. The reader gives the cells Python's
+csv.reader would: it splits unquoted lines on commas itself, and hands the
+rest of a file to csv.reader from the first block of lines holding a '"', a
+NUL or a line longer than csv.field_size_limit().
 
 RunReport serializations are deterministic: the JSON and CSV forms contain
 no wall-clock or worker-count information, so equal-seed runs are
@@ -16,7 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -83,26 +86,24 @@ _BINARY_CODES = {"0": 0.0, "1": 1.0, "": np.nan}
 _NOT_BINARY = 2.0
 
 
-def _parse_block(rows: list, line: int, p: int) -> tuple:
-    """Columns x, t, y_star, v, y of the rows that start on ``line``.
+def _parse_block(counts: np.ndarray, columns, line: int, p: int) -> tuple:
+    """Columns x, t, y_star, v, y of a block of rows that starts on ``line``.
 
-    A schema fault raises SchemaError for the lowest offending line, naming
+    Both tokenisers feed this one checker: ``counts`` holds each row's field
+    count and ``columns(m)`` the cell columns of the block's first m rows,
+    which it asks for only while those rows all have the full width. A
+    schema fault raises SchemaError for the lowest offending line, naming
     the first failing check on it in the order: field count, covariates
     (real, then finite), t, ystar, v, y.
     """
     width = p + len(DATASET_BASE_COLUMNS)
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    short = np.flatnonzero(lengths != width)
-    if short.size:
-        first = int(short[0])
-        if first:
-            _parse_block(rows[:first], line, p)  # a fault on an earlier line comes first
-        raise SchemaError(f"line {line + first}: expected {width} fields, got {lengths[first]}")
-
-    k = len(rows)
-    cells = list(zip(*rows))
-    x = np.empty((k, p))
     faults = []  # (row, message): the first failure of each check, in check order
+    short = np.flatnonzero(counts != width)
+    k = int(short[0]) if short.size else len(counts)  # the rows checked cell by cell
+    if short.size:
+        faults.append((k, f"expected {width} fields, got {counts[k]}"))
+    cells = columns(k) if k else [()] * width
+    x = np.empty((k, p))
     for j in range(p):
         x[:, j], bad = _covariate_column(cells[j])
         if bad < k:
@@ -128,23 +129,91 @@ def _parse_block(rows: list, line: int, p: int) -> tuple:
     return x, t, y_star, v, y
 
 
-def _take(reader, count: int) -> list:
+def _not_utf8(line: int, exc: UnicodeDecodeError) -> SchemaError:
+    """Text is decoded in chunks, so a byte that is not UTF-8 is placed at or
+    after ``line``, the one that follows the last line read."""
+    return SchemaError(f"line {line} or later: not UTF-8 text ({exc.reason})")
+
+
+def _take(reader, count: int, lines_before: int = 0) -> list:
     """The next ``count`` rows of a csv reader, fewer at the end of the file.
 
     A tokeniser fault, such as a field over ``csv.field_size_limit``, is a
-    SchemaError naming the physical line it was read on; that runs ahead of
-    the record lines the schema errors name once a quoted field has held a
-    line break. A byte that is not UTF-8 is a SchemaError placing it at or
-    after the line that follows the last one read, since text is decoded in
-    chunks.
+    SchemaError naming the physical line it was read on, counting the
+    ``lines_before`` read ahead of the reader's input; that runs ahead of the
+    record lines the schema errors name once a quoted field has held a line
+    break. A byte that is not UTF-8 is a SchemaError too (``_not_utf8``).
     """
     try:
         return list(islice(reader, count))
     except csv.Error as exc:
-        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        raise SchemaError(f"line {lines_before + reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"line {reader.line_num + 1} or later: not UTF-8 text "
-                          f"({exc.reason})") from None
+        raise _not_utf8(lines_before + reader.line_num + 1, exc) from None
+
+
+def _split_block(lines: list, width: int, limit: int) -> tuple | None:
+    """(field counts, ``columns``) of a block of lines as csv.reader would
+    tokenise them: each line's cells are its comma-separated parts,
+    terminator stripped, and an empty line has none. None when the block
+    holds a '"', a NUL or a line longer than ``limit``, where csv.reader's
+    rules differ from that split.
+    """
+    if max(map(len, lines)) > limit:
+        return None
+    # with newline="" a line ends at its first "\n", "\r" or "\r\n"; each
+    # line break becomes a cell "\n" of its own, which no other cell can be
+    text = ",\n,".join(map(str.rstrip, lines, repeat("\r\n")))
+    if '"' in text or "\0" in text:
+        return None
+    flat = text.split(",")
+    k, stride = len(lines), width + 1
+    # the k - 1 line breaks sit every stride cells iff each line holds width cells
+    if len(flat) == k * stride - 1 and flat[width::stride].count("\n") == k - 1:
+        counts = np.full(k, width)
+    else:
+        fields = list(map(str.rstrip, lines, repeat("\r\n")))
+        counts = np.fromiter(map(str.count, fields, repeat(",")), np.intp, k) + 1
+        if "" in fields:
+            counts[[i for i, cells in enumerate(fields) if not cells]] = 0
+    # the first m lines hold width cells each when the checker asks for them
+    return counts, lambda m: [flat[j:m * stride:stride] for j in range(width)]
+
+
+def _csv_block(rows: list) -> tuple:
+    """(field counts, ``columns``) of a block of csv.reader rows."""
+    return np.fromiter(map(len, rows), np.intp, len(rows)), lambda m: list(zip(*rows[:m]))
+
+
+def _tokenised_blocks(handle, width: int, lines_read: int):
+    """(field counts, ``columns``) of each block of up to DATASET_BLOCK_ROWS
+    records that follows the ``lines_read`` physical lines already read.
+
+    A block of lines holding no '"', no NUL and no line longer than
+    ``csv.field_size_limit()`` is split on commas: csv.reader would read
+    each of its lines as the line's cells, an empty line as no cell. From
+    the first block that holds one, csv.reader tokenises the rest of the
+    file, so quoted fields (line breaks in them included), the field-size
+    limit and NUL (a csv.Error before Python 3.11) behave as csv.reader's.
+    """
+    limit = csv.field_size_limit()
+    while True:
+        lines = []  # extended in place: it keeps the lines read before a decode error
+        try:
+            lines.extend(islice(handle, DATASET_BLOCK_ROWS))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(lines_read + len(lines) + 1, exc) from None
+        if not lines:
+            return
+        block = _split_block(lines, width, limit)
+        if block is None:
+            break
+        lines_read += len(lines)
+        del lines  # the block is parsed from its cells alone
+        yield block
+    reader = csv.reader(chain(lines, handle))
+    for rows in iter(lambda: _take(reader, DATASET_BLOCK_ROWS, lines_read), []):
+        yield _csv_block(rows)
 
 
 def read_dataset_csv(path) -> ObservationFrame:
@@ -157,6 +226,12 @@ def read_dataset_csv(path) -> ObservationFrame:
     covariates, a gold outcome present off-validation, or one missing on a
     validation row; a fault names the lowest offending line. Faults of the
     tokeniser and of the text decoding are SchemaErrors too (see ``_take``).
+
+    csv.reader reads the header. The rows are read in blocks of
+    DATASET_BLOCK_ROWS lines and split on commas, until a block holds a '"',
+    a NUL or a line longer than ``csv.field_size_limit()``; from that block
+    on csv.reader reads them (``_tokenised_blocks``). Either way the cells,
+    the frame and every message are csv.reader's.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -180,17 +255,16 @@ def read_dataset_csv(path) -> ObservationFrame:
         blocks = []
         line = 2  # line of the block's first row; the header is line 1
         blank = 0  # empty lines since the last non-empty row
-        for rows in iter(lambda: _take(reader, DATASET_BLOCK_ROWS), []):
-            kept = len(rows)
-            while kept and not rows[kept - 1]:
-                kept -= 1
+        for counts, columns in _tokenised_blocks(handle, len(header), reader.line_num):
+            filled = np.flatnonzero(counts)
+            kept = int(filled[-1]) + 1 if filled.size else 0
             if kept:
                 if blank:  # a row follows them, so those empty lines are mid-file
                     raise SchemaError(f"line {line - blank}: expected {len(header)} fields, got 0")
-                blocks.append(_parse_block(rows[:kept], line, p))
+                blocks.append(_parse_block(counts[:kept], columns, line, p))
                 blank = 0
-            blank += len(rows) - kept
-            line += len(rows)
+            blank += len(counts) - kept
+            line += len(counts)
 
     if not blocks:
         raise SchemaError("dataset has a header but no rows")

@@ -161,14 +161,22 @@ class Population:
     y_star: np.ndarray
 
 
+def draw_covariates_and_treatment(dgp: DgpConfig,
+                                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The first draws of ``generate_population``: covariates x, then the
+    treatment t from its uniforms."""
+    x = rng.standard_normal((dgp.n, dgp.p))
+    coefs_t = np.asarray(dgp.treatment_coefs)
+    t = (rng.random(dgp.n) < expit(coefs_t[0] + x @ coefs_t[1:])).astype(float)
+    return x, t
+
+
 def generate_population(dgp: DgpConfig, rng: np.random.Generator) -> Population:
     """Draw one complete dataset. Draw order (fixed for reproducibility):
-    covariates, treatment uniforms, outcome uniforms, misclassification
-    uniforms."""
-    n, p = dgp.n, dgp.p
-    x = rng.standard_normal((n, p))
-    coefs_t = np.asarray(dgp.treatment_coefs)
-    t = (rng.random(n) < expit(coefs_t[0] + x @ coefs_t[1:])).astype(float)
+    covariates, treatment uniforms (``draw_covariates_and_treatment``),
+    outcome uniforms, misclassification uniforms."""
+    n = dgp.n
+    x, t = draw_covariates_and_treatment(dgp, rng)
     coefs_y = np.asarray(dgp.outcome_coefs)
     y = (rng.random(n) < expit(coefs_y[0] + coefs_y[1] * t + x @ coefs_y[2:])).astype(float)
     if dgp.heterogeneous_misclass is not None:
@@ -199,14 +207,16 @@ def calibrate_intercept(dgp: DgpConfig, selection: SelectionConfig,
                         tolerance: float = 1.0, max_steps: int = 200) -> float:
     """Bisection on the selection intercept so E[n_V] hits target_nv.
 
-    The expectation is evaluated on one large calibration population (default
-    200k rows) and scaled to the scenario's n; the bracket is [-20, 20].
+    The expectation is evaluated on the covariates and treatments of one
+    large calibration population (default 200k rows), drawn as
+    ``generate_population`` draws them, and scaled to the scenario's n; the
+    bracket is [-20, 20].
     """
     if selection.kind == "srs":
         raise ValueError("srs selection has no intercept to calibrate")
-    calibration = generate_population(replace(dgp, n=calibration_n), rng)
+    x, t = draw_covariates_and_treatment(replace(dgp, n=calibration_n), rng)
     slopes = np.asarray(selection.alpha0, dtype=float)[1:]
-    linear = calibration.t * slopes[0] + calibration.x @ slopes[1:]
+    linear = t * slopes[0] + x @ slopes[1:]
 
     def expected_nv(intercept: float) -> float:
         return float(np.mean(expit(intercept + linear))) * dgp.n

@@ -312,14 +312,17 @@ def _binary_cell(value, column, line):
 
 def read_dataset_csv_rows(path):
     """Parse a dataset CSV cell by cell; returns (x, t, y_star, v, y) with NaN
-    for the gold outcome off the validation rows."""
+    for the gold outcome off the validation rows. A csv tokeniser fault (NUL
+    before Python 3.11) names the physical line it was read on."""
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            rows = list(reader)
         except StopIteration:
             raise ValueError("dataset is empty") from None
-        rows = list(reader)
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     covariates = [name for name in header if name not in _DATASET_BASE_COLUMNS]
     expected = [f"x{j + 1}" for j in range(len(covariates))]
     if covariates != expected:
@@ -327,6 +330,8 @@ def read_dataset_csv_rows(path):
                          f"{_DATASET_BASE_COLUMNS}, got {covariates}")
     if header != expected + list(_DATASET_BASE_COLUMNS):
         raise ValueError(f"expected header {expected + list(_DATASET_BASE_COLUMNS)}, got {header}")
+    while rows and not rows[-1]:  # empty lines at the end of the file are ignored
+        rows.pop()
     if not rows:
         raise ValueError("dataset has a header but no rows")
     p = len(covariates)

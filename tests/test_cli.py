@@ -237,7 +237,10 @@ def test_dataset_io_matches_the_row_loop_oracle(tmp_path, n):
     np.testing.assert_array_equal(loaded.x, frame.x)
 
 
-FAULT_TEXTS = st.sampled_from(["", "0", "1", "2", "-1", "1.0", " 1", "abc", "1e5", "0x1"])
+# The quotes, the bare CR, NUL and the trailing space are where a plain
+# split on commas and csv.reader could disagree.
+FAULT_TEXTS = st.sampled_from(["", "0", "1", "2", "-1", "1.0", " 1", "abc", "1e5", "0x1",
+                               '"1"', '"1,5"', '"1\r\n2"', "\r", "\x00", "1 "])
 
 
 @settings(max_examples=200, deadline=None,
@@ -271,9 +274,19 @@ def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, b
         try:
             expected = oracles.read_dataset_csv_rows(path)
         except ValueError as exc:
-            assert schema_error(path) == str(exc)
+            message = schema_error(path)
+            if message != str(exc):
+                # csv rejects NUL before Python 3.11. The reader meets that
+                # fault when it reads the block holding it, so a schema
+                # fault in an earlier block is reported first.
+                assert str(exc).endswith(": line contains NUL")
+                assert line_of(message) < line_of(str(exc))
         else:
             assert_frame_is(rep.read_dataset_csv(path), expected)
+
+
+def line_of(message):
+    return int(message.split(":")[0].removeprefix("line "))
 
 
 @pytest.mark.parametrize("edits, message", [
@@ -345,6 +358,7 @@ def estimate_error(data, spec, capsys):
     ([(4, "x2", '"' + "1" * 200_000 + '"')], 4),
     # a quoted line break on line 3 puts the record of line 5 on physical line 6
     ([(3, "x1", '"1\n2"'), (5, "x2", '"' + "1" * 200_000 + '"')], 6),
+    ([(4, "x2", "1" * 200_000)], 4),
 ])
 def test_over_long_field_is_a_schema_error(tmp_path, capsys, edits, line):
     data = write_with_edits(tmp_path / "d.csv", grid_frame(20), edits)

@@ -76,6 +76,28 @@ def test_calibration_hits_target_and_survives_slope_doubling():
     assert expected_nv(doubled, intercept2, 99) == pytest.approx(850, abs=1.0)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_calibration_draws_are_the_population_draws(seed):
+    dgp = replace(sim.scenario_catalog()["heterogeneous_nonprob"].dgp, n=3000)
+    x, t = sim.draw_covariates_and_treatment(dgp, sim._rng(seed))
+    population = sim.generate_population(dgp, sim._rng(seed))
+    np.testing.assert_array_equal(x, population.x)
+    np.testing.assert_array_equal(t, population.t)
+
+
+# Intercepts calibrated on full generate_population draws: drawing only the
+# covariates and treatments it reads must leave them bitwise equal.
+@pytest.mark.parametrize("preset, intercept", [
+    ("main_nonprob", "-0x1.75c0000000000p+1"),
+    ("strong_alpha", "-0x1.0810000000000p+2"),
+    ("flipped_alpha", "-0x1.2020000000000p+1"),
+    ("heterogeneous_nonprob", "-0x1.75c0000000000p+1"),
+])
+def test_calibrated_intercepts_are_unchanged(preset, intercept):
+    _, calibrated = sim.resolve_selection(sim.scenario_catalog()[preset])
+    assert calibrated == float.fromhex(intercept)
+
+
 def test_calibration_failure_outside_bracket():
     impossible = sim.SelectionConfig(kind="non_probability", target_nv=6000,
                                      alpha0=(0.0, 0.5, 1, 1, 1, 1, 0))
