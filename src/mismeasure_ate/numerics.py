@@ -157,13 +157,18 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
     weights : optional nonnegative array_like, length n
 
     Convergence is declared when the max absolute score drops to 1e-8 or the
-    coefficient step max-norm drops to 1e-10. Newton steps that would lower
-    the log-likelihood are halved up to 10 times, which survives
-    near-separation without oscillating.
+    coefficient step max-norm drops to 1e-10.
 
-    Each step takes one exponential per row: u = X beta and exp(-|u|) give
-    the probabilities and the log-likelihood, whose softplus(u) is
-    max(u, 0) + log1p(exp(-|u|)); an accepted candidate's are carried over.
+    Each evaluation takes one exponential per row: u = X beta and
+    exp(-|u|) give the probabilities p and the score X'w(y - p), which the
+    next iteration reads. A Newton candidate is accepted when the slope of
+    the log-likelihood along the step, step . score, is still nonnegative
+    there (the log-likelihood is concave, so it rose all the way), when the
+    candidate already passes the score test, or else when its
+    log-likelihood is no lower than the current one (formed only then).
+    Otherwise the step is halved, which survives near-separation without
+    oscillating; when the full step and 10 halvings all fail, the next
+    halving is accepted.
 
     The Newton step checks the symmetric information's 2-norm condition
     number, the criterion of ``solve_linear``, by ``spd_condition``.
@@ -174,7 +179,10 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
         Weighted information matrix is rank deficient: its smallest
         eigenvalue is not positive or its condition number exceeds 1e12.
     SeparationSuspected
-        No convergence and some |coefficient| exceeds 30.
+        The converged iterate separates the data completely: every row of
+        positive weight has (2y - 1) x beta > 0, so no finite maximum
+        exists (Albert & Anderson 1984); or no convergence and some
+        |coefficient| exceeds 30.
     NoConvergence
         Iteration budget (100) exhausted; diagnostics attached to the error.
     """
@@ -193,18 +201,33 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise ValueError("weights must be finite and nonnegative")
 
+    def evaluate(beta):
+        u = xv @ beta
+        eu = np.exp(-np.abs(u))
+        p = _expit_from(u, eu)
+        return u, eu, p, xv.T @ (y - p if w is None else w * (y - p))
+
+    def converged(beta, u, iterations, max_abs_score):
+        # beta = 0 classifies no row strictly, so a fit that took no step
+        # (every weight zero included) is never read as separated
+        right = (2.0 * y - 1.0) * u > 0.0
+        if iterations and np.all(right if w is None else right | (w == 0.0)):
+            raise SeparationSuspected(
+                f"the data are completely separated (max |coef| = "
+                f"{np.max(np.abs(beta)):.2f} after {iterations} iterations); "
+                "no finite maximum likelihood estimate exists",
+                fit=LogisticFit(beta, False, iterations, max_abs_score),
+            )
+        return LogisticFit(beta, True, iterations, max_abs_score)
+
     beta = np.zeros(k)
-    u = xv @ beta
-    eu = np.exp(-np.abs(u))
-    loglik = _log_likelihood(u, eu, y, w)
+    u, eu, p, score = evaluate(beta)
     max_abs_score = np.inf
 
     for iteration in range(1, MAX_ITER + 1):
-        p = _expit_from(u, eu)
-        score = xv.T @ (y - p if w is None else w * (y - p))
         max_abs_score = float(np.max(np.abs(score))) if k else 0.0
         if max_abs_score <= SCORE_TOL:
-            return LogisticFit(beta, True, iteration - 1, max_abs_score)
+            return converged(beta, u, iteration - 1, max_abs_score)
 
         curvature = (p if w is None else w * p) * (1.0 - p)
         info = xv.T @ (xv * curvature[:, None])
@@ -215,22 +238,26 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
         step = np.linalg.solve(info, score)
 
         # step halving keeps the likelihood monotone near separation; if the
-        # full step and MAX_HALVINGS halvings all lower it, one more is taken
+        # full step and MAX_HALVINGS halvings all lower it, one more is taken.
+        # The current log-likelihood is formed only for a candidate that
+        # fails both the slope and the score test
+        loglik = None
         scale = 1.0
         for halving in range(MAX_HALVINGS + 2):
             candidate = beta + scale * step
-            u_new = xv @ candidate
-            eu_new = np.exp(-np.abs(u_new))
-            loglik_new = _log_likelihood(u_new, eu_new, y, w)
-            if loglik_new >= loglik or halving > MAX_HALVINGS:
+            u_new, eu_new, p_new, score_new = evaluate(candidate)
+            if (step @ score_new >= 0.0 or np.max(np.abs(score_new)) <= SCORE_TOL
+                    or halving > MAX_HALVINGS):
+                break
+            if loglik is None:
+                loglik = _log_likelihood(u, eu, y, w)
+            if _log_likelihood(u_new, eu_new, y, w) >= loglik:
                 break
             scale *= 0.5
-        beta, u, eu, loglik = candidate, u_new, eu_new, loglik_new
+        beta, u, eu, p, score = candidate, u_new, eu_new, p_new, score_new
 
         if float(np.max(np.abs(scale * step))) <= STEP_TOL:
-            p = _expit_from(u, eu)
-            score = xv.T @ (y - p if w is None else w * (y - p))
-            return LogisticFit(beta, True, iteration, float(np.max(np.abs(score))))
+            return converged(beta, u, iteration, float(np.max(np.abs(score))))
 
     failed = LogisticFit(beta, False, MAX_ITER, max_abs_score)
     if np.any(np.abs(beta) > SEPARATION_COEF):

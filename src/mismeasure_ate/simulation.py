@@ -171,14 +171,23 @@ def draw_covariates_and_treatment(dgp: DgpConfig,
     return x, t
 
 
-def generate_population(dgp: DgpConfig, rng: np.random.Generator) -> Population:
-    """Draw one complete dataset. Draw order (fixed for reproducibility):
-    covariates, treatment uniforms (``draw_covariates_and_treatment``),
-    outcome uniforms, misclassification uniforms."""
-    n = dgp.n
+def draw_gold_data(dgp: DgpConfig,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of ``generate_population`` before the misclassification:
+    covariates x and treatment t (``draw_covariates_and_treatment``), then
+    the gold outcome y from its uniforms."""
     x, t = draw_covariates_and_treatment(dgp, rng)
     coefs_y = np.asarray(dgp.outcome_coefs)
-    y = (rng.random(n) < expit(coefs_y[0] + coefs_y[1] * t + x @ coefs_y[2:])).astype(float)
+    y = (rng.random(dgp.n) < expit(coefs_y[0] + coefs_y[1] * t + x @ coefs_y[2:])).astype(float)
+    return x, t, y
+
+
+def generate_population(dgp: DgpConfig, rng: np.random.Generator) -> Population:
+    """Draw one complete dataset. Draw order (fixed for reproducibility):
+    covariates, treatment uniforms, outcome uniforms (``draw_gold_data``),
+    misclassification uniforms."""
+    n = dgp.n
+    x, t, y = draw_gold_data(dgp, rng)
     if dgp.heterogeneous_misclass is not None:
         h0, h1 = dgp.heterogeneous_misclass
         p10 = expit(h0 + h1 * t)
@@ -210,16 +219,21 @@ def calibrate_intercept(dgp: DgpConfig, selection: SelectionConfig,
     The expectation is evaluated on the covariates and treatments of one
     large calibration population (default 200k rows), drawn as
     ``generate_population`` draws them, and scaled to the scenario's n; the
-    bracket is [-20, 20].
+    bracket is [-20, 20]. Each row's odds factor exp(-(t a_T + x a_x)) is
+    formed once, so a probe a takes no exponential per row:
+    mean(1 / (1 + exp(-a) * odds)) * n, where an odds product that
+    overflows to inf gives the exact limit 0.
     """
     if selection.kind == "srs":
         raise ValueError("srs selection has no intercept to calibrate")
     x, t = draw_covariates_and_treatment(replace(dgp, n=calibration_n), rng)
     slopes = np.asarray(selection.alpha0, dtype=float)[1:]
-    linear = t * slopes[0] + x @ slopes[1:]
+    with np.errstate(over="ignore"):
+        odds = np.exp(-(t * slopes[0] + x @ slopes[1:]))
 
     def expected_nv(intercept: float) -> float:
-        return float(np.mean(expit(intercept + linear))) * dgp.n
+        with np.errstate(over="ignore"):
+            return float(np.mean(1.0 / (1.0 + np.exp(-intercept) * odds))) * dgp.n
 
     lo, hi = -20.0, 20.0
     if not expected_nv(lo) <= selection.target_nv <= expected_nv(hi):
@@ -263,13 +277,10 @@ class TruthEstimate:
 
 
 def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
-    rng = _rng(child_seed(base_seed, index))
-    population = generate_population(dgp_large, rng)
-    x_treat = DesignMatrix.with_intercept(population.x)
-    fit = fit_logistic(x_treat, population.t)
-    e = predict_proba(fit, x_treat)
-    return est.ipw_difference(population.t, 1.0 - population.t, population.y,
-                              e, float(dgp_large.n))
+    x, t, y = draw_gold_data(dgp_large, _rng(child_seed(base_seed, index)))
+    x_treat = DesignMatrix.with_intercept(x)
+    e = predict_proba(fit_logistic(x_treat, t), x_treat)
+    return est.ipw_difference(t, 1.0 - t, y, e, float(dgp_large.n))
 
 
 def true_ate_oracle(dgp: DgpConfig, *, populations: int = 100, population_n: int = 50_000,

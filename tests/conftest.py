@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mismeasure_ate import numerics
 from mismeasure_ate.frames import MisclassRates, ObservationFrame, PropensityPair
 
 # Canonical six-row fixture with externally supplied propensities. Every
@@ -66,3 +67,16 @@ def make_random_frame(rng: np.random.Generator, n: int, *, full_y: bool = True):
         y=y if full_y else np.where(v == 1, y, np.nan),
     )
     return frame, PropensityPair(e=e, pi_v=pi), MisclassRates(p11=p11, p10=p10)
+
+
+def count_log_likelihoods(monkeypatch) -> list:
+    """Patch the IRLS log-likelihood to record each evaluation in the
+    returned list from here on."""
+    calls, log_likelihood = [], numerics._log_likelihood
+
+    def counting(*args):
+        calls.append(None)
+        return log_likelihood(*args)
+
+    monkeypatch.setattr(numerics, "_log_likelihood", counting)
+    return calls

@@ -716,10 +716,10 @@ def test_sy_combined_weight_on_an_empty_piece_is_a_recorded_failure():
     assert analysis.failures == {"sy_combined": "EmptyComplement"}
 
 
-def test_blocks_of_different_scale_do_not_read_as_singular():
-    # every treated row is validated, so the fitted selection model is nearly
-    # separated and its score rows are orders of magnitude smaller than the
-    # tau rows; the stack is still well posed once each equation is scaled
+def test_completely_separated_selection_fails_only_its_estimators():
+    # every treated row is validated and a line through (t, x) splits the
+    # validated rows from the rest: the selection model has no finite MLE,
+    # so s_weighted, which reads it, fails; the other estimators keep their SEs
     x = np.array([[-0.81, 0.62], [1.13, -0.11], [-0.84, -0.82], [0.65, 0.74],
                   [0.54, -0.67], [0.23, 0.12], [0.22, 0.87], [0.22, 0.68]])
     t = np.array([1, 1, 0, 1, 1, 0, 1, 0], dtype=float)
@@ -727,6 +727,33 @@ def test_blocks_of_different_scale_do_not_read_as_singular():
     y_star = np.array([0, 1, 1, 1, 1, 0, 1, 0], dtype=float)
     v = np.array([1, 1, 0, 1, 1, 0, 1, 1], dtype=float)
     frame = ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
+    ids = ["oracle", "naive", "all_silver", "s_weighted"]
+    analysis = inf.analyze_frame(frame, ids, x_sel=selection_design(frame))
+    assert analysis.failures == {"s_weighted": "SeparationSuspected"}
+    assert not analysis.se_failures
+    assert all(analysis.estimates[est_id].se > 0 for est_id in ids[:3])
+
+
+def test_blocks_of_different_scale_do_not_read_as_singular():
+    # one row is not validated and it sits among validated rows, so the
+    # selection fit is finite but nearly separated (|coefficients| near 20):
+    # its bread rows are one to two orders of magnitude smaller than the tau
+    # rows, and unscaled, rounding drives the sandwich's variances negative;
+    # the stack is still well posed once each equation is scaled
+    x = np.array([[-1.62, -0.87], [-0.16, -1.97], [-1.0, -1.48], [0.66, -0.88],
+                  [-0.17, 0.4], [0.8, -0.97], [0.43, 0.37], [-0.46, 0.9],
+                  [-0.25, -1.09], [1.36, -0.51], [0.75, 0.08], [2.02, 0.65],
+                  [-0.06, 2.0], [2.24, -0.46], [-0.63, -1.17], [0.21, 0.84],
+                  [0.09, -1.71], [0.13, 1.47], [1.24, -1.16], [0.13, -0.08]])
+    t = np.array([1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 1, 0], dtype=float)
+    y = np.array([1, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1], dtype=float)
+    y_star = np.array([1, 1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0],
+                      dtype=float)
+    v = np.ones(20)
+    v[17] = 0.0
+    frame = ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
+    selection = fit_logistic(selection_design(frame), v)
+    assert selection.converged and np.max(np.abs(selection.coefficients)) > 15.0
     ids = ["oracle", "naive", "all_silver", "s_weighted"]
     analysis = inf.analyze_frame(frame, ids, x_sel=selection_design(frame))
     assert not analysis.failures and not analysis.se_failures

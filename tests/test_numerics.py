@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import count_log_likelihoods
 from mismeasure_ate.errors import (
     DimensionMismatch,
     NonFiniteEvaluation,
+    SeparationSuspected,
     SingularSystem,
 )
 from mismeasure_ate.numerics import (
@@ -139,6 +141,52 @@ def test_weighted_fit_matches_independent_solver():
     fit = fit_logistic(x, y, weights=w)
     reference = oracles.newton_logistic(x.values, y, weights=w)
     np.testing.assert_allclose(fit.coefficients, reference, atol=1e-8)
+
+
+def test_uphill_steps_need_no_log_likelihood(monkeypatch):
+    # every candidate of this fit is accepted by its slope or its score
+    calls = count_log_likelihoods(monkeypatch)
+    rng = np.random.default_rng(7)
+    x = DesignMatrix.with_intercept(rng.normal(size=(200, 5)))
+    y = (rng.random(200) < expit(x.values @ np.array([0.8, 0.3, 0.3, 0.3, 0.3, 0.3]))).astype(float)
+    assert fit_logistic(x, y).converged
+    assert not calls
+
+
+def test_downhill_slope_falls_back_to_the_log_likelihood(monkeypatch):
+    # a steep, nearly separated 40-row design: some full Newton step ends
+    # where the log-likelihood falls again along the step, so the
+    # log-likelihoods decide, and the fit still reaches the MLE
+    calls = count_log_likelihoods(monkeypatch)
+    rng = np.random.default_rng(852)
+    x = DesignMatrix.with_intercept(rng.normal(size=(40, 3)))
+    y = (rng.random(40) < expit(x.values @ rng.normal(scale=8.0, size=4))).astype(float)
+    fit = fit_logistic(x, y)
+    assert fit.converged and calls
+    reference = oracles.newton_logistic(x.values, y)
+    np.testing.assert_allclose(fit.coefficients, reference, rtol=0.0, atol=1e-8)
+
+
+def test_complete_separation_raises():
+    # y = 1 exactly where x > 0: the likelihood rises without bound along the
+    # slope, and the score test is met at a finite iterate that separates
+    x = DesignMatrix.with_intercept(np.linspace(-3.0, 3.0, 40))
+    y = (x.values[:, 1] > 0).astype(float)
+    with pytest.raises(SeparationSuspected) as raised:
+        fit_logistic(x, y)
+    assert not raised.value.fit.converged
+    assert np.all((2.0 * y - 1.0) * (x.values @ raised.value.fit.coefficients) > 0.0)
+    # a row of weight zero does not break the separation; any positive weight does
+    flipped = y.copy()
+    flipped[[10, 30]] = 1.0 - flipped[[10, 30]]
+    weights = np.ones(40)
+    weights[[10, 30]] = 0.0
+    with pytest.raises(SeparationSuspected):
+        fit_logistic(x, flipped, weights=weights)
+    weights[[10, 30]] = 0.5
+    assert fit_logistic(x, flipped, weights=weights).converged
+    # no weight at all: the start already meets the score test
+    assert fit_logistic(x, y, weights=np.zeros(40)).iterations == 0
 
 
 def _quasi_separated():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from conftest import count_log_likelihoods
 from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import CalibrationFailed, TooManyFailures
 from mismeasure_ate.inference import analyze_frame
@@ -83,19 +84,38 @@ def test_calibration_draws_are_the_population_draws(seed):
     population = sim.generate_population(dgp, sim._rng(seed))
     np.testing.assert_array_equal(x, population.x)
     np.testing.assert_array_equal(t, population.t)
+    # the truth oracle's draws: the same x and t, then the gold outcome
+    for drawn, full in zip(sim.draw_gold_data(dgp, sim._rng(seed)),
+                           (population.x, population.t, population.y)):
+        np.testing.assert_array_equal(drawn, full)
 
 
-# Intercepts calibrated on full generate_population draws: drawing only the
-# covariates and treatments it reads must leave them bitwise equal.
+# Intercepts calibrated on full generate_population draws, with one logistic
+# per row and probe: drawing only the covariates and treatments it reads, and
+# probing on odds formed once, must leave them bitwise equal.
 @pytest.mark.parametrize("preset, intercept", [
     ("main_nonprob", "-0x1.75c0000000000p+1"),
     ("strong_alpha", "-0x1.0810000000000p+2"),
     ("flipped_alpha", "-0x1.2020000000000p+1"),
     ("heterogeneous_nonprob", "-0x1.75c0000000000p+1"),
+    ("nv500_nonprob", "-0x1.e960000000000p+1"),
+    ("nv1500_nonprob", "-0x1.c160000000000p+0"),
 ])
 def test_calibrated_intercepts_are_unchanged(preset, intercept):
     _, calibrated = sim.resolve_selection(sim.scenario_catalog()[preset])
     assert calibrated == float.fromhex(intercept)
+
+
+def test_calibration_survives_overflowing_odds():
+    # a slope of 200 puts the linear predictor below -709 on some rows, where
+    # the odds exp(-linear) overflow to inf and the probe reads their limit 0;
+    # the expectation is checked against expit on the same draws
+    steep = sim.SelectionConfig(kind="non_probability", target_nv=2500,
+                                alpha0=(0.0, 0.0, 200.0, 0.0, 0.0, 0.0, 0.0))
+    x, _ = sim.draw_covariates_and_treatment(replace(BASE, n=200_000), sim._rng(3))
+    assert np.min(200.0 * x[:, 0]) < -709.0
+    intercept = sim.calibrate_intercept(BASE, steep, sim._rng(3))
+    assert np.mean(expit(intercept + 200.0 * x[:, 0])) * BASE.n == pytest.approx(2500, abs=1.0)
 
 
 def test_calibration_failure_outside_bracket():
@@ -229,6 +249,18 @@ def test_srs_scenario_val_only_equals_s_val_only_per_iteration():
     assert analysis.estimates["s_val_only"].tau == pytest.approx(
         analysis.estimates["val_only"].tau, abs=1e-12
     )
+
+
+def test_study_fits_need_no_log_likelihood(monkeypatch):
+    # on the study's 5000-row frames every Newton candidate, treatment and
+    # selection fit alike, is accepted by its slope or its score
+    calls = count_log_likelihoods(monkeypatch)
+    config = replace(sim.scenario_catalog()["main_nonprob"], iterations=5, base_seed=3)
+    config = replace(config, selection=sim.resolve_selection(config)[0])
+    for index in range(5):
+        _, records, failures = sim._run_iteration(config, index)
+        assert records and not failures
+    assert not calls
 
 
 def test_too_many_failures_raises():
