@@ -10,23 +10,11 @@ from .frames import (  # noqa: E402
     AteEstimate,
     MisclassRates,
     ObservationFrame,
-    PropensityPair,
 )
 from .estimators import (  # noqa: E402
     compute_b_opt,
     corrected_contrast,
     estimate_misclassification,
-    tau_all_silver,
-    tau_naive,
-    tau_nonval_corrected,
-    tau_oracle,
-    tau_s_combined,
-    tau_s_nonval,
-    tau_s_opt,
-    tau_s_val_only,
-    tau_s_weighted,
-    tau_sy_combined,
-    tau_val_only,
 )
 from .inference import (  # noqa: E402
     FrameAnalysis,
@@ -58,21 +46,9 @@ __all__ = [
     "AteEstimate",
     "MisclassRates",
     "ObservationFrame",
-    "PropensityPair",
     "compute_b_opt",
     "corrected_contrast",
     "estimate_misclassification",
-    "tau_all_silver",
-    "tau_naive",
-    "tau_nonval_corrected",
-    "tau_oracle",
-    "tau_s_combined",
-    "tau_s_nonval",
-    "tau_s_opt",
-    "tau_s_val_only",
-    "tau_s_weighted",
-    "tau_sy_combined",
-    "tau_val_only",
     "FrameAnalysis",
     "SandwichResult",
     "StackedParams",

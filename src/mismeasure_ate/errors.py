@@ -43,10 +43,6 @@ class NonFiniteEvaluation(MismeasureError):
 
 # --- estimators -------------------------------------------------------------
 
-class InvalidPropensity(MismeasureError):
-    """A propensity lies outside (0, 1) or is missing where required."""
-
-
 class DegenerateValidation(MismeasureError):
     """Validation subsample cannot identify the misclassification rates
     (no gold positives, no gold negatives, or no validated rows at all)."""

@@ -1,16 +1,18 @@
-"""Point estimators of the average treatment effect.
+"""Arithmetic shared by the stacked plug-in and ``analyze_frame``.
 
-Every estimator is a pure function of an ObservationFrame plus externally
-fitted propensities, so the same code serves the Monte Carlo loop (refit per
-iteration) and one-shot data analysis. Sandwich standard errors live in
-``inference``; these functions return point estimates only.
+Every point estimate is read from the solved stack of estimating equations
+(``inference``); this module holds the pieces that stack is built from:
+the counted misclassification rates, the misclassification-corrected
+contrast, the plain IPW and Hajek arm means, the R and D weights, the
+checks on the validation arms and the blend weights, and the
+variance-minimizing weight b_opt.
 
 Notation used in the docstrings: e is the treatment propensity, pi the
 validation-selection propensity, p11/p10 the misclassification rates, V the
 validation indicator, Y the gold outcome, Y* the error-prone outcome.
 
-Every estimator that consumes rates corrects each treatment arm's silver
-mean m_t as (m_t - p10_t) / (p11_t - p10_t) before differencing (see
+Every rate-consuming estimator corrects each treatment arm's silver mean
+m_t as (m_t - p10_t) / (p11_t - p10_t) before differencing (see
 ``corrected_contrast``). Pooled rates (``MisclassRates``) use one pair for
 both arms, which is the familiar (m_1 - m_0) / (p11 - p10); per-arm rates
 (``ArmRates``) remove the bias of treatment-dependent misclassification.
@@ -27,9 +29,7 @@ from .errors import (
     DegenerateVarianceWarning,
     EmptyArm,
     EmptyComplement,
-    EmptyComplementArm,
     EmptyValidationArm,
-    MissingGoldOutcomes,
     NonIdentifiable,
     WeightOutOfRange,
 )
@@ -37,10 +37,8 @@ from .frames import (
     IDENTIFIABILITY_TOL,
     MISCLASSIFICATION_MODES,
     ArmRates,
-    AteEstimate,
     MisclassRates,
     ObservationFrame,
-    PropensityPair,
 )
 
 B_OPT_DENOM_TOL = 1e-14
@@ -148,24 +146,6 @@ def d_weights(t: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t / e, (1.0 - t) / (1.0 - e)
 
 
-def tau_oracle(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
-    """IPW contrast on the true outcome: mean(T*Y/e) - mean((1-T)*Y/(1-e)).
-
-    Requires the gold outcome on every row, so this is a simulation-only
-    benchmark.
-    """
-    if np.any(np.isnan(frame.y)):
-        raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
-    tau = ipw_difference(frame.t, 1.0 - frame.t, frame.y, props.e, float(frame.n))
-    return AteEstimate("oracle", tau)
-
-
-def tau_naive(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
-    """Oracle formula with the error-prone outcome substituted for Y."""
-    tau = ipw_difference(frame.t, 1.0 - frame.t, frame.y_star, props.e, float(frame.n))
-    return AteEstimate("naive", tau)
-
-
 def require_validation_arms(frame: ObservationFrame) -> None:
     """EmptyValidationArm unless the validated rows hold both treatment arms."""
     if frame.n_v < 1:
@@ -173,32 +153,6 @@ def require_validation_arms(frame: ObservationFrame) -> None:
     v = frame.v
     if not (np.any((v == 1.0) & (frame.t == 1.0)) and np.any((v == 1.0) & (frame.t == 0.0))):
         raise EmptyValidationArm("validation rows must include both treatment arms")
-
-
-def tau_val_only(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
-    """IPW contrast using gold outcomes on validation rows, normalized by n_V."""
-    require_validation_arms(frame)
-    v = frame.v
-    tau = ipw_difference(v * frame.t, v * (1.0 - frame.t), frame.y_validated,
-                         props.e, float(frame.n_v))
-    return AteEstimate("val_only", tau)
-
-
-def tau_nonval_corrected(frame: ObservationFrame, props: PropensityPair,
-                         rates: MisclassRates | ArmRates) -> AteEstimate:
-    """Misclassification-corrected IPW contrast on the non-validation rows.
-
-    Corrected contrast of the complement arm means mean(T*Y*/e) and
-    mean((1-T)*Y*/(1-e)); with pooled rates,
-    (1 / (p11 - p10)) * [mean over complement of T*Y*/e - (1-T)*Y*/(1-e)].
-    """
-    m = frame.n - frame.n_v
-    if m < 1:
-        raise EmptyComplement("every row is validated; no complement to correct")
-    nv_mask = 1.0 - frame.v
-    treated, control = ipw_means(nv_mask * frame.t, nv_mask * (1.0 - frame.t),
-                                 frame.y_star, props.e, float(m))
-    return AteEstimate("nonval_corrected", corrected_contrast(rates, treated, control))
 
 
 def unit_weight(name: str, value: float) -> float:
@@ -224,91 +178,6 @@ def sy_combined_weight(n: int, n_v: int, w: float) -> float:
     return w * n_v / denom
 
 
-def tau_sy_combined(frame: ObservationFrame, props: PropensityPair,
-                    rates: MisclassRates | ArmRates, w: float = 0.5) -> AteEstimate:
-    """Sample-size-weighted blend of val_only and nonval_corrected.
-
-    lam = w*n_V / (w*n_V + (1-w)*(n - n_V)); w = 0.5 weights the two pieces
-    proportionally to their sizes.
-    """
-    lam = sy_combined_weight(frame.n, frame.n_v, w)
-    part_val = tau_val_only(frame, props).tau
-    part_nonval = tau_nonval_corrected(frame, props, rates).tau
-    return AteEstimate("sy_combined", lam * part_val + (1.0 - lam) * part_nonval,
-                       weight_used=w)
-
-
-def tau_s_val_only(frame: ObservationFrame, props: PropensityPair) -> AteEstimate:
-    """Validation-only contrast reweighted by selection propensities:
-    mean(V*T*Y/(e*pi)) - mean(V*(1-T)*Y/((1-e)*pi)); as for val_only, the
-    validated rows must hold both treatment arms."""
-    pi = props.require_selection()
-    require_validation_arms(frame)
-    v = frame.v
-    y = frame.y_validated
-    tau = ipw_difference(v * frame.t, v * (1.0 - frame.t), y / pi,
-                         props.e, float(frame.n))
-    return AteEstimate("s_val_only", tau)
-
-
-def tau_s_nonval(frame: ObservationFrame, props: PropensityPair,
-                 rates: MisclassRates | ArmRates | None = None, *,
-                 corrected: bool = True) -> AteEstimate:
-    """Hajek contrast of Y* over the complement with selection weighting.
-
-    Weighted by the complement weights R (``r_weights``). With ``corrected``
-    the two ratio-of-sums arm means go through ``corrected_contrast`` (pooled
-    rates: the raw difference scaled by 1/(p11 - p10)); otherwise the raw
-    Hajek difference is returned.
-    """
-    weights = r_weights(frame.t, frame.v, props.e, props.require_selection())
-    try:
-        treated, control = hajek_means(*weights, frame.y_star)
-    except EmptyArm as exc:
-        raise EmptyComplementArm(str(exc)) from None
-    if not corrected:
-        return AteEstimate("s_nonval", treated - control)
-    if rates is None:
-        raise NonIdentifiable("corrected complement contrast needs misclassification rates")
-    return AteEstimate("s_nonval", corrected_contrast(rates, treated, control))
-
-
-def tau_s_combined(frame: ObservationFrame, props: PropensityPair,
-                   rates: MisclassRates | ArmRates) -> AteEstimate:
-    """Selection-weighted blend: (n_V/n) * s_val_only plus
-    ((n - n_V)/n) * corrected complement Hajek contrast; a part of weight
-    zero (no validated rows, or every row validated) is left out."""
-    n, n_v = frame.n, frame.n_v
-    if n_v == 0:
-        return AteEstimate("s_combined", tau_s_nonval(frame, props, rates).tau)
-    part_val = tau_s_val_only(frame, props).tau
-    if n_v == n:
-        return AteEstimate("s_combined", part_val)
-    part_nonval = tau_s_nonval(frame, props, rates, corrected=True).tau
-    tau = (n_v / n) * part_val + ((n - n_v) / n) * part_nonval
-    return AteEstimate("s_combined", tau)
-
-
-def tau_all_silver(frame: ObservationFrame, props: PropensityPair,
-                   rates: MisclassRates | ArmRates) -> AteEstimate:
-    """Corrected Hajek contrast of Y* over the full sample: the weighted means
-    of Y* under the D weights T/e and (1-T)/(1-e), through
-    ``corrected_contrast`` (pooled rates: their difference times
-    1/(p11-p10))."""
-    treated, control = hajek_means(*d_weights(frame.t, props.e), frame.y_star)
-    return AteEstimate("all_silver", corrected_contrast(rates, treated, control))
-
-
-def tau_s_weighted(frame: ObservationFrame, props: PropensityPair,
-                   rates: MisclassRates | ArmRates, b: float = 0.5) -> AteEstimate:
-    """Fixed-weight blend b * s_val_only + (1 - b) * all_silver."""
-    unit_weight("b", b)
-    part_val = tau_s_val_only(frame, props).tau
-    part_silver = tau_all_silver(frame, props, rates).tau
-    return AteEstimate("s_weighted", b * part_val + (1.0 - b) * part_silver,
-                       weight_used=b)
-
-
 def compute_b_opt(var_a: float, var_b: float, cov_ab: float) -> float:
     """Variance-minimizing blend weight for a*(component A) + (1-a)*(B).
 
@@ -326,16 +195,3 @@ def compute_b_opt(var_a: float, var_b: float, cov_ab: float) -> float:
         return 0.5
     b = (var_b - cov_ab) / denom
     return float(min(1.0, max(0.0, b)))
-
-
-def tau_s_opt(frame: ObservationFrame, props: PropensityPair, rates: MisclassRates | ArmRates,
-              var_val: float, var_silver: float, cov: float) -> AteEstimate:
-    """Blend of s_val_only and all_silver at the variance-minimizing weight.
-
-    The variance/covariance inputs come from the joint sandwich covariance of
-    the two components (see ``inference``).
-    """
-    b = compute_b_opt(var_val, var_silver, cov)
-    part_val = tau_s_val_only(frame, props).tau
-    part_silver = tau_all_silver(frame, props, rates).tau
-    return AteEstimate("s_opt", b * part_val + (1.0 - b) * part_silver, weight_used=b)

@@ -1,5 +1,5 @@
-"""Domain types: analysis frames, propensities, misclassification rates,
-and the point-estimate record every estimator returns."""
+"""Domain types: analysis frames, misclassification rates, and the
+point-estimate record every estimator returns."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidPropensity, NonIdentifiable
+from .errors import DimensionMismatch, NonIdentifiable
 
 IDENTIFIABILITY_TOL = 1e-6
 
@@ -99,34 +99,6 @@ class ObservationFrame:
     def with_full_y(self, y_full: np.ndarray) -> "ObservationFrame":
         """Attach a complete gold-outcome vector (simulation oracle path)."""
         return replace(self, y=np.asarray(y_full, dtype=float))
-
-
-@dataclass(frozen=True)
-class PropensityPair:
-    """Treatment propensities, and selection propensities when available.
-
-    Both vectors must lie strictly inside (0, 1); ``pi_v`` may be None for
-    estimators that never touch selection weights.
-    """
-
-    e: np.ndarray
-    pi_v: np.ndarray | None = None
-
-    def __post_init__(self):
-        e = np.asarray(self.e, dtype=float)
-        if np.any(~np.isfinite(e)) or np.any(e <= 0.0) or np.any(e >= 1.0):
-            raise InvalidPropensity("treatment propensities must lie strictly in (0, 1)")
-        object.__setattr__(self, "e", e)
-        if self.pi_v is not None:
-            pi = np.asarray(self.pi_v, dtype=float)
-            if np.any(~np.isfinite(pi)) or np.any(pi <= 0.0) or np.any(pi >= 1.0):
-                raise InvalidPropensity("selection propensities must lie strictly in (0, 1)")
-            object.__setattr__(self, "pi_v", pi)
-
-    def require_selection(self) -> np.ndarray:
-        if self.pi_v is None:
-            raise InvalidPropensity("estimator requires selection propensities, none supplied")
-        return self.pi_v
 
 
 @dataclass(frozen=True)

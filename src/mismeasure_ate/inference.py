@@ -49,7 +49,9 @@ weights, in the fitted propensities, as for IPW with estimated propensities
 runner and the CLI: it builds and solves the frame's stack, which evaluates
 it once, and reads each estimator's point and SE from the same parameters of
 the solved stack: the point from theta, the SE from the one sandwich of that
-evaluation. ``estimators.tau_*`` compute the same points directly.
+evaluation. The one point not read from theta is the IPW complement contrast
+of nonval_corrected and sy_combined, computed once per frame (see
+``analyze_frame``). ``estimators`` holds the arithmetic these share.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from .frames import (
     AteEstimate,
     MisclassRates,
     ObservationFrame,
-    PropensityPair,
 )
 from .numerics import (
     DesignMatrix,
@@ -618,7 +619,8 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     from the covariance. nonval_corrected and sy_combined take the IPW
     complement contrast normalized by n - n_V in place of the slope of
     ``r_const``, a Hajek (ratio) complement contrast that their SEs read;
-    the two contrasts differ.
+    the two contrasts differ. It is computed once per frame, from the fitted
+    e and the counted rates.
 
     A point exists exactly when the blocks it reads have solved. Otherwise
     its reason is the error of the first failed block in ``READS`` order;
@@ -661,6 +663,15 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
             return (b_opt, 1.0 - b_opt), b_opt
         return (1.0,), None
 
+    complement = None
+    if "r_const" in params.system.layout:
+        # the IPW complement contrast of nonval_corrected and sy_combined,
+        # which no block holds yet, in place of the Hajek slope of r_const
+        # that their SEs read
+        nv = 1.0 - frame.v
+        complement = est.corrected_contrast(params.rates, *est.ipw_means(
+            nv * frame.t, nv * (1.0 - frame.t), frame.y_star, params.e, float(n - n_v)))
+
     analysis = FrameAnalysis(rates=params.rates)
     for est_id in (i for i in ESTIMATOR_IDS if i in ids):
         try:
@@ -674,10 +685,7 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
             continue
         parts = [float(params.theta[i]) for i in where]
         if est_id in ("nonval_corrected", "sy_combined"):
-            # the IPW complement contrast, which no block holds yet, in place
-            # of the Hajek slope of r_const that their SE reads
-            parts[-1] = est.tau_nonval_corrected(frame, PropensityPair(e=params.e),
-                                                 params.rates).tau
+            parts[-1] = complement
         tau = coefficients[0] * parts[0]
         if len(parts) == 2:
             tau += coefficients[1] * parts[1]

@@ -57,15 +57,6 @@ def _expit_from(u: np.ndarray, eu: np.ndarray) -> np.ndarray:
     return np.where(u < 0, eu, 1.0) / (1.0 + eu)
 
 
-def logit(p):
-    """Inverse of expit: log(p / (1 - p))."""
-    arr = np.asarray(p, dtype=float)
-    out = np.log(arr) - np.log1p(-arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
-
-
 def clamp_probability(p):
     """Clip probabilities into [PROB_CLAMP, 1 - PROB_CLAMP]."""
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -113,14 +104,6 @@ class DesignMatrix:
     @classmethod
     def intercept_only(cls, n: int) -> "DesignMatrix":
         return cls(np.ones((n, 1)), has_intercept=True)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ aggregation reduces per-iteration records in iteration order.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -86,6 +87,11 @@ class DgpConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if self.n < 1:
             raise ValueError("n must be positive")
+        if self.heterogeneous_misclass is not None and (
+                len(self.heterogeneous_misclass) != 2
+                or not all(math.isfinite(h) for h in self.heterogeneous_misclass)):
+            raise ValueError("heterogeneous_misclass must be two finite numbers (h0, h1), "
+                             f"got {list(self.heterogeneous_misclass)}")
 
     @property
     def p(self) -> int:
@@ -149,6 +155,15 @@ class ScenarioConfig:
         unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if unknown:
             raise ValueError(f"unknown estimators: {unknown}")
+        if self.truth is not None and not math.isfinite(self.truth):
+            raise ValueError(f"truth must be a finite number, got {self.truth}")
+        p, selection = self.dgp.p, self.selection
+        if selection.kind == "non_probability" and len(selection.alpha0) != p + 2:
+            raise ValueError(f"alpha0 must have {p + 2} entries (intercept, T, x1..x{p}), "
+                             f"got {len(selection.alpha0)}")
+        if selection.misspecify_drop is not None and not 1 <= selection.misspecify_drop <= p:
+            raise ValueError(f"misspecify_drop must name a covariate 1..{p}, "
+                             f"got {selection.misspecify_drop}")
 
 
 @dataclass(frozen=True)
@@ -350,7 +365,7 @@ def _treatment_design(frame: ObservationFrame, selection: SelectionConfig) -> np
 def _run_iteration(config: ScenarioConfig, index: int):
     """One Monte Carlo iteration; returns (index, records, failures).
 
-    records maps estimator id to (tau, se, weight_used); failures maps
+    records maps estimator id to (tau, se); failures maps
     estimator id to an error class name. An estimator with a point estimate
     but no SE counts as failed (it cannot contribute coverage).
     """
@@ -378,7 +393,7 @@ def _run_iteration(config: ScenarioConfig, index: int):
             if estimate.se is None:
                 failures[est_id] = analysis.se_failures.get(est_id, "MissingStandardError")
             else:
-                records[est_id] = (estimate.tau, estimate.se, estimate.weight_used)
+                records[est_id] = (estimate.tau, estimate.se)
 
     main_ids = list(config.estimators)
     if config.selection.misspecify_drop is not None and "oracle" in main_ids:
@@ -438,7 +453,7 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1,
     for _, records, failures in outcomes:
         for est_id in config.estimators:
             if est_id in records:
-                tau, se, _ = records[est_id]
+                tau, se = records[est_id]
                 taus[est_id].append(tau)
                 ses[est_id].append(se)
             elif est_id in failures:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from mismeasure_ate import numerics
-from mismeasure_ate.frames import MisclassRates, ObservationFrame, PropensityPair
+from mismeasure_ate.frames import ArmRates, MisclassRates, ObservationFrame
+from mismeasure_ate.numerics import expit, fit_logistic, predict_proba
 
 # Canonical six-row fixture with externally supplied propensities. Every
 # expected value asserted against it was computed with tests/oracles.py
@@ -26,8 +28,9 @@ def d6_frame() -> ObservationFrame:
 
 
 @pytest.fixture
-def d6_props() -> PropensityPair:
-    return PropensityPair(e=D6["e"], pi_v=D6["pi"])
+def d6_props() -> tuple[np.ndarray, np.ndarray]:
+    """(e, pi): the fixture's treatment and selection propensities."""
+    return D6["e"], D6["pi"]
 
 
 @pytest.fixture
@@ -36,7 +39,8 @@ def d6_rates() -> MisclassRates:
 
 
 def make_random_frame(rng: np.random.Generator, n: int, *, full_y: bool = True):
-    """Small random frame + propensities + rates for brute-force comparisons.
+    """Small random frame, propensities e and pi, and rates for brute-force
+    comparisons: returns (frame, e, pi, rates).
 
     Guarantees both treatment arms overall, both arms inside the validation
     rows, both gold classes inside the validation rows, and a nonempty
@@ -66,7 +70,91 @@ def make_random_frame(rng: np.random.Generator, n: int, *, full_y: bool = True):
         x=x, t=t, y_star=y_star, v=v,
         y=y if full_y else np.where(v == 1, y, np.nan),
     )
-    return frame, PropensityPair(e=e, pi_v=pi), MisclassRates(p11=p11, p10=p10)
+    return frame, e, pi, MisclassRates(p11=p11, p10=p10)
+
+
+def simulated_frame(seed=5, n=3000, *, srs=False, p11=0.67, p10=0.24, p10_treated=None):
+    """Frame drawn from the study's generating process, with full gold y.
+
+    ``p10_treated`` gives the treated arm its own false-positive rate.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 5))
+    t = (rng.random(n) < expit(0.8 + 0.3 * x.sum(axis=1))).astype(float)
+    y = (rng.random(n) < expit(-3.9 + t + x.sum(axis=1))).astype(float)
+    if p10_treated is not None:
+        p10 = np.where(t == 1, p10_treated, p10)
+    y_star = (rng.random(n) < np.where(y == 1, p11, p10)).astype(float)
+    if srs:
+        pi = np.full(n, 0.17)
+    else:
+        pi = expit(-2.9 + 0.5 * t + x[:, :4].sum(axis=1))
+    v = (rng.random(n) < pi).astype(float)
+    return ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
+
+
+def selection_design(frame):
+    """Fitted selection design: intercept, treatment and every covariate."""
+    return np.column_stack([np.ones(frame.n), frame.t, frame.x])
+
+
+VARIANTS = ("fitted", "srs", "by_arm", "printed")
+
+
+def frame_variant(label, seed=0):
+    """(frame, analyze_frame keywords): a fitted selection model with pooled
+    rates, a simple random sample, per-arm rates, or the printed score.
+    ``seed`` shifts the frame's seed."""
+    if label == "srs":
+        return simulated_frame(seed=71 + 100 * seed, n=2000, srs=True), dict(x_sel=None)
+    if label == "by_arm":
+        frame = simulated_frame(seed=73 + 100 * seed, n=2000, p10=0.12, p10_treated=0.18)
+        return frame, dict(x_sel=selection_design(frame), misclassification="by_arm")
+    frame = simulated_frame(seed=67 + 100 * seed, n=2000)
+    variant = "printed" if label == "printed" else "standard"
+    return frame, dict(x_sel=selection_design(frame), score_variant=variant)
+
+
+def fitted_props(frame, x_treat, x_sel=None):
+    """(e, pi): the propensities the plug-in fits, recomputed from scratch;
+    pi is the validation share n_V / n on every row when ``x_sel`` is None."""
+    e = predict_proba(fit_logistic(x_treat, frame.t), x_treat)
+    if x_sel is None:
+        return e, np.full(frame.n, frame.n_v / frame.n)
+    return e, predict_proba(fit_logistic(x_sel, frame.v), x_sel)
+
+
+def oracle_points(frame, e, pi, rates, *, b, b_opt, w=0.5):
+    """Every estimator's point from the row loops of tests/oracles.py at the
+    given propensities, rates and blend weights, keyed by estimator id.
+    Per-arm rates (ArmRates) go through the ``*_by_arm_tau`` oracles."""
+    t, y, ys, v, e, pi = (np.asarray(a).tolist() for a in
+                          (frame.t, frame.y, frame.y_star, frame.v, e, pi))
+    if isinstance(rates, ArmRates):
+        pairs = tuple((arm.p11, arm.p10) for arm in rates.arms)
+        corrected = {
+            "nonval_corrected": oracles.nonval_corrected_by_arm_tau(t, ys, v, e, pairs),
+            "sy_combined": oracles.sy_combined_by_arm_tau(t, y, ys, v, e, pairs, w=w),
+            "s_nonval": oracles.s_nonval_by_arm_tau(t, ys, v, e, pi, pairs),
+            "s_combined": oracles.s_combined_by_arm_tau(t, y, ys, v, e, pi, pairs),
+            "all_silver": oracles.all_silver_by_arm_tau(t, ys, e, pairs),
+            "s_weighted": oracles.s_weighted_by_arm_tau(t, y, ys, v, e, pi, pairs, b=b),
+            "s_opt": oracles.s_weighted_by_arm_tau(t, y, ys, v, e, pi, pairs, b=b_opt),
+        }
+    else:
+        p11, p10 = rates.p11, rates.p10
+        corrected = {
+            "nonval_corrected": oracles.nonval_corrected_tau(t, ys, v, e, p11, p10),
+            "sy_combined": oracles.sy_combined_tau(t, y, ys, v, e, p11, p10, w=w),
+            "s_nonval": oracles.s_nonval_corrected_tau(t, ys, v, e, pi, p11, p10),
+            "s_combined": oracles.s_combined_tau(t, y, ys, v, e, pi, p11, p10),
+            "all_silver": oracles.all_silver_tau(t, ys, e, p11, p10),
+            "s_weighted": oracles.s_weighted_tau(t, y, ys, v, e, pi, p11, p10, b=b),
+            "s_opt": oracles.s_weighted_tau(t, y, ys, v, e, pi, p11, p10, b=b_opt),
+        }
+    return {"oracle": oracles.oracle_tau(t, y, e), "naive": oracles.naive_tau(t, ys, e),
+            "val_only": oracles.val_only_tau(t, y, v, e),
+            "s_val_only": oracles.s_val_only_tau(t, y, v, e, pi), **corrected}
 
 
 def count_log_likelihoods(monkeypatch) -> list:

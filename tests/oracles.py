@@ -149,6 +149,15 @@ def nonval_corrected_by_arm_tau(t, y_star, v, e, arm_rates):
     return arm_corrected_contrast(treated, control, arm_rates)
 
 
+def sy_combined_by_arm_tau(t, y, y_star, v, e, arm_rates, w=0.5):
+    n = len(t)
+    n_v = sum(v)
+    lam = w * n_v / (w * n_v + (1 - w) * (n - n_v))
+    return lam * val_only_tau(t, y, v, e) + (1 - lam) * nonval_corrected_by_arm_tau(
+        t, y_star, v, e, arm_rates
+    )
+
+
 def s_nonval_by_arm_tau(t, y_star, v, e, pi, arm_rates):
     n = len(t)
     w_t = [(1 - v[i]) * t[i] / (e[i] * (1 - pi[i])) for i in range(n)]
@@ -156,6 +165,14 @@ def s_nonval_by_arm_tau(t, y_star, v, e, pi, arm_rates):
     treated = math.fsum(w_t[i] * y_star[i] for i in range(n)) / math.fsum(w_t)
     control = math.fsum(w_c[i] * y_star[i] for i in range(n)) / math.fsum(w_c)
     return arm_corrected_contrast(treated, control, arm_rates)
+
+
+def s_combined_by_arm_tau(t, y, y_star, v, e, pi, arm_rates):
+    n = len(t)
+    n_v = sum(v)
+    part_val = s_val_only_tau(t, y, v, e, pi)
+    part_nonval = s_nonval_by_arm_tau(t, y_star, v, e, pi, arm_rates)
+    return (n_v / n) * part_val + ((n - n_v) / n) * part_nonval
 
 
 def all_silver_by_arm_tau(t, y_star, e, arm_rates):

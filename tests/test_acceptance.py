@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import D6
+from conftest import fitted_props, oracle_points
 from mismeasure_ate import cli
 from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
 from mismeasure_ate import simulation as sim
-from mismeasure_ate.frames import MisclassRates, ObservationFrame, PropensityPair
-from mismeasure_ate.numerics import fit_logistic, predict_proba
+from mismeasure_ate.frames import ESTIMATOR_IDS, MisclassRates, ObservationFrame
+from mismeasure_ate.numerics import expit
 
 ACCEPT_SEED = 20250801
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -195,94 +195,81 @@ def test_4_true_effect_benchmark(truth_value):
 def test_5_exact_identities():
     failures = []
 
-    # D6 fixture equivalence against the independent direct-summation oracle
-    frame = ObservationFrame(x=D6["x"], t=D6["t"], y_star=D6["y_star"], v=D6["v"],
-                             y=D6["y"].astype(float))
-    props = PropensityPair(e=D6["e"], pi_v=D6["pi"])
-    rates = MisclassRates(0.67, 0.24)
-    t, y, ys, v = D6["t"], D6["y"], D6["y_star"], D6["v"]
-    e, pi = D6["e"], D6["pi"]
-    d6_pairs = [
-        ("oracle", est.tau_oracle(frame, props).tau, oracles.oracle_tau(t, y, e)),
-        ("naive", est.tau_naive(frame, props).tau, oracles.naive_tau(t, ys, e)),
-        ("val_only", est.tau_val_only(frame, props).tau, oracles.val_only_tau(t, y, v, e)),
-        ("nonval_corrected", est.tau_nonval_corrected(frame, props, rates).tau,
-         oracles.nonval_corrected_tau(t, ys, v, e, 0.67, 0.24)),
-        ("sy_combined", est.tau_sy_combined(frame, props, rates).tau,
-         oracles.sy_combined_tau(t, y, ys, v, e, 0.67, 0.24)),
-        ("s_val_only", est.tau_s_val_only(frame, props).tau,
-         oracles.s_val_only_tau(t, y, v, e, pi)),
-        ("s_nonval", est.tau_s_nonval(frame, props, rates).tau,
-         oracles.s_nonval_corrected_tau(t, ys, v, e, pi, 0.67, 0.24)),
-        ("s_combined", est.tau_s_combined(frame, props, rates).tau,
-         oracles.s_combined_tau(t, y, ys, v, e, pi, 0.67, 0.24)),
-        ("all_silver", est.tau_all_silver(frame, props, rates).tau,
-         oracles.all_silver_tau(t, ys, e, 0.67, 0.24)),
-        ("s_weighted", est.tau_s_weighted(frame, props, rates, b=0.5).tau,
-         oracles.s_weighted_tau(t, y, ys, v, e, pi, 0.67, 0.24, b=0.5)),
-        ("s_opt", est.tau_s_opt(frame, props, rates, 2.0, 1.0, 0.3).tau,
-         oracles.s_opt_tau(t, y, ys, v, e, pi, 0.67, 0.24, 2.0, 1.0, 0.3)),
-    ]
-    for est_id, got, want in d6_pairs:
-        if not abs(got - want) <= 1e-12:
-            failures.append(f"D6 {est_id}: {got!r} != {want!r}")
-
-    # constant selection probability collapses the weighted estimator
-    const = PropensityPair(e=D6["e"], pi_v=np.full(6, frame.n_v / 6.0))
-    if not abs(est.tau_s_val_only(frame, const).tau
-               - est.tau_val_only(frame, props).tau) <= 1e-12:
-        failures.append("constant-selection reduction")
-
-    # endpoint identities for the blend weights
-    if est.tau_sy_combined(frame, props, rates, w=1.0).tau != est.tau_val_only(frame, props).tau:
-        failures.append("w=1 endpoint")
-    if est.tau_sy_combined(frame, props, rates, w=0.0).tau != est.tau_nonval_corrected(frame, props, rates).tau:
-        failures.append("w=0 endpoint")
-    if est.tau_s_weighted(frame, props, rates, b=1.0).tau != est.tau_s_val_only(frame, props).tau:
-        failures.append("b=1 endpoint")
-    if est.tau_s_weighted(frame, props, rates, b=0.0).tau != est.tau_all_silver(frame, props, rates).tau:
-        failures.append("b=0 endpoint")
-
-    # perfect-classification reductions
-    clean = ObservationFrame(x=D6["x"], t=t, y_star=y, v=v, y=D6["y"].astype(float))
-    perfect = MisclassRates(1.0, 0.0)
-    w_t = clean.t / props.e
-    w_c = (1.0 - clean.t) / (1.0 - props.e)
-    if not abs(est.tau_all_silver(clean, props, perfect).tau
-               - oracles.hajek_contrast(w_t, w_c, clean.y)) <= 1e-12:
-        failures.append("perfect-rates full-sample reduction")
-    nv = 1.0 - clean.v
-    m = clean.n - clean.n_v
-    plain = est.ipw_difference(nv * clean.t, nv * (1.0 - clean.t), clean.y, props.e, float(m))
-    if not abs(est.tau_nonval_corrected(clean, props, perfect).tau - plain) <= 1e-12:
-        failures.append("perfect-rates complement reduction")
-
-    # stacked-system identities on a simulated frame
+    # a simulated frame with a biased validation sample
     rng = sim._rng(sim.child_seed(ACCEPT_SEED, 123))
     population = sim.generate_population(replace(sim.DgpConfig(), n=3000), rng)
     pi_lin = 0.5 * population.t + population.x[:, :4].sum(axis=1) - 2.9
-    from mismeasure_ate.numerics import expit
-
     v_draw = (rng.random(3000) < expit(pi_lin)).astype(float)
     sim_frame = ObservationFrame(x=population.x, t=population.t,
                                  y_star=population.y_star, v=v_draw, y=population.y)
-    x_sel = np.column_stack([np.ones(sim_frame.n), sim_frame.t, sim_frame.x])
+    n, n_v = sim_frame.n, sim_frame.n_v
+    x_sel = np.column_stack([np.ones(n), sim_frame.t, sim_frame.x])
     system = inf.build_system(sim_frame, x_sel=x_sel)
+    xt = system.x_treat
+    e_hat, pi_hat = fitted_props(sim_frame, xt, x_sel)
+    frame_rates = est.estimate_misclassification(sim_frame)
+
+    # every point read from the stack against the independent row-loop oracle
+    analysis = inf.analyze_frame(sim_frame, ESTIMATOR_IDS, x_sel=x_sel)
+    if analysis.failures or analysis.se_failures:
+        failures.append(f"analysis failed: {analysis.failures} {analysis.se_failures}")
+    else:
+        want = oracle_points(sim_frame, e_hat, pi_hat, frame_rates, b=n_v / n,
+                             b_opt=analysis.b_opt)
+        for est_id in ESTIMATOR_IDS:
+            got = analysis.estimates[est_id].tau
+            if not abs(got - want[est_id]) <= 1e-12:
+                failures.append(f"oracle {est_id}: {got!r} != {want[est_id]!r}")
+
+    # constant selection probability collapses the weighted estimator
+    constant = inf.analyze_frame(sim_frame, ["s_val_only"], x_sel=np.ones((n, 1)))
+    srs = inf.analyze_frame(sim_frame, ["val_only"])
+    if not abs(constant.estimates["s_val_only"].tau - srs.estimates["val_only"].tau) <= 1e-12:
+        failures.append("constant-selection reduction")
+
+    # endpoint identities for the blend weights
+    def points(**kwargs):
+        return {est_id: estimate.tau for est_id, estimate in inf.analyze_frame(
+            sim_frame, ESTIMATOR_IDS, x_sel=x_sel, **kwargs).estimates.items()}
+
+    at = {"w=1": points(w=1.0), "w=0": points(w=0.0), "b=1": points(b=1.0), "b=0": points(b=0.0)}
+    for label, blend, piece in (("w=1", "sy_combined", "val_only"),
+                                ("w=0", "sy_combined", "nonval_corrected"),
+                                ("b=1", "s_weighted", "s_val_only"),
+                                ("b=0", "s_weighted", "all_silver")):
+        if at[label][blend] != at[label][piece]:
+            failures.append(f"{label} endpoint")
+
+    # perfect-classification reductions: with Y* = Y the counted rates are (1, 0)
+    clean = replace(sim_frame, y_star=sim_frame.y)
+    perfect = inf.analyze_frame(clean, ["nonval_corrected", "all_silver"], x_sel=x_sel)
+    if perfect.rates != MisclassRates(1.0, 0.0) or perfect.failures:
+        failures.append(f"perfect classification counted {perfect.rates}")
+    else:
+        w_t = clean.t / e_hat
+        w_c = (1.0 - clean.t) / (1.0 - e_hat)
+        if not abs(perfect.estimates["all_silver"].tau
+                   - oracles.hajek_contrast(w_t, w_c, clean.y)) <= 1e-12:
+            failures.append("perfect-rates full-sample reduction")
+        nv = 1.0 - clean.v
+        plain = est.ipw_difference(nv * clean.t, nv * (1.0 - clean.t), clean.y, e_hat,
+                                   float(n - n_v))
+        if not abs(perfect.estimates["nonval_corrected"].tau - plain) <= 1e-12:
+            failures.append("perfect-rates complement reduction")
+
+    # stacked-system identities
     params = inf.solve_plugin(sim_frame, system)
     if params.failed:
         failures.append(f"plug-in blocks failed: {sorted(params.failed)}")
     phi, _ = params.system.evaluate(params.theta)
-    worst = float(np.max(np.abs(phi.sum(axis=0) / sim_frame.n)))
+    worst = float(np.max(np.abs(phi.sum(axis=0) / n)))
     if not worst <= 1e-6:
         failures.append(f"plug-in residual mean {worst:.2e}")
-    xt = system.x_treat
-    e_hat = predict_proba(fit_logistic(xt, sim_frame.t), xt)
-    pi_hat = predict_proba(fit_logistic(x_sel, sim_frame.v), x_sel)
-    frame_props = PropensityPair(e=e_hat, pi_v=pi_hat)
-    frame_rates = est.estimate_misclassification(sim_frame)
+    t, ys, v = sim_frame.t, sim_frame.y_star, sim_frame.v
+    p11, p10 = frame_rates.p11, frame_rates.p10
     for block, target in (
-            ("r_fit", est.tau_s_nonval(sim_frame, frame_props, frame_rates).tau),
-            ("d", est.tau_all_silver(sim_frame, frame_props, frame_rates).tau)):
+            ("r_fit", oracles.s_nonval_corrected_tau(t, ys, v, e_hat, pi_hat, p11, p10)),
+            ("d", oracles.all_silver_tau(t, ys, e_hat, p11, p10))):
         beta = params.block(block)[1]
         if not abs(beta - target) <= 1e-10:
             failures.append(f"WLS-slope identity ({block}): {beta!r} vs {target!r}")
@@ -294,7 +281,7 @@ def test_5_exact_identities():
         failures.append("treatment-model sandwich block mismatch")
 
     ok = check("5 exact identities", not failures,
-               "D6 oracle equivalence, reductions, WLS/Hajek and sandwich checks"
+               "oracle equivalence, reductions, WLS/Hajek and sandwich checks"
                + ("" if not failures else "; " + "; ".join(failures)))
     assert ok, failures
 

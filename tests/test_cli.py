@@ -434,6 +434,32 @@ def test_simulate_config_unknown_key_is_fatal(tmp_path, capsys):
     assert "iteration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes, args, message", [
+    ({"dgp": {"heterogeneous_misclass": [-2, 0.5, 1]}}, (),
+     "heterogeneous_misclass must be two finite numbers (h0, h1), got [-2, 0.5, 1]"),
+    ({"selection": {"kind": "non_probability", "alpha0": [-2.4, 0.5, 1, 1]}}, (),
+     "alpha0 must have 7 entries (intercept, T, x1..x5), got 4"),
+    ({"selection": {"kind": "non_probability", "alpha0": [-2.4, 0.5, 1, 1, 1, 1, 0],
+                    "misspecify_drop": 9}}, (),
+     "misspecify_drop must name a covariate 1..5, got 9"),
+    ({"truth": float("nan")}, (), "truth must be a finite number, got nan"),
+    ({}, ("--truth", "nan"), "truth must be a finite number, got nan"),
+], ids=["heterogeneous_misclass", "alpha0", "misspecify_drop", "truth", "truth_option"])
+def test_simulate_config_values_outside_the_model_exit_2(tmp_path, capsys, changes, args,
+                                                         message):
+    # each would otherwise end in a traceback, a silently ignored setting or
+    # a NaN bias; the config dataclasses refuse them and the CLI says why
+    raw = {"dgp": {"n": 400}, "selection": {"kind": "srs", "target_nv": 80}, "iterations": 2}
+    for key, value in changes.items():
+        raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(raw))  # a NaN truth is written as the JSON token NaN
+    assert cli.main(["simulate", str(config), *args]) == cli.CONFIG_EXIT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_simulate_config_file_runs(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({

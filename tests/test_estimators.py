@@ -1,20 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mismeasure_ate
 import oracles
-from conftest import D6, make_random_frame
+from conftest import D6, VARIANTS, fitted_props, frame_variant, make_random_frame
 from mismeasure_ate import estimators as est
+from mismeasure_ate import frames
+from mismeasure_ate import inference as inf
 from mismeasure_ate.errors import (
     DegenerateValidation,
     DegenerateVarianceWarning,
     EmptyValidationArm,
-    MissingGoldOutcomes,
     NonIdentifiable,
-    WeightOutOfRange,
 )
-from mismeasure_ate.frames import ArmRates, MisclassRates, ObservationFrame, PropensityPair
+from mismeasure_ate.frames import ESTIMATOR_IDS, ArmRates, MisclassRates, ObservationFrame
 
 # Frozen outputs of tests/oracles.py on the D6 fixture (p11=0.67, p10=0.24
 # where rates enter, w=b=0.5 where a blend weight enters).
@@ -33,24 +36,76 @@ D6_EXPECTED = {
     "s_opt": 0.7670740586152929,  # with (var_a, var_b, cov) = (2, 1, 0.3)
 }
 
+# (p11, p10) of the control, then the treated arm, and the frozen outputs of
+# the per-arm oracles on the D6 fixture (b = 0.5)
+D6_ARM_RATES = ((0.7, 0.2), (0.6, 0.3))
+D6_BY_ARM_EXPECTED = {
+    "nonval_corrected": -2.0814814814814815,
+    "s_nonval": -1.9137829912023463,
+    "all_silver": 0.962932998558609,
+    "s_weighted": 0.9444294622422675,
+}
+
+
+def intercept(frame):
+    """Design of a model with an intercept only: it fits a constant
+    probability, the share of treated (or validated) rows, on a frame of a
+    few rows that a covariate would separate."""
+    return np.ones((frame.n, 1))
+
+
+def plug_in_contrasts(frame, e, pi, rates):
+    """The single-parameter points as the stacked plug-in computes them
+    (``inference.solve_plugin``, and ``analyze_frame`` for the IPW complement
+    contrast), from the arithmetic of ``estimators`` at caller-given
+    propensities e and pi; val_only reads the validation share as its pi."""
+    t, v, ys, yv = frame.t, frame.v, frame.y_star, frame.y_validated
+    n, n_v = float(frame.n), float(frame.n_v)
+    nv = 1.0 - v
+    return {
+        "oracle": est.ipw_difference(t, 1.0 - t, frame.y, e, n),
+        "naive": est.ipw_difference(t, 1.0 - t, ys, e, n),
+        "val_only": est.ipw_difference(v * t, v * (1.0 - t), yv / (n_v / n), e, n),
+        "s_val_only": est.ipw_difference(v * t, v * (1.0 - t), yv / pi, e, n),
+        "nonval_corrected": est.corrected_contrast(
+            rates, *est.ipw_means(nv * t, nv * (1.0 - t), ys, e, n - n_v)),
+        "s_nonval": est.corrected_contrast(rates, *est.hajek_means(*est.r_weights(t, v, e, pi), ys)),
+        "all_silver": est.corrected_contrast(rates, *est.hajek_means(*est.d_weights(t, e), ys)),
+    }
+
 
 def test_d6_matches_frozen_oracle_values(d6_frame, d6_props, d6_rates):
+    t, y, ys, v = D6["t"], D6["y"], D6["y_star"], D6["v"]
+    e, pi = d6_props
+    p11, p10 = d6_rates.p11, d6_rates.p10
     got = {
-        "oracle": est.tau_oracle(d6_frame, d6_props).tau,
-        "naive": est.tau_naive(d6_frame, d6_props).tau,
-        "val_only": est.tau_val_only(d6_frame, d6_props).tau,
-        "nonval_corrected": est.tau_nonval_corrected(d6_frame, d6_props, d6_rates).tau,
-        "sy_combined": est.tau_sy_combined(d6_frame, d6_props, d6_rates, w=0.5).tau,
-        "s_val_only": est.tau_s_val_only(d6_frame, d6_props).tau,
-        "s_nonval_raw": est.tau_s_nonval(d6_frame, d6_props, corrected=False).tau,
-        "s_nonval": est.tau_s_nonval(d6_frame, d6_props, d6_rates).tau,
-        "s_combined": est.tau_s_combined(d6_frame, d6_props, d6_rates).tau,
-        "all_silver": est.tau_all_silver(d6_frame, d6_props, d6_rates).tau,
-        "s_weighted": est.tau_s_weighted(d6_frame, d6_props, d6_rates, b=0.5).tau,
-        "s_opt": est.tau_s_opt(d6_frame, d6_props, d6_rates, 2.0, 1.0, 0.3).tau,
+        "oracle": oracles.oracle_tau(t, y, e),
+        "naive": oracles.naive_tau(t, ys, e),
+        "val_only": oracles.val_only_tau(t, y, v, e),
+        "nonval_corrected": oracles.nonval_corrected_tau(t, ys, v, e, p11, p10),
+        "sy_combined": oracles.sy_combined_tau(t, y, ys, v, e, p11, p10, w=0.5),
+        "s_val_only": oracles.s_val_only_tau(t, y, v, e, pi),
+        "s_nonval_raw": oracles.s_nonval_raw_tau(t, ys, v, e, pi),
+        "s_nonval": oracles.s_nonval_corrected_tau(t, ys, v, e, pi, p11, p10),
+        "s_combined": oracles.s_combined_tau(t, y, ys, v, e, pi, p11, p10),
+        "all_silver": oracles.all_silver_tau(t, ys, e, p11, p10),
+        "s_weighted": oracles.s_weighted_tau(t, y, ys, v, e, pi, p11, p10, b=0.5),
+        "s_opt": oracles.s_opt_tau(t, y, ys, v, e, pi, p11, p10, 2.0, 1.0, 0.3),
     }
     for key, expected in D6_EXPECTED.items():
         assert got[key] == pytest.approx(expected, abs=1e-12), key
+    by_arm = {
+        "nonval_corrected": oracles.nonval_corrected_by_arm_tau(t, ys, v, e, D6_ARM_RATES),
+        "s_nonval": oracles.s_nonval_by_arm_tau(t, ys, v, e, pi, D6_ARM_RATES),
+        "all_silver": oracles.all_silver_by_arm_tau(t, ys, e, D6_ARM_RATES),
+        "s_weighted": oracles.s_weighted_by_arm_tau(t, y, ys, v, e, pi, D6_ARM_RATES, b=0.5),
+    }
+    for key, expected in D6_BY_ARM_EXPECTED.items():
+        assert by_arm[key] == pytest.approx(expected, abs=1e-12), key
+    # the stack's arithmetic gives the same single-parameter points
+    contrasts = plug_in_contrasts(d6_frame, e, pi, d6_rates)
+    for key, got in contrasts.items():
+        assert got == pytest.approx(D6_EXPECTED[key], abs=1e-12), key
 
 
 def test_d6_misclassification_rates(d6_frame):
@@ -98,67 +153,73 @@ def test_misclassification_degenerate_validation():
 
 
 def test_oracle_hand_arithmetic():
+    # the intercept-only treatment model fits e = 1/2 on these two rows
     frame = ObservationFrame(
         x=np.zeros(2), t=np.array([1, 0]), y_star=np.array([1, 0]),
         v=np.ones(2), y=np.array([1.0, 0.0]),
     )
-    props = PropensityPair(e=np.array([0.5, 0.5]))
-    assert est.tau_oracle(frame, props).tau == pytest.approx(1.0)
+    point = inf.analyze_frame(frame, ["oracle"], x_treat=intercept(frame)).estimates["oracle"]
+    assert point.tau == pytest.approx(1.0)
     zero = ObservationFrame(
         x=np.zeros(2), t=np.array([1, 0]), y_star=np.array([1, 0]),
         v=np.ones(2), y=np.zeros(2),
     )
-    assert est.tau_oracle(zero, props).tau == 0.0
+    assert inf.analyze_frame(zero, ["oracle"], x_treat=intercept(zero)).estimates["oracle"].tau == 0.0
 
 
-def test_oracle_requires_full_gold(d6_frame, d6_props):
+def test_oracle_requires_full_gold(d6_frame):
     masked = ObservationFrame(
         x=d6_frame.x, t=d6_frame.t, y_star=d6_frame.y_star, v=d6_frame.v,
         y=np.where(d6_frame.v == 1, d6_frame.y, np.nan),
     )
-    with pytest.raises(MissingGoldOutcomes):
-        est.tau_oracle(masked, d6_props)
+    analysis = inf.analyze_frame(masked, ["oracle", "naive"], x_treat=intercept(masked))
+    assert analysis.failures == {"oracle": "MissingGoldOutcomes"}
 
 
-def test_naive_equals_oracle_when_outcomes_agree(d6_frame, d6_props):
+def test_naive_equals_oracle_when_outcomes_agree(d6_frame):
     same = ObservationFrame(
         x=d6_frame.x, t=d6_frame.t, y_star=d6_frame.y, v=d6_frame.v, y=d6_frame.y
     )
-    assert est.tau_naive(same, d6_props).tau == est.tau_oracle(same, d6_props).tau
+    by = inf.analyze_frame(same, ["oracle", "naive"], x_treat=intercept(same)).estimates
+    assert by["naive"].tau == by["oracle"].tau
     flip = ObservationFrame(
         x=np.zeros(2), t=np.array([1, 0]), y_star=np.array([0, 1]),
         v=np.ones(2), y=np.array([1.0, 0.0]),
     )
-    props = PropensityPair(e=np.array([0.5, 0.5]))
-    assert est.tau_naive(flip, props).tau == pytest.approx(-1.0)
+    naive = inf.analyze_frame(flip, ["naive"], x_treat=intercept(flip)).estimates["naive"]
+    assert naive.tau == pytest.approx(-1.0)
 
 
-def test_val_only_reductions(d6_frame, d6_props):
-    all_val = ObservationFrame(
-        x=d6_frame.x, t=d6_frame.t, y_star=d6_frame.y_star,
-        v=np.ones(6), y=d6_frame.y,
-    )
-    assert est.tau_val_only(all_val, d6_props).tau == pytest.approx(
-        est.tau_oracle(all_val, d6_props).tau, abs=1e-15
-    )
+def test_val_only_reductions():
+    frame, _ = frame_variant("srs")
+    all_val = replace(frame, v=np.ones(frame.n))
+    by = inf.analyze_frame(all_val, ["oracle", "val_only"]).estimates
+    assert by["val_only"].tau == pytest.approx(by["oracle"].tau, abs=1e-15)
     pair = ObservationFrame(
         x=np.zeros(2), t=np.array([1, 0]), y_star=np.array([1, 0]),
         v=np.ones(2), y=np.array([1.0, 0.0]),
     )
-    assert est.tau_val_only(pair, PropensityPair(e=np.array([0.5, 0.5]))).tau == pytest.approx(1.0)
+    point = inf.analyze_frame(pair, ["val_only"], x_treat=intercept(pair)).estimates["val_only"]
+    assert point.tau == pytest.approx(1.0)
 
 
 def test_val_only_requires_both_arms():
-    # so does s_val_only: under a simple random sample it is the same contrast
-    props = PropensityPair(e=np.full(3, 0.5), pi_v=np.full(3, 0.5))
-    for v in (np.array([1, 1, 0]), np.zeros(3)):
-        frame = ObservationFrame(
-            x=np.zeros(3), t=np.array([1, 1, 0]), y_star=np.array([1, 0, 0]),
-            v=v, y=np.where(v == 1, [1.0, 0.0, 0.0], np.nan),
-        )
-        for point in (est.tau_val_only, est.tau_s_val_only):
-            with pytest.raises(EmptyValidationArm):
-                point(frame, props)
+    # so does s_val_only, under a simple random sample (where it is the same
+    # contrast) and under a fitted selection model
+    frames_ = [ObservationFrame(
+        x=np.zeros(3), t=np.array([1, 1, 0]), y_star=np.array([1, 0, 0]),
+        v=v, y=np.where(v == 1, [1.0, 0.0, 0.0], np.nan),
+    ) for v in (np.array([1, 1, 0]), np.zeros(3))]
+    for frame in frames_:
+        with pytest.raises(EmptyValidationArm):
+            est.require_validation_arms(frame)
+    # without validated rows the validation share fails first
+    # (test_analyze_frame_without_validated_rows_keeps_naive_se)
+    one_armed = frames_[0]
+    for x_sel in (None, intercept(one_armed)):
+        analysis = inf.analyze_frame(one_armed, ["val_only", "s_val_only"],
+                                     x_treat=intercept(one_armed), x_sel=x_sel)
+        assert analysis.failures == dict.fromkeys(["val_only", "s_val_only"], "EmptyValidationArm")
 
 
 def test_frame_counts_are_computed_once(d6_frame):
@@ -167,24 +228,21 @@ def test_frame_counts_are_computed_once(d6_frame):
 
 
 def test_nonval_correction_factor(d6_frame, d6_props):
-    uncorrected = est.tau_nonval_corrected(
-        d6_frame, d6_props, MisclassRates(1.0, 0.0)
-    ).tau
-    doubled = est.tau_nonval_corrected(
-        d6_frame, d6_props, MisclassRates(0.75, 0.25)
-    ).tau
+    e, pi = d6_props
+    uncorrected = plug_in_contrasts(d6_frame, e, pi, MisclassRates(1.0, 0.0))["nonval_corrected"]
+    doubled = plug_in_contrasts(d6_frame, e, pi, MisclassRates(0.75, 0.25))["nonval_corrected"]
     assert doubled == pytest.approx(2.0 * uncorrected, rel=1e-14)
 
 
-def test_sy_combined_endpoints(d6_frame, d6_props, d6_rates):
-    at_one = est.tau_sy_combined(d6_frame, d6_props, d6_rates, w=1.0).tau
-    assert at_one == pytest.approx(est.tau_val_only(d6_frame, d6_props).tau, abs=1e-15)
-    at_zero = est.tau_sy_combined(d6_frame, d6_props, d6_rates, w=0.0).tau
-    assert at_zero == pytest.approx(
-        est.tau_nonval_corrected(d6_frame, d6_props, d6_rates).tau, abs=1e-15
-    )
-    with pytest.raises(WeightOutOfRange):
-        est.tau_sy_combined(d6_frame, d6_props, d6_rates, w=1.5)
+def test_sy_combined_endpoints():
+    frame, kwargs = frame_variant("srs")
+    ids = ["val_only", "nonval_corrected", "sy_combined"]
+    at = {w: inf.analyze_frame(frame, ids, w=w, **kwargs) for w in (1.0, 0.0, 1.5)}
+    assert at[1.0].estimates["sy_combined"].tau == pytest.approx(
+        at[1.0].estimates["val_only"].tau, abs=1e-15)
+    assert at[0.0].estimates["sy_combined"].tau == pytest.approx(
+        at[0.0].estimates["nonval_corrected"].tau, abs=1e-15)
+    assert at[1.5].failures == {"sy_combined": "WeightOutOfRange"}
 
 
 def test_sy_combined_lambda_is_sampling_fraction():
@@ -194,81 +252,79 @@ def test_sy_combined_lambda_is_sampling_fraction():
     assert lam == pytest.approx(0.17)
 
 
-def test_srs_reduction_identity(d6_frame, d6_props):
-    n_v = d6_frame.n_v
-    const = PropensityPair(e=d6_props.e, pi_v=np.full(6, n_v / 6.0))
-    assert est.tau_s_val_only(d6_frame, const).tau == pytest.approx(
-        est.tau_val_only(d6_frame, d6_props).tau, abs=1e-12
+def test_srs_reduction_identity():
+    # an intercept-only selection model fits the validation share on every row
+    frame, _ = frame_variant("fitted")
+    fitted = inf.analyze_frame(frame, ["s_val_only"], x_sel=intercept(frame))
+    srs = inf.analyze_frame(frame, ["val_only"], x_sel=None)
+    assert fitted.estimates["s_val_only"].tau == pytest.approx(
+        srs.estimates["val_only"].tau, abs=1e-12
     )
 
 
-def test_s_val_only_oracle_reduction(d6_frame, d6_props):
-    all_val = ObservationFrame(
-        x=d6_frame.x, t=d6_frame.t, y_star=d6_frame.y_star,
-        v=np.ones(6), y=d6_frame.y,
-    )
-    props = PropensityPair(e=d6_props.e, pi_v=np.full(6, 1.0 - 1e-12))
-    assert est.tau_s_val_only(all_val, props).tau == pytest.approx(
-        est.tau_oracle(all_val, d6_props).tau, rel=1e-9
-    )
+def test_s_val_only_oracle_reduction():
+    frame, _ = frame_variant("srs")
+    all_val = replace(frame, v=np.ones(frame.n))
+    by = inf.analyze_frame(all_val, ["oracle", "s_val_only"]).estimates
+    assert by["s_val_only"].tau == pytest.approx(by["oracle"].tau, rel=1e-9)
 
 
 def test_s_nonval_trivial_cases():
-    frame = ObservationFrame(
-        x=np.zeros(4), t=np.array([1, 0, 1, 0]), y_star=np.array([1, 1, 1, 0]),
-        v=np.array([1, 1, 0, 0]), y=np.array([1.0, 0.0, np.nan, np.nan]),
-    )
-    props = PropensityPair(e=np.full(4, 0.5), pi_v=np.full(4, 0.5))
-    assert est.tau_s_nonval(frame, props, corrected=False).tau == pytest.approx(1.0)
-
-    const = ObservationFrame(
-        x=np.zeros(4), t=np.array([1, 0, 1, 0]), y_star=np.ones(4),
-        v=np.array([1, 1, 0, 0]), y=np.array([1.0, 0.0, np.nan, np.nan]),
-    )
-    assert est.tau_s_nonval(const, props, corrected=False).tau == pytest.approx(0.0, abs=1e-15)
+    # the raw complement Hajek contrast, before the rates correct it
+    t, v = np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])
+    weights = est.r_weights(t, v, np.full(4, 0.5), np.full(4, 0.5))
+    treated, control = est.hajek_means(*weights, np.array([1.0, 1.0, 1.0, 0.0]))
+    assert treated - control == pytest.approx(1.0)
+    treated, control = est.hajek_means(*weights, np.ones(4))
+    assert treated - control == pytest.approx(0.0, abs=1e-15)
 
 
-def test_s_combined_endpoints(d6_frame, d6_props, d6_rates):
-    all_val = ObservationFrame(
-        x=d6_frame.x, t=d6_frame.t, y_star=d6_frame.y_star, v=np.ones(6), y=d6_frame.y
-    )
-    assert est.tau_s_combined(all_val, d6_props, d6_rates).tau == pytest.approx(
-        est.tau_s_val_only(all_val, d6_props).tau, abs=1e-15
-    )
-    no_val = ObservationFrame(
-        x=d6_frame.x, t=d6_frame.t, y_star=d6_frame.y_star,
-        v=np.zeros(6), y=np.full(6, np.nan),
-    )
-    assert est.tau_s_combined(no_val, d6_props, d6_rates).tau == pytest.approx(
-        est.tau_s_nonval(no_val, d6_props, d6_rates).tau, abs=1e-15
-    )
+def test_s_combined_endpoints():
+    # s_combined weights s_val_only by n_V / n and s_nonval by (n - n_V) / n;
+    # at n_V = n and at n_V = 0 one piece has no rows, and the blend fails
+    # with that piece's typed reason
+    frame, kwargs = frame_variant("fitted")
+    by = inf.analyze_frame(frame, ["s_val_only", "s_nonval", "s_combined"], **kwargs).estimates
+    n, n_v = frame.n, frame.n_v
+    assert by["s_combined"].tau == pytest.approx(
+        (n_v / n) * by["s_val_only"].tau + ((n - n_v) / n) * by["s_nonval"].tau, abs=1e-15)
+    all_val = replace(frame, v=np.ones(n))
+    analysis = inf.analyze_frame(all_val, ["s_val_only", "s_combined"])
+    assert analysis.failures == {"s_combined": "EmptyComplement"}
+    assert np.isfinite(analysis.estimates["s_val_only"].tau)
+    no_val = replace(frame, v=np.zeros(n), y=np.full(n, np.nan))
+    analysis = inf.analyze_frame(no_val, ["naive", "s_combined"])
+    assert analysis.failures == {"s_combined": "DegenerateValidation"}
 
 
-def test_all_silver_reductions(d6_frame, d6_props):
-    clean = ObservationFrame(
-        x=d6_frame.x, t=d6_frame.t, y_star=d6_frame.y, v=d6_frame.v, y=d6_frame.y
-    )
-    perfect = MisclassRates(1.0, 0.0)
-    w_t = clean.t / d6_props.e
-    w_c = (1.0 - clean.t) / (1.0 - d6_props.e)
-    assert est.tau_all_silver(clean, d6_props, perfect).tau == pytest.approx(
+def test_all_silver_reductions(d6_props):
+    frame, kwargs = frame_variant("fitted")
+    clean = replace(frame, y_star=frame.y)
+    analysis = inf.analyze_frame(clean, ["all_silver"], **kwargs)
+    assert analysis.rates == MisclassRates(1.0, 0.0)
+    e, _ = fitted_props(clean, inf.build_system(clean).x_treat)
+    w_t = clean.t / e
+    w_c = (1.0 - clean.t) / (1.0 - e)
+    assert analysis.estimates["all_silver"].tau == pytest.approx(
         oracles.hajek_contrast(w_t, w_c, clean.y), abs=1e-15
     )
+    # a constant silver outcome has no contrast whatever the rates (counted
+    # rates cannot identify it, so the rates are given)
+    e, pi = d6_props
     const = ObservationFrame(
-        x=d6_frame.x, t=d6_frame.t, y_star=np.ones(6), v=d6_frame.v, y=d6_frame.y
+        x=D6["x"], t=D6["t"], y_star=np.ones(6), v=D6["v"], y=D6["y"].astype(float)
     )
-    assert est.tau_all_silver(const, d6_props, MisclassRates(0.67, 0.24)).tau == pytest.approx(
-        0.0, abs=1e-13
-    )
+    assert plug_in_contrasts(const, e, pi, MisclassRates(0.67, 0.24))["all_silver"] == (
+        pytest.approx(0.0, abs=1e-13))
 
 
-def test_s_weighted_endpoints(d6_frame, d6_props, d6_rates):
-    assert est.tau_s_weighted(d6_frame, d6_props, d6_rates, b=1.0).tau == pytest.approx(
-        est.tau_s_val_only(d6_frame, d6_props).tau, abs=1e-15
-    )
-    assert est.tau_s_weighted(d6_frame, d6_props, d6_rates, b=0.0).tau == pytest.approx(
-        est.tau_all_silver(d6_frame, d6_props, d6_rates).tau, abs=1e-15
-    )
+def test_s_weighted_endpoints():
+    frame, kwargs = frame_variant("fitted")
+    ids = ["s_val_only", "all_silver", "s_weighted"]
+    at_one = inf.analyze_frame(frame, ids, b=1.0, **kwargs).estimates
+    assert at_one["s_weighted"].tau == pytest.approx(at_one["s_val_only"].tau, abs=1e-15)
+    at_zero = inf.analyze_frame(frame, ids, b=0.0, **kwargs).estimates
+    assert at_zero["s_weighted"].tau == pytest.approx(at_zero["all_silver"].tau, abs=1e-15)
 
 
 def test_compute_b_opt_plugins():
@@ -285,69 +341,51 @@ def test_compute_b_opt_degenerate_falls_back():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=4, max_value=12))
 def test_brute_force_equivalence_small_frames(seed, n):
+    # the stack's arithmetic at arbitrary propensities; analyze_frame's
+    # points, blends included, meet the oracles at the fitted propensities in
+    # test_points_read_from_the_stack_match_the_estimator_functions
     rng = np.random.default_rng(seed)
-    frame, props, rates = make_random_frame(rng, n)
+    frame, e, pi, rates = make_random_frame(rng, n)
     t, y, ys, v = frame.t, frame.y, frame.y_star, frame.v
-    e, pi = props.e, props.pi_v
     p11, p10 = rates.p11, rates.p10
-    checks = [
-        (est.tau_oracle(frame, props).tau, oracles.oracle_tau(t, y, e)),
-        (est.tau_naive(frame, props).tau, oracles.naive_tau(t, ys, e)),
-        (est.tau_val_only(frame, props).tau, oracles.val_only_tau(t, y, v, e)),
-        (est.tau_nonval_corrected(frame, props, rates).tau,
-         oracles.nonval_corrected_tau(t, ys, v, e, p11, p10)),
-        (est.tau_sy_combined(frame, props, rates, w=0.5).tau,
-         oracles.sy_combined_tau(t, y, ys, v, e, p11, p10, w=0.5)),
-        (est.tau_s_val_only(frame, props).tau, oracles.s_val_only_tau(t, y, v, e, pi)),
-        (est.tau_s_nonval(frame, props, rates).tau,
-         oracles.s_nonval_corrected_tau(t, ys, v, e, pi, p11, p10)),
-        (est.tau_s_combined(frame, props, rates).tau,
-         oracles.s_combined_tau(t, y, ys, v, e, pi, p11, p10)),
-        (est.tau_all_silver(frame, props, rates).tau,
-         oracles.all_silver_tau(t, ys, e, p11, p10)),
-        (est.tau_s_weighted(frame, props, rates, b=0.5).tau,
-         oracles.s_weighted_tau(t, y, ys, v, e, pi, p11, p10, b=0.5)),
-        (est.tau_s_opt(frame, props, rates, 2.0, 1.0, 0.3).tau,
-         oracles.s_opt_tau(t, y, ys, v, e, pi, p11, p10, 2.0, 1.0, 0.3)),
-    ]
-    for got, want in checks:
-        assert got == pytest.approx(want, abs=1e-12)
+    got = plug_in_contrasts(frame, e, pi, rates)
+    want = {
+        "oracle": oracles.oracle_tau(t, y, e),
+        "naive": oracles.naive_tau(t, ys, e),
+        "val_only": oracles.val_only_tau(t, y, v, e),
+        "s_val_only": oracles.s_val_only_tau(t, y, v, e, pi),
+        "nonval_corrected": oracles.nonval_corrected_tau(t, ys, v, e, p11, p10),
+        "s_nonval": oracles.s_nonval_corrected_tau(t, ys, v, e, pi, p11, p10),
+        "all_silver": oracles.all_silver_tau(t, ys, e, p11, p10),
+    }
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, abs=1e-12), key
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_permutation_invariance(seed):
-    rng = np.random.default_rng(seed)
-    frame, props, rates = make_random_frame(rng, 10)
-    perm = rng.permutation(10)
+@given(st.sampled_from(VARIANTS), st.integers(min_value=0, max_value=10_000))
+def test_permutation_invariance(label, seed):
+    frame, kwargs = frame_variant(label)
+    perm = np.random.default_rng(seed).permutation(frame.n)
     shuffled = ObservationFrame(
         x=frame.x[perm], t=frame.t[perm], y_star=frame.y_star[perm],
         v=frame.v[perm], y=frame.y[perm],
     )
-    shuffled_props = PropensityPair(e=props.e[perm], pi_v=props.pi_v[perm])
-    pairs = [
-        (est.tau_oracle, (props,), (shuffled_props,)),
-        (est.tau_val_only, (props,), (shuffled_props,)),
-        (est.tau_s_val_only, (props,), (shuffled_props,)),
-        (est.tau_s_combined, (props, rates), (shuffled_props, rates)),
-        (est.tau_all_silver, (props, rates), (shuffled_props, rates)),
-        (est.tau_s_weighted, (props, rates), (shuffled_props, rates)),
-    ]
-    for fn, args, shuffled_args in pairs:
-        assert fn(frame, *args).tau == pytest.approx(fn(shuffled, *shuffled_args).tau, abs=1e-12)
+    shuffled_kwargs = dict(kwargs, x_sel=None if kwargs["x_sel"] is None else kwargs["x_sel"][perm])
+    base = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs).estimates
+    moved = inf.analyze_frame(shuffled, ESTIMATOR_IDS, **shuffled_kwargs).estimates
+    for est_id in ESTIMATOR_IDS:
+        assert moved[est_id].tau == pytest.approx(base[est_id].tau, abs=1e-12), est_id
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.0, max_value=1.0))
-def test_s_weighted_convexity(seed, b):
-    rng = np.random.default_rng(seed)
-    frame, props, rates = make_random_frame(rng, 10)
-    lo_hi = sorted([
-        est.tau_s_val_only(frame, props).tau,
-        est.tau_all_silver(frame, props, rates).tau,
-    ])
-    blended = est.tau_s_weighted(frame, props, rates, b=b).tau
-    assert lo_hi[0] - 1e-12 <= blended <= lo_hi[1] + 1e-12
+@given(st.sampled_from(VARIANTS), st.floats(min_value=0.0, max_value=1.0))
+def test_s_weighted_convexity(label, b):
+    frame, kwargs = frame_variant(label)
+    by = inf.analyze_frame(frame, ["s_val_only", "all_silver", "s_weighted"], b=b,
+                           **kwargs).estimates
+    lo_hi = sorted([by["s_val_only"].tau, by["all_silver"].tau])
+    assert lo_hi[0] - 1e-12 <= by["s_weighted"].tau <= lo_hi[1] + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,26 +406,26 @@ def test_hajek_rescaling_invariance(seed, scale):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_rates_identity_reductions(seed):
-    rng = np.random.default_rng(seed)
-    frame, props, _ = make_random_frame(rng, 10)
-    clean = ObservationFrame(
-        x=frame.x, t=frame.t, y_star=frame.y, v=frame.v, y=frame.y
-    )
-    perfect = MisclassRates(1.0, 0.0)
-    w_t = clean.t / props.e
-    w_c = (1.0 - clean.t) / (1.0 - props.e)
-    assert est.tau_all_silver(clean, props, perfect).tau == pytest.approx(
+    # with Y* = Y the counted rates are exactly (1, 0)
+    frame, kwargs = frame_variant("fitted", seed)
+    clean = replace(frame, y_star=frame.y)
+    analysis = inf.analyze_frame(clean, ["nonval_corrected", "all_silver"], **kwargs)
+    assert analysis.rates == MisclassRates(1.0, 0.0)
+    e, _ = fitted_props(clean, inf.build_system(clean).x_treat)
+    w_t = clean.t / e
+    w_c = (1.0 - clean.t) / (1.0 - e)
+    assert analysis.estimates["all_silver"].tau == pytest.approx(
         oracles.hajek_contrast(w_t, w_c, clean.y), abs=1e-12
     )
     nv = 1.0 - clean.v
     m = clean.n - clean.n_v
-    plain = est.ipw_difference(nv * clean.t, nv * (1.0 - clean.t), clean.y, props.e, float(m))
-    assert est.tau_nonval_corrected(clean, props, perfect).tau == pytest.approx(plain, abs=1e-12)
+    plain = est.ipw_difference(nv * clean.t, nv * (1.0 - clean.t), clean.y, e, float(m))
+    assert analysis.estimates["nonval_corrected"].tau == pytest.approx(plain, abs=1e-12)
 
 
 # --- per-arm misclassification rates -------------------------------------------
 
-D6_ARM_RATES = ((0.7, 0.2), (0.6, 0.3))  # (p11, p10) of the control, then the treated arm
+RATE_CONSUMERS = ("nonval_corrected", "s_nonval", "all_silver")
 
 
 def arm_rates(pairs) -> ArmRates:
@@ -396,32 +434,22 @@ def arm_rates(pairs) -> ArmRates:
 
 
 def test_d6_by_arm_matches_direct_summation(d6_frame, d6_props):
-    rates = arm_rates(D6_ARM_RATES)
-    t, y, ys, v, e, pi = (D6[k] for k in ("t", "y", "y_star", "v", "e", "pi"))
-    pairs = {
-        "nonval_corrected": (est.tau_nonval_corrected(d6_frame, d6_props, rates).tau,
-                             oracles.nonval_corrected_by_arm_tau(t, ys, v, e, D6_ARM_RATES)),
-        "s_nonval": (est.tau_s_nonval(d6_frame, d6_props, rates).tau,
-                     oracles.s_nonval_by_arm_tau(t, ys, v, e, pi, D6_ARM_RATES)),
-        "all_silver": (est.tau_all_silver(d6_frame, d6_props, rates).tau,
-                       oracles.all_silver_by_arm_tau(t, ys, e, D6_ARM_RATES)),
-        "s_weighted": (est.tau_s_weighted(d6_frame, d6_props, rates, b=0.5).tau,
-                       oracles.s_weighted_by_arm_tau(t, y, ys, v, e, pi, D6_ARM_RATES, b=0.5)),
-    }
-    for key, (got, want) in pairs.items():
-        assert got == pytest.approx(want, abs=1e-12), key
+    e, pi = d6_props
+    got = plug_in_contrasts(d6_frame, e, pi, arm_rates(D6_ARM_RATES))
+    for key in RATE_CONSUMERS:
+        assert got[key] == pytest.approx(D6_BY_ARM_EXPECTED[key], abs=1e-12), key
         # differential rates really change the correction
-        assert abs(got - D6_EXPECTED[key]) > 1e-3, key
+        assert abs(got[key] - D6_EXPECTED[key]) > 1e-3, key
 
 
 def test_by_arm_with_pooled_rates_reduces_to_pooled(d6_frame, d6_props, d6_rates):
+    e, pi = d6_props
     same = ArmRates(control=d6_rates, treated=d6_rates)
-    for fn in (est.tau_nonval_corrected, est.tau_sy_combined, est.tau_s_nonval,
-               est.tau_s_combined, est.tau_all_silver, est.tau_s_weighted):
-        assert fn(d6_frame, d6_props, same).tau == pytest.approx(
-            fn(d6_frame, d6_props, d6_rates).tau, abs=1e-12), fn.__name__
-    assert est.tau_s_opt(d6_frame, d6_props, same, 2.0, 1.0, 0.3).tau == pytest.approx(
-        D6_EXPECTED["s_opt"], abs=1e-12)
+    by_arm = plug_in_contrasts(d6_frame, e, pi, same)
+    pooled = plug_in_contrasts(d6_frame, e, pi, d6_rates)
+    for key in RATE_CONSUMERS:
+        assert by_arm[key] == pytest.approx(pooled[key], abs=1e-12), key
+        assert by_arm[key] == pytest.approx(D6_EXPECTED[key], abs=1e-12), key
     assert est.corrected_contrast(same, 0.5, 0.3) == pytest.approx(0.2 / d6_rates.gap, abs=1e-15)
 
 
@@ -474,24 +502,18 @@ def test_misclassification_by_arm_nonidentifiable():
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=6, max_value=14))
 def test_by_arm_brute_force_equivalence_small_frames(seed, n):
     rng = np.random.default_rng(seed)
-    frame, props, _ = make_random_frame(rng, n)
+    frame, e, pi, _ = make_random_frame(rng, n)
     t, y, ys, v = frame.t, frame.y, frame.y_star, frame.v
-    e, pi = props.e, props.pi_v
     pairs = ((rng.uniform(0.6, 0.95), rng.uniform(0.05, 0.4)),
              (rng.uniform(0.6, 0.95), rng.uniform(0.05, 0.4)))
-    rates = arm_rates(pairs)
-    checks = [
-        (est.tau_nonval_corrected(frame, props, rates).tau,
-         oracles.nonval_corrected_by_arm_tau(t, ys, v, e, pairs)),
-        (est.tau_s_nonval(frame, props, rates).tau,
-         oracles.s_nonval_by_arm_tau(t, ys, v, e, pi, pairs)),
-        (est.tau_all_silver(frame, props, rates).tau,
-         oracles.all_silver_by_arm_tau(t, ys, e, pairs)),
-        (est.tau_s_weighted(frame, props, rates, b=0.5).tau,
-         oracles.s_weighted_by_arm_tau(t, y, ys, v, e, pi, pairs, b=0.5)),
-    ]
-    for got, want in checks:
-        assert got == pytest.approx(want, abs=1e-12)
+    got = plug_in_contrasts(frame, e, pi, arm_rates(pairs))
+    want = {
+        "nonval_corrected": oracles.nonval_corrected_by_arm_tau(t, ys, v, e, pairs),
+        "s_nonval": oracles.s_nonval_by_arm_tau(t, ys, v, e, pi, pairs),
+        "all_silver": oracles.all_silver_by_arm_tau(t, ys, e, pairs),
+    }
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, abs=1e-12), key
 
     # counting within each arm (control first) agrees with the oracle, and the
     # first arm that cannot identify its rates names the typed error
@@ -513,3 +535,13 @@ def test_by_arm_brute_force_equivalence_small_frames(seed, n):
     else:
         got = est.estimate_misclassification(frame, "by_arm")
         np.testing.assert_allclose(got.to_vector(), want, rtol=0, atol=1e-15)
+
+
+def test_namespace_has_no_point_functions():
+    names = mismeasure_ate.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(mismeasure_ate, name) is not None, name
+    for module in (mismeasure_ate, est, frames):
+        assert not [name for name in vars(module) if name.startswith("tau_")], module.__name__
+        assert not hasattr(module, "PropensityPair"), module.__name__

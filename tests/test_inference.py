@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_random_frame
+from conftest import (
+    VARIANTS,
+    fitted_props,
+    frame_variant,
+    make_random_frame,
+    oracle_points,
+    selection_design,
+    simulated_frame,
+)
 from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
 from mismeasure_ate import reporting as rep
@@ -16,46 +24,8 @@ from mismeasure_ate.errors import (
     NonFiniteEvaluation,
     ResidualCheckFailed,
 )
-from mismeasure_ate.frames import (
-    ESTIMATOR_IDS,
-    ArmRates,
-    MisclassRates,
-    ObservationFrame,
-    PropensityPair,
-)
+from mismeasure_ate.frames import ESTIMATOR_IDS, ArmRates, MisclassRates, ObservationFrame
 from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic, predict_proba
-
-
-def simulated_frame(seed=5, n=3000, *, srs=False, p11=0.67, p10=0.24, p10_treated=None):
-    """Frame drawn from the study's generating process, with full gold y.
-
-    ``p10_treated`` gives the treated arm its own false-positive rate.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 5))
-    t = (rng.random(n) < expit(0.8 + 0.3 * x.sum(axis=1))).astype(float)
-    y = (rng.random(n) < expit(-3.9 + t + x.sum(axis=1))).astype(float)
-    if p10_treated is not None:
-        p10 = np.where(t == 1, p10_treated, p10)
-    y_star = (rng.random(n) < np.where(y == 1, p11, p10)).astype(float)
-    if srs:
-        pi = np.full(n, 0.17)
-    else:
-        pi = expit(-2.9 + 0.5 * t + x[:, :4].sum(axis=1))
-    v = (rng.random(n) < pi).astype(float)
-    return ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
-
-
-def selection_design(frame):
-    """Fitted selection design: intercept, treatment and every covariate."""
-    return np.column_stack([np.ones(frame.n), frame.t, frame.x])
-
-
-def fitted_props(frame, system):
-    """The propensities the plug-in fits, recomputed from scratch."""
-    e = predict_proba(fit_logistic(system.x_treat, frame.t), system.x_treat)
-    pi = predict_proba(fit_logistic(system.x_sel, frame.v), system.x_sel)
-    return PropensityPair(e=e, pi_v=pi)
 
 
 def mean_residuals(params):
@@ -125,16 +95,17 @@ def test_wls_slope_equals_hajek_contrast_identity():
     # of the D block is the corrected full-sample contrast
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
-        frame, _, _ = make_random_frame(rng, 400)
+        frame, _, _, _ = make_random_frame(rng, 400)
         system = inf.build_system(frame, x_sel=selection_design(frame))
         params = inf.solve_plugin(frame, system)
         rates = est.estimate_misclassification(frame)
-        props = fitted_props(frame, system)
+        e, pi = fitted_props(frame, system.x_treat, system.x_sel)
+        t, ys, v = frame.t, frame.y_star, frame.v
         assert params.block("r_fit")[1] == pytest.approx(
-            est.tau_s_nonval(frame, props, rates).tau, abs=1e-10
+            oracles.s_nonval_corrected_tau(t, ys, v, e, pi, rates.p11, rates.p10), abs=1e-10
         )
         assert params.block("d")[1] == pytest.approx(
-            est.tau_all_silver(frame, props, rates).tau, abs=1e-10
+            oracles.all_silver_tau(t, ys, e, rates.p11, rates.p10), abs=1e-10
         )
 
 
@@ -290,11 +261,12 @@ def test_by_arm_stacked_identities():
     assert float(means[params.system.layout["rates"]].max()) <= 1e-12
     assert float(means.max()) <= 1e-6
 
-    props = fitted_props(frame, system)
+    e, pi = fitted_props(frame, system.x_treat, system.x_sel)
+    pairs = tuple((arm.p11, arm.p10) for arm in rates.arms)
     assert params.block("r_fit")[1] == pytest.approx(
-        est.tau_s_nonval(frame, props, rates).tau, abs=1e-10)
+        oracles.s_nonval_by_arm_tau(frame.t, frame.y_star, frame.v, e, pi, pairs), abs=1e-10)
     assert params.block("d")[1] == pytest.approx(
-        est.tau_all_silver(frame, props, rates).tau, abs=1e-10)
+        oracles.all_silver_by_arm_tau(frame.t, frame.y_star, e, pairs), abs=1e-10)
 
     result = inf.sandwich(params)
     assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
@@ -365,23 +337,6 @@ def test_analyze_frame_by_arm_degenerate_arm_degrades_gracefully():
 
 # --- one stack per frame -------------------------------------------------------
 
-VARIANTS = ("fitted", "srs", "by_arm", "printed")
-
-
-def frame_variant(label, seed=0):
-    """(frame, analyze_frame keywords): a fitted selection model with pooled
-    rates, a simple random sample, per-arm rates, or the printed score.
-    ``seed`` shifts the frame's seed."""
-    if label == "srs":
-        return simulated_frame(seed=71 + 100 * seed, n=2000, srs=True), dict(x_sel=None)
-    if label == "by_arm":
-        frame = simulated_frame(seed=73 + 100 * seed, n=2000, p10=0.12, p10_treated=0.18)
-        return frame, dict(x_sel=selection_design(frame), misclassification="by_arm")
-    frame = simulated_frame(seed=67 + 100 * seed, n=2000)
-    variant = "printed" if label == "printed" else "standard"
-    return frame, dict(x_sel=selection_design(frame), score_variant=variant)
-
-
 @pytest.mark.parametrize("label", VARIANTS)
 def test_each_estimator_alone_matches_the_full_stack(label):
     # each estimator's blocks and their parents form a closed sub-block of the
@@ -407,70 +362,48 @@ def test_each_estimator_alone_matches_the_full_stack(label):
 
 @pytest.mark.parametrize("label", VARIANTS + ("srs_every_row_validated",))
 def test_points_read_from_the_stack_match_the_estimator_functions(label):
-    # the second route for the points: the estimators module computes each
-    # one directly from the same fitted propensities and counted rates
-    frame, kwargs = frame_variant(label.removesuffix("_every_row_validated"))
+    # the second route for the points: the row-loop oracles evaluate each
+    # estimator's formula at the fitted propensities, the counted rates,
+    # b = n_V / n and the reported b_opt
     if label.endswith("_every_row_validated"):
+        frame, kwargs = frame_variant(label.removesuffix("_every_row_validated"))
         # the validation share is exactly 1 and is not clamped: val_only
-        # divides its contrast by 1, as est.tau_val_only does, bit for bit,
-        # and the share's derivative stays 1 (the central difference steps
-        # past 1); the complement blocks fail before a weight divides by 1 - s
+        # divides its contrast by 1, so it is the IPW contrast of the
+        # validated rows normalized by n_V, bit for bit, and the share's
+        # derivative stays 1 (the central difference steps past 1); the
+        # complement blocks fail before a weight divides by 1 - s
         frame = replace(frame, v=np.ones(frame.n))
         analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
         params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
         assert params.block("eta0")[0] == 1.0
-        assert analysis.estimates["val_only"].tau == est.tau_val_only(
-            frame, PropensityPair(e=params.e)).tau
+        v, t = frame.v, frame.t
+        assert analysis.estimates["val_only"].tau == est.ipw_difference(
+            v * t, v * (1.0 - t), frame.y_validated, params.e, float(frame.n_v))
+        assert analysis.estimates["val_only"].tau == pytest.approx(
+            oracles.val_only_tau(t, frame.y, v, params.e), abs=1e-12)
         assert bread_gap(params.system, params.theta) <= 1e-6
         return
-    analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
-    assert not analysis.failures and not analysis.se_failures
-    system = inf.build_system(frame, ESTIMATOR_IDS, **kwargs)
-    if kwargs["x_sel"] is None:
-        e = predict_proba(fit_logistic(system.x_treat, frame.t), system.x_treat)
-        props = PropensityPair(e=e, pi_v=np.full(frame.n, frame.n_v / frame.n))
-    else:
-        props = fitted_props(frame, system)
-    plain = PropensityPair(e=props.e)
-    rates = est.estimate_misclassification(frame, kwargs.get("misclassification", "pooled"))
-    params = inf.solve_plugin(frame, system)
-    cov = inf.sandwich(params).covariance
-    ia, ib = params.system.index("tau_s_val"), params.system.index("d", 1)
-    want = {
-        "oracle": est.tau_oracle(frame, plain),
-        "naive": est.tau_naive(frame, plain),
-        "val_only": est.tau_val_only(frame, plain),
-        "nonval_corrected": est.tau_nonval_corrected(frame, plain, rates),
-        "sy_combined": est.tau_sy_combined(frame, plain, rates),
-        "s_val_only": est.tau_s_val_only(frame, props),
-        "s_nonval": est.tau_s_nonval(frame, props, rates),
-        "s_combined": est.tau_s_combined(frame, props, rates),
-        "all_silver": est.tau_all_silver(frame, plain, rates),
-        "s_weighted": est.tau_s_weighted(frame, props, rates, b=frame.n_v / frame.n),
-        "s_opt": est.tau_s_opt(frame, props, rates, cov[ia, ia], cov[ib, ib], cov[ia, ib]),
-    }
-    for est_id in ESTIMATOR_IDS:
-        got, expected = analysis.estimates[est_id], want[est_id]
-        assert got.tau == pytest.approx(expected.tau, abs=1e-12)
-        if expected.weight_used is None:
-            assert got.weight_used is None
-        else:
-            assert got.weight_used == pytest.approx(expected.weight_used, abs=1e-12)
-    # the one point still computed outside the stack is that very call
-    assert analysis.estimates["nonval_corrected"].tau == want["nonval_corrected"].tau
-
-
-@pytest.mark.parametrize("label", VARIANTS)
-def test_analyze_frame_never_calls_the_point_functions(label, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a point was computed outside the solved stack")
-
-    for name in vars(est).copy():
-        if name.startswith("tau_") and name != "tau_nonval_corrected":
-            monkeypatch.setattr(est, name, refuse)
-    frame, kwargs = frame_variant(label)
-    analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
-    assert not analysis.failures and not analysis.se_failures
+    for seed in (0, 1, 2):
+        frame, kwargs = frame_variant(label, seed)
+        analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
+        assert not analysis.failures and not analysis.se_failures
+        system = inf.build_system(frame, ESTIMATOR_IDS, **kwargs)
+        e, pi = fitted_props(frame, system.x_treat, system.x_sel)
+        rates = est.estimate_misclassification(frame, kwargs.get("misclassification", "pooled"))
+        params = inf.solve_plugin(frame, system)
+        cov = inf.sandwich(params).covariance
+        ia, ib = params.system.index("tau_s_val"), params.system.index("d", 1)
+        b = frame.n_v / frame.n
+        want = oracle_points(frame, e, pi, rates, b=b, b_opt=analysis.b_opt)
+        weights = {"sy_combined": 0.5, "s_weighted": b,
+                   "s_opt": est.compute_b_opt(cov[ia, ia], cov[ib, ib], cov[ia, ib])}
+        for est_id in ESTIMATOR_IDS:
+            got = analysis.estimates[est_id]
+            assert got.tau == pytest.approx(want[est_id], abs=1e-12), (seed, est_id)
+            if est_id in weights:
+                assert got.weight_used == pytest.approx(weights[est_id], abs=1e-12)
+            else:
+                assert got.weight_used is None
 
 
 @pytest.mark.parametrize("label", ("srs", "fitted"))
@@ -706,8 +639,7 @@ def test_sy_combined_weight_on_an_empty_piece_is_a_recorded_failure():
     assert blended.failures == {"sy_combined": "DegenerateValidation"}
     # the rates fail first there; the blend weight itself is typed too
     with pytest.raises(EmptyValidationArm):
-        est.tau_sy_combined(bare, PropensityPair(e=np.full(bare.n, 0.5)),
-                            MisclassRates(0.8, 0.2), w=1.0)
+        est.sy_combined_weight(bare.n, bare.n_v, 1.0)
 
     full = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y_star,
                             v=np.ones(frame.n), y=frame.y)
