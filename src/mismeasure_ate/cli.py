@@ -30,6 +30,7 @@ import warnings
 from dataclasses import replace
 
 from .errors import ConfigParseError, MismeasureError, SchemaError, UnknownScenario
+from .frames import ESTIMATOR_IDS
 from .inference import analyze_frame
 from .reporting import (
     RunReport,
@@ -53,10 +54,8 @@ from . import __version__
 ENV_SEED = "MISMEASURE_ATE_SEED"
 CONFIG_EXIT, COMPUTE_EXIT = 2, 3
 
-ESTIMATE_ORDER = (
-    "naive", "val_only", "nonval_corrected", "sy_combined", "s_val_only",
-    "s_nonval", "s_combined", "all_silver", "s_weighted", "s_opt",
-)
+# every estimator but the oracle, which needs the gold outcome on every row
+ESTIMATE_ORDER = tuple(i for i in ESTIMATOR_IDS if i != "oracle")
 
 
 def _env_seed() -> int | None:
@@ -172,7 +171,7 @@ def cmd_estimate(args) -> int:
             w=args.w, b=args.b,
             score_variant=args.selection_score_variant or "standard",
         )
-    report = report_from_analysis(analysis, metadata=metadata, order=ESTIMATE_ORDER,
+    report = report_from_analysis(analysis, metadata=metadata,
                                   elapsed=time.perf_counter() - started)
     report.warnings[:0] = leading
     report.warnings.extend(_collect_warnings(caught))
@@ -188,6 +187,9 @@ def cmd_estimate(args) -> int:
 def cmd_true_ate(args) -> int:
     config = _resolve_scenario(args.config, args.seed)
     populations = 5000 if args.full else args.populations
+    for option, count in (("--populations", populations), ("--pop-n", args.pop_n)):
+        if count < 1:
+            raise ConfigParseError(f"{option} must be at least 1, got {count}")
     started = time.perf_counter()
     truth = true_ate_oracle(
         config.dgp, populations=populations, population_n=args.pop_n,

@@ -81,16 +81,17 @@ from .frames import (
     ObservationFrame,
 )
 from .numerics import (
-    DesignMatrix,
     clamp_probability,
     expit,
     fit_logistic,
     normal_quantile,
     predict_proba,
     solve_linear,
+    with_intercept,
 )
 
 RESIDUAL_TOL = 1e-6
+Z_95 = normal_quantile(0.975)  # every interval is a 95% one
 SCORE_VARIANTS = ("standard", "printed")
 
 # block -> (kind, treatment model, selection model) its rows read; the WLS
@@ -359,7 +360,7 @@ def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_trea
     if unknown:
         raise ValueError(f"unknown estimator ids: {unknown}")
     if x_treat is None:
-        x_treat = DesignMatrix.with_intercept(frame.x).values
+        x_treat = with_intercept(frame.x)
     blocks = {name for est_id in estimator_ids for name, _ in READS[est_id]}
     return EstimatingSystem(frame, blocks, x_treat, x_sel, score_variant, misclassification)
 
@@ -410,8 +411,7 @@ def _failed_parent(system: EstimatingSystem, name: str, failed: dict) -> str | N
     return next((p for p in system.parents(name) if p in failed), None)
 
 
-def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
-                 rates: MisclassRates | ArmRates | None = None) -> StackedParams:
+def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedParams:
     """Fill the stacked parameters by sequential plug-in and verify them.
 
     gamma (and gamma_p) come from full-sample ML of the treatment model, eta0
@@ -426,13 +426,12 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
     together with every block built on it. The solved stack is evaluated
     once for that check, and again, restricted, only when the check drops a
     block; the returned ``phi`` and ``jacobian`` are those of the final
-    stack. A treatment-model fit that fails raises. ``rates`` replaces the
-    counted rates; ValueError if they do not fit the system's layout.
+    stack. A treatment-model fit that fails raises.
     """
     treat_fit = fit_logistic(system.x_treat, frame.t)
     e = predict_proba(treat_fit, system.x_treat)
     t, v = frame.t, frame.v
-    values, failed, pi = {}, {}, {}
+    values, failed, pi, rates = {}, {}, {}, None
     for name in system.blocks:
         parent = _failed_parent(system, name, failed)
         if parent is not None:
@@ -452,12 +451,8 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
                 pi[name] = predict_proba(sel_fit, system.design(name))
                 value = sel_fit.coefficients
             elif kind == "rates":
-                if rates is None:
-                    rates = est.estimate_misclassification(frame, system.misclassification)
+                rates = est.estimate_misclassification(frame, system.misclassification)
                 value = rates.to_vector()
-                if value.size != system.layout[name].stop - system.layout[name].start:
-                    raise ValueError(f"{type(rates).__name__} does not fit a "
-                                     f"{system.misclassification!r} stacked system")
             elif kind == "ipw":
                 if name == "tau_oracle" and np.any(np.isnan(frame.y)):
                     raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
@@ -504,12 +499,11 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem, *,
 
 @dataclass(frozen=True)
 class SandwichResult:
-    """Joint covariance (variance scale, already divided by n) and SEs."""
+    """Joint covariance (variance scale, already divided by n) and SEs of
+    the stacked parameters, in the order of ``StackedParams.theta``."""
 
-    theta: np.ndarray
     covariance: np.ndarray
     se: np.ndarray
-    layout: dict[str, slice]
 
 
 def sandwich(params: StackedParams) -> SandwichResult:
@@ -540,13 +534,12 @@ def sandwich(params: StackedParams) -> SandwichResult:
     diag = np.diag(cov)
     if np.any(diag < -1e-12):
         raise NegativeVariance(f"sandwich produced negative variance {float(diag.min()):.3e}")
-    return SandwichResult(params.theta, cov, np.sqrt(np.maximum(diag, 0.0)),
-                          params.system.layout)
+    return SandwichResult(cov, np.sqrt(np.maximum(diag, 0.0)))
 
 
 def combine_delta(result: SandwichResult, weights: tuple[float, float],
-                  indices: tuple[int, int]) -> tuple[float, float]:
-    """Point estimate and SE of c_a * theta[ia] + c_b * theta[ib].
+                  indices: tuple[int, int]) -> float:
+    """SE of c_a * theta[ia] + c_b * theta[ib].
 
     First-order delta method with the weights held fixed. Raises
     NegativeVariance rather than clamping if rounding drives the quadratic
@@ -554,20 +547,18 @@ def combine_delta(result: SandwichResult, weights: tuple[float, float],
     """
     c_a, c_b = weights
     ia, ib = indices
-    point = c_a * float(result.theta[ia]) + c_b * float(result.theta[ib])
     cov = result.covariance
     var = (c_a ** 2) * cov[ia, ia] + (c_b ** 2) * cov[ib, ib] + 2.0 * c_a * c_b * cov[ia, ib]
     if var < 0.0:
         raise NegativeVariance(f"combined variance {var:.3e} is negative")
-    return point, float(np.sqrt(var))
+    return float(np.sqrt(var))
 
 
-def confidence_interval(point: float, se: float, level: float = 0.95) -> tuple[float, float]:
-    """Normal-theory interval point +/- z_{(1+level)/2} * se."""
+def confidence_interval(point: float, se: float) -> tuple[float, float]:
+    """Normal-theory 95% interval point +/- z_0.975 * se."""
     if se < 0:
         raise ValueError("se must be nonnegative")
-    z = normal_quantile(0.5 + level / 2.0)
-    return point - z * se, point + z * se
+    return point - Z_95 * se, point + Z_95 * se
 
 
 # --- frame-level orchestration ------------------------------------------------
@@ -590,9 +581,9 @@ class FrameAnalysis:
 
 def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel=None,
                   w: float = 0.5, b: float | None = None,
-                  score_variant: str = "standard", misclassification: str = "pooled",
-                  level: float = 0.95) -> FrameAnalysis:
-    """Compute requested estimators with sandwich SEs and CIs on one frame.
+                  score_variant: str = "standard",
+                  misclassification: str = "pooled") -> FrameAnalysis:
+    """Compute requested estimators with sandwich SEs and 95% CIs on one frame.
 
     ``x_sel`` is the selection-model design matrix; pass None when the
     validation sample is (treated as) a simple random sample, in which case
@@ -695,11 +686,11 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
             if result is None:
                 raise se_error
             se = (float(result.se[where[0]]) if len(where) == 1
-                  else combine_delta(result, coefficients, where)[1])
+                  else combine_delta(result, coefficients, where))
         except MismeasureError as exc:
             analysis.se_failures[est_id] = type(exc).__name__
             analysis.estimates[est_id] = AteEstimate(est_id, tau, weight_used=weight)
             continue
-        low, high = confidence_interval(tau, se, level)
+        low, high = confidence_interval(tau, se)
         analysis.estimates[est_id] = AteEstimate(est_id, tau, se, low, high, weight)
     return analysis

@@ -62,48 +62,17 @@ def clamp_probability(p):
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Dense design matrix, optionally carrying an all-ones intercept column.
+def with_intercept(*blocks: np.ndarray) -> np.ndarray:
+    """An intercept column followed by ``blocks``, in order.
 
-    Invariants checked at construction: at least as many rows as columns,
-    every entry finite, and (when declared) column 0 identically one.
+    Each block is an (n,) column or an (n, k) block. The values are written
+    in place into one column-contiguous (Fortran-order) array.
     """
-
-    values: np.ndarray
-    has_intercept: bool = False
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise DimensionMismatch(f"design matrix must be 2-d, got ndim={values.ndim}")
-        if values.shape[0] < values.shape[1]:
-            raise DimensionMismatch(
-                f"design matrix has more columns ({values.shape[1]}) than rows ({values.shape[0]})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteEvaluation("design matrix contains non-finite entries")
-        if self.has_intercept and not np.all(values[:, 0] == 1.0):
-            raise DimensionMismatch("intercept column must be all ones")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def with_intercept(cls, x: np.ndarray, *more: np.ndarray) -> "DesignMatrix":
-        """Prepend an intercept column to raw covariates.
-
-        Each argument is an (n,) column or an (n, k) block; they follow the
-        intercept in order. The values are written in place into one
-        column-contiguous (Fortran-order) array.
-        """
-        blocks = [np.asarray(block, dtype=float).reshape(len(block), -1) for block in (x, *more)]
-        values = np.empty((len(blocks[0]), 1 + sum(b.shape[1] for b in blocks)), order="F")
-        values[:, 0] = 1.0
-        np.concatenate(blocks, axis=1, out=values[:, 1:])
-        return cls(values, has_intercept=True)
-
-    @classmethod
-    def intercept_only(cls, n: int) -> "DesignMatrix":
-        return cls(np.ones((n, 1)), has_intercept=True)
+    blocks = [np.asarray(block, dtype=float).reshape(len(block), -1) for block in blocks]
+    values = np.empty((len(blocks[0]), 1 + sum(b.shape[1] for b in blocks)), order="F")
+    values[:, 0] = 1.0
+    np.concatenate(blocks, axis=1, out=values[:, 1:])
+    return values
 
 
 @dataclass(frozen=True)
@@ -117,33 +86,39 @@ class LogisticFit:
 
 
 def _as_design(x) -> np.ndarray:
-    """The checked design values, column-contiguous (a no-op for a design
-    built column by column)."""
-    if not isinstance(x, DesignMatrix):
-        x = DesignMatrix(np.asarray(x, dtype=float))
-    return np.asfortranarray(x.values)
+    """The design values, column-contiguous (a no-op for a design built by
+    ``with_intercept``), checked: 2-d, at least as many rows as columns,
+    every entry finite."""
+    values = np.asarray(x, dtype=float)
+    if values.ndim != 2:
+        raise DimensionMismatch(f"design matrix must be 2-d, got ndim={values.ndim}")
+    if values.shape[0] < values.shape[1]:
+        raise DimensionMismatch(
+            f"design matrix has more columns ({values.shape[1]}) than rows ({values.shape[0]})"
+        )
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteEvaluation("design matrix contains non-finite entries")
+    return np.asfortranarray(values)
 
 
-def _log_likelihood(u: np.ndarray, eu: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> float:
-    # sum w (y u - softplus(u)) with eu = exp(-|u|); no w weighs every row 1
-    terms = y * u - (np.maximum(u, 0.0) + np.log1p(eu))
-    return float(np.sum(terms if w is None else w * terms))
+def _log_likelihood(u: np.ndarray, eu: np.ndarray, y: np.ndarray) -> float:
+    # sum (y u - softplus(u)) with eu = exp(-|u|)
+    return float(np.sum(y * u - (np.maximum(u, 0.0) + np.log1p(eu))))
 
 
-def fit_logistic(x, y, weights=None) -> LogisticFit:
-    """Maximize the (weighted) Bernoulli log-likelihood by Newton/IRLS steps.
+def fit_logistic(x, y) -> LogisticFit:
+    """Maximize the Bernoulli log-likelihood by Newton/IRLS steps.
 
     Parameters
     ----------
-    x : DesignMatrix or array_like, shape (n, k)
+    x : array_like, shape (n, k)
     y : array_like of 0/1, length n
-    weights : optional nonnegative array_like, length n
 
     Convergence is declared when the max absolute score drops to 1e-8 or the
     coefficient step max-norm drops to 1e-10.
 
     Each evaluation takes one exponential per row: u = X beta and
-    exp(-|u|) give the probabilities p and the score X'w(y - p), which the
+    exp(-|u|) give the probabilities p and the score X'(y - p), which the
     next iteration reads. A Newton candidate is accepted when the slope of
     the log-likelihood along the step, step . score, is still nonnegative
     there (the log-likelihood is concave, so it rose all the way), when the
@@ -159,13 +134,12 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
     Raises
     ------
     SingularSystem
-        Weighted information matrix is rank deficient: its smallest
-        eigenvalue is not positive or its condition number exceeds 1e12.
+        Information matrix is rank deficient: its smallest eigenvalue is
+        not positive or its condition number exceeds 1e12.
     SeparationSuspected
-        The converged iterate separates the data completely: every row of
-        positive weight has (2y - 1) x beta > 0, so no finite maximum
-        exists (Albert & Anderson 1984); or no convergence and some
-        |coefficient| exceeds 30.
+        The converged iterate separates the data completely: every row has
+        (2y - 1) x beta > 0, so no finite maximum exists (Albert & Anderson
+        1984); or no convergence and some |coefficient| exceeds 30.
     NoConvergence
         Iteration budget (100) exhausted; diagnostics attached to the error.
     """
@@ -176,25 +150,15 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
         raise DimensionMismatch(f"y has shape {y.shape}, expected ({n},)")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("y entries must be 0 or 1")
-    w = weights
-    if w is not None:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (n,):
-            raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and nonnegative")
 
     def evaluate(beta):
         u = xv @ beta
         eu = np.exp(-np.abs(u))
         p = _expit_from(u, eu)
-        return u, eu, p, xv.T @ (y - p if w is None else w * (y - p))
+        return u, eu, p, xv.T @ (y - p)
 
     def converged(beta, u, iterations, max_abs_score):
-        # beta = 0 classifies no row strictly, so a fit that took no step
-        # (every weight zero included) is never read as separated
-        right = (2.0 * y - 1.0) * u > 0.0
-        if iterations and np.all(right if w is None else right | (w == 0.0)):
+        if np.all((2.0 * y - 1.0) * u > 0.0):
             raise SeparationSuspected(
                 f"the data are completely separated (max |coef| = "
                 f"{np.max(np.abs(beta)):.2f} after {iterations} iterations); "
@@ -212,8 +176,7 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
         if max_abs_score <= SCORE_TOL:
             return converged(beta, u, iteration - 1, max_abs_score)
 
-        curvature = (p if w is None else w * p) * (1.0 - p)
-        info = xv.T @ (xv * curvature[:, None])
+        info = xv.T @ (xv * (p * (1.0 - p))[:, None])
         cond = spd_condition(info)
         if not cond <= 1.0 / PIVOT_RTOL:
             raise SingularSystem(
@@ -233,8 +196,8 @@ def fit_logistic(x, y, weights=None) -> LogisticFit:
                     or halving > MAX_HALVINGS):
                 break
             if loglik is None:
-                loglik = _log_likelihood(u, eu, y, w)
-            if _log_likelihood(u_new, eu_new, y, w) >= loglik:
+                loglik = _log_likelihood(u, eu, y)
+            if _log_likelihood(u_new, eu_new, y) >= loglik:
                 break
             scale *= 0.5
         beta, u, eu, p, score = candidate, u_new, eu_new, p_new, score_new

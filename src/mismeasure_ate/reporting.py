@@ -18,18 +18,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, islice, repeat
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigParseError, SchemaError
-from .frames import ESTIMATOR_IDS, ArmRates, ObservationFrame
-from .numerics import DesignMatrix
+from .frames import ArmRates, ObservationFrame
+from .numerics import with_intercept
 from .simulation import (
     DEFAULT_SEED,
-    TABLE_ESTIMATORS,
     DgpConfig,
     ScenarioConfig,
     ScenarioResult,
@@ -319,7 +320,7 @@ def load_model_spec(path) -> ModelSpec:
 
 def design_from_columns(frame: ObservationFrame, columns, *, include_treatment: bool) -> np.ndarray:
     """Intercept plus the named x-columns (plus t for selection designs),
-    built column-contiguous (``DesignMatrix.with_intercept``)."""
+    built column-contiguous (``with_intercept``)."""
     pieces = [frame.t] if include_treatment else []
     for name in columns:
         if not name.startswith("x"):
@@ -331,34 +332,72 @@ def design_from_columns(frame: ObservationFrame, columns, *, include_treatment: 
         if not 0 <= j < frame.p:
             raise ConfigParseError(f"column {name!r} is out of range for {frame.p} covariates")
         pieces.append(frame.x[:, j])
-    if not pieces:
-        return DesignMatrix.intercept_only(frame.n).values
-    return DesignMatrix.with_intercept(*pieces).values
+    return with_intercept(*pieces) if pieces else np.ones((frame.n, 1))
 
 
 # --- scenario config files ----------------------------------------------------------
 
-_DGP_KEYS = {"n", "p11", "p10", "treatment_coefs", "outcome_coefs", "heterogeneous_misclass"}
-_SELECTION_KEYS = {"kind", "target_nv", "alpha0", "misspecify_drop"}
-_TOP_KEYS = {"dgp", "selection", "iterations", "seed", "estimators",
-             "truth", "w", "b", "score_variant", "misclassification"}
-
-
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _present(section, fields: dict, where: str) -> dict:
+    """The keys present in a config section, each through its converter in
+    ``fields``. An absent key keeps its dataclass default; a key ``fields``
+    lacks is an error, so a typo never falls back to a default silently."""
+    if not isinstance(section, dict):
+        raise ConfigParseError(f"{where} must be a JSON object")
+    unknown = set(section) - set(fields)
     if unknown:
         raise ConfigParseError(f"unknown {where} keys: {sorted(unknown)}")
+    values = {}
+    for key, value in section.items():
+        try:
+            values[key] = fields[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigParseError(f"invalid config value for {key!r}: {exc}") from None
+    return values
+
+
+def _coefficients(value) -> tuple:
+    """A non-empty list of finite numbers, kept as written (reports echo it)."""
+    if not (isinstance(value, list) and value and all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) and math.isfinite(c)
+            for c in value)):
+        raise ValueError(f"expected a non-empty list of finite numbers, got {value!r}")
+    return tuple(value)
+
+
+def _or_none(convert):
+    """``convert``, with null standing for None, the setting's default."""
+    return lambda value: None if value is None else convert(value)
+
+
+def _as_written(value):
+    return value
+
+
+# config key -> converter of its JSON value; each table's keys are the keys
+# its section allows
+_DGP_FIELDS = {"n": int, "p11": float, "p10": float, "treatment_coefs": _coefficients,
+               "outcome_coefs": _coefficients, "heterogeneous_misclass": _or_none(tuple)}
+_SELECTION_FIELDS = {"kind": _as_written, "target_nv": int, "alpha0": _coefficients,
+                     "misspecify_drop": _or_none(int)}
+_TOP_FIELDS = {
+    "dgp": partial(_present, fields=_DGP_FIELDS, where="dgp"),
+    "selection": partial(_present, fields=_SELECTION_FIELDS, where="selection"),
+    "iterations": int, "seed": int, "estimators": tuple, "truth": _or_none(float),
+    "w": float, "b": _or_none(float), "score_variant": _as_written,
+    "misclassification": _as_written,
+}
 
 
 def load_scenario_config(path, *, name: str | None = None,
                          default_seed: int = DEFAULT_SEED) -> ScenarioConfig:
     """Parse a scenario JSON file into a ScenarioConfig.
 
-    Required top-level keys: dgp, selection, iterations. Optional: seed,
-    estimators, truth, w, b, score_variant, misclassification ("pooled",
-    the default, or "by_arm"). Unknown keys anywhere, and unknown values of
-    misclassification, are a hard error so typos never silently fall back
-    to defaults. ``default_seed`` fills in when the file has no seed key
+    Required top-level keys: dgp, selection (with its kind), iterations.
+    Optional: seed, estimators, truth, w, b, score_variant,
+    misclassification ("pooled", the default, or "by_arm"). A key that is
+    absent keeps the dataclass default. Unknown keys anywhere, and values
+    the dataclasses refuse, are a hard error so typos never silently fall
+    back to defaults. ``default_seed`` fills in when the file has no seed key
     (the CLI resolves the MISMEASURE_ATE_SEED environment override into it).
     """
     try:
@@ -370,60 +409,19 @@ def load_scenario_config(path, *, name: str | None = None,
         raise ConfigParseError(
             f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from None
-    if not isinstance(raw, dict):
-        raise ConfigParseError("config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
+    values = _present(raw, _TOP_FIELDS, "config")
     for required in ("dgp", "selection", "iterations"):
-        if required not in raw:
+        if required not in values:
             raise ConfigParseError(f"config is missing required key '{required}'")
-
-    dgp_raw = raw["dgp"]
-    if not isinstance(dgp_raw, dict):
-        raise ConfigParseError("'dgp' must be an object")
-    _check_keys(dgp_raw, _DGP_KEYS, "dgp")
-    sel_raw = raw["selection"]
-    if not isinstance(sel_raw, dict):
-        raise ConfigParseError("'selection' must be an object")
-    _check_keys(sel_raw, _SELECTION_KEYS, "selection")
-    if "kind" not in sel_raw:
+    if "kind" not in values["selection"]:
         raise ConfigParseError("selection is missing required key 'kind'")
-
-    def tup(value):
-        return None if value is None else tuple(value)
-
+    dgp, selection = values.pop("dgp"), values.pop("selection")
+    values["base_seed"] = values.pop("seed", default_seed)
     try:
-        dgp = DgpConfig(
-            n=int(dgp_raw.get("n", 5000)),
-            treatment_coefs=tup(dgp_raw.get("treatment_coefs")) or DgpConfig().treatment_coefs,
-            outcome_coefs=tup(dgp_raw.get("outcome_coefs")) or DgpConfig().outcome_coefs,
-            p11=float(dgp_raw.get("p11", 0.67)),
-            p10=float(dgp_raw.get("p10", 0.24)),
-            heterogeneous_misclass=tup(dgp_raw.get("heterogeneous_misclass")),
-        )
-        selection = SelectionConfig(
-            kind=sel_raw["kind"],
-            target_nv=int(sel_raw.get("target_nv", 850)),
-            alpha0=tup(sel_raw.get("alpha0")),
-            misspecify_drop=(None if sel_raw.get("misspecify_drop") is None
-                             else int(sel_raw["misspecify_drop"])),
-        )
-        estimators = raw.get("estimators")
-        config = ScenarioConfig(
-            name=name or "custom",
-            dgp=dgp,
-            selection=selection,
-            estimators=tuple(estimators) if estimators is not None else TABLE_ESTIMATORS,
-            iterations=int(raw["iterations"]),
-            base_seed=int(raw.get("seed", default_seed)),
-            truth=None if raw.get("truth") is None else float(raw["truth"]),
-            w=float(raw.get("w", 0.5)),
-            b=None if raw.get("b") is None else float(raw["b"]),
-            score_variant=raw.get("score_variant", "standard"),
-            misclassification=raw.get("misclassification", "pooled"),
-        )
+        return ScenarioConfig(name=name or "custom", dgp=DgpConfig(**dgp),
+                              selection=SelectionConfig(**selection), **values)
     except (TypeError, ValueError) as exc:
         raise ConfigParseError(f"invalid config value: {exc}") from None
-    return config
 
 
 # --- run reports -----------------------------------------------------------------
@@ -554,15 +552,11 @@ def report_from_scenario(result: ScenarioResult, *, elapsed: float | None = None
     return RunReport("simulate", SIMULATE_COLUMNS, rows, metadata, warnings_list, elapsed)
 
 
-def report_from_analysis(analysis, *, metadata: dict, order=ESTIMATOR_IDS,
+def report_from_analysis(analysis, *, metadata: dict,
                          elapsed: float | None = None) -> RunReport:
-    rows = []
-    for est_id in order:
-        estimate = analysis.estimates.get(est_id)
-        if estimate is None:
-            continue
-        rows.append((est_id, estimate.tau, estimate.se, estimate.ci_low,
-                     estimate.ci_high, estimate.weight_used))
+    # analyze_frame fills analysis.estimates in ESTIMATOR_IDS order
+    rows = [(est_id, estimate.tau, estimate.se, estimate.ci_low, estimate.ci_high,
+             estimate.weight_used) for est_id, estimate in analysis.estimates.items()]
     warnings_list = []
     for est_id, reason in sorted(analysis.failures.items()):
         warnings_list.append(f"{est_id}: not computed ({reason})")

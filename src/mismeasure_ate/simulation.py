@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import CalibrationFailed, MismeasureError, TooManyFailures
 from .frames import ESTIMATOR_IDS, MISCLASSIFICATION_MODES, ObservationFrame
-from .inference import analyze_frame, confidence_interval
-from .numerics import DesignMatrix, expit, fit_logistic, predict_proba
+from .inference import SCORE_VARIANTS, Z_95, analyze_frame
+from .numerics import expit, fit_logistic, predict_proba, with_intercept
 from . import estimators as est
 
 MASK64 = (1 << 64) - 1
@@ -31,6 +31,16 @@ CALIBRATION_STREAM = (1 << 62) + 1
 TRUTH_STREAM = (1 << 62) + 2
 
 DEFAULT_SEED = 20240501
+
+# intercept calibration: rows of the calibration population, the accepted
+# gap |E[n_V] - target_nv|, and the bisection steps before giving up
+CALIBRATION_N = 200_000
+CALIBRATION_TOLERANCE = 1.0
+CALIBRATION_STEPS = 200
+
+# run_scenario raises when an estimator fails in more than this share of
+# iterations
+MAX_FAILURE_SHARE = 0.01
 
 # report order mirrors the main results table
 TABLE_ESTIMATORS = (
@@ -152,9 +162,18 @@ class ScenarioConfig:
         if self.misclassification not in MISCLASSIFICATION_MODES:
             raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}, "
                              f"got {self.misclassification!r}")
+        if self.score_variant not in SCORE_VARIANTS:
+            raise ValueError(f"score_variant must be one of {SCORE_VARIANTS}, "
+                             f"got {self.score_variant!r}")
+        if not self.estimators:
+            raise ValueError("estimators must name at least one estimator")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if unknown:
             raise ValueError(f"unknown estimators: {unknown}")
+        for name in ("w", "b"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.truth is not None and not math.isfinite(self.truth):
             raise ValueError(f"truth must be a finite number, got {self.truth}")
         p, selection = self.dgp.p, self.selection
@@ -227,12 +246,11 @@ def selection_probabilities(selection: SelectionConfig, n: int, t: np.ndarray,
 
 
 def calibrate_intercept(dgp: DgpConfig, selection: SelectionConfig,
-                        rng: np.random.Generator, *, calibration_n: int = 200_000,
-                        tolerance: float = 1.0, max_steps: int = 200) -> float:
+                        rng: np.random.Generator) -> float:
     """Bisection on the selection intercept so E[n_V] hits target_nv.
 
     The expectation is evaluated on the covariates and treatments of one
-    large calibration population (default 200k rows), drawn as
+    large calibration population (CALIBRATION_N rows), drawn as
     ``generate_population`` draws them, and scaled to the scenario's n; the
     bracket is [-20, 20]. Each row's odds factor exp(-(t a_T + x a_x)) is
     formed once, so a probe a takes no exponential per row:
@@ -241,7 +259,7 @@ def calibrate_intercept(dgp: DgpConfig, selection: SelectionConfig,
     """
     if selection.kind == "srs":
         raise ValueError("srs selection has no intercept to calibrate")
-    x, t = draw_covariates_and_treatment(replace(dgp, n=calibration_n), rng)
+    x, t = draw_covariates_and_treatment(replace(dgp, n=CALIBRATION_N), rng)
     slopes = np.asarray(selection.alpha0, dtype=float)[1:]
     with np.errstate(over="ignore"):
         odds = np.exp(-(t * slopes[0] + x @ slopes[1:]))
@@ -255,16 +273,16 @@ def calibrate_intercept(dgp: DgpConfig, selection: SelectionConfig,
         raise CalibrationFailed(
             f"target n_V = {selection.target_nv} is outside the reachable range"
         )
-    for _ in range(max_steps):
+    for _ in range(CALIBRATION_STEPS):
         mid = 0.5 * (lo + hi)
         gap = expected_nv(mid) - selection.target_nv
-        if abs(gap) <= tolerance:
+        if abs(gap) <= CALIBRATION_TOLERANCE:
             return mid
         if gap > 0:
             hi = mid
         else:
             lo = mid
-    raise CalibrationFailed(f"bisection did not converge within {max_steps} steps")
+    raise CalibrationFailed(f"bisection did not converge within {CALIBRATION_STEPS} steps")
 
 
 def select_validation(population: Population, selection: SelectionConfig,
@@ -293,7 +311,7 @@ class TruthEstimate:
 
 def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
     x, t, y = draw_gold_data(dgp_large, _rng(child_seed(base_seed, index)))
-    x_treat = DesignMatrix.with_intercept(x)
+    x_treat = with_intercept(x)
     e = predict_proba(fit_logistic(x_treat, t), x_treat)
     return est.ipw_difference(t, 1.0 - t, y, e, float(dgp_large.n))
 
@@ -354,12 +372,12 @@ def _selection_design(frame: ObservationFrame, selection: SelectionConfig):
     """Design matrix for *fitting* the selection model; None under SRS."""
     if selection.kind == "srs":
         return None
-    return DesignMatrix.with_intercept(frame.t, _analysis_covariates(frame, selection)).values
+    return with_intercept(frame.t, _analysis_covariates(frame, selection))
 
 
 def _treatment_design(frame: ObservationFrame, selection: SelectionConfig) -> np.ndarray:
     """Design matrix for the fitted treatment model (analyst's covariates)."""
-    return DesignMatrix.with_intercept(_analysis_covariates(frame, selection)).values
+    return with_intercept(_analysis_covariates(frame, selection))
 
 
 def _run_iteration(config: ScenarioConfig, index: int):
@@ -418,16 +436,16 @@ def resolve_selection(config: ScenarioConfig) -> tuple[SelectionConfig, float | 
     return calibrated, intercept
 
 
-def run_scenario(config: ScenarioConfig, *, workers: int = 1,
-                 max_failure_share: float = 0.01) -> ScenarioResult:
+def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ScenarioResult:
     """Run all Monte Carlo iterations and aggregate.
 
     bias = mean(tau) - truth, empirical_se = SD of the point estimates
     (ddof=1), mean_sandwich_se = mean of per-iteration sandwich SEs, and
     coverage = share of 95% intervals containing the truth. Failed
     estimator-iterations are excluded from all four and tallied under their
-    reason; more than ``max_failure_share`` of failures for any estimator
-    raises TooManyFailures.
+    reason; failures in more than MAX_FAILURE_SHARE of the iterations for
+    any estimator raise TooManyFailures, so every row has at least one
+    iteration.
     """
     selection_used, intercept = resolve_selection(config)
     if config.truth is not None:
@@ -465,19 +483,13 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1,
         points = np.asarray(taus[est_id])
         n_eff = points.size
         n_failed = sum(failure_reasons[est_id].values())
-        if n_failed > max_failure_share * config.iterations:
+        if n_failed > MAX_FAILURE_SHARE * config.iterations:
             raise TooManyFailures(
                 f"{est_id} failed in {n_failed} of {config.iterations} iterations: "
                 f"{failure_reasons[est_id]}"
             )
-        if n_eff == 0:
-            rows.append(EstimatorSummary(est_id, 0, float("nan"), float("nan"),
-                                         float("nan"), float("nan")))
-            continue
         se_arr = np.asarray(ses[est_id])
-        lows, highs = np.empty(n_eff), np.empty(n_eff)
-        for i in range(n_eff):
-            lows[i], highs[i] = confidence_interval(points[i], se_arr[i])
+        lows, highs = points - Z_95 * se_arr, points + Z_95 * se_arr
         rows.append(EstimatorSummary(
             estimator_id=est_id,
             n_effective=n_eff,

@@ -191,18 +191,17 @@ def s_weighted_by_arm_tau(t, y, y_star, v, e, pi, arm_rates, b=0.5):
 
 
 # --- second logistic solver ---------------------------------------------------
-# Straight Newton-Raphson on the unweighted/weighted Bernoulli likelihood,
+# Straight Newton-Raphson on the Bernoulli likelihood,
 # solved with numpy.linalg (a different linear-algebra route than the package).
 
-def newton_logistic(x, y, weights=None, tol=1e-12, max_iter=200):
+def newton_logistic(x, y, tol=1e-12, max_iter=200):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
     beta = np.zeros(x.shape[1])
     for _ in range(max_iter):
         mu = np.array([_expit(u) for u in x @ beta])
-        grad = x.T @ (w * (y - mu))
-        hess = x.T @ (x * (w * mu * (1.0 - mu))[:, None])
+        grad = x.T @ (y - mu)
+        hess = x.T @ (x * (mu * (1.0 - mu))[:, None])
         step = np.linalg.solve(hess, grad)
         beta = beta + step
         if np.max(np.abs(step)) < tol:
@@ -225,29 +224,26 @@ def expit_two_branch(u):
     return out
 
 
-def logaddexp_loglik(u, y, weights=None):
-    """Bernoulli log-likelihood sum w (y u - log(1 + exp(u))), with the
+def logaddexp_loglik(u, y):
+    """Bernoulli log-likelihood sum (y u - log(1 + exp(u))), with the
     softplus written as numpy's logaddexp(0, u)."""
     u = np.asarray(u, dtype=float)
-    w = np.ones(u.shape) if weights is None else np.asarray(weights, dtype=float)
-    return float(np.sum(w * (np.asarray(y, dtype=float) * u - np.logaddexp(0.0, u))))
+    return float(np.sum(np.asarray(y, dtype=float) * u - np.logaddexp(0.0, u)))
 
 
-def logistic_score(x, y, beta, weights=None):
-    """Analytic score sum_i w_i (y_i - expit(x_i beta)) x_i."""
+def logistic_score(x, y, beta):
+    """Analytic score sum_i (y_i - expit(x_i beta)) x_i."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=float)
     mu = np.array([_expit(u) for u in x @ beta])
-    return x.T @ (w * (y - mu))
+    return x.T @ (y - mu)
 
 
-def logistic_score_jacobian(x, beta, weights=None):
+def logistic_score_jacobian(x, beta):
     """Analytic Jacobian of the score: minus the information matrix."""
     x = np.asarray(x, dtype=float)
-    w = np.ones(x.shape[0]) if weights is None else np.asarray(weights, dtype=float)
     mu = np.array([_expit(u) for u in x @ beta])
-    return -(x.T @ (x * (w * mu * (1.0 - mu))[:, None]))
+    return -(x.T @ (x * (mu * (1.0 - mu))[:, None]))
 
 
 def logistic_sandwich_se(x, y, beta):

@@ -277,7 +277,7 @@ def test_5_exact_identities():
     if not np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10:
         failures.append("sandwich asymmetry")
     independent = oracles.logistic_sandwich_se(xt, sim_frame.t, params.block("gamma"))
-    if not np.allclose(result.se[result.layout["gamma"]], independent, rtol=1e-6):
+    if not np.allclose(result.se[params.system.layout["gamma"]], independent, rtol=1e-6):
         failures.append("treatment-model sandwich block mismatch")
 
     ok = check("5 exact identities", not failures,

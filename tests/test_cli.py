@@ -444,7 +444,18 @@ def test_simulate_config_unknown_key_is_fatal(tmp_path, capsys):
      "misspecify_drop must name a covariate 1..5, got 9"),
     ({"truth": float("nan")}, (), "truth must be a finite number, got nan"),
     ({}, ("--truth", "nan"), "truth must be a finite number, got nan"),
-], ids=["heterogeneous_misclass", "alpha0", "misspecify_drop", "truth", "truth_option"])
+    ({"score_variant": "bogus"}, (), "score_variant must be one of ('standard', 'printed')"),
+    ({"w": 2.0}, (), "w must lie in [0, 1], got 2.0"),
+    ({"b": -0.25}, (), "b must lie in [0, 1], got -0.25"),
+    ({"estimators": []}, (), "estimators must name at least one estimator"),
+    ({}, ("--estimators", ""), "estimators must name at least one estimator"),
+    ({"dgp": {"treatment_coefs": []}}, (),
+     "'treatment_coefs': expected a non-empty list of finite numbers, got []"),
+    ({"dgp": {"outcome_coefs": None}}, (),
+     "'outcome_coefs': expected a non-empty list of finite numbers, got None"),
+], ids=["heterogeneous_misclass", "alpha0", "misspecify_drop", "truth", "truth_option",
+        "score_variant", "w", "b", "estimators", "estimators_option", "empty_coefs",
+        "null_coefs"])
 def test_simulate_config_values_outside_the_model_exit_2(tmp_path, capsys, changes, args,
                                                          message):
     # each would otherwise end in a traceback, a silently ignored setting or
@@ -597,6 +608,15 @@ def test_true_ate_command(capsys):
                      "--pop-n", "8000", "--seed", "13", "--format", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == payload  # deterministic
+
+
+def test_true_ate_counts_below_one_exit_2(capsys):
+    # zero populations would report a NaN truth, zero rows a traceback
+    for option, value in (("--populations", "0"), ("--populations", "-3"), ("--pop-n", "0")):
+        code = cli.main(["true-ate", "main_srs", option, value, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == cli.CONFIG_EXIT and captured.out == ""
+        assert captured.err == f"error: {option} must be at least 1, got {value}\n"
 
 
 def test_reports_have_no_nan_values(tmp_path, capsys):

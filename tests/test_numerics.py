@@ -15,7 +15,6 @@ from mismeasure_ate.errors import (
     SingularSystem,
 )
 from mismeasure_ate.numerics import (
-    DesignMatrix,
     _log_likelihood,
     expit,
     fit_logistic,
@@ -23,6 +22,7 @@ from mismeasure_ate.numerics import (
     predict_proba,
     solve_linear,
     spd_condition,
+    with_intercept,
 )
 
 
@@ -70,24 +70,22 @@ def test_softplus_matches_logaddexp_row_by_row(values):
     with np.errstate(over="raise", invalid="raise"):
         for value in values:
             u = np.array([value])
-            ours = _log_likelihood(u, np.exp(-np.abs(u)), np.zeros(1), None)
+            ours = _log_likelihood(u, np.exp(-np.abs(u)), np.zeros(1))
             reference = oracles.logaddexp_loglik(u, np.zeros(1))
             assert ours == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([40.0, 1e3]),
-       st.booleans())
-def test_log_likelihood_matches_logaddexp_form(seed, bound, weighted):
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([40.0, 1e3]))
+def test_log_likelihood_matches_logaddexp_form(seed, bound):
     # relative to the sum: a single term y u - softplus(u) with y = 1 cancels
     # (about 2e-13 relative near u = 5 in either form), a sum of many does not
     rng = np.random.default_rng(seed)
     u = rng.uniform(-bound, bound, size=200)
     y = rng.integers(0, 2, size=200).astype(float)
-    w = rng.uniform(0.1, 5.0, size=200) if weighted else None
     with np.errstate(over="raise", invalid="raise"):
-        ours = _log_likelihood(u, np.exp(-np.abs(u)), y, w)
-        reference = oracles.logaddexp_loglik(u, y, w)
+        ours = _log_likelihood(u, np.exp(-np.abs(u)), y)
+        reference = oracles.logaddexp_loglik(u, y)
     assert ours == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
@@ -98,48 +96,39 @@ def test_normal_quantile_reference_value():
 
 
 def test_design_matrix_invariants():
-    dm = DesignMatrix.with_intercept(np.arange(6.0))
-    assert dm.values.shape == (6, 2) and dm.has_intercept
+    design = with_intercept(np.arange(6.0))
+    assert design.shape == (6, 2) and design.flags.f_contiguous
+    np.testing.assert_array_equal(design[:, 0], 1.0)
     t, x = np.arange(6.0) % 2, np.arange(12.0).reshape(6, 2)
-    np.testing.assert_array_equal(DesignMatrix.with_intercept(t, x).values,
-                                  np.column_stack([np.ones(6), t, x]))
-    with pytest.raises(DimensionMismatch):
-        DesignMatrix(np.ones((2, 3)))
-    with pytest.raises(NonFiniteEvaluation):
-        DesignMatrix(np.array([[1.0], [np.inf]]))
-    with pytest.raises(DimensionMismatch):
-        DesignMatrix(np.array([[1.0, 0.0], [2.0, 1.0]]), has_intercept=True)
+    np.testing.assert_array_equal(with_intercept(t, x), np.column_stack([np.ones(6), t, x]))
+    # the fit and the prediction check every design they are given
+    fit = fit_logistic(design, np.arange(6.0) % 2)
+    for bad, error in ((np.ones(6), DimensionMismatch), (np.ones((2, 3)), DimensionMismatch),
+                       (np.array([[1.0, 0.0], [1.0, np.inf], [1.0, 1.0]]), NonFiniteEvaluation)):
+        with pytest.raises(error):
+            fit_logistic(bad, np.zeros(len(bad)))
+        with pytest.raises(error):
+            predict_proba(fit, bad)
 
 
 def test_intercept_only_closed_form():
-    x = DesignMatrix.intercept_only(8)
+    x = np.ones((8, 1))
     y = np.array([1, 0, 0, 0, 1, 0, 0, 0], dtype=float)
     fit = fit_logistic(x, y)
     assert fit.converged
     assert fit.coefficients[0] == pytest.approx(math.log(0.25 / 0.75), abs=1e-9)
 
-    balanced = fit_logistic(DesignMatrix.intercept_only(2), np.array([0.0, 1.0]))
+    balanced = fit_logistic(np.ones((2, 1)), np.array([0.0, 1.0]))
     assert balanced.coefficients[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fit_matches_independent_newton_solver():
     rng = np.random.default_rng(7)
-    x = DesignMatrix.with_intercept(rng.normal(size=(200, 5)))
+    x = with_intercept(rng.normal(size=(200, 5)))
     beta = np.array([0.8, 0.3, 0.3, 0.3, 0.3, 0.3])
-    y = (rng.random(200) < expit(x.values @ beta)).astype(float)
+    y = (rng.random(200) < expit(x @ beta)).astype(float)
     fit = fit_logistic(x, y)
-    reference = oracles.newton_logistic(x.values, y)
-    np.testing.assert_allclose(fit.coefficients, reference, atol=1e-8)
-
-
-def test_weighted_fit_matches_independent_solver():
-    rng = np.random.default_rng(11)
-    x = DesignMatrix.with_intercept(rng.normal(size=(300, 2)))
-    beta = np.array([-0.5, 1.0, 0.7])
-    y = (rng.random(300) < expit(x.values @ beta)).astype(float)
-    w = rng.uniform(0.2, 3.0, size=300)
-    fit = fit_logistic(x, y, weights=w)
-    reference = oracles.newton_logistic(x.values, y, weights=w)
+    reference = oracles.newton_logistic(x, y)
     np.testing.assert_allclose(fit.coefficients, reference, atol=1e-8)
 
 
@@ -147,8 +136,8 @@ def test_uphill_steps_need_no_log_likelihood(monkeypatch):
     # every candidate of this fit is accepted by its slope or its score
     calls = count_log_likelihoods(monkeypatch)
     rng = np.random.default_rng(7)
-    x = DesignMatrix.with_intercept(rng.normal(size=(200, 5)))
-    y = (rng.random(200) < expit(x.values @ np.array([0.8, 0.3, 0.3, 0.3, 0.3, 0.3]))).astype(float)
+    x = with_intercept(rng.normal(size=(200, 5)))
+    y = (rng.random(200) < expit(x @ np.array([0.8, 0.3, 0.3, 0.3, 0.3, 0.3]))).astype(float)
     assert fit_logistic(x, y).converged
     assert not calls
 
@@ -159,34 +148,23 @@ def test_downhill_slope_falls_back_to_the_log_likelihood(monkeypatch):
     # log-likelihoods decide, and the fit still reaches the MLE
     calls = count_log_likelihoods(monkeypatch)
     rng = np.random.default_rng(852)
-    x = DesignMatrix.with_intercept(rng.normal(size=(40, 3)))
-    y = (rng.random(40) < expit(x.values @ rng.normal(scale=8.0, size=4))).astype(float)
+    x = with_intercept(rng.normal(size=(40, 3)))
+    y = (rng.random(40) < expit(x @ rng.normal(scale=8.0, size=4))).astype(float)
     fit = fit_logistic(x, y)
     assert fit.converged and calls
-    reference = oracles.newton_logistic(x.values, y)
+    reference = oracles.newton_logistic(x, y)
     np.testing.assert_allclose(fit.coefficients, reference, rtol=0.0, atol=1e-8)
 
 
 def test_complete_separation_raises():
     # y = 1 exactly where x > 0: the likelihood rises without bound along the
     # slope, and the score test is met at a finite iterate that separates
-    x = DesignMatrix.with_intercept(np.linspace(-3.0, 3.0, 40))
-    y = (x.values[:, 1] > 0).astype(float)
+    x = with_intercept(np.linspace(-3.0, 3.0, 40))
+    y = (x[:, 1] > 0).astype(float)
     with pytest.raises(SeparationSuspected) as raised:
         fit_logistic(x, y)
     assert not raised.value.fit.converged
-    assert np.all((2.0 * y - 1.0) * (x.values @ raised.value.fit.coefficients) > 0.0)
-    # a row of weight zero does not break the separation; any positive weight does
-    flipped = y.copy()
-    flipped[[10, 30]] = 1.0 - flipped[[10, 30]]
-    weights = np.ones(40)
-    weights[[10, 30]] = 0.0
-    with pytest.raises(SeparationSuspected):
-        fit_logistic(x, flipped, weights=weights)
-    weights[[10, 30]] = 0.5
-    assert fit_logistic(x, flipped, weights=weights).converged
-    # no weight at all: the start already meets the score test
-    assert fit_logistic(x, y, weights=np.zeros(40)).iterations == 0
+    assert np.all((2.0 * y - 1.0) * (x @ raised.value.fit.coefficients) > 0.0)
 
 
 def _quasi_separated():
@@ -195,7 +173,7 @@ def _quasi_separated():
     z = np.linspace(-3.0, 3.0, 60)
     y = (z > 0).astype(float)
     y[[27, 32]] = 1.0 - y[[27, 32]]
-    return DesignMatrix.with_intercept(8.0 * z), y, None
+    return with_intercept(8.0 * z), y
 
 
 def _rare_event():
@@ -203,25 +181,25 @@ def _rare_event():
     x = rng.normal(size=(3000, 2))
     y = (rng.random(3000) < expit(-6.5 + x @ np.array([0.8, -0.5]))).astype(float)
     assert y.sum() == 6.0  # 0.2% positives
-    return DesignMatrix.with_intercept(x), y, None
+    return with_intercept(x), y
 
 
-def _steep_weighted():
+def _steep():
     rng = np.random.default_rng(4)
-    x = DesignMatrix.with_intercept(rng.normal(size=(400, 2)))
-    y = (rng.random(400) < expit(x.values @ np.array([0.5, 4.0, -3.0]))).astype(float)
-    return x, y, rng.uniform(0.1, 5.0, size=400)
+    x = with_intercept(rng.normal(size=(400, 2)))
+    y = (rng.random(400) < expit(x @ np.array([0.5, 4.0, -3.0]))).astype(float)
+    return x, y
 
 
-@pytest.mark.parametrize("design", [_quasi_separated, _rare_event, _steep_weighted],
-                         ids=["quasi_separated", "rare_event", "steep_weighted"])
+@pytest.mark.parametrize("design", [_quasi_separated, _rare_event, _steep],
+                         ids=["quasi_separated", "rare_event", "steep"])
 def test_hard_fits_converge_to_the_independent_solver(design):
     # step-halving counts are not pinned: where a full step is rejected, the
     # two log-likelihoods compared differ only in their last bits
-    x, y, w = design()
-    fit = fit_logistic(x, y, weights=w)
+    x, y = design()
+    fit = fit_logistic(x, y)
     assert fit.converged
-    reference = oracles.newton_logistic(x.values, y, weights=w)
+    reference = oracles.newton_logistic(x, y)
     np.testing.assert_allclose(fit.coefficients, reference, rtol=0.0, atol=1e-8)
 
 
@@ -229,25 +207,25 @@ def test_fit_working_memory_stays_within_twice_the_design():
     # the kernel keeps n-vectors and one (n, k) product, never a copy of the
     # design in another layout
     rng = np.random.default_rng(5)
-    x = DesignMatrix.with_intercept(rng.normal(size=(50_000, 5)))
-    y = (rng.random(50_000) < expit(x.values @ np.linspace(-1.0, 1.0, 6))).astype(float)
+    x = with_intercept(rng.normal(size=(50_000, 5)))
+    y = (rng.random(50_000) < expit(x @ np.linspace(-1.0, 1.0, 6))).astype(float)
     tracemalloc.start()
     try:
         fit_logistic(x, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * x.values.nbytes
+    assert peak <= 2.0 * x.nbytes
 
 
 def test_converged_fit_has_tiny_analytic_score():
     rng = np.random.default_rng(3)
-    x = DesignMatrix.with_intercept(rng.normal(size=(500, 3)))
+    x = with_intercept(rng.normal(size=(500, 3)))
     beta = np.array([0.2, -0.6, 0.9, 0.1])
-    y = (rng.random(500) < expit(x.values @ beta)).astype(float)
+    y = (rng.random(500) < expit(x @ beta)).astype(float)
     fit = fit_logistic(x, y)
     assert fit.converged
-    score = oracles.logistic_score(x.values, y, fit.coefficients)
+    score = oracles.logistic_score(x, y, fit.coefficients)
     assert np.max(np.abs(score)) <= 1e-8
     assert fit.max_abs_score <= 1e-8
 
@@ -257,11 +235,11 @@ def test_large_sample_recovery_within_monte_carlo_error():
     # 3 asymptotic standard errors of the fit
     rng = np.random.default_rng(20240817)
     n = 100_000
-    x = DesignMatrix.with_intercept(rng.normal(size=(n, 5)))
+    x = with_intercept(rng.normal(size=(n, 5)))
     beta = np.array([0.8, 0.3, 0.3, 0.3, 0.3, 0.3])
-    y = (rng.random(n) < expit(x.values @ beta)).astype(float)
+    y = (rng.random(n) < expit(x @ beta)).astype(float)
     fit = fit_logistic(x, y)
-    info = -oracles.logistic_score_jacobian(x.values, beta)
+    info = -oracles.logistic_score_jacobian(x, beta)
     se = np.sqrt(np.diag(np.linalg.inv(info)))
     assert np.all(np.abs(fit.coefficients - beta) <= 3.0 * se)
 
@@ -288,16 +266,15 @@ def test_near_collinear_information_raises():
 
 def test_fit_and_predict_agree_on_either_memory_order():
     rng = np.random.default_rng(19)
-    x = DesignMatrix.with_intercept(rng.normal(size=(500, 4))).values
+    x = with_intercept(rng.normal(size=(500, 4)))
     y = (rng.random(500) < expit(x @ np.array([-0.4, 0.5, -0.3, 0.2, 0.1]))).astype(float)
     rows = np.ascontiguousarray(x)
     assert x.flags.f_contiguous and rows.flags.c_contiguous and not rows.flags.f_contiguous
-    for weights in (None, rng.uniform(0.5, 2.0, size=500)):
-        by_column, by_row = fit_logistic(x, y, weights), fit_logistic(rows, y, weights)
-        np.testing.assert_allclose(by_row.coefficients, by_column.coefficients, rtol=0, atol=1e-12)
-        assert by_row.iterations == by_column.iterations
-        np.testing.assert_allclose(predict_proba(by_column, rows), predict_proba(by_column, x),
-                                   rtol=0, atol=1e-12)
+    by_column, by_row = fit_logistic(x, y), fit_logistic(rows, y)
+    np.testing.assert_allclose(by_row.coefficients, by_column.coefficients, rtol=0, atol=1e-12)
+    assert by_row.iterations == by_column.iterations
+    np.testing.assert_allclose(predict_proba(by_column, rows), predict_proba(by_column, x),
+                               rtol=0, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -321,14 +298,14 @@ def test_spd_condition_is_infinite_off_the_positive_definite_cone():
 
 def test_predict_proba_contract():
     rng = np.random.default_rng(0)
-    x = DesignMatrix.with_intercept(rng.normal(size=(50, 2)))
-    zero = fit_logistic(DesignMatrix.intercept_only(4), np.array([1.0, 0.0, 1.0, 0.0]))
-    assert np.allclose(predict_proba(zero, DesignMatrix.intercept_only(6)), 0.5)
+    x = with_intercept(rng.normal(size=(50, 2)))
+    zero = fit_logistic(np.ones((4, 1)), np.array([1.0, 0.0, 1.0, 0.0]))
+    assert np.allclose(predict_proba(zero, np.ones((6, 1))), 0.5)
 
-    quarter = fit_logistic(DesignMatrix.intercept_only(8),
+    quarter = fit_logistic(np.ones((8, 1)),
                            np.array([1, 0, 0, 0, 1, 0, 0, 0], dtype=float))
     np.testing.assert_allclose(
-        predict_proba(quarter, DesignMatrix.intercept_only(3)), 0.25, atol=1e-9
+        predict_proba(quarter, np.ones((3, 1))), 0.25, atol=1e-9
     )
 
     # saturating linear predictors stay strictly inside (0, 1)
@@ -338,7 +315,7 @@ def test_predict_proba_contract():
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     with pytest.raises(DimensionMismatch):
-        predict_proba(huge, DesignMatrix.intercept_only(5))
+        predict_proba(huge, np.ones((5, 1)))
 
 
 def test_numeric_jacobian_examples():
