@@ -3,7 +3,7 @@ point-estimate record every estimator returns."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +40,19 @@ def _binary(name: str, values: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _gold(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The gold outcome ``y``, checked against the validation indicator:
+    one entry per row, 0/1 where observed, present on every validation row."""
+    if y.shape != v.shape:
+        raise DimensionMismatch(f"y has shape {y.shape}, expected {v.shape}")
+    observed = ~np.isnan(y)
+    if not np.all((y[observed] == 0.0) | (y[observed] == 1.0)):
+        raise ValueError("observed y entries must be 0 or 1")
+    if np.any((v == 1.0) & ~observed):
+        raise ValueError("y must be present on every validation row")
+    return y
+
+
 @dataclass(frozen=True)
 class ObservationFrame:
     """One analysis dataset.
@@ -64,18 +77,12 @@ class ObservationFrame:
         t = _binary("t", self.t)
         y_star = _binary("y_star", self.y_star)
         v = _binary("v", self.v)
-        y = np.asarray(self.y, dtype=float)
-        for name, arr in [("t", t), ("y_star", y_star), ("v", v), ("y", y)]:
+        for name, arr in [("t", t), ("y_star", y_star), ("v", v)]:
             if arr.shape != (n,):
                 raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({n},)")
-        observed = ~np.isnan(y)
-        if not np.all((y[observed] == 0.0) | (y[observed] == 1.0)):
-            raise ValueError("observed y entries must be 0 or 1")
-        if np.any((v == 1.0) & ~observed):
-            raise ValueError("y must be present on every validation row")
-        for name, arr in [("x", x), ("t", t), ("y_star", y_star), ("v", v)]:
+        y = _gold(np.asarray(self.y, dtype=float), v)
+        for name, arr in [("x", x), ("t", t), ("y_star", y_star), ("v", v), ("y", y)]:
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -97,8 +104,12 @@ class ObservationFrame:
         return np.where(self.v == 1.0, self.y, 0.0)
 
     def with_full_y(self, y_full: np.ndarray) -> "ObservationFrame":
-        """Attach a complete gold-outcome vector (simulation oracle path)."""
-        return replace(self, y=np.asarray(y_full, dtype=float))
+        """Attach a complete gold-outcome vector (simulation oracle path),
+        checked as the constructor checks y; the other arrays are shared."""
+        frame = object.__new__(ObservationFrame)
+        frame.__dict__.update(x=self.x, t=self.t, y_star=self.y_star, v=self.v,
+                              y=_gold(np.asarray(y_full, dtype=float), self.v))
+        return frame
 
 
 @dataclass(frozen=True)

@@ -37,20 +37,22 @@ selection design the validation sample is treated as a simple random
 sample: the fitted selection model is then the constant one, and each
 fitted-selection block is its constant-selection twin. The covariance
 returned by :func:`sandwich` is already on the variance scale of the
-estimators (divided by n). One walk of the blocks
-(``EstimatingSystem.evaluate``) gives the per-subject residuals for the meat
-and the stack's Jacobian in closed form for the bread: logistic information
-for the model blocks, counts for the rate rows, and for the tau and WLS rows
-their derivatives in their own parameters, in the rates and, through the
-weights, in the fitted propensities, as for IPW with estimated propensities
-(Lunceford & Davidian 2004).
+estimators (divided by n). One walk of the blocks solves and evaluates the
+stack (``solve_plugin``): each block solves its parameters by plug-in, then
+writes from the same per-row arrays its per-subject residuals for the meat
+and its rows of the Jacobian in closed form for the bread: logistic
+information for the model blocks, counts for the rate rows, and for the tau
+and WLS rows their derivatives in their own parameters, in the rates and,
+through the weights, in the fitted propensities, as for IPW with estimated
+propensities (Lunceford & Davidian 2004). ``EstimatingSystem.evaluate``
+takes the same walk at a given theta.
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
-runner and the CLI: it builds and solves the frame's stack, which evaluates
-it once, and reads each estimator's point and SE from the same parameters of
-the solved stack: the point from theta, the SE from the one sandwich of that
-evaluation. The one point not read from theta is the IPW complement contrast
-of nonval_corrected and sy_combined, computed once per frame (see
+runner and the CLI: it solves the frame's stack in that one walk and reads
+each estimator's point and SE from the same parameters of the solved stack:
+the point from theta, the SE from the one sandwich of the walk's
+evaluation. The one point not read from theta is the IPW complement
+contrast of nonval_corrected and sy_combined, computed once per frame (see
 ``analyze_frame``). ``estimators`` holds the arithmetic these share.
 """
 
@@ -81,11 +83,11 @@ from .frames import (
     ObservationFrame,
 )
 from .numerics import (
+    LogisticFit,
     clamp_probability,
     expit,
     fit_logistic,
     normal_quantile,
-    predict_proba,
     solve_linear,
     with_intercept,
 )
@@ -201,10 +203,6 @@ class EstimatingSystem:
         found = [p for p in (treat, sel) if p is not None]
         return found + ["rates"] if kind.startswith("wls") else found
 
-    def design(self, name: str) -> np.ndarray:
-        """Design matrix of a treatment or selection model block."""
-        return self._designs[name]
-
     def index(self, name: str, row: int = 0) -> int:
         """Position of row ``row`` of block ``name`` in the parameter vector."""
         return self.layout[self.resolve(name)].start + row
@@ -214,7 +212,8 @@ class EstimatingSystem:
         return EstimatingSystem(self.frame, names, self.x_treat, self.x_sel,
                                 self.score_variant, self.misclassification)
 
-    def _shift(self, theta, name: str):
+    @staticmethod
+    def _shift(theta, layout: dict, name: str):
         """Treated-minus-control silver mean implied by WLS block ``name``.
 
         Returns the shift and its partials as (column of theta, partial)
@@ -222,8 +221,8 @@ class EstimatingSystem:
         serves both arms, so its columns appear twice; the two partials sum
         to (beta, -beta) there.
         """
-        alpha, beta = theta[self.layout[name]]
-        rate_cols = self.layout["rates"]
+        alpha, beta = theta[layout[name]]
+        rate_cols = layout["rates"]
         # (control, treated) rates; one pooled pair serves both arms
         rates = theta[rate_cols].reshape(-1, 2)
         (p11_0, p10_0), (p11_1, p10_1) = rates[0], rates[-1]
@@ -232,7 +231,7 @@ class EstimatingSystem:
         gap0, gap1 = p11_0 - p10_0, p11_1 - p10_1
         shift = (p10_1 - p10_0) + gap1 * beta + (gap1 / gap0 - 1.0) * (alpha - p10_0)
         control = (alpha - p10_0) / gap0  # the control arm's corrected mean
-        first, c0, c1 = self.layout[name].start, rate_cols.start, rate_cols.stop - 2
+        first, c0, c1 = layout[name].start, rate_cols.start, rate_cols.stop - 2
         return shift, ((first, gap1 / gap0 - 1.0), (first + 1, gap1),
                        (c0, -gap1 * control / gap0), (c0 + 1, gap1 * (control - 1.0) / gap0),
                        (c1, beta + control), (c1 + 1, 1.0 - beta - control))
@@ -243,9 +242,7 @@ class EstimatingSystem:
         Returns (phi, jacobian): the (n, dim) matrix whose row i is
         phi_i(theta), stored column by column (Fortran order) so that each
         block writes contiguous residual columns, and the (dim, dim) Jacobian
-        of its column sums in closed form. One walk of the blocks in stacked
-        order writes both, each block from the same fitted probabilities,
-        weights, shift and residual.
+        of its column sums in closed form, in the walk ``solve_plugin`` takes.
         A model block's own rows give minus its logistic information (the
         printed rows also move with the selection probability they carry),
         and the share row -n; a rate row gives its count; the tau and WLS
@@ -257,46 +254,71 @@ class EstimatingSystem:
         zero. The share is not clamped: it lies in (0, 1], and at 1 (every row
         validated) no block that divides by 1 - s has solved.
         """
-        theta = np.asarray(theta, dtype=float)
+        phi, jacobian, *_ = self._walk(np.asarray(theta, dtype=float))
+        return phi, jacobian
+
+    def _walk(self, theta: np.ndarray, treat_fit: LogisticFit | None = None):
+        """Walk the blocks in stacked order (see ``evaluate``). Given
+        ``treat_fit``, each block first solves its parameters into theta by
+        plug-in and checks its residual mean after its rows; a block that
+        fails is left out with the blocks built on it, and the next takes its
+        place in theta, phi and the Jacobian. Returns (phi, jacobian, layout,
+        failed, rates)."""
+        solving = treat_fit is not None
         frame = self.frame
+        n = frame.n
         t, v, y_star, yv = frame.t, frame.v, frame.y_star, frame.y_validated
-        phi = np.empty((frame.n, self.dim), order="F")
+        phi = np.empty((n, self.dim), order="F")
         jac = np.zeros((self.dim, self.dim))
+        layout, failed, rates, pos = {}, {}, None, 0
         raw, prob, slope = {}, {}, {}  # model block -> p, clamped p, d(clamped p)/d(x'par)
 
         def through(row, model, d_prob):
-            """Add row ``row``'s derivative in ``model``'s coefficients, given
-            the per-subject derivative ``d_prob`` of the row in its probability."""
-            jac[row, self.layout[model]] += (d_prob * slope[model]) @ self._designs[model]
+            # row's derivative in model's coefficients, from its per-subject one in p
+            jac[row, layout[model]] += (d_prob * slope[model]) @ self._designs[model]
 
-        for name in self.blocks:
+        def rows(name, cols):
+            """Solve block ``name`` (when solving), then write its rows; its
+            per-row arrays go when it returns, so one block's are held at a time."""
+            nonlocal rates
             kind, treat, sel = self.spec(name)
-            cols = self.layout[name]
-            par = theta[cols]
-            row = cols.start
-            if kind in ("treatment", "selection", "share"):
+            par, row = theta[cols], cols.start  # a view, which the plug-in writes through
+            if kind == "share":
+                # an intercept-only model with the identity link, unclamped
+                if solving:
+                    if frame.n_v == 0:
+                        raise DegenerateValidation("no validated rows; the validation share is 0")
+                    par[0] = frame.n_v / n
+                raw[name] = prob[name] = self._designs[name] @ par
+                slope[name] = np.ones(n)
+                phi[:, row] = v - raw[name]
+                jac[row, row] = -n
+            elif kind in ("treatment", "selection"):
                 design = self._designs[name]
-                if kind == "share":
-                    # an intercept-only model with the identity link, unclamped
-                    raw[name] = prob[name] = design @ par
-                    info = slope[name] = np.ones(frame.n)
+                if solving:
+                    fit = treat_fit if kind == "treatment" else fit_logistic(design, v)
+                    par[:], raw[name] = fit.coefficients, fit.probabilities
                 else:
                     raw[name] = expit(design @ par)
-                    prob[name] = clamp_probability(raw[name])
-                    info = raw[name] * (1.0 - raw[name])
-                    slope[name] = np.where(prob[name] == raw[name], info, 0.0)
-                score = ((t if kind == "treatment" else v) - raw[name])[:, None] * design
+                prob[name] = clamp_probability(raw[name])
+                info = raw[name] * (1.0 - raw[name])
+                slope[name] = np.where(prob[name] == raw[name], info, 0.0)
+                # the score rows (y - p) x, written in place
+                np.multiply(((t if kind == "treatment" else v) - raw[name])[:, None], design,
+                            out=phi[:, cols])
                 if sel is None:
-                    phi[:, cols] = score
                     jac[cols, cols] = -(design.T @ (design * info[:, None]))
                 else:
                     # printed rows (t - p) x pi: pi is the unclamped selection fit
-                    phi[:, cols] = score * raw[sel][:, None]
+                    phi[:, cols] *= raw[sel][:, None]
                     carried = raw[sel] * (1.0 - raw[sel]) * (t - raw[name])
                     jac[cols, cols] = -(design.T @ (design * (info * raw[sel])[:, None]))
-                    jac[cols, self.layout[sel]] = design.T @ (self._designs[sel] * carried[:, None])
+                    jac[cols, layout[sel]] = design.T @ (self._designs[sel] * carried[:, None])
             elif kind == "rates":
-                scale = frame.n / frame.n_v
+                if solving:
+                    rates = est.estimate_misclassification(frame, self.misclassification)
+                    par[:] = rates.to_vector()
+                scale = n / frame.n_v
                 for k, counted in enumerate(self._rate_rows):
                     p11, p10 = par[2 * k], par[2 * k + 1]
                     col = row + 2 * k
@@ -307,22 +329,39 @@ class EstimatingSystem:
             elif kind == "ipw":
                 e = prob[treat]
                 outcome = frame.y if name == "tau_oracle" else y_star
-                phi[:, row] = t * outcome / e - (1.0 - t) * outcome / (1.0 - e) - par[0]
-                jac[row, row] = -frame.n
+                if solving and name == "tau_oracle" and np.any(np.isnan(outcome)):
+                    raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
+                treated, control = t * outcome / e, (1.0 - t) * outcome / (1.0 - e)
+                if solving:  # the sums of est.ipw_difference, over the same rows
+                    par[0] = float(np.sum(treated)) / n - float(np.sum(control)) / n
+                phi[:, row] = treated - control - par[0]
+                jac[row, row] = -n
                 through(row, treat, -(t * outcome / e ** 2 + (1.0 - t) * outcome / (1.0 - e) ** 2))
             elif kind == "validation":
                 e, pi = prob[treat], prob[sel]
+                if solving:
+                    est.require_validation_arms(frame)
+                    par[0] = est.ipw_difference(v * t, v * (1.0 - t), yv / pi, e, float(n))
                 weighted = yv * (v * t / (e * pi) - v * (1.0 - t) / ((1.0 - e) * pi))
                 phi[:, row] = weighted - par[0]
-                jac[row, row] = -frame.n
+                jac[row, row] = -n
                 through(row, treat, -yv * v * (t / e ** 2 + (1.0 - t) / (1.0 - e) ** 2) / pi)
                 through(row, sel, -weighted / pi)
             else:
                 e = prob[treat]
+                if solving and kind == "wls_r" and frame.n_v == n:
+                    raise EmptyComplement("every row is validated; the complement is empty")
                 w_t, w_c = (est.r_weights(t, v, e, prob[sel]) if kind == "wls_r"
                             else est.d_weights(t, e))
+                if solving:
+                    try:
+                        mean1, mean0 = est.hajek_means(w_t, w_c, y_star)
+                    except EmptyArm:
+                        undefined = EmptyComplementArm if kind == "wls_r" else EmptyArm
+                        raise undefined("a treatment arm has zero weight") from None
+                    par[:] = mean0, est.corrected_contrast(rates, mean1, mean0)
                 wls_w = w_t + w_c  # one of the two is zero on every row
-                shift, partials = self._shift(theta, name)
+                shift, partials = self._shift(theta, layout, name)
                 resid = y_star - par[0] - shift * t
                 # rows W (Y* - alpha - shift T) and W T (Y* - alpha - shift T)
                 phi[:, row] = wls_w * resid
@@ -339,7 +378,30 @@ class EstimatingSystem:
                 for model, d_w in d_weight.items():
                     through(row, model, d_w * resid)
                     through(row + 1, model, d_w * t * resid)
-        return phi, jac
+
+        for name in self.blocks:
+            parent = next((p for p in self.parents(name) if p in failed), None)
+            if parent is not None:
+                failed[name] = failed[parent]
+                continue
+            size = self.layout[name].stop - self.layout[name].start
+            cols = layout[name] = slice(pos, pos + size)
+            try:
+                rows(name, cols)
+            except MismeasureError as exc:  # only the plug-in raises
+                failed[name] = exc
+            # plain-ML gamma does not zero the printed rows
+            if solving and name not in failed and name != "gamma_p":
+                worst = float(np.max(np.abs(phi[:, cols].sum(axis=0) / n)))
+                if worst > RESIDUAL_TOL:
+                    failed[name] = ResidualCheckFailed(
+                        f"{name} residual mean max-norm {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
+            if name in failed:
+                del layout[name]
+                jac[cols] = 0.0  # the next block's rows accumulate there
+            else:
+                pos += size
+        return phi[:, :pos], jac[:pos, :pos], layout, failed, rates
 
 
 def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_treat=None,
@@ -365,33 +427,18 @@ def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_trea
     return EstimatingSystem(frame, blocks, x_treat, x_sel, score_variant, misclassification)
 
 
-def _wls_closed_form(weights: tuple[np.ndarray, np.ndarray], y_star: np.ndarray,
-                     rates: MisclassRates | ArmRates, complement: bool) -> tuple[float, float]:
-    """Exact solution of a WLS block from its (treated, control) weights.
-
-    Returns (alpha, beta): the control arm's weighted mean of Y* and the
-    misclassification-corrected Hajek arm contrast.
-    """
-    try:
-        mean1, mean0 = est.hajek_means(*weights, y_star)
-    except EmptyArm:
-        if complement:
-            raise EmptyComplementArm("complement lacks a treatment arm; WLS block undefined") from None
-        raise EmptyArm("a treatment arm has zero weight; WLS block undefined") from None
-    return mean0, est.corrected_contrast(rates, mean1, mean0)
-
-
 @dataclass(frozen=True)
 class StackedParams:
     """Plug-in solution of a stack.
 
     ``system`` is the stack restricted to the blocks that solved and
     ``theta`` their parameters, from which every point estimate is read;
-    ``phi`` and ``jacobian`` are that stack evaluated at theta
-    (``EstimatingSystem.evaluate``), which the sandwich reads. ``failed``
-    maps every other block to the error that stopped it or one of its
-    parents. ``e`` is the fitted treatment propensity and ``rates`` the
-    counted misclassification rates (None unless their block solved).
+    ``phi`` and ``jacobian`` are that stack's residuals and Jacobian at
+    theta, as ``EstimatingSystem.evaluate`` gives them, which the sandwich
+    reads. ``failed`` maps every other block to the error that stopped it or
+    one of its parents. ``e`` is the fitted treatment propensity and
+    ``rates`` the counted misclassification rates (None unless their block
+    solved).
     """
 
     system: EstimatingSystem
@@ -407,12 +454,9 @@ class StackedParams:
         return self.theta[self.system.layout[self.system.resolve(name)]]
 
 
-def _failed_parent(system: EstimatingSystem, name: str, failed: dict) -> str | None:
-    return next((p for p in system.parents(name) if p in failed), None)
-
-
 def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedParams:
-    """Fill the stacked parameters by sequential plug-in and verify them.
+    """Fill the stacked parameters by sequential plug-in, verify them and
+    evaluate the stack, in one walk of its blocks.
 
     gamma (and gamma_p) come from full-sample ML of the treatment model, eta0
     is the validation share (DegenerateValidation without validated rows),
@@ -422,79 +466,18 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedPa
     is validated), and each tau from its IPW contrast (EmptyValidationArm
     for a validation contrast unless the validated rows hold both treatment
     arms). A block whose plug-in raises a MismeasureError, or whose residual
-    mean exceeds 1e-6 in max norm (ResidualCheckFailed), is left out
-    together with every block built on it. The solved stack is evaluated
-    once for that check, and again, restricted, only when the check drops a
-    block; the returned ``phi`` and ``jacobian`` are those of the final
-    stack. A treatment-model fit that fails raises.
+    mean exceeds 1e-6 in max norm (ResidualCheckFailed), is left out together
+    with every block built on it: ``system`` is then restricted to the rest,
+    whose columns of the walk are ``phi`` and ``jacobian``. A treatment-model
+    fit that fails raises.
     """
     treat_fit = fit_logistic(system.x_treat, frame.t)
-    e = predict_proba(treat_fit, system.x_treat)
-    t, v = frame.t, frame.v
-    values, failed, pi, rates = {}, {}, {}, None
-    for name in system.blocks:
-        parent = _failed_parent(system, name, failed)
-        if parent is not None:
-            failed[name] = failed[parent]
-            continue
-        kind, _, sel = system.spec(name)
-        try:
-            if kind == "treatment":
-                value = treat_fit.coefficients
-            elif kind == "share":
-                if frame.n_v == 0:
-                    raise DegenerateValidation("no validated rows; the validation share is 0")
-                value = frame.n_v / frame.n
-                pi[name] = np.full(frame.n, value)
-            elif kind == "selection":
-                sel_fit = fit_logistic(system.design(name), v)
-                pi[name] = predict_proba(sel_fit, system.design(name))
-                value = sel_fit.coefficients
-            elif kind == "rates":
-                rates = est.estimate_misclassification(frame, system.misclassification)
-                value = rates.to_vector()
-            elif kind == "ipw":
-                if name == "tau_oracle" and np.any(np.isnan(frame.y)):
-                    raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
-                outcome = frame.y if name == "tau_oracle" else frame.y_star
-                value = est.ipw_difference(t, 1.0 - t, outcome, e, float(frame.n))
-            elif kind == "validation":
-                est.require_validation_arms(frame)
-                value = est.ipw_difference(v * t, v * (1.0 - t), frame.y_validated / pi[sel], e,
-                                           float(frame.n))
-            elif kind == "wls_r":
-                if frame.n_v == frame.n:
-                    raise EmptyComplement("every row is validated; the complement is empty")
-                value = _wls_closed_form(est.r_weights(t, v, e, pi[sel]), frame.y_star, rates,
-                                         complement=True)
-            else:
-                value = _wls_closed_form(est.d_weights(t, e), frame.y_star, rates,
-                                         complement=False)
-        except MismeasureError as exc:
-            failed[name] = exc
-            continue
-        values[name] = np.atleast_1d(np.asarray(value, dtype=float))
-
-    solved = system.restrict(values)
-    theta = np.concatenate([values[name] for name in solved.blocks] or [np.empty(0)])
-    phi, jacobian = solved.evaluate(theta)
-    means = np.abs(phi.sum(axis=0) / frame.n)
-    for name in solved.blocks:
-        parent = _failed_parent(solved, name, failed)
-        worst = float(np.max(means[solved.layout[name]]))
-        if parent is not None:
-            failed[name] = failed[parent]
-        # plain-ML gamma does not zero the printed rows
-        elif name != "gamma_p" and worst > RESIDUAL_TOL:
-            failed[name] = ResidualCheckFailed(
-                f"{name} residual mean max-norm {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    kept = [name for name in solved.blocks if name not in failed]
-    if len(kept) < len(solved.blocks):
-        solved = system.restrict(kept)
-        theta = np.concatenate([values[name] for name in solved.blocks] or [np.empty(0)])
-        phi, jacobian = solved.evaluate(theta)
-    return StackedParams(solved, theta, phi, jacobian, failed, e,
-                         rates if "rates" in solved.layout else None)
+    e = clamp_probability(treat_fit.probabilities)
+    theta = np.empty(system.dim)
+    phi, jacobian, layout, failed, rates = system._walk(theta, treat_fit)
+    solved = system.restrict(layout) if failed else system
+    return StackedParams(solved, theta[:solved.dim], phi, jacobian, failed, e,
+                         rates if "rates" in layout else None)
 
 
 @dataclass(frozen=True)
@@ -512,7 +495,8 @@ def sandwich(params: StackedParams) -> SandwichResult:
     Reads the evaluation ``solve_plugin`` stored and walks nothing: the
     bread A is ``params.jacobian`` divided by -n; the meat B is the mean
     outer product of the rows of ``params.phi``, formed as phi^T phi / n on
-    its column-contiguous columns; A^-1 B A^-T takes two linear solves. The
+    its column-contiguous columns; A^-1 B A^-T takes two linear solves, of
+    which the first checks the bread's condition (``solve_linear``). The
     result is symmetrized as (C + C^T)/2.
     NonFiniteEvaluation when the residuals or the bread are not finite.
     """
@@ -529,7 +513,8 @@ def sandwich(params: StackedParams) -> SandwichResult:
     bread = bread * scale[:, None]
     phi = params.phi * scale
     meat = phi.T @ phi / n
-    cov = solve_linear(bread, solve_linear(bread, meat).T) / n
+    # one condition check serves both solves, which share the bread
+    cov = np.linalg.solve(bread, solve_linear(bread, meat).T) / n
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov)
     if np.any(diag < -1e-12):
@@ -601,10 +586,10 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     for misclassification that depends on treatment); every rate-consuming
     estimator and its blocks follow it.
 
-    The frame's stack is built from the requested ids, solved, evaluated
-    and sandwiched once. Each point is its blend coefficients times the
-    solved parameters it reads (``READS``), the combination whose SE the
-    sandwich gives. The coefficients are 1 for a single parameter,
+    The frame's stack is built from the requested ids, solved and evaluated
+    in one walk, and sandwiched once. Each point is its blend coefficients
+    times the solved parameters it reads (``READS``), the combination whose
+    SE the sandwich gives. The coefficients are 1 for a single parameter,
     (lam, 1 - lam) for sy_combined, (n_V/n, (n - n_V)/n) for s_combined,
     (b, 1 - b) for s_weighted and (b_opt, 1 - b_opt) for s_opt, with b_opt
     from the covariance. nonval_corrected and sy_combined take the IPW

@@ -77,12 +77,15 @@ def with_intercept(*blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogisticFit:
-    """Fitted logistic coefficients plus convergence diagnostics."""
+    """Fitted logistic coefficients plus convergence diagnostics, and the
+    unclamped ``probabilities`` p of the final evaluation: bitwise
+    ``expit(x @ coefficients)`` on the fit's column-contiguous design."""
 
     coefficients: np.ndarray
     converged: bool
     iterations: int
     max_abs_score: float
+    probabilities: np.ndarray
 
 
 def _as_design(x) -> np.ndarray:
@@ -119,7 +122,8 @@ def fit_logistic(x, y) -> LogisticFit:
 
     Each evaluation takes one exponential per row: u = X beta and
     exp(-|u|) give the probabilities p and the score X'(y - p), which the
-    next iteration reads. A Newton candidate is accepted when the slope of
+    next iteration reads; the final evaluation's p is returned as
+    ``probabilities``. A Newton candidate is accepted when the slope of
     the log-likelihood along the step, step . score, is still nonnegative
     there (the log-likelihood is concave, so it rose all the way), when the
     candidate already passes the score test, or else when its
@@ -157,15 +161,15 @@ def fit_logistic(x, y) -> LogisticFit:
         p = _expit_from(u, eu)
         return u, eu, p, xv.T @ (y - p)
 
-    def converged(beta, u, iterations, max_abs_score):
+    def converged(beta, u, p, iterations, max_abs_score):
         if np.all((2.0 * y - 1.0) * u > 0.0):
             raise SeparationSuspected(
                 f"the data are completely separated (max |coef| = "
                 f"{np.max(np.abs(beta)):.2f} after {iterations} iterations); "
                 "no finite maximum likelihood estimate exists",
-                fit=LogisticFit(beta, False, iterations, max_abs_score),
+                fit=LogisticFit(beta, False, iterations, max_abs_score, p),
             )
-        return LogisticFit(beta, True, iterations, max_abs_score)
+        return LogisticFit(beta, True, iterations, max_abs_score, p)
 
     beta = np.zeros(k)
     u, eu, p, score = evaluate(beta)
@@ -174,7 +178,7 @@ def fit_logistic(x, y) -> LogisticFit:
     for iteration in range(1, MAX_ITER + 1):
         max_abs_score = float(np.max(np.abs(score))) if k else 0.0
         if max_abs_score <= SCORE_TOL:
-            return converged(beta, u, iteration - 1, max_abs_score)
+            return converged(beta, u, p, iteration - 1, max_abs_score)
 
         info = xv.T @ (xv * (p * (1.0 - p))[:, None])
         cond = spd_condition(info)
@@ -203,9 +207,9 @@ def fit_logistic(x, y) -> LogisticFit:
         beta, u, eu, p, score = candidate, u_new, eu_new, p_new, score_new
 
         if float(np.max(np.abs(scale * step))) <= STEP_TOL:
-            return converged(beta, u, iteration, float(np.max(np.abs(score))))
+            return converged(beta, u, p, iteration, float(np.max(np.abs(score))))
 
-    failed = LogisticFit(beta, False, MAX_ITER, max_abs_score)
+    failed = LogisticFit(beta, False, MAX_ITER, max_abs_score, p)
     if np.any(np.abs(beta) > SEPARATION_COEF):
         raise SeparationSuspected(
             f"no convergence after {MAX_ITER} iterations with max |coef| = "
@@ -216,21 +220,6 @@ def fit_logistic(x, y) -> LogisticFit:
         f"no convergence after {MAX_ITER} iterations (max |score| = {max_abs_score:.3e})",
         fit=failed,
     )
-
-
-def predict_proba(fit: LogisticFit, x) -> np.ndarray:
-    """Elementwise expit(x @ coefficients), clamped to [1e-12, 1 - 1e-12].
-
-    The clamp keeps downstream inverse-probability weights finite even for
-    saturated linear predictors.
-    """
-    xv = _as_design(x)
-    beta = np.asarray(fit.coefficients, dtype=float)
-    if xv.shape[1] != beta.shape[0]:
-        raise DimensionMismatch(
-            f"design has {xv.shape[1]} columns but fit has {beta.shape[0]} coefficients"
-        )
-    return clamp_probability(expit(xv @ beta))
 
 
 def spd_condition(a) -> float:

@@ -364,6 +364,20 @@ def _coefficients(value) -> tuple:
     return tuple(value)
 
 
+def _strict(convert, types, what: str):
+    """``convert`` of a JSON value of ``types``; any other value, a boolean
+    included, is refused rather than converted (2.9 is not the integer 2)."""
+    def checked(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return convert(value)
+    return checked
+
+
+_integer = _strict(int, int, "an integer")
+_number = _strict(float, (int, float), "a number")
+
+
 def _or_none(convert):
     """``convert``, with null standing for None, the setting's default."""
     return lambda value: None if value is None else convert(value)
@@ -375,15 +389,15 @@ def _as_written(value):
 
 # config key -> converter of its JSON value; each table's keys are the keys
 # its section allows
-_DGP_FIELDS = {"n": int, "p11": float, "p10": float, "treatment_coefs": _coefficients,
+_DGP_FIELDS = {"n": _integer, "p11": _number, "p10": _number, "treatment_coefs": _coefficients,
                "outcome_coefs": _coefficients, "heterogeneous_misclass": _or_none(tuple)}
-_SELECTION_FIELDS = {"kind": _as_written, "target_nv": int, "alpha0": _coefficients,
-                     "misspecify_drop": _or_none(int)}
+_SELECTION_FIELDS = {"kind": _as_written, "target_nv": _integer, "alpha0": _coefficients,
+                     "misspecify_drop": _or_none(_integer)}
 _TOP_FIELDS = {
     "dgp": partial(_present, fields=_DGP_FIELDS, where="dgp"),
     "selection": partial(_present, fields=_SELECTION_FIELDS, where="selection"),
-    "iterations": int, "seed": int, "estimators": tuple, "truth": _or_none(float),
-    "w": float, "b": _or_none(float), "score_variant": _as_written,
+    "iterations": _integer, "seed": _integer, "estimators": tuple, "truth": _or_none(_number),
+    "w": _number, "b": _or_none(_number), "score_variant": _as_written,
     "misclassification": _as_written,
 }
 

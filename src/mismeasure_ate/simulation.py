@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CalibrationFailed, MismeasureError, TooManyFailures
 from .frames import ESTIMATOR_IDS, MISCLASSIFICATION_MODES, ObservationFrame
 from .inference import SCORE_VARIANTS, Z_95, analyze_frame
-from .numerics import expit, fit_logistic, predict_proba, with_intercept
+from .numerics import clamp_probability, expit, fit_logistic, with_intercept
 from . import estimators as est
 
 MASK64 = (1 << 64) - 1
@@ -312,7 +312,7 @@ class TruthEstimate:
 def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
     x, t, y = draw_gold_data(dgp_large, _rng(child_seed(base_seed, index)))
     x_treat = with_intercept(x)
-    e = predict_proba(fit_logistic(x_treat, t), x_treat)
+    e = clamp_probability(fit_logistic(x_treat, t).probabilities)
     return est.ipw_difference(t, 1.0 - t, y, e, float(dgp_large.n))
 
 

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from mismeasure_ate import numerics
 from mismeasure_ate.frames import ArmRates, MisclassRates, ObservationFrame
-from mismeasure_ate.numerics import expit, fit_logistic, predict_proba
+from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic
 
 # Canonical six-row fixture with externally supplied propensities. Every
 # expected value asserted against it was computed with tests/oracles.py
@@ -118,10 +118,16 @@ def frame_variant(label, seed=0):
 def fitted_props(frame, x_treat, x_sel=None):
     """(e, pi): the propensities the plug-in fits, recomputed from scratch;
     pi is the validation share n_V / n on every row when ``x_sel`` is None."""
-    e = predict_proba(fit_logistic(x_treat, frame.t), x_treat)
+    e = fitted_probability(x_treat, frame.t)
     if x_sel is None:
         return e, np.full(frame.n, frame.n_v / frame.n)
-    return e, predict_proba(fit_logistic(x_sel, frame.v), x_sel)
+    return e, fitted_probability(x_sel, frame.v)
+
+
+def fitted_probability(x, y):
+    """The clamped probability of the logistic fit of y on x, formed from
+    its coefficients."""
+    return clamp_probability(expit(x @ fit_logistic(x, y).coefficients))
 
 
 def oracle_points(frame, e, pi, rates, *, b, b_opt, w=0.5):

@@ -453,9 +453,24 @@ def test_simulate_config_unknown_key_is_fatal(tmp_path, capsys):
      "'treatment_coefs': expected a non-empty list of finite numbers, got []"),
     ({"dgp": {"outcome_coefs": None}}, (),
      "'outcome_coefs': expected a non-empty list of finite numbers, got None"),
+    # integer settings take JSON integers only and number settings JSON
+    # numbers only: never truncated, and never a boolean or a string
+    ({"iterations": 2.9}, (), "'iterations': expected an integer, got 2.9"),
+    ({"seed": "5"}, (), "'seed': expected an integer, got '5'"),
+    ({"dgp": {"n": True}}, (), "'n': expected an integer, got True"),
+    ({"selection": {"target_nv": 80.0}}, (), "'target_nv': expected an integer, got 80.0"),
+    ({"selection": {"misspecify_drop": False}}, (),
+     "'misspecify_drop': expected an integer, got False"),
+    ({"dgp": {"p11": "0.8"}}, (), "'p11': expected a number, got '0.8'"),
+    ({"dgp": {"p10": True}}, (), "'p10': expected a number, got True"),
+    ({"truth": "0.07"}, (), "'truth': expected a number, got '0.07'"),
+    ({"w": "0.5"}, (), "'w': expected a number, got '0.5'"),
+    ({"b": False}, (), "'b': expected a number, got False"),
 ], ids=["heterogeneous_misclass", "alpha0", "misspecify_drop", "truth", "truth_option",
         "score_variant", "w", "b", "estimators", "estimators_option", "empty_coefs",
-        "null_coefs"])
+        "null_coefs", "float_iterations", "string_seed", "boolean_n", "float_target_nv",
+        "boolean_misspecify_drop", "string_p11", "boolean_p10", "string_truth", "string_w",
+        "boolean_b"])
 def test_simulate_config_values_outside_the_model_exit_2(tmp_path, capsys, changes, args,
                                                          message):
     # each would otherwise end in a traceback, a silently ignored setting or

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from conftest import (
     VARIANTS,
+    fitted_probability,
     fitted_props,
     frame_variant,
     make_random_frame,
@@ -25,7 +26,7 @@ from mismeasure_ate.errors import (
     ResidualCheckFailed,
 )
 from mismeasure_ate.frames import ESTIMATOR_IDS, ArmRates, MisclassRates, ObservationFrame
-from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic, predict_proba
+from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic
 
 
 def mean_residuals(params):
@@ -121,9 +122,7 @@ def test_perfect_classification_reduction():
     clean = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y, v=frame.v, y=frame.y)
     system = inf.build_system(clean, ["all_silver"])
     params = inf.solve_plugin(clean, system)
-    from mismeasure_ate.numerics import fit_logistic, predict_proba
-
-    e = predict_proba(fit_logistic(system.x_treat, clean.t), system.x_treat)
+    e = fitted_probability(system.x_treat, clean.t)
     w_t = clean.t / e
     w_c = (1.0 - clean.t) / (1.0 - e)
     hajek = oracles.hajek_contrast(w_t, w_c, clean.y)
@@ -489,28 +488,64 @@ def test_analyze_frame_never_calls_the_numeric_oracle(label, monkeypatch):
     assert not analysis.failures and not analysis.se_failures
 
 
-def count_evaluations(monkeypatch):
-    """Record the dimension of every stack ``EstimatingSystem.evaluate`` walks."""
-    calls, evaluate = [], inf.EstimatingSystem.evaluate
+def count_walks(monkeypatch):
+    """Record the dimension of every stack walked, by ``solve_plugin`` or by
+    ``EstimatingSystem.evaluate``."""
+    calls, walk = [], inf.EstimatingSystem._walk
 
-    def counted(self, theta):
+    def counted(self, *args, **kwargs):
         calls.append(self.dim)
-        return evaluate(self, theta)
+        return walk(self, *args, **kwargs)
 
-    monkeypatch.setattr(inf.EstimatingSystem, "evaluate", counted)
+    monkeypatch.setattr(inf.EstimatingSystem, "_walk", counted)
     return calls
 
 
 @pytest.mark.parametrize("label", VARIANTS)
 def test_analyze_frame_evaluates_the_stack_once(label, monkeypatch):
-    # the residual check and the sandwich read the same evaluation
-    from mismeasure_ate.frames import ESTIMATOR_IDS
+    # one walk solves the stack and gives the residual check and the
+    # sandwich their evaluation; its fitted probabilities are those of the
+    # fits, so no fitted model is evaluated again
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fitted model was evaluated again")
 
     frame, kwargs = frame_variant(label)
-    calls = count_evaluations(monkeypatch)
+    calls = count_walks(monkeypatch)
+    monkeypatch.setattr(inf, "expit", refuse)
     analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
     assert not analysis.failures and not analysis.se_failures
     assert len(calls) == 1
+
+
+def dropping_frames():
+    """(label, frame, build_system keywords): every variant's frame, an
+    every-row-validated frame (the complement blocks fail with
+    EmptyComplement) and a frame whose residual check drops the rates."""
+    for label in VARIANTS:
+        yield (label, *frame_variant(label))
+    frame, kwargs = frame_variant("fitted")
+    frame = replace(frame, v=np.ones(frame.n))
+    yield "every_row_validated", frame, dict(kwargs, x_sel=selection_design(frame))
+    frame = simulated_frame(seed=13, n=1500)
+    yield "mismatched_rates", frame, dict(x_sel=selection_design(frame))
+
+
+def test_solved_stack_equals_the_evaluation_of_its_kept_blocks(monkeypatch):
+    # the walk that solves the stack writes what evaluate gives at the
+    # solution, bit for bit, whichever blocks it leaves out
+    for label, frame, kwargs in dropping_frames():
+        if label == "mismatched_rates":
+            mismatch_rates(monkeypatch)
+        params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
+        assert bool(params.failed) == (label in ("every_row_validated", "mismatched_rates"))
+        kept = inf.build_system(frame, ESTIMATOR_IDS, **kwargs).restrict(params.system.blocks)
+        assert kept.layout == params.system.layout
+        theta = np.concatenate([params.block(name) for name in kept.blocks])
+        phi, jacobian = kept.evaluate(theta)
+        assert np.array_equal(params.theta, theta), label
+        assert np.array_equal(params.phi, phi), label
+        assert np.array_equal(params.jacobian, jacobian), label
+        assert params.phi.flags.f_contiguous
 
 
 @pytest.mark.parametrize("label", VARIANTS)
@@ -548,15 +583,16 @@ def test_designs_and_residuals_are_column_contiguous():
 
 
 def test_stored_evaluation_is_that_of_the_restricted_stack(monkeypatch):
-    # the check drops the rates and the blocks built on them, so the stack
-    # that is left is evaluated once more, and that evaluation is stored
+    # the check drops the rates and the blocks built on them in the one walk
+    # of the stack; the columns it keeps are the evaluation of the stack
+    # that is left
     frame = simulated_frame(seed=13, n=1500)
     system = inf.build_system(frame, x_sel=selection_design(frame))
-    calls = count_evaluations(monkeypatch)
+    calls = count_walks(monkeypatch)
     mismatch_rates(monkeypatch)
     params = inf.solve_plugin(frame, system)
     assert isinstance(params.failed["rates"], ResidualCheckFailed)
-    assert calls == [system.dim, params.system.dim] and params.system.dim < system.dim
+    assert calls == [system.dim] and params.system.dim < system.dim
     phi, jacobian = params.system.evaluate(params.theta)
     assert phi.shape == (frame.n, params.system.dim)
     assert params.phi.tobytes() == phi.tobytes()

@@ -16,10 +16,10 @@ from mismeasure_ate.errors import (
 )
 from mismeasure_ate.numerics import (
     _log_likelihood,
+    clamp_probability,
     expit,
     fit_logistic,
     normal_quantile,
-    predict_proba,
     solve_linear,
     spd_condition,
     with_intercept,
@@ -101,14 +101,11 @@ def test_design_matrix_invariants():
     np.testing.assert_array_equal(design[:, 0], 1.0)
     t, x = np.arange(6.0) % 2, np.arange(12.0).reshape(6, 2)
     np.testing.assert_array_equal(with_intercept(t, x), np.column_stack([np.ones(6), t, x]))
-    # the fit and the prediction check every design they are given
-    fit = fit_logistic(design, np.arange(6.0) % 2)
+    # the fit checks every design it is given
     for bad, error in ((np.ones(6), DimensionMismatch), (np.ones((2, 3)), DimensionMismatch),
                        (np.array([[1.0, 0.0], [1.0, np.inf], [1.0, 1.0]]), NonFiniteEvaluation)):
         with pytest.raises(error):
             fit_logistic(bad, np.zeros(len(bad)))
-        with pytest.raises(error):
-            predict_proba(fit, bad)
 
 
 def test_intercept_only_closed_form():
@@ -273,7 +270,7 @@ def test_fit_and_predict_agree_on_either_memory_order():
     by_column, by_row = fit_logistic(x, y), fit_logistic(rows, y)
     np.testing.assert_allclose(by_row.coefficients, by_column.coefficients, rtol=0, atol=1e-12)
     assert by_row.iterations == by_column.iterations
-    np.testing.assert_allclose(predict_proba(by_column, rows), predict_proba(by_column, x),
+    np.testing.assert_allclose(by_row.probabilities, by_column.probabilities,
                                rtol=0, atol=1e-12)
 
 
@@ -296,26 +293,26 @@ def test_spd_condition_is_infinite_off_the_positive_definite_cone():
     assert spd_condition(np.full((2, 2), np.nan)) == np.inf
 
 
-def test_predict_proba_contract():
+def test_fit_probabilities_contract():
+    # the probabilities of the final evaluation are bitwise expit(x @ beta)
+    # on the column-contiguous design, whichever order the design came in
     rng = np.random.default_rng(0)
-    x = with_intercept(rng.normal(size=(50, 2)))
-    zero = fit_logistic(np.ones((4, 1)), np.array([1.0, 0.0, 1.0, 0.0]))
-    assert np.allclose(predict_proba(zero, np.ones((6, 1))), 0.5)
+    x = with_intercept(rng.normal(size=(300, 3)))
+    y = (rng.random(300) < expit(x @ np.array([0.2, -0.5, 0.4, 0.1]))).astype(float)
+    for design in (x, np.ascontiguousarray(x)):
+        fit = fit_logistic(design, y)
+        assert fit.probabilities.shape == (300,)
+        assert np.array_equal(fit.probabilities, expit(x @ fit.coefficients))
 
+    zero = fit_logistic(np.ones((4, 1)), np.array([1.0, 0.0, 1.0, 0.0]))
+    np.testing.assert_array_equal(zero.probabilities, 0.5)
     quarter = fit_logistic(np.ones((8, 1)),
                            np.array([1, 0, 0, 0, 1, 0, 0, 0], dtype=float))
-    np.testing.assert_allclose(
-        predict_proba(quarter, np.ones((3, 1))), 0.25, atol=1e-9
-    )
+    np.testing.assert_allclose(quarter.probabilities, 0.25, atol=1e-9)
 
-    # saturating linear predictors stay strictly inside (0, 1)
-    from mismeasure_ate.numerics import LogisticFit
-    huge = LogisticFit(np.array([100.0, 100.0, 100.0]), True, 0, 0.0)
-    probs = predict_proba(huge, x)
+    # saturating linear predictors stay strictly inside (0, 1) once clamped
+    probs = clamp_probability(expit(x @ np.full(4, 100.0)))
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
-
-    with pytest.raises(DimensionMismatch):
-        predict_proba(huge, np.ones((5, 1)))
 
 
 def test_numeric_jacobian_examples():

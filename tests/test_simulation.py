@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from conftest import count_log_likelihoods
 from mismeasure_ate import simulation as sim
-from mismeasure_ate.errors import CalibrationFailed, TooManyFailures
+from mismeasure_ate.errors import CalibrationFailed, DimensionMismatch, TooManyFailures
 from mismeasure_ate.inference import analyze_frame
 from mismeasure_ate.numerics import expit
 
@@ -134,6 +134,28 @@ def test_select_validation_masks_gold_outcomes():
     assert abs(n_v - 850) < 5 * np.sqrt(5000 * 0.17 * 0.83)  # binomial SD ~ 26.6
     assert np.all(np.isnan(frame.y[frame.v == 0]))
     assert np.array_equal(frame.y[frame.v == 1], population.y[frame.v == 1])
+
+
+def test_with_full_y_checks_only_the_new_outcome():
+    # the frame's checked arrays are shared; the new gold outcome is checked
+    # as the constructor checks y, with the same error classes and messages
+    rng = sim._rng(4)
+    population = sim.generate_population(replace(BASE, n=400), rng)
+    frame = sim.select_validation(population, sim.SelectionConfig(kind="srs", target_nv=80), rng)
+    full = frame.with_full_y(population.y)
+    np.testing.assert_array_equal(full.y, population.y)
+    assert all(getattr(full, name) is getattr(frame, name) for name in ("x", "t", "y_star", "v"))
+    assert full.n_v == frame.n_v
+    np.testing.assert_array_equal(full.y_validated, frame.y_validated)
+    validated = frame.v == 1.0
+    for bad in (population.y[:-1], np.where(validated, 2.0, population.y),
+                np.where(validated, np.nan, population.y)):
+        errors = []
+        for build in (lambda: replace(frame, y=bad), lambda: frame.with_full_y(bad)):
+            with pytest.raises((DimensionMismatch, ValueError)) as raised:
+                build()
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("alpha0", [
