@@ -61,7 +61,7 @@ def main() -> int:
 
     for name in names:
         config = replace(catalog[name], iterations=iterations, base_seed=args.seed,
-                         truth=truth.value, truth_populations=truth_populations)
+                         truth=truth.value)
         started = time.perf_counter()
         result = run_scenario(config, workers=args.workers)
         report = report_from_scenario(result, elapsed=time.perf_counter() - started)

@@ -100,15 +100,6 @@ def _emit(report: RunReport, args) -> None:
     sys.stdout.write(rendered)
 
 
-def _collect_warnings(caught) -> list[str]:
-    seen: list[str] = []
-    for item in caught:
-        message = str(item.message)
-        if message not in seen:
-            seen.append(message)
-    return seen
-
-
 def cmd_simulate(args) -> int:
     config = _resolve_scenario(args.scenario, args.seed)
     overrides = {}
@@ -134,12 +125,15 @@ def cmd_simulate(args) -> int:
         warnings.simplefilter("always")
         result = run_scenario(config, workers=args.workers)
     report = report_from_scenario(result, elapsed=time.perf_counter() - started)
-    report.warnings.extend(_collect_warnings(caught))
+    report.warnings.extend(dict.fromkeys(str(item.message) for item in caught))
     _emit(report, args)
     return 0
 
 
 def cmd_estimate(args) -> int:
+    for option, weight in (("--w", args.w), ("--b", args.b)):
+        if weight is not None and not 0.0 <= weight <= 1.0:
+            raise ConfigParseError(f"{option} must lie in [0, 1], got {weight}")
     frame = read_dataset_csv(args.data)
     spec = load_model_spec(args.model_spec)
     x_treat = design_from_columns(frame, spec.treatment_covariates, include_treatment=False)
@@ -174,7 +168,7 @@ def cmd_estimate(args) -> int:
     report = report_from_analysis(analysis, metadata=metadata,
                                   elapsed=time.perf_counter() - started)
     report.warnings[:0] = leading
-    report.warnings.extend(_collect_warnings(caught))
+    report.warnings.extend(dict.fromkeys(str(item.message) for item in caught))
     if not analysis.estimates:
         sys.stderr.write("error: no estimator could be computed\n")
         for line in report.warnings:
@@ -240,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     estp.add_argument("data", help="dataset CSV (columns x1..xp, t, ystar, v, y)")
     estp.add_argument("model_spec", help="JSON naming treatment/selection covariate columns")
     estp.add_argument("--w", type=float, default=0.5,
-                      help="weight parameter of the size-blended estimator (default 0.5)")
+                      help="size-blended estimator weight, in [0, 1] (default 0.5)")
     estp.add_argument("--b", type=float, default=None,
-                      help="fixed blend weight for s_weighted (default: n_V/n)")
+                      help="fixed blend weight for s_weighted, in [0, 1] (default: n_V/n)")
     estp.add_argument("--selection-score-variant", choices=("standard", "printed"))
     _add_common(estp)
     estp.set_defaults(func=cmd_estimate)

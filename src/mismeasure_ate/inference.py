@@ -59,6 +59,7 @@ contrast of nonval_corrected and sy_combined, computed once per frame (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -73,6 +74,7 @@ from .errors import (
     NegativeVariance,
     NonFiniteEvaluation,
     ResidualCheckFailed,
+    SingularSystem,
 )
 from .frames import (
     ESTIMATOR_IDS,
@@ -83,17 +85,16 @@ from .frames import (
     ObservationFrame,
 )
 from .numerics import (
+    PIVOT_RTOL,
     LogisticFit,
     clamp_probability,
     expit,
     fit_logistic,
-    normal_quantile,
-    solve_linear,
     with_intercept,
 )
 
 RESIDUAL_TOL = 1e-6
-Z_95 = normal_quantile(0.975)  # every interval is a 95% one
+Z_95 = NormalDist().inv_cdf(0.975)  # every interval is a 95% one
 SCORE_VARIANTS = ("standard", "printed")
 
 # block -> (kind, treatment model, selection model) its rows read; the WLS
@@ -495,10 +496,12 @@ def sandwich(params: StackedParams) -> SandwichResult:
     Reads the evaluation ``solve_plugin`` stored and walks nothing: the
     bread A is ``params.jacobian`` divided by -n; the meat B is the mean
     outer product of the rows of ``params.phi``, formed as phi^T phi / n on
-    its column-contiguous columns; A^-1 B A^-T takes two linear solves, of
-    which the first checks the bread's condition (``solve_linear``). The
-    result is symmetrized as (C + C^T)/2.
-    NonFiniteEvaluation when the residuals or the bread are not finite.
+    its column-contiguous columns; A^-1 B A^-T takes two linear solves
+    (``np.linalg.solve``) after one check of the scaled bread's 2-norm
+    condition number. The result is symmetrized as (C + C^T)/2.
+    NonFiniteEvaluation when the residuals or the bread are not finite;
+    SingularSystem when the bread is singular or its condition number
+    exceeds 1 / PIVOT_RTOL.
     """
     n = params.phi.shape[0]
     bread = -params.jacobian / n
@@ -514,7 +517,13 @@ def sandwich(params: StackedParams) -> SandwichResult:
     phi = params.phi * scale
     meat = phi.T @ phi / n
     # one condition check serves both solves, which share the bread
-    cov = np.linalg.solve(bread, solve_linear(bread, meat).T) / n
+    try:
+        cond = np.linalg.cond(bread)
+        if not cond <= 1.0 / PIVOT_RTOL:
+            raise SingularSystem(f"condition number {cond:.3e} exceeds {1.0 / PIVOT_RTOL:.0e}")
+        cov = np.linalg.solve(bread, np.linalg.solve(bread, meat).T) / n
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"singular coefficient matrix: {exc}") from None
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov)
     if np.any(diag < -1e-12):
@@ -561,7 +570,6 @@ class FrameAnalysis:
     failures: dict[str, str] = field(default_factory=dict)
     se_failures: dict[str, str] = field(default_factory=dict)
     rates: MisclassRates | ArmRates | None = None
-    b_opt: float | None = None
 
 
 def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel=None,
@@ -665,8 +673,6 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
         tau = coefficients[0] * parts[0]
         if len(parts) == 2:
             tau += coefficients[1] * parts[1]
-        if est_id == "s_opt":
-            analysis.b_opt = weight
         try:
             if result is None:
                 raise se_error

@@ -320,18 +320,17 @@ def load_model_spec(path) -> ModelSpec:
 
 def design_from_columns(frame: ObservationFrame, columns, *, include_treatment: bool) -> np.ndarray:
     """Intercept plus the named x-columns (plus t for selection designs),
-    built column-contiguous (``with_intercept``)."""
+    built column-contiguous (``with_intercept``). Each name must be one of
+    x1..xp exactly, and named once."""
+    index = {f"x{j + 1}": j for j in range(frame.p)}
     pieces = [frame.t] if include_treatment else []
-    for name in columns:
-        if not name.startswith("x"):
-            raise ConfigParseError(f"unknown covariate column {name!r}")
-        try:
-            j = int(name[1:]) - 1
-        except ValueError:
-            raise ConfigParseError(f"unknown covariate column {name!r}") from None
-        if not 0 <= j < frame.p:
-            raise ConfigParseError(f"column {name!r} is out of range for {frame.p} covariates")
-        pieces.append(frame.x[:, j])
+    for k, name in enumerate(columns):
+        if name not in index:
+            raise ConfigParseError(
+                f"unknown covariate column {name!r}; the dataset has x1..x{frame.p}")
+        if name in columns[:k]:
+            raise ConfigParseError(f"covariate column {name!r} is named twice")
+        pieces.append(frame.x[:, index[name]])
     return with_intercept(*pieces) if pieces else np.ones((frame.n, 1))
 
 

@@ -301,6 +301,15 @@ def select_validation(population: Population, selection: SelectionConfig,
     )
 
 
+def _ordered_map(task, count: int, workers: int) -> list:
+    """``[task(i) for i in range(count)]``, on ``workers`` processes when
+    there is more than one; ``Executor.map`` yields in input order."""
+    if workers <= 1:
+        return [task(i) for i in range(count)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, range(count), chunksize=max(1, count // (workers * 8))))
+
+
 @dataclass(frozen=True)
 class TruthEstimate:
     value: float
@@ -323,13 +332,8 @@ def true_ate_oracle(dgp: DgpConfig, *, populations: int = 100, population_n: int
     no selection)."""
     dgp_large = replace(dgp, n=population_n)
     truth_seed = child_seed(base_seed, TRUTH_STREAM)
-    task = partial(_truth_one, dgp_large, truth_seed)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(task, range(populations), chunksize=8))
-    else:
-        values = [task(i) for i in range(populations)]
-    arr = np.asarray(values)
+    arr = np.asarray(_ordered_map(partial(_truth_one, dgp_large, truth_seed),
+                                  populations, workers))
     sd = float(np.std(arr, ddof=1)) if populations > 1 else 0.0
     return TruthEstimate(
         value=float(np.mean(arr)), mc_se=sd / np.sqrt(populations),
@@ -381,7 +385,7 @@ def _treatment_design(frame: ObservationFrame, selection: SelectionConfig) -> np
 
 
 def _run_iteration(config: ScenarioConfig, index: int):
-    """One Monte Carlo iteration; returns (index, records, failures).
+    """One Monte Carlo iteration; returns (records, failures).
 
     records maps estimator id to (tau, se); failures maps
     estimator id to an error class name. An estimator with a point estimate
@@ -421,7 +425,7 @@ def _run_iteration(config: ScenarioConfig, index: int):
         analyze(["oracle"])
     if main_ids:
         analyze(main_ids, x_treat=x_treat, x_sel=x_sel)
-    return index, records, failures
+    return records, failures
 
 
 def resolve_selection(config: ScenarioConfig) -> tuple[SelectionConfig, float | None]:
@@ -455,20 +459,12 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ScenarioResult:
                                 base_seed=config.base_seed, workers=workers).value
 
     run_config = replace(config, selection=selection_used)
-    task = partial(_run_iteration, run_config)
-    indices = range(config.iterations)
-    if workers > 1:
-        chunk = max(1, config.iterations // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(task, indices, chunksize=chunk))
-    else:
-        outcomes = [task(i) for i in indices]
-    outcomes.sort(key=lambda item: item[0])
+    outcomes = _ordered_map(partial(_run_iteration, run_config), config.iterations, workers)
 
     taus = {e: [] for e in config.estimators}
     ses = {e: [] for e in config.estimators}
     failure_reasons: dict[str, dict[str, int]] = {e: {} for e in config.estimators}
-    for _, records, failures in outcomes:
+    for records, failures in outcomes:
         for est_id in config.estimators:
             if est_id in records:
                 tau, se = records[est_id]

@@ -215,7 +215,7 @@ def test_5_exact_identities():
         failures.append(f"analysis failed: {analysis.failures} {analysis.se_failures}")
     else:
         want = oracle_points(sim_frame, e_hat, pi_hat, frame_rates, b=n_v / n,
-                             b_opt=analysis.b_opt)
+                             b_opt=analysis.estimates["s_opt"].weight_used)
         for est_id in ESTIMATOR_IDS:
             got = analysis.estimates[est_id].tau
             if not abs(got - want[est_id]) <= 1e-12:

@@ -346,9 +346,9 @@ def test_estimate_schema_errors(tmp_path, capsys):
         rep.read_dataset_csv(data)
 
 
-def estimate_error(data, spec, capsys):
+def estimate_error(data, spec, capsys, *options):
     """The one stderr line of an ``estimate`` run that must exit with code 2."""
-    assert cli.main(["estimate", str(data), str(spec)]) == cli.CONFIG_EXIT
+    assert cli.main(["estimate", str(data), str(spec), *options]) == cli.CONFIG_EXIT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     return err[len("error: "):-1]
@@ -390,6 +390,36 @@ def test_model_spec_not_utf8_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_bytes(b'{"treatment_covariates": ["x1\xff"]}')
     assert estimate_error(data, spec, capsys).startswith("model spec is not UTF-8 text")
+
+
+@pytest.mark.parametrize("treatment, selection, message", [
+    (["x01"], None, "unknown covariate column 'x01'; the dataset has x1..x2"),
+    (["x+1"], None, "unknown covariate column 'x+1'; the dataset has x1..x2"),
+    (["x1 "], None, "unknown covariate column 'x1 '; the dataset has x1..x2"),
+    (["x1"], ["x3"], "unknown covariate column 'x3'; the dataset has x1..x2"),
+    (["x1", "x2", "x1"], None, "covariate column 'x1' is named twice"),
+    (["x1"], ["x2", "x2"], "covariate column 'x2' is named twice"),
+])
+def test_model_spec_names_are_exact_and_unique(tmp_path, capsys, treatment, selection, message):
+    data = tmp_path / "d.csv"
+    rep.write_dataset_csv(grid_frame(60), data)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"treatment_covariates": treatment,
+                                "selection_covariates": selection}))
+    assert estimate_error(data, spec, capsys) == message
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--w", "1.5"), ("--w", "-0.1"), ("--w", "nan"), ("--b", "-0.2"), ("--b", "nan"),
+])
+def test_estimate_blend_weights_outside_the_unit_interval_exit_2(tmp_path, capsys, option,
+                                                                 value):
+    data = tmp_path / "d.csv"
+    rep.write_dataset_csv(grid_frame(60), data)
+    spec = tmp_path / "spec.json"
+    write_model_spec(spec, selection=None)
+    message = estimate_error(data, spec, capsys, option, value)
+    assert message == f"{option} must lie in [0, 1], got {float(value)}"
 
 
 def test_scenario_config_not_utf8_exits_2(tmp_path, capsys):

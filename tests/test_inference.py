@@ -1,4 +1,5 @@
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mismeasure_ate.errors import (
     NegativeVariance,
     NonFiniteEvaluation,
     ResidualCheckFailed,
+    SingularSystem,
 )
 from mismeasure_ate.frames import ESTIMATOR_IDS, ArmRates, MisclassRates, ObservationFrame
 from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic
@@ -168,6 +170,11 @@ def test_combine_delta_examples():
         inf.combine_delta(negative, (1.0, 0.0), (tau, beta))
 
 
+def test_z_95_is_the_stdlib_normal_quantile():
+    # exact equality: every interval and every coverage reads this constant
+    assert inf.Z_95 == NormalDist().inv_cdf(0.975) == 1.9599639845400536
+
+
 def test_confidence_interval_examples():
     assert inf.confidence_interval(0.3, 0.0) == (0.3, 0.3)
     low, high = inf.confidence_interval(0.0, 1.0)
@@ -199,7 +206,7 @@ def test_analyze_frame_full_set_no_failures():
     for estimate in analysis.estimates.values():
         assert estimate.se is not None and estimate.se > 0
         assert estimate.ci_low <= estimate.tau <= estimate.ci_high
-    assert 0.0 <= analysis.b_opt <= 1.0
+    assert 0.0 <= analysis.estimates["s_opt"].weight_used <= 1.0
     # blend identities against the reported components
     by = analysis.estimates
     n, n_v = frame.n, frame.n_v
@@ -383,7 +390,8 @@ def test_points_read_from_the_stack_match_the_estimator_functions(label):
         cov = inf.sandwich(params).covariance
         ia, ib = params.system.index("tau_s_val"), params.system.index("d", 1)
         b = frame.n_v / frame.n
-        want = oracle_points(frame, e, pi, rates, b=b, b_opt=analysis.b_opt)
+        want = oracle_points(frame, e, pi, rates, b=b,
+                             b_opt=analysis.estimates["s_opt"].weight_used)
         weights = {"sy_combined": 0.5, "s_weighted": b,
                    "s_opt": est.compute_b_opt(cov[ia, ia], cov[ib, ib], cov[ia, ib])}
         for est_id in ESTIMATOR_IDS:
@@ -639,6 +647,22 @@ def test_sandwich_raises_typed_error_on_non_finite_residuals():
     phi, jacobian = params.system.evaluate(theta)
     with pytest.raises(NonFiniteEvaluation):
         inf.sandwich(replace(params, theta=theta, phi=phi, jacobian=jacobian))
+
+
+def test_singular_bread_raises_singular_system(monkeypatch):
+    frame = simulated_frame(seed=97, n=800)
+    ids = ["naive", "all_silver"]
+    params = inf.solve_plugin(frame, inf.build_system(frame, ids))
+    jacobian = params.jacobian.copy()
+    jacobian[-1] = jacobian[-2]  # d's two rows alike: the bread has rank dim - 1
+    singular = replace(params, jacobian=jacobian)
+    with pytest.raises(SingularSystem):
+        inf.sandwich(singular)
+    monkeypatch.setattr(inf, "solve_plugin", lambda frame, system: singular)
+    analysis = inf.analyze_frame(frame, ids)
+    assert analysis.se_failures == {"naive": "SingularSystem", "all_silver": "SingularSystem"}
+    assert not analysis.failures
+    assert all(analysis.estimates[est_id].se is None for est_id in ids)
 
 
 def test_analyze_frame_without_validated_rows_keeps_naive_se():

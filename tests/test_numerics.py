@@ -19,8 +19,6 @@ from mismeasure_ate.numerics import (
     clamp_probability,
     expit,
     fit_logistic,
-    normal_quantile,
-    solve_linear,
     spd_condition,
     with_intercept,
 )
@@ -87,12 +85,6 @@ def test_log_likelihood_matches_logaddexp_form(seed, bound):
         ours = _log_likelihood(u, np.exp(-np.abs(u)), y)
         reference = oracles.logaddexp_loglik(u, y)
     assert ours == pytest.approx(reference, rel=1e-13, abs=0.0)
-
-
-def test_normal_quantile_reference_value():
-    assert normal_quantile(0.975) == pytest.approx(1.9599639845, abs=1e-10)
-    assert normal_quantile(0.5) == 0.0
-    assert normal_quantile(0.025) == pytest.approx(-1.9599639845, abs=1e-10)
 
 
 def test_design_matrix_invariants():
@@ -340,25 +332,3 @@ def test_numeric_jacobian_matches_analytic_logistic_score(seed):
     numeric = oracles.numeric_jacobian(lambda th: oracles.logistic_score(x, y, th), beta)
     analytic = oracles.logistic_score_jacobian(x, beta)
     np.testing.assert_allclose(numeric, analytic, rtol=1e-5, atol=1e-8)
-
-
-def test_solve_linear_examples():
-    np.testing.assert_allclose(solve_linear(np.eye(3), np.arange(3.0)), np.arange(3.0))
-    np.testing.assert_allclose(
-        solve_linear(np.array([[2.0, 0.0], [0.0, 4.0]]), np.array([2.0, 8.0])),
-        [1.0, 2.0],
-    )
-    with pytest.raises(SingularSystem):
-        solve_linear(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
-    with pytest.raises(DimensionMismatch):
-        solve_linear(np.ones((2, 3)), np.ones(2))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_solve_linear_residuals(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(7, 7)) + 7.0 * np.eye(7)
-    b = rng.normal(size=(7, 2))
-    x = solve_linear(a, b)
-    assert np.max(np.abs(a @ x - b)) <= 1e-10

@@ -280,7 +280,7 @@ def test_study_fits_need_no_log_likelihood(monkeypatch):
     config = replace(sim.scenario_catalog()["main_nonprob"], iterations=5, base_seed=3)
     config = replace(config, selection=sim.resolve_selection(config)[0])
     for index in range(5):
-        _, records, failures = sim._run_iteration(config, index)
+        records, failures = sim._run_iteration(config, index)
         assert records and not failures
     assert not calls
 
