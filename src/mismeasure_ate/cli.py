@@ -92,6 +92,13 @@ def _resolve_scenario(ref: str, cli_seed: int | None) -> ScenarioConfig:
     return config
 
 
+def _require_at_least_one(*counts) -> None:
+    """Refuse the first (option, count) pair whose count is below 1."""
+    for option, count in counts:
+        if count < 1:
+            raise ConfigParseError(f"{option} must be at least 1, got {count}")
+
+
 def _emit(report: RunReport, args) -> None:
     rendered = report.render(args.format)
     if args.out:
@@ -101,6 +108,7 @@ def _emit(report: RunReport, args) -> None:
 
 
 def cmd_simulate(args) -> int:
+    _require_at_least_one(("--workers", args.workers))
     config = _resolve_scenario(args.scenario, args.seed)
     overrides = {}
     if args.full:
@@ -110,8 +118,6 @@ def cmd_simulate(args) -> int:
         overrides["iterations"] = args.iterations
     if args.estimators is not None:
         overrides["estimators"] = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
-    if args.selection_score_variant is not None:
-        overrides["score_variant"] = args.selection_score_variant
     if args.truth is not None:
         overrides["truth"] = args.truth
     if overrides:
@@ -149,7 +155,6 @@ def cmd_estimate(args) -> int:
         "treatment_covariates": list(spec.treatment_covariates),
         "selection_covariates": (None if spec.selection_covariates is None
                                  else list(spec.selection_covariates)),
-        "score_variant": args.selection_score_variant or "standard",
         "version": __version__,
     }
 
@@ -160,11 +165,7 @@ def cmd_estimate(args) -> int:
         ids, leading = ESTIMATE_ORDER, []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        analysis = analyze_frame(
-            frame, ids, x_treat=x_treat, x_sel=x_sel,
-            w=args.w, b=args.b,
-            score_variant=args.selection_score_variant or "standard",
-        )
+        analysis = analyze_frame(frame, ids, x_treat=x_treat, x_sel=x_sel, w=args.w, b=args.b)
     report = report_from_analysis(analysis, metadata=metadata,
                                   elapsed=time.perf_counter() - started)
     report.warnings[:0] = leading
@@ -181,9 +182,8 @@ def cmd_estimate(args) -> int:
 def cmd_true_ate(args) -> int:
     config = _resolve_scenario(args.config, args.seed)
     populations = 5000 if args.full else args.populations
-    for option, count in (("--populations", populations), ("--pop-n", args.pop_n)):
-        if count < 1:
-            raise ConfigParseError(f"{option} must be at least 1, got {count}")
+    _require_at_least_one(("--populations", populations), ("--pop-n", args.pop_n),
+                          ("--workers", args.workers))
     started = time.perf_counter()
     truth = true_ate_oracle(
         config.dgp, populations=populations, population_n=args.pop_n,
@@ -224,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--full", action="store_true",
                      help="reference-scale run: 5000 iterations and a 5000-population truth oracle")
     sim.add_argument("--estimators", help="comma-separated estimator ids to run")
-    sim.add_argument("--selection-score-variant", choices=("standard", "printed"),
-                     help="treatment-score rows of the stacked systems (default standard)")
     sim.add_argument("--truth", type=float, help="skip the truth oracle and use this value")
     _add_common(sim)
     sim.set_defaults(func=cmd_simulate)
@@ -237,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="size-blended estimator weight, in [0, 1] (default 0.5)")
     estp.add_argument("--b", type=float, default=None,
                       help="fixed blend weight for s_weighted, in [0, 1] (default: n_V/n)")
-    estp.add_argument("--selection-score-variant", choices=("standard", "printed"))
     _add_common(estp)
     estp.set_defaults(func=cmd_estimate)
 

@@ -9,11 +9,6 @@ with its per-subject estimating rows:
 * ``eta0``: the constant selection probability, the validation share
   s = n_V / n (rows V - s); ``eta``: the fitted selection model (logistic
   score rows).
-* ``gamma_p``: a copy of gamma whose score rows carry the fitted selection
-  probability (the ``printed`` score variant). It serves the blocks built on
-  the fitted selection model and exists only when there is one: a constant
-  selection probability only rescales rows, so the constant-selection blocks
-  use gamma.
 * ``rates``: (p11, p10) counted on the validated rows when pooled, and
   (p11_0, p10_0, p11_1, p10_1) counted within each treatment arm ("by_arm").
 * ``tau_oracle``, ``tau_naive``: the plain IPW contrasts of Y and of Y*.
@@ -95,7 +90,6 @@ from .numerics import (
 
 RESIDUAL_TOL = 1e-6
 Z_95 = NormalDist().inv_cdf(0.975)  # every interval is a 95% one
-SCORE_VARIANTS = ("standard", "printed")
 
 # block -> (kind, treatment model, selection model) its rows read; the WLS
 # kinds read the rates too. Parents come first, which is the stacked order.
@@ -103,14 +97,13 @@ BLOCKS = {
     "gamma": ("treatment", None, None),
     "eta0": ("share", None, None),
     "eta": ("selection", None, None),
-    "gamma_p": ("treatment", None, "eta"),
     "rates": ("rates", None, None),
     "tau_oracle": ("ipw", "gamma", None),
     "tau_naive": ("ipw", "gamma", None),
     "tau_val": ("validation", "gamma", "eta0"),
-    "tau_s_val": ("validation", "gamma_p", "eta"),
+    "tau_s_val": ("validation", "gamma", "eta"),
     "r_const": ("wls_r", "gamma", "eta0"),
-    "r_fit": ("wls_r", "gamma_p", "eta"),
+    "r_fit": ("wls_r", "gamma", "eta"),
     "d": ("wls_d", "gamma", None),
 }
 
@@ -136,33 +129,27 @@ class EstimatingSystem:
     """Residuals and their Jacobian for one stack of named blocks.
 
     ``blocks`` names what the stack must hold; their parents are added, and
-    under a simple random sample (``x_sel`` None) or the standard score the
-    blocks that coincide with another are replaced by it (see ``resolve``).
+    under a simple random sample (``x_sel`` None) each fitted-selection block
+    is replaced by its constant-selection twin (see ``resolve``).
     ``layout`` maps each block to its slice of the parameter vector, and
     ``evaluate`` gives the residuals and their Jacobian at a theta.
     Stateless after construction; safe to share across workers.
     """
 
     def __init__(self, frame: ObservationFrame, blocks, x_treat: np.ndarray,
-                 x_sel: np.ndarray | None = None, score_variant: str = "standard",
-                 misclassification: str = "pooled"):
-        if score_variant not in SCORE_VARIANTS:
-            raise ValueError(f"score_variant must be one of {SCORE_VARIANTS}")
+                 x_sel: np.ndarray | None = None, misclassification: str = "pooled"):
         if misclassification not in MISCLASSIFICATION_MODES:
             raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}")
         self.frame = frame
         # designs are kept column-contiguous (see ``numerics``)
         self.x_treat = np.asfortranarray(x_treat, dtype=float)
         self.x_sel = None if x_sel is None else np.asfortranarray(x_sel, dtype=float)
-        self.score_variant = score_variant
         self.misclassification = misclassification
         self._alias = {}
-        if score_variant == "standard" or x_sel is None:
-            self._alias["gamma_p"] = "gamma"
         if x_sel is None:
             self._alias.update(eta="eta0", tau_s_val="tau_val", r_fit="r_const")
-        self._designs = {"gamma": self.x_treat, "gamma_p": self.x_treat,
-                         "eta0": np.ones((frame.n, 1)), "eta": self.x_sel}
+        self._designs = {"gamma": self.x_treat, "eta0": np.ones((frame.n, 1)),
+                         "eta": self.x_sel}
         # validated rows each (p11, p10) pair counts on
         if misclassification == "pooled":
             self._rate_rows = (frame.v,)
@@ -195,9 +182,9 @@ class EstimatingSystem:
         return self._alias.get(name, name)
 
     def spec(self, name: str) -> tuple[str, str | None, str | None]:
-        """(kind, treatment model, selection model) of a block, resolved."""
+        """(kind, treatment model, selection model) of a block, its selection model resolved."""
         kind, treat, sel = BLOCKS[name]
-        return kind, treat and self.resolve(treat), sel and self.resolve(sel)
+        return kind, treat, sel and self.resolve(sel)
 
     def parents(self, name: str) -> list[str]:
         kind, treat, sel = self.spec(name)
@@ -211,7 +198,7 @@ class EstimatingSystem:
     def restrict(self, names) -> "EstimatingSystem":
         """The same stack holding only ``names`` (which must include their parents)."""
         return EstimatingSystem(self.frame, names, self.x_treat, self.x_sel,
-                                self.score_variant, self.misclassification)
+                                self.misclassification)
 
     @staticmethod
     def _shift(theta, layout: dict, name: str):
@@ -244,9 +231,8 @@ class EstimatingSystem:
         phi_i(theta), stored column by column (Fortran order) so that each
         block writes contiguous residual columns, and the (dim, dim) Jacobian
         of its column sums in closed form, in the walk ``solve_plugin`` takes.
-        A model block's own rows give minus its logistic information (the
-        printed rows also move with the selection probability they carry),
-        and the share row -n; a rate row gives its count; the tau and WLS
+        A model block's own rows give minus its logistic information, and
+        the share row -n; a rate row gives its count; the tau and WLS
         rows move with their own parameters, with the rates through the WLS
         shift, and with e and pi, each fitted probability moving by p(1-p)x
         per unit of its model's coefficients and the constant one by 1 per
@@ -307,14 +293,7 @@ class EstimatingSystem:
                 # the score rows (y - p) x, written in place
                 np.multiply(((t if kind == "treatment" else v) - raw[name])[:, None], design,
                             out=phi[:, cols])
-                if sel is None:
-                    jac[cols, cols] = -(design.T @ (design * info[:, None]))
-                else:
-                    # printed rows (t - p) x pi: pi is the unclamped selection fit
-                    phi[:, cols] *= raw[sel][:, None]
-                    carried = raw[sel] * (1.0 - raw[sel]) * (t - raw[name])
-                    jac[cols, cols] = -(design.T @ (design * (info * raw[sel])[:, None]))
-                    jac[cols, layout[sel]] = design.T @ (self._designs[sel] * carried[:, None])
+                jac[cols, cols] = -(design.T @ (design * info[:, None]))
             elif kind == "rates":
                 if solving:
                     rates = est.estimate_misclassification(frame, self.misclassification)
@@ -391,8 +370,7 @@ class EstimatingSystem:
                 rows(name, cols)
             except MismeasureError as exc:  # only the plug-in raises
                 failed[name] = exc
-            # plain-ML gamma does not zero the printed rows
-            if solving and name not in failed and name != "gamma_p":
+            if solving and name not in failed:
                 worst = float(np.max(np.abs(phi[:, cols].sum(axis=0) / n)))
                 if worst > RESIDUAL_TOL:
                     failed[name] = ResidualCheckFailed(
@@ -406,18 +384,13 @@ class EstimatingSystem:
 
 
 def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_treat=None,
-                 x_sel=None, score_variant: str = "standard",
-                 misclassification: str = "pooled") -> EstimatingSystem:
+                 x_sel=None, misclassification: str = "pooled") -> EstimatingSystem:
     """The stack that the SEs of ``estimator_ids`` read (see ``READS``).
 
     The treatment design defaults to an intercept plus every covariate.
     ``x_sel`` is the selection-model design; None treats the validation
     sample as a simple random sample (constant selection probability).
     ``misclassification`` picks two pooled rate rows or four per-arm ones.
-    Under the "printed" score variant the fitted-selection blocks read
-    ``gamma_p``, whose rows carry a multiplicative selection-probability
-    factor; the plain ML estimate of gamma does not zero those rows, so the
-    residual check in :func:`solve_plugin` skips that block.
     """
     unknown = [i for i in estimator_ids if i not in READS]
     if unknown:
@@ -425,7 +398,7 @@ def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_trea
     if x_treat is None:
         x_treat = with_intercept(frame.x)
     blocks = {name for est_id in estimator_ids for name, _ in READS[est_id]}
-    return EstimatingSystem(frame, blocks, x_treat, x_sel, score_variant, misclassification)
+    return EstimatingSystem(frame, blocks, x_treat, x_sel, misclassification)
 
 
 @dataclass(frozen=True)
@@ -459,7 +432,7 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedPa
     """Fill the stacked parameters by sequential plug-in, verify them and
     evaluate the stack, in one walk of its blocks.
 
-    gamma (and gamma_p) come from full-sample ML of the treatment model, eta0
+    gamma comes from full-sample ML of the treatment model, eta0
     is the validation share (DegenerateValidation without validated rows),
     eta comes from ML of the selection model, the rates from validation
     counting (pooled or per arm, as the system says), each (alpha, beta)
@@ -574,7 +547,6 @@ class FrameAnalysis:
 
 def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel=None,
                   w: float = 0.5, b: float | None = None,
-                  score_variant: str = "standard",
                   misclassification: str = "pooled") -> FrameAnalysis:
     """Compute requested estimators with sandwich SEs and 95% CIs on one frame.
 
@@ -616,7 +588,7 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     """
     ids = list(estimator_ids)
     system = build_system(frame, ids, x_treat=x_treat, x_sel=x_sel,
-                          score_variant=score_variant, misclassification=misclassification)
+                          misclassification=misclassification)
     params = solve_plugin(frame, system)
     result = se_error = None
     if params.system.dim:

@@ -396,8 +396,7 @@ _TOP_FIELDS = {
     "dgp": partial(_present, fields=_DGP_FIELDS, where="dgp"),
     "selection": partial(_present, fields=_SELECTION_FIELDS, where="selection"),
     "iterations": _integer, "seed": _integer, "estimators": tuple, "truth": _or_none(_number),
-    "w": _number, "b": _or_none(_number), "score_variant": _as_written,
-    "misclassification": _as_written,
+    "w": _number, "b": _or_none(_number), "misclassification": _as_written,
 }
 
 
@@ -406,12 +405,12 @@ def load_scenario_config(path, *, name: str | None = None,
     """Parse a scenario JSON file into a ScenarioConfig.
 
     Required top-level keys: dgp, selection (with its kind), iterations.
-    Optional: seed, estimators, truth, w, b, score_variant,
-    misclassification ("pooled", the default, or "by_arm"). A key that is
-    absent keeps the dataclass default. Unknown keys anywhere, and values
-    the dataclasses refuse, are a hard error so typos never silently fall
-    back to defaults. ``default_seed`` fills in when the file has no seed key
-    (the CLI resolves the MISMEASURE_ATE_SEED environment override into it).
+    Optional: seed, estimators, truth, w, b, misclassification ("pooled",
+    the default, or "by_arm"). A key that is absent keeps the dataclass
+    default. Unknown keys anywhere, and values the dataclasses refuse, are a
+    hard error so typos never silently fall back to defaults. ``default_seed``
+    fills in when the file has no seed key (the CLI resolves the
+    MISMEASURE_ATE_SEED environment override into it).
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -543,7 +542,6 @@ def _config_metadata(config: ScenarioConfig) -> dict:
         "estimators": list(config.estimators),
         "w": config.w,
         "b": config.b,
-        "score_variant": config.score_variant,
         "misclassification": config.misclassification,
         "version": __version__,
     }

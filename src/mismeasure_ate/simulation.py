@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CalibrationFailed, MismeasureError, TooManyFailures
 from .frames import ESTIMATOR_IDS, MISCLASSIFICATION_MODES, ObservationFrame
-from .inference import SCORE_VARIANTS, Z_95, analyze_frame
+from .inference import Z_95, analyze_frame
 from .numerics import clamp_probability, expit, fit_logistic, with_intercept
 from . import estimators as est
 
@@ -153,7 +153,6 @@ class ScenarioConfig:
     truth_populations: int = 100
     w: float = 0.5
     b: float | None = None  # None: size-proportional blend weight n_V / n
-    score_variant: str = "standard"
     misclassification: str = "pooled"
 
     def __post_init__(self):
@@ -162,9 +161,6 @@ class ScenarioConfig:
         if self.misclassification not in MISCLASSIFICATION_MODES:
             raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}, "
                              f"got {self.misclassification!r}")
-        if self.score_variant not in SCORE_VARIANTS:
-            raise ValueError(f"score_variant must be one of {SCORE_VARIANTS}, "
-                             f"got {self.score_variant!r}")
         if not self.estimators:
             raise ValueError("estimators must name at least one estimator")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
@@ -336,7 +332,7 @@ def true_ate_oracle(dgp: DgpConfig, *, populations: int = 100, population_n: int
                                   populations, workers))
     sd = float(np.std(arr, ddof=1)) if populations > 1 else 0.0
     return TruthEstimate(
-        value=float(np.mean(arr)), mc_se=sd / np.sqrt(populations),
+        value=float(np.mean(arr)), mc_se=sd / math.sqrt(populations),
         populations=populations, population_n=population_n,
     )
 
@@ -405,7 +401,6 @@ def _run_iteration(config: ScenarioConfig, index: int):
     def analyze(ids, **kwargs):
         try:
             analysis = analyze_frame(frame, ids, w=config.w, b=config.b,
-                                     score_variant=config.score_variant,
                                      misclassification=config.misclassification, **kwargs)
         except MismeasureError as exc:
             failures.update({e: type(exc).__name__ for e in ids})

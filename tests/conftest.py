@@ -98,21 +98,20 @@ def selection_design(frame):
     return np.column_stack([np.ones(frame.n), frame.t, frame.x])
 
 
-VARIANTS = ("fitted", "srs", "by_arm", "printed")
+VARIANTS = ("fitted", "srs", "by_arm")
 
 
 def frame_variant(label, seed=0):
     """(frame, analyze_frame keywords): a fitted selection model with pooled
-    rates, a simple random sample, per-arm rates, or the printed score.
-    ``seed`` shifts the frame's seed."""
+    rates, a simple random sample, or per-arm rates. ``seed`` shifts the
+    frame's seed."""
     if label == "srs":
         return simulated_frame(seed=71 + 100 * seed, n=2000, srs=True), dict(x_sel=None)
     if label == "by_arm":
         frame = simulated_frame(seed=73 + 100 * seed, n=2000, p10=0.12, p10_treated=0.18)
         return frame, dict(x_sel=selection_design(frame), misclassification="by_arm")
     frame = simulated_frame(seed=67 + 100 * seed, n=2000)
-    variant = "printed" if label == "printed" else "standard"
-    return frame, dict(x_sel=selection_design(frame), score_variant=variant)
+    return frame, dict(x_sel=selection_design(frame))
 
 
 def fitted_props(frame, x_treat, x_sel=None):

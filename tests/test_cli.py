@@ -474,7 +474,7 @@ def test_simulate_config_unknown_key_is_fatal(tmp_path, capsys):
      "misspecify_drop must name a covariate 1..5, got 9"),
     ({"truth": float("nan")}, (), "truth must be a finite number, got nan"),
     ({}, ("--truth", "nan"), "truth must be a finite number, got nan"),
-    ({"score_variant": "bogus"}, (), "score_variant must be one of ('standard', 'printed')"),
+    ({"score_variant": "standard"}, (), "unknown config keys: ['score_variant']"),
     ({"w": 2.0}, (), "w must lie in [0, 1], got 2.0"),
     ({"b": -0.25}, (), "b must lie in [0, 1], got -0.25"),
     ({"estimators": []}, (), "estimators must name at least one estimator"),
@@ -664,6 +664,36 @@ def test_true_ate_counts_below_one_exit_2(capsys):
         assert captured.err == f"error: {option} must be at least 1, got {value}\n"
 
 
+def test_workers_below_one_exit_2(capsys):
+    # a worker count below 1 is a typo, not a request to run serially
+    for command in ("simulate", "true-ate"):
+        for value in ("0", "-3"):
+            code = cli.main([command, "main_srs", "--workers", value, "--format", "json"])
+            captured = capsys.readouterr()
+            assert code == cli.CONFIG_EXIT and captured.out == ""
+            assert captured.err == f"error: --workers must be at least 1, got {value}\n"
+
+
+def test_retired_score_variant_option_is_refused(capsys):
+    for args in (["simulate", "main_srs"], ["estimate", "d.csv", "m.json"]):
+        with pytest.raises(SystemExit) as stopped:  # argparse's usage error
+            cli.main([*args, "--selection-score-variant", "standard"])
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --selection-score-variant standard" in err
+
+
+def test_true_ate_csv_cells_are_the_json_values(capsys):
+    args = ["true-ate", "main_srs", "--populations", "2", "--pop-n", "2000"]
+    assert cli.main([*args, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert cli.main([*args, "--format", "csv"]) == 0
+    [cells] = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert cells.keys() == row.keys()
+    for column, cell in cells.items():
+        assert float(cell) == row[column], column
+
+
 def test_reports_have_no_nan_values(tmp_path, capsys):
     frame = make_frame(seed=11, n=700)
     data = tmp_path / "d.csv"
@@ -676,28 +706,6 @@ def test_reports_have_no_nan_values(tmp_path, capsys):
         for value in row.values():
             if isinstance(value, float):
                 assert np.isfinite(value)
-
-
-def test_estimate_score_variant_changes_only_ses(tmp_path, capsys):
-    frame = make_frame(seed=13, n=800)
-    data = tmp_path / "d.csv"
-    spec = tmp_path / "m.json"
-    rep.write_dataset_csv(frame, data)
-    write_model_spec(spec)
-    payloads = {}
-    for variant in ("standard", "printed"):
-        code = cli.main(["estimate", str(data), str(spec), "--format", "json",
-                         "--selection-score-variant", variant])
-        assert code == 0
-        payloads[variant] = json.loads(capsys.readouterr().out)
-    std = {row["estimator"]: row for row in payloads["standard"]["rows"]}
-    prt = {row["estimator"]: row for row in payloads["printed"]["rows"]}
-    assert std.keys() == prt.keys()
-    for est_id in std:
-        if est_id == "s_opt":
-            continue  # its blend weight is variance-derived, so it may move
-        assert prt[est_id]["estimate"] == pytest.approx(std[est_id]["estimate"], abs=1e-15)
-    assert any(prt[e]["se"] != std[e]["se"] for e in std if std[e]["se"] is not None)
 
 
 def test_model_spec_validation(tmp_path):

@@ -55,30 +55,9 @@ def test_plugin_zeroes_residual_blocks_exactly():
 def test_plugin_residuals_small_for_both_kinds_and_variants():
     frame = simulated_frame(seed=9)
     for x_sel in (None, selection_design(frame)):
-        for variant in ("standard", "printed"):
-            system = inf.build_system(frame, x_sel=x_sel, score_variant=variant)
-            params = inf.solve_plugin(frame, system)
-            assert not params.failed
-            means = np.abs(mean_residuals(params))
-            if "gamma_p" in params.system.layout:
-                means[params.system.layout["gamma_p"]] = 0.0
-            assert float(means.max()) <= 1e-6
-
-
-def test_printed_variant_treatment_rows_not_zeroed_by_plain_ml():
-    # the estimating function as printed is not solved by the plain ML fit,
-    # which is exactly why the residual check skips that block
-    frame = simulated_frame(seed=21, n=2000)
-    system = inf.build_system(frame, x_sel=selection_design(frame), score_variant="printed")
-    params = inf.solve_plugin(frame, system)
-    assert not params.failed
-    lay = params.system.layout
-    means = np.abs(mean_residuals(params))
-    assert float(means[lay["gamma_p"]].max()) > 1e-6
-    assert float(means[lay["gamma"]].max()) <= 1e-6
-    np.testing.assert_array_equal(params.block("gamma_p"), params.block("gamma"))
-    # the constant-selection blocks and the SRS stack read the standard gamma
-    assert inf.build_system(frame, score_variant="printed").blocks == inf.build_system(frame).blocks
+        params = inf.solve_plugin(frame, inf.build_system(frame, x_sel=x_sel))
+        assert not params.failed
+        assert float(np.abs(mean_residuals(params)).max()) <= 1e-6
 
 
 def mismatch_rates(monkeypatch):
@@ -240,18 +219,6 @@ def test_analyze_frame_oracle_needs_full_gold():
     analysis = inf.analyze_frame(masked, ["oracle", "naive"])
     assert analysis.failures["oracle"] == "MissingGoldOutcomes"
     assert "naive" in analysis.estimates
-
-
-def test_printed_variant_changes_sandwich_but_not_points():
-    frame = simulated_frame(seed=47, n=1500)
-    x_sel = np.column_stack([np.ones(frame.n), frame.t, frame.x])
-    standard = inf.analyze_frame(frame, ["s_val_only"], x_sel=x_sel)
-    printed = inf.analyze_frame(frame, ["s_val_only"], x_sel=x_sel,
-                                score_variant="printed")
-    assert printed.estimates["s_val_only"].tau == pytest.approx(
-        standard.estimates["s_val_only"].tau, abs=1e-15
-    )
-    assert printed.estimates["s_val_only"].se != standard.estimates["s_val_only"].se
 
 
 # --- per-arm misclassification rates -------------------------------------------
