@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .frames import (  # noqa: E402
     ESTIMATOR_IDS,
-    ArmRates,
     AteEstimate,
     MisclassRates,
     ObservationFrame,
@@ -42,7 +41,6 @@ from .simulation import (  # noqa: E402
 
 __all__ = [
     "ESTIMATOR_IDS",
-    "ArmRates",
     "AteEstimate",
     "MisclassRates",
     "ObservationFrame",

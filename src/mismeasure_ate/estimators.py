@@ -13,9 +13,9 @@ validation indicator, Y the gold outcome, Y* the error-prone outcome.
 
 Every rate-consuming estimator corrects each treatment arm's silver mean
 m_t as (m_t - p10_t) / (p11_t - p10_t) before differencing (see
-``corrected_contrast``). Pooled rates (``MisclassRates``) use one pair for
-both arms, which is the familiar (m_1 - m_0) / (p11 - p10); per-arm rates
-(``ArmRates``) remove the bias of treatment-dependent misclassification.
+``corrected_contrast``). ``MisclassRates`` holds one pooled pair, used for
+both arms, which gives the familiar (m_1 - m_0) / (p11 - p10), or one pair
+per arm, which removes the bias of treatment-dependent misclassification.
 """
 
 from __future__ import annotations
@@ -30,75 +30,53 @@ from .errors import (
     EmptyArm,
     EmptyComplement,
     EmptyValidationArm,
-    NonIdentifiable,
     WeightOutOfRange,
 )
-from .frames import (
-    IDENTIFIABILITY_TOL,
-    MISCLASSIFICATION_MODES,
-    ArmRates,
-    MisclassRates,
-    ObservationFrame,
-)
+from .frames import MisclassRates, ObservationFrame, rate_groups
 
 B_OPT_DENOM_TOL = 1e-14
 
 
-def _count_rates(y: np.ndarray, y_star: np.ndarray, rows: str) -> MisclassRates:
-    positives = float(np.sum(y))
-    negatives = float(np.sum(1.0 - y))
-    if positives == 0.0 or negatives == 0.0:
-        raise DegenerateValidation(
-            f"{rows} contain {int(positives)} gold positives and {int(negatives)} gold negatives"
-        )
-    p11 = float(np.sum(y * y_star)) / positives
-    p10 = float(np.sum((1.0 - y) * y_star)) / negatives
-    if abs(p11 - p10) < IDENTIFIABILITY_TOL:
-        raise NonIdentifiable(
-            f"estimated rates p11 = {p11:.6f}, p10 = {p10:.6f} coincide on {rows}")
-    return MisclassRates(p11=p11, p10=p10)
-
-
 def estimate_misclassification(frame: ObservationFrame,
-                               misclassification: str = "pooled") -> MisclassRates | ArmRates:
+                               misclassification: str = "pooled") -> MisclassRates:
     """Estimate (p11, p10) by direct counting on the validation rows.
 
     p11 = sum(Y * Y*) / sum(Y) and p10 = sum((1-Y) * Y*) / sum(1-Y), over
-    rows with V=1 ("pooled"), or separately over rows with V=1, T=t for each
-    arm ("by_arm", returning ArmRates). When misclassification depends on
-    (Y, T) only, Y* is independent of V given (Y, T), so per-arm counting is
-    consistent even under a biased validation selection. Raises
-    DegenerateValidation when the counted rows lack gold positives or
-    negatives, NonIdentifiable when a pair of rates is closer than 1e-6.
+    each group of ``frames.rate_groups``: every row with V=1 ("pooled"), or
+    the rows with V=1, T=t for each arm ("by_arm", control first). When
+    misclassification depends on (Y, T) only, Y* is independent of V given
+    (Y, T), so per-arm counting is consistent even under a biased validation
+    selection. The counts are integers, so the sums over masked full-length
+    rows are exact. Raises DegenerateValidation when a group lacks gold
+    positives or negatives, then NonIdentifiable (from ``MisclassRates``)
+    when a pair of rates is closer than 1e-6.
     """
-    if misclassification not in MISCLASSIFICATION_MODES:
-        raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}, "
-                         f"got {misclassification!r}")
-    mask = frame.v == 1.0
-    if not np.any(mask):
-        raise DegenerateValidation("no validated rows")
-    if misclassification == "pooled":
-        return _count_rates(frame.y[mask], frame.y_star[mask], "validation rows")
-    control, treated = (
-        _count_rates(frame.y[in_arm], frame.y_star[in_arm], f"{name} validation rows")
-        for in_arm, name in ((mask & (frame.t == 0.0), "control"),
-                             (mask & (frame.t == 1.0), "treated"))
-    )
-    return ArmRates(control=control, treated=treated)
+    yv, y_star = frame.y_validated, frame.y_star
+    pairs = []
+    for name, rows in rate_groups(frame, misclassification):
+        positives = float(np.sum(yv * rows))
+        negatives = float(np.sum((1.0 - yv) * rows))
+        if positives == 0.0 or negatives == 0.0:
+            raise DegenerateValidation(f"{name} validation rows contain {int(positives)} gold "
+                                       f"positives and {int(negatives)} gold negatives")
+        pairs.append((float(np.sum(yv * y_star * rows)) / positives,
+                      float(np.sum((1.0 - yv) * y_star * rows)) / negatives))
+    return MisclassRates(tuple(pairs))
 
 
-def corrected_contrast(rates: MisclassRates | ArmRates, mean_treated: float,
+def corrected_contrast(rates: MisclassRates, mean_treated: float,
                        mean_control: float) -> float:
     """Misclassification-corrected contrast of two silver-outcome arm means.
 
     Each arm's mean m_t becomes (m_t - p10_t) / (p11_t - p10_t) before the
-    difference is taken. With pooled rates this equals (m_1 - m_0) / (p11 - p10),
-    which is computed directly.
+    difference is taken. With one pooled pair this equals
+    (m_1 - m_0) / (p11 - p10), which is computed directly.
     """
-    if isinstance(rates, MisclassRates):
-        return (mean_treated - mean_control) / rates.gap
-    control, treated = rates.arms
-    return treated.correct(mean_treated) - control.correct(mean_control)
+    if len(rates.pairs) == 1:
+        ((p11, p10),) = rates.pairs
+        return (mean_treated - mean_control) / (p11 - p10)
+    (p11_0, p10_0), (p11_1, p10_1) = rates.pairs
+    return (mean_treated - p10_1) / (p11_1 - p10_1) - (mean_control - p10_0) / (p11_0 - p10_0)
 
 
 def ipw_means(treated_ind: np.ndarray, control_ind: np.ndarray,
@@ -148,8 +126,6 @@ def d_weights(t: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def require_validation_arms(frame: ObservationFrame) -> None:
     """EmptyValidationArm unless the validated rows hold both treatment arms."""
-    if frame.n_v < 1:
-        raise EmptyValidationArm("no validated rows")
     v = frame.v
     if not (np.any((v == 1.0) & (frame.t == 1.0)) and np.any((v == 1.0) & (frame.t == 0.0))):
         raise EmptyValidationArm("validation rows must include both treatment arms")

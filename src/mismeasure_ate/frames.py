@@ -1,5 +1,6 @@
-"""Domain types: analysis frames, misclassification rates, and the
-point-estimate record every estimator returns."""
+"""Domain types: analysis frames, misclassification rates and the rows
+each pair of rates is counted on, and the point-estimate record every
+estimator returns."""
 
 from __future__ import annotations
 
@@ -112,60 +113,48 @@ class ObservationFrame:
         return frame
 
 
+# Names of the (p11, p10) pairs, by their number, in the ``rates`` block's
+# order: one pooled pair serves both arms; per-arm pairs come control first.
+PAIR_NAMES = {1: ("pooled",), 2: ("control", "treated")}
+
+
+def rate_groups(frame: ObservationFrame,
+                misclassification: str) -> tuple[tuple[str, np.ndarray], ...]:
+    """The rows each (p11, p10) pair is counted on, as (name, 0/1 row
+    indicator) in the ``rates`` block's order: every validated row
+    ("pooled"), or the validated control rows, then the validated treated
+    rows ("by_arm"). ValueError for any other mode."""
+    if misclassification not in MISCLASSIFICATION_MODES:
+        raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}, "
+                         f"got {misclassification!r}")
+    v = frame.v
+    rows = (v,) if misclassification == "pooled" else (v * (1.0 - frame.t), v * frame.t)
+    return tuple(zip(PAIR_NAMES[len(rows)], rows))
+
+
 @dataclass(frozen=True)
 class MisclassRates:
     """Sensitivity p11 = P(Y*=1 | Y=1) and false-positive rate
-    p10 = P(Y*=1 | Y=0). Identifiability requires them to differ."""
+    p10 = P(Y*=1 | Y=0), as ``pairs`` of (p11, p10) in the ``rates``
+    block's order (see ``PAIR_NAMES``): one pooled pair, or the control
+    arm's then the treated arm's, for misclassification that depends on
+    treatment. Each rate lies in [0, 1], and identifiability requires the
+    two rates of each pair to differ."""
 
-    p11: float
-    p10: float
+    pairs: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        for name, value in [("p11", self.p11), ("p10", self.p10)]:
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if abs(self.p11 - self.p10) < IDENTIFIABILITY_TOL:
-            raise NonIdentifiable(
-                f"p11 = {self.p11:.6f} and p10 = {self.p10:.6f} are too close to identify the correction"
-            )
-
-    @property
-    def gap(self) -> float:
-        return self.p11 - self.p10
-
-    @property
-    def arms(self) -> tuple["MisclassRates", "MisclassRates"]:
-        """(control, treated) rates; pooled rates serve both arms."""
-        return self, self
-
-    def to_vector(self) -> np.ndarray:
-        return np.array([self.p11, self.p10])
-
-    def correct(self, silver_mean: float) -> float:
-        """Gold-outcome mean implied by a silver-outcome mean,
-        (m - p10) / (p11 - p10), from E[Y*] = p10 + (p11 - p10) * E[Y]."""
-        return (silver_mean - self.p10) / self.gap
-
-
-@dataclass(frozen=True)
-class ArmRates:
-    """Misclassification rates counted separately within each treatment arm.
-
-    Needed when misclassification depends on treatment (differential
-    misclassification): each arm's silver mean is then corrected with that
-    arm's own (p11, p10).
-    """
-
-    control: MisclassRates
-    treated: MisclassRates
-
-    @property
-    def arms(self) -> tuple[MisclassRates, MisclassRates]:
-        return self.control, self.treated
-
-    def to_vector(self) -> np.ndarray:
-        """(p11_0, p10_0, p11_1, p10_1): control arm first."""
-        return np.concatenate([self.control.to_vector(), self.treated.to_vector()])
+        pairs = tuple((float(p11), float(p10)) for p11, p10 in self.pairs)
+        if len(pairs) not in PAIR_NAMES:
+            raise ValueError(f"rates hold one pooled pair or one pair per arm, got {len(pairs)}")
+        for name, (p11, p10) in zip(PAIR_NAMES[len(pairs)], pairs):
+            for rate, value in (("p11", p11), ("p10", p10)):
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"{name} {rate} must lie in [0, 1], got {value}")
+            if abs(p11 - p10) < IDENTIFIABILITY_TOL:
+                raise NonIdentifiable(f"{name} rates p11 = {p11:.6f} and p10 = {p10:.6f} "
+                                      "are too close to identify the correction")
+        object.__setattr__(self, "pairs", pairs)
 
 
 @dataclass(frozen=True)

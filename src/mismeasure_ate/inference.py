@@ -9,8 +9,10 @@ with its per-subject estimating rows:
 * ``eta0``: the constant selection probability, the validation share
   s = n_V / n (rows V - s); ``eta``: the fitted selection model (logistic
   score rows).
-* ``rates``: (p11, p10) counted on the validated rows when pooled, and
-  (p11_0, p10_0, p11_1, p10_1) counted within each treatment arm ("by_arm").
+* ``rates``: the pairs of ``MisclassRates`` in order, each counted on its
+  group of ``frames.rate_groups``: (p11, p10) on the validated rows when
+  pooled, and (p11_0, p10_0, p11_1, p10_1) within each treatment arm of
+  them ("by_arm").
 * ``tau_oracle``, ``tau_naive``: the plain IPW contrasts of Y and of Y*.
 * ``tau_val``, ``tau_s_val``: the validation contrast weighted by the
   constant and by the fitted selection model.
@@ -71,14 +73,7 @@ from .errors import (
     ResidualCheckFailed,
     SingularSystem,
 )
-from .frames import (
-    ESTIMATOR_IDS,
-    MISCLASSIFICATION_MODES,
-    ArmRates,
-    AteEstimate,
-    MisclassRates,
-    ObservationFrame,
-)
+from .frames import ESTIMATOR_IDS, AteEstimate, MisclassRates, ObservationFrame, rate_groups
 from .numerics import (
     PIVOT_RTOL,
     LogisticFit,
@@ -138,8 +133,6 @@ class EstimatingSystem:
 
     def __init__(self, frame: ObservationFrame, blocks, x_treat: np.ndarray,
                  x_sel: np.ndarray | None = None, misclassification: str = "pooled"):
-        if misclassification not in MISCLASSIFICATION_MODES:
-            raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}")
         self.frame = frame
         # designs are kept column-contiguous (see ``numerics``)
         self.x_treat = np.asfortranarray(x_treat, dtype=float)
@@ -151,10 +144,7 @@ class EstimatingSystem:
         self._designs = {"gamma": self.x_treat, "eta0": np.ones((frame.n, 1)),
                          "eta": self.x_sel}
         # validated rows each (p11, p10) pair counts on
-        if misclassification == "pooled":
-            self._rate_rows = (frame.v,)
-        else:
-            self._rate_rows = (frame.v * (1.0 - frame.t), frame.v * frame.t)
+        self._rate_rows = tuple(rows for _, rows in rate_groups(frame, misclassification))
 
         needed, pending = set(), [self.resolve(name) for name in blocks]
         while pending:
@@ -297,7 +287,7 @@ class EstimatingSystem:
             elif kind == "rates":
                 if solving:
                     rates = est.estimate_misclassification(frame, self.misclassification)
-                    par[:] = rates.to_vector()
+                    par[:] = np.ravel(rates.pairs)
                 scale = n / frame.n_v
                 for k, counted in enumerate(self._rate_rows):
                     p11, p10 = par[2 * k], par[2 * k + 1]
@@ -421,7 +411,7 @@ class StackedParams:
     jacobian: np.ndarray
     failed: dict[str, MismeasureError]
     e: np.ndarray
-    rates: MisclassRates | ArmRates | None
+    rates: MisclassRates | None
 
     def block(self, name: str) -> np.ndarray:
         """Parameters of block ``name`` (resolved as the stack resolves it)."""
@@ -542,7 +532,7 @@ class FrameAnalysis:
     estimates: dict[str, AteEstimate] = field(default_factory=dict)
     failures: dict[str, str] = field(default_factory=dict)
     se_failures: dict[str, str] = field(default_factory=dict)
-    rates: MisclassRates | ArmRates | None = None
+    rates: MisclassRates | None = None
 
 
 def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel=None,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigParseError, SchemaError
-from .frames import ArmRates, ObservationFrame
+from .frames import ObservationFrame
 from .numerics import with_intercept
 from .simulation import (
     DEFAULT_SEED,
@@ -573,12 +573,12 @@ def report_from_analysis(analysis, *, metadata: dict,
         warnings_list.append(f"{est_id}: not computed ({reason})")
     for est_id, reason in sorted(analysis.se_failures.items()):
         warnings_list.append(f"{est_id}: point estimate only, no sandwich SE ({reason})")
-    if isinstance(analysis.rates, ArmRates):
-        control, treated = analysis.rates.arms
-        metadata = dict(metadata, p11_hat_control=control.p11, p10_hat_control=control.p10,
-                        p11_hat_treated=treated.p11, p10_hat_treated=treated.p10)
-    elif analysis.rates is not None:
-        metadata = dict(metadata, p11_hat=analysis.rates.p11, p10_hat=analysis.rates.p10)
+    if analysis.rates is not None:
+        pairs = analysis.rates.pairs
+        suffixes = ("",) if len(pairs) == 1 else ("_control", "_treated")
+        metadata = dict(metadata)
+        for suffix, (p11, p10) in zip(suffixes, pairs):
+            metadata.update({f"p11_hat{suffix}": p11, f"p10_hat{suffix}": p10})
     return RunReport("estimate", ESTIMATE_COLUMNS, rows, metadata, warnings_list, elapsed)
 
 

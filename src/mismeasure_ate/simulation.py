@@ -309,7 +309,7 @@ def _ordered_map(task, count: int, workers: int) -> list:
 @dataclass(frozen=True)
 class TruthEstimate:
     value: float
-    mc_se: float
+    mc_se: float | None  # None from one population, which has no spread
     populations: int
     population_n: int
 
@@ -325,14 +325,15 @@ def true_ate_oracle(dgp: DgpConfig, *, populations: int = 100, population_n: int
                     base_seed: int = DEFAULT_SEED, workers: int = 1) -> TruthEstimate:
     """Average the fitted-propensity IPW estimate on ``populations`` large
     datasets drawn from the true model (gold outcomes, no misclassification,
-    no selection)."""
+    no selection). Its Monte Carlo SE is None from one population."""
     dgp_large = replace(dgp, n=population_n)
     truth_seed = child_seed(base_seed, TRUTH_STREAM)
     arr = np.asarray(_ordered_map(partial(_truth_one, dgp_large, truth_seed),
                                   populations, workers))
-    sd = float(np.std(arr, ddof=1)) if populations > 1 else 0.0
+    mc_se = (float(np.std(arr, ddof=1)) / math.sqrt(populations)
+             if populations > 1 else None)
     return TruthEstimate(
-        value=float(np.mean(arr)), mc_se=sd / math.sqrt(populations),
+        value=float(np.mean(arr)), mc_se=mc_se,
         populations=populations, population_n=population_n,
     )
 

@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from mismeasure_ate import numerics
-from mismeasure_ate.frames import ArmRates, MisclassRates, ObservationFrame
+from mismeasure_ate.frames import MisclassRates, ObservationFrame
 from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic
 
 # Canonical six-row fixture with externally supplied propensities. Every
@@ -35,7 +35,7 @@ def d6_props() -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.fixture
 def d6_rates() -> MisclassRates:
-    return MisclassRates(p11=0.67, p10=0.24)
+    return MisclassRates(((0.67, 0.24),))
 
 
 def make_random_frame(rng: np.random.Generator, n: int, *, full_y: bool = True):
@@ -70,7 +70,7 @@ def make_random_frame(rng: np.random.Generator, n: int, *, full_y: bool = True):
         x=x, t=t, y_star=y_star, v=v,
         y=y if full_y else np.where(v == 1, y, np.nan),
     )
-    return frame, e, pi, MisclassRates(p11=p11, p10=p10)
+    return frame, e, pi, MisclassRates(((p11, p10),))
 
 
 def simulated_frame(seed=5, n=3000, *, srs=False, p11=0.67, p10=0.24, p10_treated=None):
@@ -132,11 +132,11 @@ def fitted_probability(x, y):
 def oracle_points(frame, e, pi, rates, *, b, b_opt, w=0.5):
     """Every estimator's point from the row loops of tests/oracles.py at the
     given propensities, rates and blend weights, keyed by estimator id.
-    Per-arm rates (ArmRates) go through the ``*_by_arm_tau`` oracles."""
+    Per-arm rates (two pairs) go through the ``*_by_arm_tau`` oracles."""
     t, y, ys, v, e, pi = (np.asarray(a).tolist() for a in
                           (frame.t, frame.y, frame.y_star, frame.v, e, pi))
-    if isinstance(rates, ArmRates):
-        pairs = tuple((arm.p11, arm.p10) for arm in rates.arms)
+    pairs = rates.pairs
+    if len(pairs) == 2:
         corrected = {
             "nonval_corrected": oracles.nonval_corrected_by_arm_tau(t, ys, v, e, pairs),
             "sy_combined": oracles.sy_combined_by_arm_tau(t, y, ys, v, e, pairs, w=w),
@@ -147,7 +147,7 @@ def oracle_points(frame, e, pi, rates, *, b, b_opt, w=0.5):
             "s_opt": oracles.s_weighted_by_arm_tau(t, y, ys, v, e, pi, pairs, b=b_opt),
         }
     else:
-        p11, p10 = rates.p11, rates.p10
+        ((p11, p10),) = pairs
         corrected = {
             "nonval_corrected": oracles.nonval_corrected_tau(t, ys, v, e, p11, p10),
             "sy_combined": oracles.sy_combined_tau(t, y, ys, v, e, p11, p10, w=w),

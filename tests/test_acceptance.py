@@ -243,7 +243,7 @@ def test_5_exact_identities():
     # perfect-classification reductions: with Y* = Y the counted rates are (1, 0)
     clean = replace(sim_frame, y_star=sim_frame.y)
     perfect = inf.analyze_frame(clean, ["nonval_corrected", "all_silver"], x_sel=x_sel)
-    if perfect.rates != MisclassRates(1.0, 0.0) or perfect.failures:
+    if perfect.rates != MisclassRates(((1.0, 0.0),)) or perfect.failures:
         failures.append(f"perfect classification counted {perfect.rates}")
     else:
         w_t = clean.t / e_hat
@@ -266,7 +266,7 @@ def test_5_exact_identities():
     if not worst <= 1e-6:
         failures.append(f"plug-in residual mean {worst:.2e}")
     t, ys, v = sim_frame.t, sim_frame.y_star, sim_frame.v
-    p11, p10 = frame_rates.p11, frame_rates.p10
+    ((p11, p10),) = frame_rates.pairs
     for block, target in (
             ("r_fit", oracles.s_nonval_corrected_tau(t, ys, v, e_hat, pi_hat, p11, p10)),
             ("d", oracles.all_silver_tau(t, ys, e_hat, p11, p10))):

@@ -69,7 +69,7 @@ def test_estimate_matches_in_process_analysis(tmp_path, capsys):
         assert by_id[est_id]["estimate"] == pytest.approx(estimate.tau, abs=1e-12)
         assert by_id[est_id]["se"] == pytest.approx(estimate.se, abs=1e-12)
         assert by_id[est_id]["ci_low"] == pytest.approx(estimate.ci_low, abs=1e-12)
-    assert payload["metadata"]["p11_hat"] == pytest.approx(reference.rates.p11)
+    assert payload["metadata"]["p11_hat"] == pytest.approx(reference.rates.pairs[0][0])
 
 
 def test_estimate_includes_naive_for_contrast(tmp_path, capsys):
@@ -582,9 +582,9 @@ def test_analysis_report_lists_rates_of_each_arm():
     x_sel = np.column_stack([np.ones(frame.n), frame.t, frame.x])
     analysis = analyze_frame(frame, ["all_silver"], x_sel=x_sel, misclassification="by_arm")
     metadata = rep.report_from_analysis(analysis, metadata={}).metadata
-    control, treated = analysis.rates.arms
-    assert metadata == {"p11_hat_control": control.p11, "p10_hat_control": control.p10,
-                        "p11_hat_treated": treated.p11, "p10_hat_treated": treated.p10}
+    (c11, c10), (t11, t10) = analysis.rates.pairs
+    assert metadata == {"p11_hat_control": c11, "p10_hat_control": c10,
+                        "p11_hat_treated": t11, "p10_hat_treated": t10}
 
 
 def test_simulate_json_and_csv_encode_identical_values(tmp_path, capsys):
@@ -653,6 +653,22 @@ def test_true_ate_command(capsys):
                      "--pop-n", "8000", "--seed", "13", "--format", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == payload  # deterministic
+
+
+def test_true_ate_from_one_population_has_no_mc_se(capsys):
+    # one population has no spread, so its Monte Carlo SE is undefined
+    args = ["true-ate", "main_srs", "--populations", "1", "--pop-n", "2000"]
+    cells = {}
+    for fmt in ("json", "csv", "table"):
+        assert cli.main([*args, "--format", fmt]) == 0
+        cells[fmt] = capsys.readouterr().out
+    row = json.loads(cells["json"])["rows"][0]
+    assert row["mc_se"] is None and row["populations"] == 1
+    [csv_row] = list(csv.DictReader(cells["csv"].splitlines()))
+    assert csv_row["mc_se"] == ""
+    lines = cells["table"].splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    assert lines[rule + 1].split()[1] == "-"
 
 
 def test_true_ate_counts_below_one_exit_2(capsys):

@@ -17,7 +17,7 @@ from mismeasure_ate.errors import (
     EmptyValidationArm,
     NonIdentifiable,
 )
-from mismeasure_ate.frames import ESTIMATOR_IDS, ArmRates, MisclassRates, ObservationFrame
+from mismeasure_ate.frames import ESTIMATOR_IDS, MisclassRates, ObservationFrame
 
 # Frozen outputs of tests/oracles.py on the D6 fixture (p11=0.67, p10=0.24
 # where rates enter, w=b=0.5 where a blend weight enters).
@@ -77,7 +77,7 @@ def plug_in_contrasts(frame, e, pi, rates):
 def test_d6_matches_frozen_oracle_values(d6_frame, d6_props, d6_rates):
     t, y, ys, v = D6["t"], D6["y"], D6["y_star"], D6["v"]
     e, pi = d6_props
-    p11, p10 = d6_rates.p11, d6_rates.p10
+    ((p11, p10),) = d6_rates.pairs
     got = {
         "oracle": oracles.oracle_tau(t, y, e),
         "naive": oracles.naive_tau(t, ys, e),
@@ -109,9 +109,9 @@ def test_d6_matches_frozen_oracle_values(d6_frame, d6_props, d6_rates):
 
 
 def test_d6_misclassification_rates(d6_frame):
-    rates = est.estimate_misclassification(d6_frame)
-    assert rates.p11 == pytest.approx(1.0, abs=1e-15)
-    assert rates.p10 == pytest.approx(0.5, abs=1e-15)
+    ((p11, p10),) = est.estimate_misclassification(d6_frame).pairs
+    assert p11 == pytest.approx(1.0, abs=1e-15)
+    assert p10 == pytest.approx(0.5, abs=1e-15)
 
 
 def test_misclassification_counting_examples():
@@ -120,14 +120,14 @@ def test_misclassification_counting_examples():
         v=np.ones(4), y=np.array([1.0, 1.0, 0.0, 0.0]),
     )
     rates = est.estimate_misclassification(frame)
-    assert rates.p11 == 1.0 and rates.p10 == 0.5
+    assert rates.pairs == ((1.0, 0.5),)
 
     perfect = ObservationFrame(
         x=np.zeros(2), t=np.array([1, 0]), y_star=np.array([1, 0]),
         v=np.ones(2), y=np.array([1.0, 0.0]),
     )
     rates = est.estimate_misclassification(perfect)
-    assert (rates.p11, rates.p10) == (1.0, 0.0)
+    assert rates.pairs == ((1.0, 0.0),)
 
     tied = ObservationFrame(
         x=np.zeros(4), t=np.array([1, 0, 1, 0]), y_star=np.array([1, 0, 1, 0]),
@@ -229,8 +229,8 @@ def test_frame_counts_are_computed_once(d6_frame):
 
 def test_nonval_correction_factor(d6_frame, d6_props):
     e, pi = d6_props
-    uncorrected = plug_in_contrasts(d6_frame, e, pi, MisclassRates(1.0, 0.0))["nonval_corrected"]
-    doubled = plug_in_contrasts(d6_frame, e, pi, MisclassRates(0.75, 0.25))["nonval_corrected"]
+    uncorrected = plug_in_contrasts(d6_frame, e, pi, MisclassRates(((1.0, 0.0),)))["nonval_corrected"]
+    doubled = plug_in_contrasts(d6_frame, e, pi, MisclassRates(((0.75, 0.25),)))["nonval_corrected"]
     assert doubled == pytest.approx(2.0 * uncorrected, rel=1e-14)
 
 
@@ -301,7 +301,7 @@ def test_all_silver_reductions(d6_props):
     frame, kwargs = frame_variant("fitted")
     clean = replace(frame, y_star=frame.y)
     analysis = inf.analyze_frame(clean, ["all_silver"], **kwargs)
-    assert analysis.rates == MisclassRates(1.0, 0.0)
+    assert analysis.rates == MisclassRates(((1.0, 0.0),))
     e, _ = fitted_props(clean, inf.build_system(clean).x_treat)
     w_t = clean.t / e
     w_c = (1.0 - clean.t) / (1.0 - e)
@@ -314,7 +314,7 @@ def test_all_silver_reductions(d6_props):
     const = ObservationFrame(
         x=D6["x"], t=D6["t"], y_star=np.ones(6), v=D6["v"], y=D6["y"].astype(float)
     )
-    assert plug_in_contrasts(const, e, pi, MisclassRates(0.67, 0.24))["all_silver"] == (
+    assert plug_in_contrasts(const, e, pi, MisclassRates(((0.67, 0.24),)))["all_silver"] == (
         pytest.approx(0.0, abs=1e-13))
 
 
@@ -347,7 +347,7 @@ def test_brute_force_equivalence_small_frames(seed, n):
     rng = np.random.default_rng(seed)
     frame, e, pi, rates = make_random_frame(rng, n)
     t, y, ys, v = frame.t, frame.y, frame.y_star, frame.v
-    p11, p10 = rates.p11, rates.p10
+    ((p11, p10),) = rates.pairs
     got = plug_in_contrasts(frame, e, pi, rates)
     want = {
         "oracle": oracles.oracle_tau(t, y, e),
@@ -410,7 +410,7 @@ def test_rates_identity_reductions(seed):
     frame, kwargs = frame_variant("fitted", seed)
     clean = replace(frame, y_star=frame.y)
     analysis = inf.analyze_frame(clean, ["nonval_corrected", "all_silver"], **kwargs)
-    assert analysis.rates == MisclassRates(1.0, 0.0)
+    assert analysis.rates == MisclassRates(((1.0, 0.0),))
     e, _ = fitted_props(clean, inf.build_system(clean).x_treat)
     w_t = clean.t / e
     w_c = (1.0 - clean.t) / (1.0 - e)
@@ -428,14 +428,9 @@ def test_rates_identity_reductions(seed):
 RATE_CONSUMERS = ("nonval_corrected", "s_nonval", "all_silver")
 
 
-def arm_rates(pairs) -> ArmRates:
-    (c11, c10), (t11, t10) = pairs
-    return ArmRates(control=MisclassRates(c11, c10), treated=MisclassRates(t11, t10))
-
-
 def test_d6_by_arm_matches_direct_summation(d6_frame, d6_props):
     e, pi = d6_props
-    got = plug_in_contrasts(d6_frame, e, pi, arm_rates(D6_ARM_RATES))
+    got = plug_in_contrasts(d6_frame, e, pi, MisclassRates(D6_ARM_RATES))
     for key in RATE_CONSUMERS:
         assert got[key] == pytest.approx(D6_BY_ARM_EXPECTED[key], abs=1e-12), key
         # differential rates really change the correction
@@ -444,13 +439,13 @@ def test_d6_by_arm_matches_direct_summation(d6_frame, d6_props):
 
 def test_by_arm_with_pooled_rates_reduces_to_pooled(d6_frame, d6_props, d6_rates):
     e, pi = d6_props
-    same = ArmRates(control=d6_rates, treated=d6_rates)
+    same = MisclassRates(d6_rates.pairs * 2)
     by_arm = plug_in_contrasts(d6_frame, e, pi, same)
     pooled = plug_in_contrasts(d6_frame, e, pi, d6_rates)
     for key in RATE_CONSUMERS:
         assert by_arm[key] == pytest.approx(pooled[key], abs=1e-12), key
         assert by_arm[key] == pytest.approx(D6_EXPECTED[key], abs=1e-12), key
-    assert est.corrected_contrast(same, 0.5, 0.3) == pytest.approx(0.2 / d6_rates.gap, abs=1e-15)
+    assert est.corrected_contrast(same, 0.5, 0.3) == pytest.approx(0.2 / (0.67 - 0.24), abs=1e-15)
 
 
 def test_misclassification_by_arm_counting_examples():
@@ -464,12 +459,8 @@ def test_misclassification_by_arm_counting_examples():
         y=np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, np.nan]),
     )
     rates = est.estimate_misclassification(frame, "by_arm")
-    assert isinstance(rates, ArmRates)
-    assert (rates.control.p11, rates.control.p10) == (1.0, 0.5)
-    assert (rates.treated.p11, rates.treated.p10) == (1.0, 0.0)
-    pooled = est.estimate_misclassification(frame)
-    assert (pooled.p11, pooled.p10) == (1.0, 0.25)
-    np.testing.assert_array_equal(rates.to_vector(), [1.0, 0.5, 1.0, 0.0])
+    assert rates.pairs == ((1.0, 0.5), (1.0, 0.0))
+    assert est.estimate_misclassification(frame).pairs == ((1.0, 0.25),)
     with pytest.raises(ValueError):
         est.estimate_misclassification(frame, "per_arm")
 
@@ -486,6 +477,27 @@ def test_misclassification_by_arm_degenerate_validation(d6_frame):
         est.estimate_misclassification(no_treated, "by_arm")
     # pooled counting is still fine on both frames
     est.estimate_misclassification(no_treated)
+
+
+@pytest.mark.parametrize("pairs, error, match", [
+    ((), ValueError, "got 0"),
+    (((0.9, 0.1),) * 3, ValueError, "got 3"),
+    (((1.2, 0.1),), ValueError, "pooled p11"),
+    (((0.9, 0.1), (0.8, -0.1)), ValueError, "treated p10"),
+    (((0.9, 0.1), (0.8, float("nan"))), ValueError, "treated p10"),
+    (((0.5, 0.5),), NonIdentifiable, "pooled"),
+    (((0.4, 0.4), (0.9, 0.1)), NonIdentifiable, "control"),
+    (((0.9, 0.1), (0.3, 0.3 + 1e-7)), NonIdentifiable, "treated"),
+])
+def test_misclass_rates_checks_its_pairs(pairs, error, match):
+    with pytest.raises(error, match=match):
+        MisclassRates(pairs)
+
+
+def test_misclass_rates_hold_python_floats():
+    rates = MisclassRates([np.array([1, 0]), (np.float64(0.75), 0.25)])
+    assert rates.pairs == ((1.0, 0.0), (0.75, 0.25))
+    assert all(type(rate) is float for pair in rates.pairs for rate in pair)
 
 
 def test_misclassification_by_arm_nonidentifiable():
@@ -506,7 +518,7 @@ def test_by_arm_brute_force_equivalence_small_frames(seed, n):
     t, y, ys, v = frame.t, frame.y, frame.y_star, frame.v
     pairs = ((rng.uniform(0.6, 0.95), rng.uniform(0.05, 0.4)),
              (rng.uniform(0.6, 0.95), rng.uniform(0.05, 0.4)))
-    got = plug_in_contrasts(frame, e, pi, arm_rates(pairs))
+    got = plug_in_contrasts(frame, e, pi, MisclassRates(pairs))
     want = {
         "nonval_corrected": oracles.nonval_corrected_by_arm_tau(t, ys, v, e, pairs),
         "s_nonval": oracles.s_nonval_by_arm_tau(t, ys, v, e, pi, pairs),
@@ -515,26 +527,21 @@ def test_by_arm_brute_force_equivalence_small_frames(seed, n):
     for key, value in want.items():
         assert got[key] == pytest.approx(value, abs=1e-12), key
 
-    # counting within each arm (control first) agrees with the oracle, and the
-    # first arm that cannot identify its rates names the typed error
-    want, error = [], None
-    for arm in (0.0, 1.0):
-        rows = t == arm
-        try:
-            p11, p10 = oracles.misclass_rates(y[rows], ys[rows], v[rows])
-        except ZeroDivisionError:
-            error = DegenerateValidation
-            break
-        if abs(p11 - p10) < 1e-6:
-            error = NonIdentifiable
-            break
-        want += [p11, p10]
+    # counting within each arm (control first) agrees with the oracle; an arm
+    # without both gold classes raises first, then a pair too close to identify
+    try:
+        want = [oracles.misclass_rates(y[t == arm], ys[t == arm], v[t == arm])
+                for arm in (0.0, 1.0)]
+    except ZeroDivisionError:
+        error = DegenerateValidation
+    else:
+        error = NonIdentifiable if any(abs(p11 - p10) < 1e-6 for p11, p10 in want) else None
     if error is not None:
         with pytest.raises(error):
             est.estimate_misclassification(frame, "by_arm")
     else:
         got = est.estimate_misclassification(frame, "by_arm")
-        np.testing.assert_allclose(got.to_vector(), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.ravel(got.pairs), np.ravel(want), rtol=0, atol=1e-15)
 
 
 def test_namespace_has_no_point_functions():

@@ -27,7 +27,7 @@ from mismeasure_ate.errors import (
     ResidualCheckFailed,
     SingularSystem,
 )
-from mismeasure_ate.frames import ESTIMATOR_IDS, ArmRates, MisclassRates, ObservationFrame
+from mismeasure_ate.frames import ESTIMATOR_IDS, MisclassRates, ObservationFrame
 from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic
 
 
@@ -63,7 +63,7 @@ def test_plugin_residuals_small_for_both_kinds_and_variants():
 def mismatch_rates(monkeypatch):
     """Make the plug-in count rates that its validated rows do not give."""
     monkeypatch.setattr(est, "estimate_misclassification",
-                        lambda frame, mode="pooled": MisclassRates(0.9, 0.05))
+                        lambda frame, mode="pooled": MisclassRates(((0.9, 0.05),)))
 
 
 def test_mismatched_rates_fail_residual_check(monkeypatch):
@@ -71,7 +71,7 @@ def test_mismatched_rates_fail_residual_check(monkeypatch):
     system = inf.build_system(frame, x_sel=selection_design(frame))
     mismatch_rates(monkeypatch)
     params = inf.solve_plugin(frame, system)
-    assert isinstance(params.failed["rates"], ResidualCheckFailed)
+    assert type(params.failed["rates"]) is ResidualCheckFailed
     # the blocks built on the rates go with them; the others stay
     assert {name: params.failed[name] for name in ("r_const", "r_fit", "d")} == {
         name: params.failed["rates"] for name in ("r_const", "r_fit", "d")}
@@ -87,14 +87,14 @@ def test_wls_slope_equals_hajek_contrast_identity():
         frame, _, _, _ = make_random_frame(rng, 400)
         system = inf.build_system(frame, x_sel=selection_design(frame))
         params = inf.solve_plugin(frame, system)
-        rates = est.estimate_misclassification(frame)
+        ((p11, p10),) = est.estimate_misclassification(frame).pairs
         e, pi = fitted_props(frame, system.x_treat, system.x_sel)
         t, ys, v = frame.t, frame.y_star, frame.v
         assert params.block("r_fit")[1] == pytest.approx(
-            oracles.s_nonval_corrected_tau(t, ys, v, e, pi, rates.p11, rates.p10), abs=1e-10
+            oracles.s_nonval_corrected_tau(t, ys, v, e, pi, p11, p10), abs=1e-10
         )
         assert params.block("d")[1] == pytest.approx(
-            oracles.all_silver_tau(t, ys, e, rates.p11, rates.p10), abs=1e-10
+            oracles.all_silver_tau(t, ys, e, p11, p10), abs=1e-10
         )
 
 
@@ -107,8 +107,8 @@ def test_perfect_classification_reduction():
     w_t = clean.t / e
     w_c = (1.0 - clean.t) / (1.0 - e)
     hajek = oracles.hajek_contrast(w_t, w_c, clean.y)
-    rates = est.estimate_misclassification(clean)
-    assert params.block("d")[1] * rates.gap == pytest.approx(hajek, abs=1e-10)
+    ((p11, p10),) = est.estimate_misclassification(clean).pairs
+    assert params.block("d")[1] * (p11 - p10) == pytest.approx(hajek, abs=1e-10)
 
 
 def test_sandwich_symmetry_and_nonnegative_diagonal():
@@ -233,14 +233,14 @@ def test_by_arm_stacked_identities():
     assert system.dim == pooled_dim + 2
     params = inf.solve_plugin(frame, system)
     assert not params.failed
-    np.testing.assert_array_equal(params.block("rates"), rates.to_vector())
+    np.testing.assert_array_equal(params.block("rates"), np.ravel(rates.pairs))
     assert params.rates == rates
     means = np.abs(mean_residuals(params))
     assert float(means[params.system.layout["rates"]].max()) <= 1e-12
     assert float(means.max()) <= 1e-6
 
     e, pi = fitted_props(frame, system.x_treat, system.x_sel)
-    pairs = tuple((arm.p11, arm.p10) for arm in rates.arms)
+    pairs = rates.pairs
     assert params.block("r_fit")[1] == pytest.approx(
         oracles.s_nonval_by_arm_tau(frame.t, frame.y_star, frame.v, e, pi, pairs), abs=1e-10)
     assert params.block("d")[1] == pytest.approx(
@@ -258,7 +258,7 @@ def test_analyze_frame_by_arm_full_set_no_failures():
 
     analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, x_sel=x_sel, misclassification="by_arm")
     assert not analysis.failures and not analysis.se_failures
-    assert isinstance(analysis.rates, ArmRates)
+    assert len(analysis.rates.pairs) == 2
     for estimate in analysis.estimates.values():
         assert estimate.se is not None and estimate.se > 0
     pooled = inf.analyze_frame(frame, ESTIMATOR_IDS, x_sel=x_sel)
@@ -566,7 +566,7 @@ def test_stored_evaluation_is_that_of_the_restricted_stack(monkeypatch):
     calls = count_walks(monkeypatch)
     mismatch_rates(monkeypatch)
     params = inf.solve_plugin(frame, system)
-    assert isinstance(params.failed["rates"], ResidualCheckFailed)
+    assert type(params.failed["rates"]) is ResidualCheckFailed
     assert calls == [system.dim] and params.system.dim < system.dim
     phi, jacobian = params.system.evaluate(params.theta)
     assert phi.shape == (frame.n, params.system.dim)
