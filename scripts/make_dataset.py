@@ -38,7 +38,11 @@ def main() -> int:
         return 2
     config = replace(catalog[args.scenario], base_seed=args.seed)
     if args.n:
-        config = replace(config, dgp=replace(config.dgp, n=args.n))
+        try:
+            config = replace(config, dgp=replace(config.dgp, n=args.n))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     selection_used, intercept = resolve_selection(config)
     rng = _rng(child_seed(config.base_seed, 0))
     population = generate_population(config.dgp, rng)

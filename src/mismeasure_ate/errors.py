@@ -38,7 +38,8 @@ class DimensionMismatch(MismeasureError):
 
 
 class NonFiniteEvaluation(MismeasureError):
-    """A user-supplied function returned NaN or infinity."""
+    """A design matrix, or the stacked residuals or their Jacobian, holds
+    NaN or infinity."""
 
 
 # --- estimators -------------------------------------------------------------

@@ -3,8 +3,8 @@
 Every point estimate is read from the solved stack of estimating equations
 (``inference``); this module holds the pieces that stack is built from:
 the counted misclassification rates, the misclassification-corrected
-contrast, the plain IPW and Hajek arm means, the R and D weights, the
-checks on the validation arms and the blend weights, and the
+contrast, the one arm-weighting rule of every IPW and WLS block
+(``arm_weights``), the checks on the blend weights, and the
 variance-minimizing weight b_opt.
 
 Notation used in the docstrings: e is the treatment propensity, pi the
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     DegenerateValidation,
     DegenerateVarianceWarning,
-    EmptyArm,
     EmptyComplement,
     EmptyValidationArm,
     WeightOutOfRange,
@@ -79,56 +78,24 @@ def corrected_contrast(rates: MisclassRates, mean_treated: float,
     return (mean_treated - p10_1) / (p11_1 - p10_1) - (mean_control - p10_0) / (p11_0 - p10_0)
 
 
-def ipw_means(treated_ind: np.ndarray, control_ind: np.ndarray,
-              outcome: np.ndarray, e: np.ndarray, denom: float) -> tuple[float, float]:
-    """Plain IPW arm means over two disjoint arm indicators:
-    (sum(treated*out/e)/denom, sum(control*out/(1-e))/denom)."""
-    treated = float(np.sum(treated_ind * outcome / e))
-    control = float(np.sum(control_ind * outcome / (1.0 - e)))
-    return treated / denom, control / denom
+def arm_weights(t: np.ndarray, e: np.ndarray, rows: np.ndarray | None = None,
+                share: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The one arm-weighting rule of every IPW and WLS block, split into
+    (treated, control): rows*T / (e*share) and rows*(1-T) / ((1-e)*share).
 
-
-def ipw_difference(treated_ind: np.ndarray, control_ind: np.ndarray,
-                   outcome: np.ndarray, e: np.ndarray, denom: float) -> float:
-    """Plain IPW contrast between two disjoint arm indicators:
-    sum(treated*out/e)/denom - sum(control*out/(1-e))/denom."""
-    treated, control = ipw_means(treated_ind, control_ind, outcome, e, denom)
-    return treated - control
-
-
-def hajek_means(weights_treated: np.ndarray, weights_control: np.ndarray,
-                outcome: np.ndarray) -> tuple[float, float]:
-    """Weight-normalized outcome means of the treated and control arms.
-
-    Invariant to rescaling all weights by a common positive constant. The
-    two weight vectors must be disjointly supported (treated vs control);
-    a zero total weight in either arm raises EmptyArm.
+    The row factor rows/share is 1 over every row (both None), V/pi on the
+    validated rows and (1-V)/(1-pi) on the complement; ``share`` None with
+    ``rows`` given is a share of 1. Each weight moves by -w_t/e or
+    +w_c/(1-e) per unit of e, and by -w/pi (validated rows) or +w/(1-pi)
+    (complement) per unit of pi.
     """
-    wt = float(np.sum(weights_treated))
-    wc = float(np.sum(weights_control))
-    if wt == 0.0 or wc == 0.0:
-        raise EmptyArm("a Hajek arm has zero total weight")
-    return float(np.sum(weights_treated * outcome)) / wt, float(np.sum(weights_control * outcome)) / wc
-
-
-def r_weights(t: np.ndarray, v: np.ndarray, e: np.ndarray,
-              pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Selection-weighted complement weights R, split into (treated, control):
-    (1-V)T / (e(1-pi)) and (1-V)(1-T) / ((1-e)(1-pi)). Zero on validation rows."""
-    nv = 1.0 - v
-    return nv * t / (e * (1.0 - pi)), nv * (1.0 - t) / ((1.0 - e) * (1.0 - pi))
-
-
-def d_weights(t: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full-sample weights D, split into (treated, control): T/e and (1-T)/(1-e)."""
-    return t / e, (1.0 - t) / (1.0 - e)
-
-
-def require_validation_arms(frame: ObservationFrame) -> None:
-    """EmptyValidationArm unless the validated rows hold both treatment arms."""
-    v = frame.v
-    if not (np.any((v == 1.0) & (frame.t == 1.0)) and np.any((v == 1.0) & (frame.t == 0.0))):
-        raise EmptyValidationArm("validation rows must include both treatment arms")
+    treated, control = t, 1.0 - t
+    if rows is not None:
+        treated, control = rows * treated, rows * control
+    e_control = 1.0 - e
+    if share is not None:
+        e, e_control = e * share, e_control * share
+    return treated / e, control / e_control
 
 
 def unit_weight(name: str, value: float) -> float:

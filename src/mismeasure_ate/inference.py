@@ -13,17 +13,25 @@ with its per-subject estimating rows:
   group of ``frames.rate_groups``: (p11, p10) on the validated rows when
   pooled, and (p11_0, p10_0, p11_1, p10_1) within each treatment arm of
   them ("by_arm").
-* ``tau_oracle``, ``tau_naive``: the plain IPW contrasts of Y and of Y*.
-* ``tau_val``, ``tau_s_val``: the validation contrast weighted by the
-  constant and by the fitted selection model.
-* ``r_const``, ``r_fit``: (alpha, beta) of the weighted least-squares rows
-  over the complement with weights R = (1-V)T/(e(1-pi)) +
-  (1-V)(1-T)/((1-e)(1-pi)), under the constant and under the fitted
-  selection model; ``d``: the same over every row with D = T/e + (1-T)/(1-e).
-  alpha is the control arm's weighted silver mean and beta the
-  misclassification-corrected contrast, so the rows fit the treated arm's
-  silver mean as p10_1 + (p11_1 - p10_1) * (beta + (alpha - p10_0) /
-  (p11_0 - p10_0)), which is alpha + (p11 - p10) * beta under pooled rates.
+* ``ipw`` blocks, one parameter each: the contrast sum(w_t Y)/n -
+  sum(w_c Y)/n. ``tau_oracle`` and ``tau_naive`` weight every row, with Y
+  and Y*; ``tau_val`` and ``tau_s_val`` weight the validated rows, with the
+  gold Y, under the constant and under the fitted selection model.
+* ``wls`` blocks, (alpha, beta) each: weighted least squares of Y*, solved
+  by the Hajek (weight-normalized) arm means. ``r_const`` and ``r_fit``
+  weight the complement, under the constant and under the fitted selection
+  model; ``d`` weights every row. alpha is the control arm's weighted
+  silver mean and beta the misclassification-corrected contrast, so the
+  rows fit the treated arm's silver mean as p10_1 + (p11_1 - p10_1) *
+  (beta + (alpha - p10_0) / (p11_0 - p10_0)), which is alpha +
+  (p11 - p10) * beta under pooled rates.
+
+Both kinds take their weights (w_t, w_c) from one rule,
+``estimators.arm_weights``, with a row factor of 1 over every row, V/pi
+over the validated rows and (1-V)/(1-pi) over the complement. A block's
+plug-in, residual rows and Jacobian rows are read off those two arrays,
+and its derivatives are the rule's: -w_t/e and +w_c/(1-e) in e, and -w/pi
+(validated rows) or +w/(1-pi) (complement) in pi.
 
 A block's rows read only its own parameters and its parents' (the models and
 rates it is built on), so the stack is block lower-triangular: the joint
@@ -38,11 +46,11 @@ estimators (divided by n). One walk of the blocks solves and evaluates the
 stack (``solve_plugin``): each block solves its parameters by plug-in, then
 writes from the same per-row arrays its per-subject residuals for the meat
 and its rows of the Jacobian in closed form for the bread: logistic
-information for the model blocks, counts for the rate rows, and for the tau
-and WLS rows their derivatives in their own parameters, in the rates and,
-through the weights, in the fitted propensities, as for IPW with estimated
-propensities (Lunceford & Davidian 2004). ``EstimatingSystem.evaluate``
-takes the same walk at a given theta.
+information for the model blocks, counts for the rate rows, and for the
+IPW and WLS rows their derivatives in their own parameters, in the rates
+and, through the weights, in the fitted propensities, as for IPW with
+estimated propensities (Lunceford & Davidian 2004).
+``EstimatingSystem.evaluate`` takes the same walk at a given theta.
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
 runner and the CLI: it solves the frame's stack in that one walk and reads
@@ -66,6 +74,7 @@ from .errors import (
     EmptyArm,
     EmptyComplement,
     EmptyComplementArm,
+    EmptyValidationArm,
     MismeasureError,
     MissingGoldOutcomes,
     NegativeVariance,
@@ -95,11 +104,11 @@ BLOCKS = {
     "rates": ("rates", None, None),
     "tau_oracle": ("ipw", "gamma", None),
     "tau_naive": ("ipw", "gamma", None),
-    "tau_val": ("validation", "gamma", "eta0"),
-    "tau_s_val": ("validation", "gamma", "eta"),
-    "r_const": ("wls_r", "gamma", "eta0"),
-    "r_fit": ("wls_r", "gamma", "eta"),
-    "d": ("wls_d", "gamma", None),
+    "tau_val": ("ipw", "gamma", "eta0"),
+    "tau_s_val": ("ipw", "gamma", "eta"),
+    "r_const": ("wls", "gamma", "eta0"),
+    "r_fit": ("wls", "gamma", "eta"),
+    "d": ("wls", "gamma", None),
 }
 
 # estimator id -> the stacked parameters its point and SE read, as (block,
@@ -162,7 +171,7 @@ class EstimatingSystem:
             elif kind == "rates":
                 size = 2 * len(self._rate_rows)
             else:
-                size = 2 if kind.startswith("wls") else 1
+                size = 2 if kind == "wls" else 1
             self.layout[name] = slice(pos, pos + size)
             pos += size
         self.dim = pos
@@ -179,7 +188,7 @@ class EstimatingSystem:
     def parents(self, name: str) -> list[str]:
         kind, treat, sel = self.spec(name)
         found = [p for p in (treat, sel) if p is not None]
-        return found + ["rates"] if kind.startswith("wls") else found
+        return found + ["rates"] if kind == "wls" else found
 
     def index(self, name: str, row: int = 0) -> int:
         """Position of row ``row`` of block ``name`` in the parameter vector."""
@@ -222,7 +231,7 @@ class EstimatingSystem:
         block writes contiguous residual columns, and the (dim, dim) Jacobian
         of its column sums in closed form, in the walk ``solve_plugin`` takes.
         A model block's own rows give minus its logistic information, and
-        the share row -n; a rate row gives its count; the tau and WLS
+        the share row -n; a rate row gives its count; the IPW and WLS
         rows move with their own parameters, with the rates through the WLS
         shift, and with e and pi, each fitted probability moving by p(1-p)x
         per unit of its model's coefficients and the constant one by 1 per
@@ -297,54 +306,57 @@ class EstimatingSystem:
                     jac[col, col] = -float(np.sum(yv * counted)) * scale
                     jac[col + 1, col + 1] = -float(np.sum((1.0 - yv) * counted)) * scale
             elif kind == "ipw":
+                # sum(w_t Y)/n - sum(w_c Y)/n, over the validated rows (row
+                # factor V/pi) when the block reads a selection model
                 e = prob[treat]
-                outcome = frame.y if name == "tau_oracle" else y_star
+                outcome = frame.y if name == "tau_oracle" else yv if sel else y_star
                 if solving and name == "tau_oracle" and np.any(np.isnan(outcome)):
                     raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
-                treated, control = t * outcome / e, (1.0 - t) * outcome / (1.0 - e)
-                if solving:  # the sums of est.ipw_difference, over the same rows
+                in_rows, share = (v, prob[sel]) if sel else (None, None)
+                w_t, w_c = est.arm_weights(t, e, in_rows, share)
+                if solving and sel and (np.sum(w_t) == 0.0 or np.sum(w_c) == 0.0):
+                    raise EmptyValidationArm("validation rows must include both treatment arms")
+                treated, control = w_t * outcome, w_c * outcome
+                if solving:
                     par[0] = float(np.sum(treated)) / n - float(np.sum(control)) / n
                 phi[:, row] = treated - control - par[0]
                 jac[row, row] = -n
-                through(row, treat, -(t * outcome / e ** 2 + (1.0 - t) * outcome / (1.0 - e) ** 2))
-            elif kind == "validation":
-                e, pi = prob[treat], prob[sel]
-                if solving:
-                    est.require_validation_arms(frame)
-                    par[0] = est.ipw_difference(v * t, v * (1.0 - t), yv / pi, e, float(n))
-                weighted = yv * (v * t / (e * pi) - v * (1.0 - t) / ((1.0 - e) * pi))
-                phi[:, row] = weighted - par[0]
-                jac[row, row] = -n
-                through(row, treat, -yv * v * (t / e ** 2 + (1.0 - t) / (1.0 - e) ** 2) / pi)
-                through(row, sel, -weighted / pi)
+                # the rule's derivatives: -w_t/e, +w_c/(1-e) in e and -w/pi in pi
+                through(row, treat, -(treated / e + control / (1.0 - e)))
+                if sel:
+                    through(row, sel, -(treated - control) / share)
             else:
+                # the Hajek arm means of Y* as (alpha, beta), over the
+                # complement (row factor (1-V)/(1-pi)) when the block reads a
+                # selection model
                 e = prob[treat]
-                if solving and kind == "wls_r" and frame.n_v == n:
+                if solving and sel and frame.n_v == n:
                     raise EmptyComplement("every row is validated; the complement is empty")
-                w_t, w_c = (est.r_weights(t, v, e, prob[sel]) if kind == "wls_r"
-                            else est.d_weights(t, e))
-                if solving:
-                    try:
-                        mean1, mean0 = est.hajek_means(w_t, w_c, y_star)
-                    except EmptyArm:
-                        undefined = EmptyComplementArm if kind == "wls_r" else EmptyArm
-                        raise undefined("a treatment arm has zero weight") from None
-                    par[:] = mean0, est.corrected_contrast(rates, mean1, mean0)
+                in_rows, share = (1.0 - v, 1.0 - prob[sel]) if sel else (None, None)
+                w_t, w_c = est.arm_weights(t, e, in_rows, share)
                 wls_w = w_t + w_c  # one of the two is zero on every row
+                total, treated = float(np.sum(wls_w)), float(np.sum(wls_w * t))
+                if solving:
+                    control = float(np.sum(w_c))
+                    if treated == 0.0 or control == 0.0:
+                        undefined = EmptyComplementArm if sel else EmptyArm
+                        raise undefined("a treatment arm has zero weight")
+                    mean1 = float(np.sum(w_t * y_star)) / treated
+                    mean0 = float(np.sum(w_c * y_star)) / control
+                    par[:] = mean0, est.corrected_contrast(rates, mean1, mean0)
                 shift, partials = self._shift(theta, layout, name)
                 resid = y_star - par[0] - shift * t
                 # rows W (Y* - alpha - shift T) and W T (Y* - alpha - shift T)
                 phi[:, row] = wls_w * resid
                 phi[:, row + 1] = wls_w * t * resid
-                total, treated = float(np.sum(wls_w)), float(np.sum(wls_w * t))
                 jac[row, row] = -total
                 jac[row + 1, row] = -treated
                 for col, partial in partials:
                     jac[cols, col] -= treated * partial
-                # the weights move with e (and with pi under R weights)
+                # the rule's derivatives: -w_t/e, +w_c/(1-e) in e and +w/(1-pi) in pi
                 d_weight = {treat: -w_t / e + w_c / (1.0 - e)}
-                if kind == "wls_r":
-                    d_weight[sel] = wls_w / (1.0 - prob[sel])
+                if sel:
+                    d_weight[sel] = wls_w / share
                 for model, d_w in d_weight.items():
                     through(row, model, d_w * resid)
                     through(row + 1, model, d_w * t * resid)
@@ -426,14 +438,15 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedPa
     is the validation share (DegenerateValidation without validated rows),
     eta comes from ML of the selection model, the rates from validation
     counting (pooled or per arm, as the system says), each (alpha, beta)
-    from its closed-form WLS (EmptyComplement over R weights when every row
-    is validated), and each tau from its IPW contrast (EmptyValidationArm
-    for a validation contrast unless the validated rows hold both treatment
-    arms). A block whose plug-in raises a MismeasureError, or whose residual
-    mean exceeds 1e-6 in max norm (ResidualCheckFailed), is left out together
-    with every block built on it: ``system`` is then restricted to the rest,
-    whose columns of the walk are ``phi`` and ``jacobian``. A treatment-model
-    fit that fails raises.
+    from its Hajek arm means (over the complement, EmptyComplement when
+    every row is validated and EmptyComplementArm when a complement arm is
+    empty; EmptyArm over every row), and each tau from its IPW contrast
+    (EmptyValidationArm over the validated rows unless they hold both
+    treatment arms). A block whose plug-in raises a MismeasureError, or
+    whose residual mean exceeds 1e-6 in max norm (ResidualCheckFailed), is
+    left out together with every block built on it: ``system`` is then
+    restricted to the rest, whose columns of the walk are ``phi`` and
+    ``jacobian``. A treatment-model fit that fails raises.
     """
     treat_fit = fit_logistic(system.x_treat, frame.t)
     e = clamp_probability(treat_fit.probabilities)
@@ -614,9 +627,10 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
         # the IPW complement contrast of nonval_corrected and sy_combined,
         # which no block holds yet, in place of the Hajek slope of r_const
         # that their SEs read
-        nv = 1.0 - frame.v
-        complement = est.corrected_contrast(params.rates, *est.ipw_means(
-            nv * frame.t, nv * (1.0 - frame.t), frame.y_star, params.e, float(n - n_v)))
+        w_t, w_c = est.arm_weights(frame.t, params.e, 1.0 - frame.v)
+        m = float(n - n_v)
+        complement = est.corrected_contrast(params.rates, float(np.sum(w_t * frame.y_star)) / m,
+                                            float(np.sum(w_c * frame.y_star)) / m)
 
     analysis = FrameAnalysis(rates=params.rates)
     for est_id in (i for i in ESTIMATOR_IDS if i in ids):

@@ -166,6 +166,9 @@ class ScenarioConfig:
         unknown = [e for e in self.estimators if e not in ESTIMATOR_IDS]
         if unknown:
             raise ValueError(f"unknown estimators: {unknown}")
+        for k, est_id in enumerate(self.estimators):
+            if est_id in self.estimators[:k]:
+                raise ValueError(f"estimator {est_id!r} is named twice")
         for name in ("w", "b"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
@@ -173,6 +176,10 @@ class ScenarioConfig:
         if self.truth is not None and not math.isfinite(self.truth):
             raise ValueError(f"truth must be a finite number, got {self.truth}")
         p, selection = self.dgp.p, self.selection
+        if selection.target_nv >= self.dgp.n:
+            # every row would be validated, leaving no complement
+            raise ValueError(f"target_nv must be below n = {self.dgp.n}, "
+                             f"got {selection.target_nv}")
         if selection.kind == "non_probability" and len(selection.alpha0) != p + 2:
             raise ValueError(f"alpha0 must have {p + 2} entries (intercept, T, x1..x{p}), "
                              f"got {len(selection.alpha0)}")
@@ -318,7 +325,8 @@ def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
     x, t, y = draw_gold_data(dgp_large, _rng(child_seed(base_seed, index)))
     x_treat = with_intercept(x)
     e = clamp_probability(fit_logistic(x_treat, t).probabilities)
-    return est.ipw_difference(t, 1.0 - t, y, e, float(dgp_large.n))
+    w_t, w_c = est.arm_weights(t, e)
+    return float(np.sum(w_t * y)) / dgp_large.n - float(np.sum(w_c * y)) / dgp_large.n
 
 
 def true_ate_oracle(dgp: DgpConfig, *, populations: int = 100, population_n: int = 50_000,
@@ -343,7 +351,7 @@ class EstimatorSummary:
     estimator_id: str
     n_effective: int
     bias: float
-    empirical_se: float
+    empirical_se: float | None  # None from one iteration, which has no spread
     mean_sandwich_se: float
     coverage: float
 
@@ -409,7 +417,7 @@ def _run_iteration(config: ScenarioConfig, index: int):
         failures.update(analysis.failures)
         for est_id, estimate in analysis.estimates.items():
             if estimate.se is None:
-                failures[est_id] = analysis.se_failures.get(est_id, "MissingStandardError")
+                failures[est_id] = analysis.se_failures[est_id]
             else:
                 records[est_id] = (estimate.tau, estimate.se)
 
@@ -440,7 +448,7 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ScenarioResult:
     """Run all Monte Carlo iterations and aggregate.
 
     bias = mean(tau) - truth, empirical_se = SD of the point estimates
-    (ddof=1), mean_sandwich_se = mean of per-iteration sandwich SEs, and
+    (ddof=1; None from one iteration), mean_sandwich_se = mean of per-iteration sandwich SEs, and
     coverage = share of 95% intervals containing the truth. Failed
     estimator-iterations are excluded from all four and tallied under their
     reason; failures in more than MAX_FAILURE_SHARE of the iterations for
@@ -486,7 +494,7 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ScenarioResult:
             estimator_id=est_id,
             n_effective=n_eff,
             bias=float(np.mean(points)) - truth,
-            empirical_se=float(np.std(points, ddof=1)) if n_eff > 1 else 0.0,
+            empirical_se=float(np.std(points, ddof=1)) if n_eff > 1 else None,
             mean_sandwich_se=float(np.mean(se_arr)),
             coverage=float(np.mean((lows <= truth) & (truth <= highs))),
         ))

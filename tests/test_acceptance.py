@@ -251,9 +251,8 @@ def test_5_exact_identities():
         if not abs(perfect.estimates["all_silver"].tau
                    - oracles.hajek_contrast(w_t, w_c, clean.y)) <= 1e-12:
             failures.append("perfect-rates full-sample reduction")
-        nv = 1.0 - clean.v
-        plain = est.ipw_difference(nv * clean.t, nv * (1.0 - clean.t), clean.y, e_hat,
-                                   float(n - n_v))
+        w_t, w_c = est.arm_weights(clean.t, e_hat, 1.0 - clean.v)
+        plain = np.sum(w_t * clean.y) / (n - n_v) - np.sum(w_c * clean.y) / (n - n_v)
         if not abs(perfect.estimates["nonval_corrected"].tau - plain) <= 1e-12:
             failures.append("perfect-rates complement reduction")
 

@@ -479,6 +479,15 @@ def test_simulate_config_unknown_key_is_fatal(tmp_path, capsys):
     ({"b": -0.25}, (), "b must lie in [0, 1], got -0.25"),
     ({"estimators": []}, (), "estimators must name at least one estimator"),
     ({}, ("--estimators", ""), "estimators must name at least one estimator"),
+    # a repeated id would count its sample twice in the empirical SE
+    ({"estimators": ["val_only", "val_only", "naive"]}, (),
+     "estimator 'val_only' is named twice"),
+    ({}, ("--estimators", "val_only,val_only,naive"), "estimator 'val_only' is named twice"),
+    # a target of n or more validates every row, leaving no complement
+    ({"selection": {"target_nv": 400}}, (), "target_nv must be below n = 400, got 400"),
+    ({"selection": {"target_nv": 500}}, (), "target_nv must be below n = 400, got 500"),
+    ({"selection": {"kind": "non_probability", "alpha0": [-2.4, 0.5, 1, 1, 1, 1, 0],
+                    "target_nv": 400}}, (), "target_nv must be below n = 400, got 400"),
     ({"dgp": {"treatment_coefs": []}}, (),
      "'treatment_coefs': expected a non-empty list of finite numbers, got []"),
     ({"dgp": {"outcome_coefs": None}}, (),
@@ -497,7 +506,9 @@ def test_simulate_config_unknown_key_is_fatal(tmp_path, capsys):
     ({"w": "0.5"}, (), "'w': expected a number, got '0.5'"),
     ({"b": False}, (), "'b': expected a number, got False"),
 ], ids=["heterogeneous_misclass", "alpha0", "misspecify_drop", "truth", "truth_option",
-        "score_variant", "w", "b", "estimators", "estimators_option", "empty_coefs",
+        "score_variant", "w", "b", "estimators", "estimators_option", "repeated_estimators",
+        "repeated_estimators_option", "target_nv_n", "target_nv_above_n",
+        "non_probability_target_nv_n", "empty_coefs",
         "null_coefs", "float_iterations", "string_seed", "boolean_n", "float_target_nv",
         "boolean_misspecify_drop", "string_p11", "boolean_p10", "string_truth", "string_w",
         "boolean_b"])
@@ -669,6 +680,23 @@ def test_true_ate_from_one_population_has_no_mc_se(capsys):
     lines = cells["table"].splitlines()
     rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
     assert lines[rule + 1].split()[1] == "-"
+
+
+def test_simulate_one_iteration_has_no_empirical_se(capsys):
+    # one iteration has no spread, so its empirical SE is undefined
+    args = ["simulate", "main_srs", "--iterations", "1", "--truth", "0.0677",
+            "--estimators", "val_only,naive"]
+    cells = {}
+    for fmt in ("json", "csv", "table"):
+        assert cli.main([*args, "--format", fmt]) == 0
+        cells[fmt] = capsys.readouterr().out
+    rows = json.loads(cells["json"])["rows"]
+    assert [row["empirical_se"] for row in rows] == [None, None]
+    assert all(row["n_effective"] == 1 and row["mean_sandwich_se"] > 0 for row in rows)
+    assert [row["empirical_se"] for row in csv.DictReader(cells["csv"].splitlines())] == ["", ""]
+    lines = cells["table"].splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    assert [line.split()[2] for line in lines[rule + 1:rule + 3]] == ["-", "-"]
 
 
 def test_true_ate_counts_below_one_exit_2(capsys):

@@ -14,7 +14,6 @@ from mismeasure_ate import inference as inf
 from mismeasure_ate.errors import (
     DegenerateValidation,
     DegenerateVarianceWarning,
-    EmptyValidationArm,
     NonIdentifiable,
 )
 from mismeasure_ate.frames import ESTIMATOR_IDS, MisclassRates, ObservationFrame
@@ -57,20 +56,30 @@ def intercept(frame):
 def plug_in_contrasts(frame, e, pi, rates):
     """The single-parameter points as the stacked plug-in computes them
     (``inference.solve_plugin``, and ``analyze_frame`` for the IPW complement
-    contrast), from the arithmetic of ``estimators`` at caller-given
-    propensities e and pi; val_only reads the validation share as its pi."""
+    contrast), from ``estimators.arm_weights`` at caller-given propensities
+    e and pi; val_only reads the validation share as its pi."""
     t, v, ys, yv = frame.t, frame.v, frame.y_star, frame.y_validated
     n, n_v = float(frame.n), float(frame.n_v)
     nv = 1.0 - v
+
+    def means(weights, outcome, denom=None):
+        # each arm's weighted outcome sum over denom, or over the arm's own
+        # weight sum (the Hajek means) when denom is None
+        return [np.sum(w * outcome) / (np.sum(w) if denom is None else denom) for w in weights]
+
+    def contrast(weights, outcome):
+        treated, control = means(weights, outcome, n)
+        return treated - control
+
     return {
-        "oracle": est.ipw_difference(t, 1.0 - t, frame.y, e, n),
-        "naive": est.ipw_difference(t, 1.0 - t, ys, e, n),
-        "val_only": est.ipw_difference(v * t, v * (1.0 - t), yv / (n_v / n), e, n),
-        "s_val_only": est.ipw_difference(v * t, v * (1.0 - t), yv / pi, e, n),
+        "oracle": contrast(est.arm_weights(t, e), frame.y),
+        "naive": contrast(est.arm_weights(t, e), ys),
+        "val_only": contrast(est.arm_weights(t, e, v, n_v / n), yv),
+        "s_val_only": contrast(est.arm_weights(t, e, v, pi), yv),
         "nonval_corrected": est.corrected_contrast(
-            rates, *est.ipw_means(nv * t, nv * (1.0 - t), ys, e, n - n_v)),
-        "s_nonval": est.corrected_contrast(rates, *est.hajek_means(*est.r_weights(t, v, e, pi), ys)),
-        "all_silver": est.corrected_contrast(rates, *est.hajek_means(*est.d_weights(t, e), ys)),
+            rates, *means(est.arm_weights(t, e, nv), ys, n - n_v)),
+        "s_nonval": est.corrected_contrast(rates, *means(est.arm_weights(t, e, nv, 1.0 - pi), ys)),
+        "all_silver": est.corrected_contrast(rates, *means(est.arm_weights(t, e), ys)),
     }
 
 
@@ -205,17 +214,13 @@ def test_val_only_reductions():
 
 def test_val_only_requires_both_arms():
     # so does s_val_only, under a simple random sample (where it is the same
-    # contrast) and under a fitted selection model
-    frames_ = [ObservationFrame(
-        x=np.zeros(3), t=np.array([1, 1, 0]), y_star=np.array([1, 0, 0]),
-        v=v, y=np.where(v == 1, [1.0, 0.0, 0.0], np.nan),
-    ) for v in (np.array([1, 1, 0]), np.zeros(3))]
-    for frame in frames_:
-        with pytest.raises(EmptyValidationArm):
-            est.require_validation_arms(frame)
-    # without validated rows the validation share fails first
+    # contrast) and under a fitted selection model; without validated rows
+    # the validation share fails first
     # (test_analyze_frame_without_validated_rows_keeps_naive_se)
-    one_armed = frames_[0]
+    one_armed = ObservationFrame(
+        x=np.zeros(3), t=np.array([1, 1, 0]), y_star=np.array([1, 0, 0]),
+        v=np.array([1, 1, 0]), y=np.array([1.0, 0.0, np.nan]),
+    )
     for x_sel in (None, intercept(one_armed)):
         analysis = inf.analyze_frame(one_armed, ["val_only", "s_val_only"],
                                      x_treat=intercept(one_armed), x_sel=x_sel)
@@ -272,11 +277,24 @@ def test_s_val_only_oracle_reduction():
 def test_s_nonval_trivial_cases():
     # the raw complement Hajek contrast, before the rates correct it
     t, v = np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0])
-    weights = est.r_weights(t, v, np.full(4, 0.5), np.full(4, 0.5))
-    treated, control = est.hajek_means(*weights, np.array([1.0, 1.0, 1.0, 0.0]))
-    assert treated - control == pytest.approx(1.0)
-    treated, control = est.hajek_means(*weights, np.ones(4))
-    assert treated - control == pytest.approx(0.0, abs=1e-15)
+    half = np.full(4, 0.5)
+    weights = est.arm_weights(t, half, 1.0 - v, 1.0 - half)
+    assert oracles.hajek_contrast(*weights, np.array([1.0, 1.0, 1.0, 0.0])) == pytest.approx(1.0)
+    assert oracles.hajek_contrast(*weights, np.ones(4)) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_complement_without_an_arm_fails_its_wls_blocks():
+    # the WLS blocks over the complement check their own arm sums; the
+    # full-sample one still solves
+    frame = ObservationFrame(
+        x=np.zeros(6), t=np.array([1, 0, 1, 0, 1, 1]), y_star=np.array([1, 0, 0, 1, 1, 0]),
+        v=np.array([1, 1, 1, 1, 0, 0]), y=np.array([1.0, 0.0, 0.0, 1.0, np.nan, np.nan]),
+    )
+    ids = ["nonval_corrected", "s_nonval", "all_silver"]
+    for x_sel in (None, intercept(frame)):
+        analysis = inf.analyze_frame(frame, ids, x_treat=intercept(frame), x_sel=x_sel)
+        assert analysis.failures == dict.fromkeys(ids[:2], "EmptyComplementArm")
+        assert np.isfinite(analysis.estimates["all_silver"].tau)
 
 
 def test_s_combined_endpoints():
@@ -394,12 +412,17 @@ def test_s_weighted_convexity(label, b):
     st.floats(min_value=1e-6, max_value=1e6),
 )
 def test_hajek_rescaling_invariance(seed, scale):
+    # a constant share scales every weight of the rule alike, so it cancels
+    # from the Hajek means of the WLS blocks (r_const under a simple random
+    # sample)
     rng = np.random.default_rng(seed)
-    w1 = rng.uniform(0.1, 5.0, size=8) * np.array([1, 1, 1, 1, 0, 0, 0, 0])
-    w0 = rng.uniform(0.1, 5.0, size=8) * np.array([0, 0, 0, 0, 1, 1, 1, 1])
+    t = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    e = rng.uniform(0.05, 0.95, size=8)
+    rows = rng.integers(0, 2, size=8).astype(float)
+    rows[[0, 4]] = 1.0  # both arms keep a row
     y = rng.integers(0, 2, size=8).astype(float)
-    base = est.hajek_means(w1, w0, y)
-    scaled = est.hajek_means(scale * w1, scale * w0, y)
+    base = oracles.hajek_contrast(*est.arm_weights(t, e, rows), y)
+    scaled = oracles.hajek_contrast(*est.arm_weights(t, e, rows, scale), y)
     assert scaled == pytest.approx(base, abs=1e-12)
 
 
@@ -417,9 +440,9 @@ def test_rates_identity_reductions(seed):
     assert analysis.estimates["all_silver"].tau == pytest.approx(
         oracles.hajek_contrast(w_t, w_c, clean.y), abs=1e-12
     )
-    nv = 1.0 - clean.v
+    w_t, w_c = est.arm_weights(clean.t, e, 1.0 - clean.v)
     m = clean.n - clean.n_v
-    plain = est.ipw_difference(nv * clean.t, nv * (1.0 - clean.t), clean.y, e, float(m))
+    plain = np.sum(w_t * clean.y) / m - np.sum(w_c * clean.y) / m
     assert analysis.estimates["nonval_corrected"].tau == pytest.approx(plain, abs=1e-12)
 
 

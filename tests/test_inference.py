@@ -339,9 +339,10 @@ def test_points_read_from_the_stack_match_the_estimator_functions(label):
         analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
         params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
         assert params.block("eta0")[0] == 1.0
-        v, t = frame.v, frame.t
-        assert analysis.estimates["val_only"].tau == est.ipw_difference(
-            v * t, v * (1.0 - t), frame.y_validated, params.e, float(frame.n_v))
+        v, t, yv = frame.v, frame.t, frame.y_validated
+        w_t, w_c = est.arm_weights(t, params.e)
+        assert analysis.estimates["val_only"].tau == (
+            float(np.sum(w_t * yv)) / frame.n_v - float(np.sum(w_c * yv)) / frame.n_v)
         assert analysis.estimates["val_only"].tau == pytest.approx(
             oracles.val_only_tau(t, frame.y, v, params.e), abs=1e-12)
         assert bread_gap(params.system, params.theta) <= 1e-6
