@@ -89,6 +89,7 @@ from .numerics import (
     clamp_probability,
     expit,
     fit_logistic,
+    weighted_gram,
     with_intercept,
 )
 
@@ -292,7 +293,7 @@ class EstimatingSystem:
                 # the score rows (y - p) x, written in place
                 np.multiply(((t if kind == "treatment" else v) - raw[name])[:, None], design,
                             out=phi[:, cols])
-                jac[cols, cols] = -(design.T @ (design * info[:, None]))
+                jac[cols, cols] = -weighted_gram(design, info)
             elif kind == "rates":
                 if solving:
                     rates = est.estimate_misclassification(frame, self.misclassification)

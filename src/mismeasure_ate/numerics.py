@@ -1,12 +1,17 @@
 """Foundational numerical routines.
 
 Logistic-model fitting by iteratively reweighted least squares, its
-eigenvalue condition check, and the stable logistic function everything
-else consumes. All functions are pure; nothing here holds state.
+eigenvalue condition check, the weighted Gram product X' diag(w) X that its
+Newton step and the stack's model blocks share, and the stable logistic
+function everything else consumes. All functions are pure; nothing here
+holds state.
 
 Designs are stored column by column (Fortran order): every per-row product
 of an (n, k) design with a length-n vector then runs down contiguous
 columns. Functions accept either order and convert a row-major design once.
+X' diag(w) X is summed over blocks of GRAM_BLOCK_ROWS rows, so the weighted
+copy it multiplies stays in cache; a design of at most that many rows takes
+the single product x.T @ (x * w[:, None]).
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ MAX_HALVINGS = 10      # step halvings per Newton step before giving up
 SEPARATION_COEF = 30.0 # |coef| beyond this at failure suggests separation
 
 PIVOT_RTOL = 1e-12     # a condition number above 1 / PIVOT_RTOL is singular
+
+# rows per block of X' diag(w) X: an (8192, 8) design block and its weighted
+# copy take 1 MiB together, inside a 2 MiB L2 cache
+GRAM_BLOCK_ROWS = 8192
 
 
 def expit(u):
@@ -72,6 +81,22 @@ def with_intercept(*blocks: np.ndarray) -> np.ndarray:
     values[:, 0] = 1.0
     np.concatenate(blocks, axis=1, out=values[:, 1:])
     return values
+
+
+def weighted_gram(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X' diag(w) X of an (n, k) design ``x`` and row weights ``w``, (k, k).
+
+    Summed over blocks of GRAM_BLOCK_ROWS rows, block.T @ (block * w_block),
+    the first assigned and the rest added in row order: the weighted copy is
+    one block, not the whole design. At n <= GRAM_BLOCK_ROWS this is bitwise
+    the single product x.T @ (x * w[:, None]).
+    """
+    rows = GRAM_BLOCK_ROWS
+    gram = x[:rows].T @ (x[:rows] * w[:rows, None])
+    for start in range(rows, len(x), rows):
+        block = x[start:start + rows]
+        gram += block.T @ (block * w[start:start + rows, None])
+    return gram
 
 
 @dataclass(frozen=True)
@@ -179,7 +204,7 @@ def fit_logistic(x, y) -> LogisticFit:
         if max_abs_score <= SCORE_TOL:
             return converged(beta, u, p, iteration - 1, max_abs_score)
 
-        info = xv.T @ (xv * (p * (1.0 - p))[:, None])
+        info = weighted_gram(xv, p * (1.0 - p))
         cond = spd_condition(info)
         if not cond <= 1.0 / PIVOT_RTOL:
             raise SingularSystem(

@@ -3,9 +3,9 @@
 Everything here is deliberately written as plain Python loops over rows with
 math.fsum accumulation, sharing no code with the package: these are the
 second route of every dual-route check (estimator formulas, logistic fitting
-and the arithmetic of its kernel, the logistic sandwich, the bread of the
-stacked sandwich, the dataset CSV reader and writer). Do not import from
-mismeasure_ate in this module.
+and the arithmetic of its kernel, the weighted Gram product, the logistic
+sandwich, the bread of the stacked sandwich, the dataset CSV reader and
+writer). Do not import from mismeasure_ate in this module.
 """
 
 from __future__ import annotations
@@ -190,8 +190,26 @@ def s_weighted_by_arm_tau(t, y, y_star, v, e, pi, arm_rates, b=0.5):
     )
 
 
+# --- weighted Gram product ------------------------------------------------------
+# X' diag(w) X entry by entry, each entry the exactly rounded sum (math.fsum)
+# of its per-row products: no matrix product and no blocking, the second
+# route of the package's blocked kernel.
+
+def weighted_gram(x, w):
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    k = x.shape[1]
+    gram = np.empty((k, k))
+    for i in range(k):
+        weighted = x[:, i] * w
+        for j in range(i + 1):
+            gram[i, j] = gram[j, i] = math.fsum(weighted * x[:, j])
+    return gram
+
+
 # --- second logistic solver ---------------------------------------------------
-# Straight Newton-Raphson on the Bernoulli likelihood,
+# Straight Newton-Raphson on the Bernoulli likelihood, its information from
+# the entrywise Gram product above,
 # solved with numpy.linalg (a different linear-algebra route than the package).
 
 def newton_logistic(x, y, tol=1e-12, max_iter=200):
@@ -201,7 +219,7 @@ def newton_logistic(x, y, tol=1e-12, max_iter=200):
     for _ in range(max_iter):
         mu = np.array([_expit(u) for u in x @ beta])
         grad = x.T @ (y - mu)
-        hess = x.T @ (x * (mu * (1.0 - mu))[:, None])
+        hess = weighted_gram(x, mu * (1.0 - mu))
         step = np.linalg.solve(hess, grad)
         beta = beta + step
         if np.max(np.abs(step)) < tol:
@@ -243,7 +261,7 @@ def logistic_score_jacobian(x, beta):
     """Analytic Jacobian of the score: minus the information matrix."""
     x = np.asarray(x, dtype=float)
     mu = np.array([_expit(u) for u in x @ beta])
-    return -(x.T @ (x * (mu * (1.0 - mu))[:, None]))
+    return -weighted_gram(x, mu * (1.0 - mu))
 
 
 def logistic_sandwich_se(x, y, beta):
@@ -256,7 +274,7 @@ def logistic_sandwich_se(x, y, beta):
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
     mu = np.array([_expit(u) for u in x @ beta])
-    bread = (x.T @ (x * (mu * (1.0 - mu))[:, None])) / n
+    bread = weighted_gram(x, mu * (1.0 - mu)) / n
     scores = x * (y - mu)[:, None]
     meat = scores.T @ scores / n
     bread_inv = np.linalg.inv(bread)

@@ -28,7 +28,7 @@ from mismeasure_ate.errors import (
     SingularSystem,
 )
 from mismeasure_ate.frames import ESTIMATOR_IDS, MisclassRates, ObservationFrame
-from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic
+from mismeasure_ate.numerics import GRAM_BLOCK_ROWS, clamp_probability, expit, fit_logistic
 
 
 def mean_residuals(params):
@@ -119,6 +119,22 @@ def test_sandwich_symmetry_and_nonnegative_diagonal():
         assert result.covariance.shape == (params.system.dim, params.system.dim)
         assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
         assert np.all(np.diag(result.covariance) >= 0.0)
+
+
+def test_model_blocks_of_a_multi_block_frame_are_minus_their_information():
+    # 2 * GRAM_BLOCK_ROWS + 1 rows: both model blocks' Jacobian rows are
+    # summed over two full Gram blocks and a one-row tail
+    frame = simulated_frame(seed=37, n=2 * GRAM_BLOCK_ROWS + 1)
+    system = inf.build_system(frame, ["s_val_only"], x_sel=selection_design(frame))
+    params = inf.solve_plugin(frame, system)
+    assert not params.failed
+    _, jacobian = params.system.evaluate(params.theta)
+    lay = params.system.layout
+    for name, design in (("gamma", system.x_treat), ("eta", system.x_sel)):
+        p = expit(design @ params.block(name))
+        reference = -oracles.weighted_gram(design, p * (1.0 - p))
+        scale = oracles.weighted_gram(np.abs(design), p * (1.0 - p))
+        assert np.all(np.abs(jacobian[lay[name], lay[name]] - reference) <= 1e-12 * scale), name
 
 
 def test_gamma_block_matches_independent_logistic_sandwich():
