@@ -26,7 +26,6 @@ import argparse
 import os
 import sys
 import time
-import warnings
 from dataclasses import replace
 
 from .errors import ConfigParseError, MismeasureError, SchemaError, UnknownScenario
@@ -34,7 +33,6 @@ from .frames import ESTIMATOR_IDS
 from .inference import analyze_frame
 from .reporting import (
     RunReport,
-    design_from_columns,
     load_model_spec,
     load_scenario_config,
     read_dataset_csv,
@@ -127,11 +125,8 @@ def cmd_simulate(args) -> int:
             raise ConfigParseError(str(exc)) from None
 
     started = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run_scenario(config, workers=args.workers)
+    result = run_scenario(config, workers=args.workers)
     report = report_from_scenario(result, elapsed=time.perf_counter() - started)
-    report.warnings.extend(dict.fromkeys(str(item.message) for item in caught))
     _emit(report, args)
     return 0
 
@@ -142,11 +137,7 @@ def cmd_estimate(args) -> int:
             raise ConfigParseError(f"{option} must lie in [0, 1], got {weight}")
     frame = read_dataset_csv(args.data)
     spec = load_model_spec(args.model_spec)
-    x_treat = design_from_columns(frame, spec.treatment_covariates, include_treatment=False)
-    if spec.selection_covariates is None:
-        x_sel = None
-    else:
-        x_sel = design_from_columns(frame, spec.selection_covariates, include_treatment=True)
+    x_treat, x_sel = spec.designs(frame)
 
     metadata = {
         "data": os.path.basename(args.data),
@@ -163,13 +154,10 @@ def cmd_estimate(args) -> int:
         ids, leading = ("naive",), ["no validated rows: only the naive estimator is available"]
     else:
         ids, leading = ESTIMATE_ORDER, []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        analysis = analyze_frame(frame, ids, x_treat=x_treat, x_sel=x_sel, w=args.w, b=args.b)
+    analysis = analyze_frame(frame, ids, x_treat=x_treat, x_sel=x_sel, w=args.w, b=args.b)
     report = report_from_analysis(analysis, metadata=metadata,
                                   elapsed=time.perf_counter() - started)
     report.warnings[:0] = leading
-    report.warnings.extend(dict.fromkeys(str(item.message) for item in caught))
     if not analysis.estimates:
         sys.stderr.write("error: no estimator could be computed\n")
         for line in report.warnings:

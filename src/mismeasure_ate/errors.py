@@ -1,4 +1,4 @@
-"""Exception and warning taxonomy shared across the package.
+"""Exception taxonomy shared across the package.
 
 Every recoverable failure raised inside the library derives from
 :class:`MismeasureError`, so callers (the scenario runner, the CLI) can
@@ -110,9 +110,3 @@ class ConfigParseError(MismeasureError):
 
 class SchemaError(MismeasureError):
     """Input CSV violates the dataset schema."""
-
-
-# --- warnings ---------------------------------------------------------------
-
-class DegenerateVarianceWarning(UserWarning):
-    """Optimal-weight denominator was numerically zero; fell back to b=0.5."""

@@ -20,13 +20,10 @@ per arm, which removes the bias of treatment-dependent misclassification.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .errors import (
     DegenerateValidation,
-    DegenerateVarianceWarning,
     EmptyComplement,
     EmptyValidationArm,
     WeightOutOfRange,
@@ -125,16 +122,12 @@ def compute_b_opt(var_a: float, var_b: float, cov_ab: float) -> float:
     """Variance-minimizing blend weight for a*(component A) + (1-a)*(B).
 
     b_opt = (var_b - cov_ab) / (var_a + var_b - 2*cov_ab), clipped to [0, 1].
-    A numerically zero denominator falls back to 0.5 and emits
-    DegenerateVarianceWarning so a simulation iteration never aborts here.
+    A denominator Var(A - B) below B_OPT_DENOM_TOL falls back to 0.5,
+    silently: A and B then agree so closely that every b gives the same
+    estimate to about 1e-7.
     """
     denom = var_a + var_b - 2.0 * cov_ab
     if denom < B_OPT_DENOM_TOL:
-        warnings.warn(
-            f"optimal-weight denominator {denom:.3e} is degenerate; using b = 0.5",
-            DegenerateVarianceWarning,
-            stacklevel=2,
-        )
         return 0.5
     b = (var_b - cov_ab) / denom
     return float(min(1.0, max(0.0, b)))

@@ -1,6 +1,6 @@
-"""Domain types: analysis frames, misclassification rates and the rows
-each pair of rates is counted on, and the point-estimate record every
-estimator returns."""
+"""Domain types: analysis frames, the analyst's model spec and the designs
+it builds, misclassification rates and the rows each pair of rates is
+counted on, and the point-estimate record every estimator returns."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonIdentifiable
+from .errors import ConfigParseError, DimensionMismatch, NonIdentifiable
+from .numerics import with_intercept
 
 IDENTIFIABILITY_TOL = 1e-6
 
@@ -111,6 +112,43 @@ class ObservationFrame:
         frame.__dict__.update(x=self.x, t=self.t, y_star=self.y_star, v=self.v,
                               y=_gold(np.asarray(y_full, dtype=float), self.v))
         return frame
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Covariate columns entering the treatment and selection models.
+
+    ``selection_covariates`` may be None, which declares the validation
+    sample a simple random sample: the selection propensity becomes the
+    constant n_V / n and no selection model is fitted. The treatment
+    indicator is always part of the selection design and never listed.
+    """
+
+    treatment_covariates: tuple
+    selection_covariates: tuple | None
+
+    def designs(self, frame: ObservationFrame) -> tuple[np.ndarray, np.ndarray | None]:
+        """(x_treat, x_sel) of ``frame``: an intercept, then t (selection
+        design only), then the named x-columns in the spec's order, built
+        column-contiguous (``with_intercept``). An empty treatment list is
+        the intercept alone, and x_sel is None without a selection model.
+        Each name must be one of x1..xp exactly, and named once."""
+        index = {f"x{j + 1}": j for j in range(frame.p)}
+
+        def columns(names: tuple) -> list:
+            for k, name in enumerate(names):
+                if name not in index:
+                    raise ConfigParseError(
+                        f"unknown covariate column {name!r}; the dataset has x1..x{frame.p}")
+                if name in names[:k]:
+                    raise ConfigParseError(f"covariate column {name!r} is named twice")
+            return [frame.x[:, index[name]] for name in names]
+
+        treatment = columns(self.treatment_covariates)
+        x_treat = with_intercept(*treatment) if treatment else np.ones((frame.n, 1))
+        if self.selection_covariates is None:
+            return x_treat, None
+        return x_treat, with_intercept(frame.t, *columns(self.selection_covariates))
 
 
 # Names of the (p11, p10) pairs, by their number, in the ``rates`` block's

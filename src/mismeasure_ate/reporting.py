@@ -27,8 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigParseError, SchemaError
-from .frames import ObservationFrame
-from .numerics import with_intercept
+from .frames import ModelSpec, ObservationFrame
 from .simulation import (
     DEFAULT_SEED,
     DgpConfig,
@@ -273,73 +272,27 @@ def read_dataset_csv(path) -> ObservationFrame:
     return ObservationFrame(x=x, t=t, y_star=y_star, v=v, y=y)
 
 
-# --- model spec -------------------------------------------------------------------
+# --- scenario config and model spec files -------------------------------------------
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """Covariate columns entering the treatment and selection models.
-
-    ``selection_covariates`` may be None, which declares the validation
-    sample a simple random sample: the selection propensity becomes the
-    constant n_V / n and no selection model is fitted. The treatment
-    indicator is always part of the selection design and never listed.
-    """
-
-    treatment_covariates: tuple
-    selection_covariates: tuple | None
-
-
-def load_model_spec(path) -> ModelSpec:
+def _load_json(path, what: str):
+    """The JSON value of the file at ``path``; ConfigParseError naming
+    ``what`` when the file is not UTF-8 text or not JSON."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            return json.load(handle)
     except UnicodeDecodeError as exc:
-        raise ConfigParseError(f"model spec is not UTF-8 text ({exc.reason})") from None
+        raise ConfigParseError(f"{what} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"model spec is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigParseError("model spec must be a JSON object")
-    allowed = {"treatment_covariates", "selection_covariates"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigParseError(f"unknown model spec keys: {sorted(unknown)}")
-    if "treatment_covariates" not in raw:
-        raise ConfigParseError("model spec is missing 'treatment_covariates'")
-    treatment = raw["treatment_covariates"]
-    selection = raw.get("selection_covariates")
-    for name, value in [("treatment_covariates", treatment), ("selection_covariates", selection)]:
-        if value is None:
-            continue
-        if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
-            raise ConfigParseError(f"{name} must be a list of column names")
-    return ModelSpec(
-        treatment_covariates=tuple(treatment),
-        selection_covariates=None if selection is None else tuple(selection),
-    )
+        raise ConfigParseError(
+            f"{what} is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
+        ) from None
 
-
-def design_from_columns(frame: ObservationFrame, columns, *, include_treatment: bool) -> np.ndarray:
-    """Intercept plus the named x-columns (plus t for selection designs),
-    built column-contiguous (``with_intercept``). Each name must be one of
-    x1..xp exactly, and named once."""
-    index = {f"x{j + 1}": j for j in range(frame.p)}
-    pieces = [frame.t] if include_treatment else []
-    for k, name in enumerate(columns):
-        if name not in index:
-            raise ConfigParseError(
-                f"unknown covariate column {name!r}; the dataset has x1..x{frame.p}")
-        if name in columns[:k]:
-            raise ConfigParseError(f"covariate column {name!r} is named twice")
-        pieces.append(frame.x[:, index[name]])
-    return with_intercept(*pieces) if pieces else np.ones((frame.n, 1))
-
-
-# --- scenario config files ----------------------------------------------------------
 
 def _present(section, fields: dict, where: str) -> dict:
-    """The keys present in a config section, each through its converter in
-    ``fields``. An absent key keeps its dataclass default; a key ``fields``
-    lacks is an error, so a typo never falls back to a default silently."""
+    """The keys present in a config section or the model spec, each through
+    its converter in ``fields``; errors name the object as ``where``. An
+    absent key keeps its default; a key ``fields`` lacks is an error, so a
+    typo never falls back to a default silently."""
     if not isinstance(section, dict):
         raise ConfigParseError(f"{where} must be a JSON object")
     unknown = set(section) - set(fields)
@@ -350,7 +303,7 @@ def _present(section, fields: dict, where: str) -> dict:
         try:
             values[key] = fields[key](value)
         except (TypeError, ValueError) as exc:
-            raise ConfigParseError(f"invalid config value for {key!r}: {exc}") from None
+            raise ConfigParseError(f"invalid {where} value for {key!r}: {exc}") from None
     return values
 
 
@@ -386,6 +339,13 @@ def _as_written(value):
     return value
 
 
+def _names(value) -> tuple:
+    """A list of column names."""
+    if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
+        raise ValueError(f"expected a list of column names, got {value!r}")
+    return tuple(value)
+
+
 # config key -> converter of its JSON value; each table's keys are the keys
 # its section allows
 _DGP_FIELDS = {"n": _integer, "p11": _number, "p10": _number, "treatment_coefs": _coefficients,
@@ -398,6 +358,17 @@ _TOP_FIELDS = {
     "iterations": _integer, "seed": _integer, "estimators": tuple, "truth": _or_none(_number),
     "w": _number, "b": _or_none(_number), "misclassification": _as_written,
 }
+_SPEC_FIELDS = {"treatment_covariates": _names, "selection_covariates": _or_none(_names)}
+
+
+def load_model_spec(path) -> ModelSpec:
+    """Parse a model spec JSON file: ``treatment_covariates``, a list of
+    column names, and ``selection_covariates``, a list or null (absent is
+    null). Unknown keys and other values are a ConfigParseError."""
+    values = _present(_load_json(path, "model spec"), _SPEC_FIELDS, "model spec")
+    if "treatment_covariates" not in values:
+        raise ConfigParseError("model spec is missing 'treatment_covariates'")
+    return ModelSpec(values["treatment_covariates"], values.get("selection_covariates"))
 
 
 def load_scenario_config(path, *, name: str | None = None,
@@ -412,16 +383,7 @@ def load_scenario_config(path, *, name: str | None = None,
     fills in when the file has no seed key (the CLI resolves the
     MISMEASURE_ATE_SEED environment override into it).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except UnicodeDecodeError as exc:
-        raise ConfigParseError(f"config is not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(
-            f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from None
-    values = _present(raw, _TOP_FIELDS, "config")
+    values = _present(_load_json(path, "config"), _TOP_FIELDS, "config")
     for required in ("dgp", "selection", "iterations"):
         if required not in values:
             raise ConfigParseError(f"config is missing required key '{required}'")
@@ -533,6 +495,8 @@ def _config_metadata(config: ScenarioConfig) -> dict:
         "n": config.dgp.n,
         "p11": config.dgp.p11,
         "p10": config.dgp.p10,
+        "treatment_coefs": list(config.dgp.treatment_coefs),
+        "outcome_coefs": list(config.dgp.outcome_coefs),
         "heterogeneous_misclass": (list(config.dgp.heterogeneous_misclass)
                                    if config.dgp.heterogeneous_misclass else None),
         "selection_kind": config.selection.kind,

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CalibrationFailed, MismeasureError, TooManyFailures
-from .frames import ESTIMATOR_IDS, MISCLASSIFICATION_MODES, ObservationFrame
+from .frames import ESTIMATOR_IDS, MISCLASSIFICATION_MODES, ModelSpec, ObservationFrame
 from .inference import Z_95, analyze_frame
 from .numerics import clamp_probability, expit, fit_logistic, with_intercept
 from . import estimators as est
@@ -116,9 +116,9 @@ class SelectionConfig:
     (1, T, X1..Xp); its intercept slot is recalibrated by bisection to hit
     ``target_nv`` in expectation. ``misspecify_drop`` (1-based covariate
     index) removes that covariate from the analyst's covariate set, i.e.
-    from the *fitted* selection and treatment propensity models; data
-    generation is unchanged and the oracle benchmark keeps the full
-    treatment model.
+    from the *fitted* selection and treatment propensity models
+    (``ScenarioConfig.model_spec``); data generation is unchanged and the
+    oracle benchmark keeps the full treatment model.
     """
 
     kind: str = "srs"
@@ -186,6 +186,15 @@ class ScenarioConfig:
         if selection.misspecify_drop is not None and not 1 <= selection.misspecify_drop <= p:
             raise ValueError(f"misspecify_drop must name a covariate 1..{p}, "
                              f"got {selection.misspecify_drop}")
+
+    @property
+    def model_spec(self) -> ModelSpec:
+        """The analyst's models: both read x1..xp less the
+        ``selection.misspecify_drop`` column, and srs selection has no
+        selection model."""
+        names = tuple(f"x{j}" for j in range(1, self.dgp.p + 1)
+                      if j != self.selection.misspecify_drop)
+        return ModelSpec(names, None if self.selection.kind == "srs" else names)
 
 
 @dataclass(frozen=True)
@@ -369,26 +378,6 @@ class ScenarioResult:
         return {row.estimator_id: row for row in self.rows}
 
 
-def _analysis_covariates(frame: ObservationFrame, selection: SelectionConfig) -> np.ndarray:
-    """The analyst's covariate matrix (misspecification drops a column)."""
-    if selection.misspecify_drop is None:
-        return frame.x
-    keep = [j for j in range(frame.p) if j != selection.misspecify_drop - 1]
-    return frame.x[:, keep]
-
-
-def _selection_design(frame: ObservationFrame, selection: SelectionConfig):
-    """Design matrix for *fitting* the selection model; None under SRS."""
-    if selection.kind == "srs":
-        return None
-    return with_intercept(frame.t, _analysis_covariates(frame, selection))
-
-
-def _treatment_design(frame: ObservationFrame, selection: SelectionConfig) -> np.ndarray:
-    """Design matrix for the fitted treatment model (analyst's covariates)."""
-    return with_intercept(_analysis_covariates(frame, selection))
-
-
 def _run_iteration(config: ScenarioConfig, index: int):
     """One Monte Carlo iteration; returns (records, failures).
 
@@ -401,8 +390,7 @@ def _run_iteration(config: ScenarioConfig, index: int):
     frame = select_validation(population, config.selection, rng)
     if "oracle" in config.estimators:
         frame = frame.with_full_y(population.y)
-    x_sel = _selection_design(frame, config.selection)
-    x_treat = _treatment_design(frame, config.selection)
+    x_treat, x_sel = config.model_spec.designs(frame)
 
     records = {}
     failures = {}

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mismeasure_ate import cli
+from mismeasure_ate import estimators as est
 from mismeasure_ate import reporting as rep
 from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import ConfigParseError, SchemaError
@@ -399,6 +401,8 @@ def test_model_spec_not_utf8_exits_2(tmp_path, capsys):
     (["x1"], ["x3"], "unknown covariate column 'x3'; the dataset has x1..x2"),
     (["x1", "x2", "x1"], None, "covariate column 'x1' is named twice"),
     (["x1"], ["x2", "x2"], "covariate column 'x2' is named twice"),
+    (["x1"], "x2", "invalid model spec value for 'selection_covariates': "
+                   "expected a list of column names, got 'x2'"),
 ])
 def test_model_spec_names_are_exact_and_unique(tmp_path, capsys, treatment, selection, message):
     data = tmp_path / "d.csv"
@@ -545,6 +549,37 @@ def test_simulate_config_file_runs(tmp_path, capsys):
     assert all(row["n_effective"] == "3" for row in rows)
 
 
+def test_simulate_metadata_rebuilds_the_config(tmp_path, capsys):
+    # a config file written back from a custom run's metadata reproduces its rows
+    first = tmp_path / "custom.json"
+    first.write_text(json.dumps({
+        "dgp": {"n": 600, "p11": 0.7, "p10": 0.2, "treatment_coefs": [0.5, 0.4, -0.3, 0.2],
+                "outcome_coefs": [-2.5, 0.9, 0.6, -0.4, 0.3],
+                "heterogeneous_misclass": [-1.5, 0.4]},
+        "selection": {"kind": "non_probability", "target_nv": 150,
+                      "alpha0": [-2.0, 0.6, 0.8, -0.5, 0.3], "misspecify_drop": 3},
+        "iterations": 4, "seed": 11, "estimators": ["val_only", "s_weighted", "s_opt"],
+        "truth": 0.05, "w": 0.4, "b": 0.3, "misclassification": "by_arm",
+    }))
+    assert cli.main(["simulate", str(first), "--format", "json"]) == 0
+    meta = json.loads(capsys.readouterr().out)["metadata"]
+    rebuilt = tmp_path / "rebuilt.json"
+    rebuilt.write_text(json.dumps({
+        "dgp": {key: meta[key] for key in ("n", "p11", "p10", "treatment_coefs",
+                                           "outcome_coefs", "heterogeneous_misclass")},
+        "selection": {"kind": meta["selection_kind"],
+                      **{key: meta[key] for key in ("target_nv", "alpha0", "misspecify_drop")}},
+        "seed": meta["seed"],
+        **{key: meta[key] for key in ("iterations", "estimators", "truth", "w", "b",
+                                      "misclassification")},
+    }))
+    rows = []
+    for path in (first, rebuilt):
+        assert cli.main(["simulate", str(path), "--format", "csv"]) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+
+
 def heterogeneous_config(path, misclassification, iterations):
     """Scenario file for the treatment-dependent misclassification study."""
     path.write_text(json.dumps({
@@ -617,13 +652,24 @@ def test_simulate_json_and_csv_encode_identical_values(tmp_path, capsys):
                 assert str(json_value) == csv_value
 
 
-def test_simulate_deterministic_across_workers(tmp_path, capsys):
+def test_simulate_deterministic_across_workers(tmp_path, capsys, monkeypatch):
     base = ["simulate", "main_nonprob", "--iterations", "6", "--seed", "77",
             "--estimators", "val_only,s_opt", "--truth", "0.0673", "--format", "json"]
     assert cli.main(base + ["--workers", "1", "--out", str(tmp_path / "w1.json")]) == 0
     assert cli.main(base + ["--workers", "2", "--out", str(tmp_path / "w2.json")]) == 0
     capsys.readouterr()
     assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w2.json").read_bytes()
+    # the b_opt fallback on every iteration: forked workers inherit the
+    # patched tolerance, and the reports must still agree byte for byte
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched tolerance only when forked")
+    monkeypatch.setattr(est, "B_OPT_DENOM_TOL", 1e9)
+    fallback = ["simulate", "main_srs", "--iterations", "4", "--truth", "0.0677",
+                "--estimators", "s_opt", "--format", "json"]
+    assert cli.main(fallback + ["--workers", "1", "--out", str(tmp_path / "f1.json")]) == 0
+    assert cli.main(fallback + ["--workers", "2", "--out", str(tmp_path / "f2.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "f1.json").read_bytes() == (tmp_path / "f2.json").read_bytes()
 
 
 def test_env_seed_used_as_default(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,6 @@ from conftest import (
 )
 from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
-from mismeasure_ate import reporting as rep
 from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import (
     DegenerateValidation,
@@ -27,7 +26,7 @@ from mismeasure_ate.errors import (
     ResidualCheckFailed,
     SingularSystem,
 )
-from mismeasure_ate.frames import ESTIMATOR_IDS, MisclassRates, ObservationFrame
+from mismeasure_ate.frames import ESTIMATOR_IDS, MisclassRates, ModelSpec, ObservationFrame
 from mismeasure_ate.numerics import GRAM_BLOCK_ROWS, clamp_probability, expit, fit_logistic
 
 
@@ -558,15 +557,13 @@ def test_analyze_frame_agrees_on_either_memory_order(label):
 
 def test_designs_and_residuals_are_column_contiguous():
     frame, kwargs = frame_variant("fitted")
-    selection = sim.SelectionConfig(kind="non_probability", alpha0=(-2.9, 0.5, 1, 1, 1, 1, 0))
+    catalog = sim.scenario_catalog()
     designs = [
         inf.build_system(frame).x_treat,
-        sim._treatment_design(frame, selection),
-        sim._selection_design(frame, selection),
-        sim._selection_design(frame, replace(selection, misspecify_drop=2)),
-        rep.design_from_columns(frame, ["x1", "x3"], include_treatment=False),
-        rep.design_from_columns(frame, ["x2"], include_treatment=True),
-        rep.design_from_columns(frame, [], include_treatment=False),
+        *catalog["main_nonprob"].model_spec.designs(frame),
+        catalog["misspecified_selection"].model_spec.designs(frame)[1],
+        *ModelSpec(("x1", "x3"), ("x2",)).designs(frame),
+        ModelSpec((), None).designs(frame)[0],
     ]
     for design in designs:
         assert design.flags.f_contiguous and design.shape[0] == frame.n

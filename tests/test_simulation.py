@@ -191,10 +191,35 @@ def test_misspecified_selection_design_drops_column():
                                     alpha0=(-2.4, 0.5, 1, 1, 1, 1, 0),
                                     misspecify_drop=2)
     frame = sim.select_validation(population, replace(selection, alpha0=(-2.4, 0.5, 1, 1, 1, 1, 0)), rng)
-    design = sim._selection_design(frame, selection)
+    config = sim.ScenarioConfig(name="drop", dgp=replace(BASE, n=400), selection=selection)
+    design = config.model_spec.designs(frame)[1]
     assert design.shape == (400, 2 + 4)  # intercept, t, and 4 of 5 covariates
     np.testing.assert_array_equal(design[:, 2], frame.x[:, 0])
     np.testing.assert_array_equal(design[:, 3], frame.x[:, 2])  # x2 dropped
+
+
+def test_model_spec_designs_match_hand_stacked_columns():
+    # second route to ModelSpec.designs: each distinct preset's designs are
+    # the analyst's columns stacked by hand, bitwise, and column-contiguous
+    presets = {config.name: config for config in sim.scenario_catalog().values()}
+    for name, config in presets.items():
+        rng = sim._rng(sim.child_seed(7, 0))
+        population = sim.generate_population(replace(config.dgp, n=300), rng)
+        frame = sim.select_validation(population, replace(config.selection, target_nv=60), rng)
+        drop = config.selection.misspecify_drop
+        x = frame.x if drop is None else np.delete(frame.x, drop - 1, axis=1)
+        ones = np.ones(frame.n)
+        x_treat, x_sel = config.model_spec.designs(frame)
+        if name == "misspecified_selection":
+            assert x.shape == (300, 4)  # x2 leaves both models
+        expected = [(x_treat, np.column_stack([ones, x]))]
+        if config.selection.kind == "srs":
+            assert x_sel is None, name
+        else:
+            expected.append((x_sel, np.column_stack([ones, frame.t, x])))
+        for got, stacked in expected:
+            assert got.flags.f_contiguous, name
+            assert got.shape == stacked.shape and got.tobytes() == stacked.tobytes(), name
 
 
 def test_scenario_catalog_contents():
@@ -249,8 +274,8 @@ def test_run_scenario_aggregates_match_manual_replay():
         rng = sim._rng(sim.child_seed(config.base_seed, i))
         population = sim.generate_population(config.dgp, rng)
         frame = sim.select_validation(population, selection_used, rng)
-        analysis = analyze_frame(frame, ["val_only"],
-                                 x_sel=sim._selection_design(frame, selection_used))
+        x_treat, x_sel = config.model_spec.designs(frame)
+        analysis = analyze_frame(frame, ["val_only"], x_treat=x_treat, x_sel=x_sel)
         taus.append(analysis.estimates["val_only"].tau)
         ses.append(analysis.estimates["val_only"].se)
     row = result.rows[0]
@@ -266,8 +291,10 @@ def test_srs_scenario_val_only_equals_s_val_only_per_iteration():
     rng = sim._rng(sim.child_seed(4242, 0))
     population = sim.generate_population(dgp, rng)
     frame = sim.select_validation(population, selection, rng)
-    analysis = analyze_frame(frame, ["val_only", "s_val_only"],
-                             x_sel=sim._selection_design(frame, selection))
+    config = sim.ScenarioConfig(name="srs", dgp=dgp, selection=selection)
+    x_treat, x_sel = config.model_spec.designs(frame)
+    assert x_sel is None
+    analysis = analyze_frame(frame, ["val_only", "s_val_only"], x_treat=x_treat, x_sel=x_sel)
     assert analysis.estimates["s_val_only"].tau == pytest.approx(
         analysis.estimates["val_only"].tau, abs=1e-12
     )
