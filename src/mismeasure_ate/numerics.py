@@ -11,7 +11,8 @@ of an (n, k) design with a length-n vector then runs down contiguous
 columns. Functions accept either order and convert a row-major design once.
 X' diag(w) X is summed over blocks of GRAM_BLOCK_ROWS rows, so the weighted
 copy it multiplies stays in cache; a design of at most that many rows takes
-the single product x.T @ (x * w[:, None]).
+the single product x.T @ (x * w[:, None]). ``expit`` is the one logistic
+kernel; its buffers, like every IRLS evaluation's, end with the call.
 """
 
 from __future__ import annotations
@@ -49,20 +50,20 @@ GRAM_BLOCK_ROWS = 8192
 def expit(u):
     """Logistic function 1 / (1 + exp(-u)), stable for large |u|.
 
-    Scalar in, float out; array in, array out. One exponential per entry:
-    with eu = exp(-|u|), which never overflows, the value is eu / (1 + eu)
-    for u < 0 and 1 / (1 + eu) otherwise.
+    Scalar in, float out; array in, array out. One exponential per entry,
+    eu = exp(-|u|), formed in place in one fresh buffer; it never overflows.
+    The value max(eu, u >= 0) / (1 + eu), divided in place, is eu / (1 + eu)
+    for u < 0 and 1 / (1 + eu) otherwise, bit for bit as 0 <= eu <= 1.
     """
     arr = np.asarray(u, dtype=float)
-    out = _expit_from(arr, np.exp(-np.abs(arr)))
     if arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def _expit_from(u: np.ndarray, eu: np.ndarray) -> np.ndarray:
-    # expit(u) given eu = exp(-|u|)
-    return np.where(u < 0, eu, 1.0) / (1.0 + eu)
+        return float(expit(arr.reshape(1))[0])
+    eu = np.abs(arr)
+    np.exp(np.negative(eu, out=eu), out=eu)
+    p = np.maximum(eu, arr >= 0.0)
+    eu += 1.0
+    p /= eu
+    return p
 
 
 def clamp_probability(p):
@@ -128,9 +129,9 @@ def _as_design(x) -> np.ndarray:
     return np.asfortranarray(values)
 
 
-def _log_likelihood(u: np.ndarray, eu: np.ndarray, y: np.ndarray) -> float:
-    # sum (y u - softplus(u)) with eu = exp(-|u|)
-    return float(np.sum(y * u - (np.maximum(u, 0.0) + np.log1p(eu))))
+def _log_likelihood(u: np.ndarray, y: np.ndarray) -> float:
+    # sum (y u - softplus(u)), softplus(u) = max(u, 0) + log1p(exp(-|u|))
+    return float(np.sum(y * u - (np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))))
 
 
 def fit_logistic(x, y) -> LogisticFit:
@@ -144,14 +145,15 @@ def fit_logistic(x, y) -> LogisticFit:
     Convergence is declared when the max absolute score drops to 1e-8 or the
     coefficient step max-norm drops to 1e-10.
 
-    Each evaluation takes one exponential per row: u = X beta and
-    exp(-|u|) give the probabilities p and the score X'(y - p), which the
-    next iteration reads; the final evaluation's p is returned as
-    ``probabilities``. A Newton candidate is accepted when the slope of
-    the log-likelihood along the step, step . score, is still nonnegative
-    there (the log-likelihood is concave, so it rose all the way), when the
-    candidate already passes the score test, or else when its
-    log-likelihood is no lower than the current one (formed only then).
+    Each evaluation keeps only u = X beta, p = expit(u) and the score
+    X'(y - p), which the next iteration reads; the final evaluation's p is
+    returned as ``probabilities``. The start beta = 0 is closed-form (u = 0,
+    p = 1/2 exactly; only its score is a product). A Newton candidate is
+    accepted when the slope of the log-likelihood along the step, step .
+    score, is still nonnegative there (the log-likelihood is concave, so it
+    rose all the way), when the candidate already passes the score test, or
+    else when its log-likelihood is no lower than the current one (formed
+    only then).
     Otherwise the step is halved, which survives near-separation without
     oscillating; when the full step and 10 halvings all fail, the next
     halving is accepted.
@@ -181,9 +183,8 @@ def fit_logistic(x, y) -> LogisticFit:
 
     def evaluate(beta):
         u = xv @ beta
-        eu = np.exp(-np.abs(u))
-        p = _expit_from(u, eu)
-        return u, eu, p, xv.T @ (y - p)
+        p = expit(u)
+        return u, p, xv.T @ (y - p)
 
     def converged(beta, u, p, iterations, max_abs_score):
         if np.all((2.0 * y - 1.0) * u > 0.0):
@@ -196,7 +197,8 @@ def fit_logistic(x, y) -> LogisticFit:
         return LogisticFit(beta, True, iterations, max_abs_score, p)
 
     beta = np.zeros(k)
-    u, eu, p, score = evaluate(beta)
+    u, p = np.zeros(n), np.full(n, 0.5)
+    score = xv.T @ (y - 0.5)
     max_abs_score = np.inf
 
     for iteration in range(1, MAX_ITER + 1):
@@ -204,7 +206,10 @@ def fit_logistic(x, y) -> LogisticFit:
         if max_abs_score <= SCORE_TOL:
             return converged(beta, u, p, iteration - 1, max_abs_score)
 
-        info = weighted_gram(xv, p * (1.0 - p))
+        w = 1.0 - p
+        w *= p
+        info = weighted_gram(xv, w)
+        del w  # not held through the candidate evaluations
         cond = spd_condition(info)
         if not cond <= 1.0 / PIVOT_RTOL:
             raise SingularSystem(
@@ -219,16 +224,16 @@ def fit_logistic(x, y) -> LogisticFit:
         scale = 1.0
         for halving in range(MAX_HALVINGS + 2):
             candidate = beta + scale * step
-            u_new, eu_new, p_new, score_new = evaluate(candidate)
+            u_new, p_new, score_new = evaluate(candidate)
             if (step @ score_new >= 0.0 or np.max(np.abs(score_new)) <= SCORE_TOL
                     or halving > MAX_HALVINGS):
                 break
             if loglik is None:
-                loglik = _log_likelihood(u, eu, y)
-            if _log_likelihood(u_new, eu_new, y) >= loglik:
+                loglik = _log_likelihood(u, y)
+            if _log_likelihood(u_new, y) >= loglik:
                 break
             scale *= 0.5
-        beta, u, eu, p, score = candidate, u_new, eu_new, p_new, score_new
+        beta, u, p, score = candidate, u_new, p_new, score_new
 
         if float(np.max(np.abs(scale * step))) <= STEP_TOL:
             return converged(beta, u, p, iteration, float(np.max(np.abs(score))))

@@ -156,8 +156,9 @@ class ScenarioConfig:
     misclassification: str = "pooled"
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        for name in ("iterations", "truth_populations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.misclassification not in MISCLASSIFICATION_MODES:
             raise ValueError(f"misclassification must be one of {MISCLASSIFICATION_MODES}, "
                              f"got {self.misclassification!r}")
@@ -210,10 +211,13 @@ class Population:
 def draw_covariates_and_treatment(dgp: DgpConfig,
                                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The first draws of ``generate_population``: covariates x, then the
-    treatment t from its uniforms."""
+    treatment t, 1.0 where a uniform falls below expit(c0 + x @ c), in place."""
     x = rng.standard_normal((dgp.n, dgp.p))
     coefs_t = np.asarray(dgp.treatment_coefs)
-    t = (rng.random(dgp.n) < expit(coefs_t[0] + x @ coefs_t[1:])).astype(float)
+    u = x @ coefs_t[1:]
+    u += coefs_t[0]
+    t = expit(u)
+    np.less(rng.random(dgp.n), t, out=t)
     return x, t
 
 
@@ -221,10 +225,15 @@ def draw_gold_data(dgp: DgpConfig,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The draws of ``generate_population`` before the misclassification:
     covariates x and treatment t (``draw_covariates_and_treatment``), then
-    the gold outcome y from its uniforms."""
+    the gold outcome y from its uniforms, in place as the treatment is."""
     x, t = draw_covariates_and_treatment(dgp, rng)
     coefs_y = np.asarray(dgp.outcome_coefs)
-    y = (rng.random(dgp.n) < expit(coefs_y[0] + coefs_y[1] * t + x @ coefs_y[2:])).astype(float)
+    u = x @ coefs_y[2:]
+    shift = coefs_y[1] * t
+    shift += coefs_y[0]
+    u += shift
+    y = expit(u)
+    np.less(rng.random(dgp.n), y, out=y)
     return x, t, y
 
 
@@ -232,15 +241,13 @@ def generate_population(dgp: DgpConfig, rng: np.random.Generator) -> Population:
     """Draw one complete dataset. Draw order (fixed for reproducibility):
     covariates, treatment uniforms, outcome uniforms (``draw_gold_data``),
     misclassification uniforms."""
-    n = dgp.n
     x, t, y = draw_gold_data(dgp, rng)
+    p10 = dgp.p10
     if dgp.heterogeneous_misclass is not None:
         h0, h1 = dgp.heterogeneous_misclass
         p10 = expit(h0 + h1 * t)
-    else:
-        p10 = np.full(n, dgp.p10)
-    flip_to_one = np.where(y == 1.0, dgp.p11, p10)
-    y_star = (rng.random(n) < flip_to_one).astype(float)
+    y_star = np.where(y == 1.0, dgp.p11, p10)
+    np.less(rng.random(dgp.n), y_star, out=y_star)
     return Population(x=x, t=t, y=y, y_star=y_star)
 
 
@@ -305,8 +312,8 @@ def select_validation(population: Population, selection: SelectionConfig,
     frame carries NaN where the gold outcome is hidden.
     """
     n = population.t.shape[0]
-    pi = selection_probabilities(selection, n, population.t, population.x)
-    v = (rng.random(n) < pi).astype(float)
+    v = selection_probabilities(selection, n, population.t, population.x)
+    np.less(rng.random(n), v, out=v)
     return ObservationFrame(
         x=population.x, t=population.t, y_star=population.y_star, v=v,
         y=np.where(v == 1.0, population.y, np.nan),
@@ -333,6 +340,7 @@ class TruthEstimate:
 def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
     x, t, y = draw_gold_data(dgp_large, _rng(child_seed(base_seed, index)))
     x_treat = with_intercept(x)
+    del x  # the covariates are not held through the fit
     e = clamp_probability(fit_logistic(x_treat, t).probabilities)
     w_t, w_c = est.arm_weights(t, e)
     return float(np.sum(w_t * y)) / dgp_large.n - float(np.sum(w_c * y)) / dgp_large.n
@@ -343,6 +351,8 @@ def true_ate_oracle(dgp: DgpConfig, *, populations: int = 100, population_n: int
     """Average the fitted-propensity IPW estimate on ``populations`` large
     datasets drawn from the true model (gold outcomes, no misclassification,
     no selection). Its Monte Carlo SE is None from one population."""
+    if populations < 1:
+        raise ValueError(f"populations must be >= 1, got {populations}")
     dgp_large = replace(dgp, n=population_n)
     truth_seed = child_seed(base_seed, TRUTH_STREAM)
     arr = np.asarray(_ordered_map(partial(_truth_one, dgp_large, truth_seed),

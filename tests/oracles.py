@@ -3,8 +3,8 @@
 Everything here is deliberately written as plain Python loops over rows with
 math.fsum accumulation, sharing no code with the package: these are the
 second route of every dual-route check (estimator formulas, logistic fitting
-and the arithmetic of its kernel, the weighted Gram product, the logistic
-sandwich, the bread of the stacked sandwich, the dataset CSV reader and
+and the arithmetic of its kernel, the population draws, the weighted Gram
+product, the logistic sandwich, the bread of the stacked sandwich, the dataset CSV reader and
 writer). Do not import from mismeasure_ate in this module.
 """
 
@@ -240,6 +240,26 @@ def expit_two_branch(u):
     if arr.ndim == 0:
         return float(out)
     return out
+
+
+def draw_population(n, treatment_coefs, outcome_coefs, p11, p10, heterogeneous_misclass, rng):
+    """The package's former out-of-place population draw: covariates, then
+    treatment, gold outcome and silver outcome, each a Bernoulli draw
+    (rng.random(n) < p).astype(float) with p = expit_two_branch(c0 + x @ c)
+    (c0 + c1 t + x @ c for the outcome; p11 where y = 1, else p10 or
+    expit_two_branch(h0 + h1 t)). Returns (x, t, y, y_star)."""
+    x = rng.standard_normal((n, len(treatment_coefs) - 1))
+    c = np.asarray(treatment_coefs, dtype=float)
+    t = (rng.random(n) < expit_two_branch(c[0] + x @ c[1:])).astype(float)
+    c = np.asarray(outcome_coefs, dtype=float)
+    y = (rng.random(n) < expit_two_branch(c[0] + c[1] * t + x @ c[2:])).astype(float)
+    if heterogeneous_misclass is not None:
+        h0, h1 = heterogeneous_misclass
+        p10 = expit_two_branch(h0 + h1 * t)
+    else:
+        p10 = np.full(n, p10)
+    y_star = (rng.random(n) < np.where(y == 1.0, p11, p10)).astype(float)
+    return x, t, y, y_star
 
 
 def logaddexp_loglik(u, y):
