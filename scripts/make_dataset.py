@@ -23,14 +23,14 @@ from mismeasure_ate.simulation import (
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scenario", default="main_nonprob")
     parser.add_argument("--n", type=int, help="override the scenario's sample size")
     parser.add_argument("--seed", type=int, default=20250801)
     parser.add_argument("--out", default="dataset", help="output stem (default 'dataset')")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     catalog = scenario_catalog()
     if args.scenario not in catalog:
