@@ -3,8 +3,8 @@
 Every point estimate is read from the solved stack of estimating equations
 (``inference``); this module holds the pieces that stack is built from:
 the counted misclassification rates, the misclassification-corrected
-contrast, the one arm-weighting rule of every IPW and WLS block
-(``arm_weights``), the checks on the blend weights, and the
+contrast and its gradient, the one arm-weighting rule of every weighted
+block (``arm_weights``), the checks on the blend weights, and the
 variance-minimizing weight b_opt.
 
 Notation used in the docstrings: e is the treatment propensity, pi the
@@ -75,9 +75,30 @@ def corrected_contrast(rates: MisclassRates, mean_treated: float,
     return (mean_treated - p10_1) / (p11_1 - p10_1) - (mean_control - p10_0) / (p11_0 - p10_0)
 
 
+def corrected_contrast_gradient(rates: MisclassRates, mean_treated: float,
+                                mean_control: float) -> np.ndarray:
+    """Partials of ``corrected_contrast`` in (mean_control, mean_treated),
+    then in the rates in ``np.ravel(rates.pairs)`` order. Arm a enters as
+    s c_a (s = -1 control, +1 treated), c_a = (m_a - p10_a) / gap_a with
+    gap_a = p11_a - p10_a: s / gap_a in m_a, -s c_a / gap_a in p11_a and
+    s (c_a - 1) / gap_a in p10_a, summed over both arms for a pooled pair.
+    """
+    pairs = rates.pairs
+    gradient = np.zeros(2 + 2 * len(pairs))
+    for arm, (sign, mean) in enumerate(((-1.0, mean_control), (1.0, mean_treated))):
+        pair = arm * (len(pairs) - 1)  # the pooled pair, or this arm's
+        p11, p10 = pairs[pair]
+        gap = p11 - p10
+        corrected = (mean - p10) / gap
+        gradient[arm] = sign / gap
+        gradient[2 + 2 * pair] -= sign * corrected / gap
+        gradient[3 + 2 * pair] += sign * (corrected - 1.0) / gap
+    return gradient
+
+
 def arm_weights(t: np.ndarray, e: np.ndarray, rows: np.ndarray | None = None,
                 share: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The one arm-weighting rule of every IPW and WLS block, split into
+    """The one arm-weighting rule of every weighted block, split into
     (treated, control): rows*T / (e*share) and rows*(1-T) / ((1-e)*share).
 
     The row factor rows/share is 1 over every row (both None), V/pi on the

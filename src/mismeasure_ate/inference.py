@@ -13,25 +13,24 @@ with its per-subject estimating rows:
   group of ``frames.rate_groups``: (p11, p10) on the validated rows when
   pooled, and (p11_0, p10_0, p11_1, p10_1) within each treatment arm of
   them ("by_arm").
-* ``ipw`` blocks, one parameter each: the contrast sum(w_t Y)/n -
-  sum(w_c Y)/n. ``tau_oracle`` and ``tau_naive`` weight every row, with Y
-  and Y*; ``tau_val`` and ``tau_s_val`` weight the validated rows, with the
-  gold Y, under the constant and under the fitted selection model.
-* ``wls`` blocks, (alpha, beta) each: weighted least squares of Y*, solved
-  by the Hajek (weight-normalized) arm means. ``r_const`` and ``r_fit``
-  weight the complement, under the constant and under the fitted selection
-  model; ``d`` weights every row. alpha is the control arm's weighted
-  silver mean and beta the misclassification-corrected contrast, so the
-  rows fit the treated arm's silver mean as p10_1 + (p11_1 - p10_1) *
-  (beta + (alpha - p10_0) / (p11_0 - p10_0)), which is alpha +
-  (p11 - p10) * beta under pooled rates.
+* seven weighted blocks, each holding the two arm means (m_c, m_t) of one
+  outcome under the weights (w_c, w_t) of ``estimators.arm_weights``, and
+  differing only in normalization. The Horvitz-Thompson (HT) blocks divide
+  by n (rows w_a Y - m_a): ``tau_oracle`` and ``tau_naive`` weight every
+  row, with Y and Y*; ``tau_val`` and ``tau_s_val`` the validated rows (row
+  factor V/pi), with the gold Y, under the constant and the fitted
+  selection model. The Hajek blocks divide by the arm's weight (rows
+  w_a (Y* - m_a)): ``r_const`` and ``r_fit`` weight the complement (row
+  factor (1-V)/(1-pi)), under the constant and the fitted selection model;
+  ``d`` weights every row.
 
-Both kinds take their weights (w_t, w_c) from one rule,
-``estimators.arm_weights``, with a row factor of 1 over every row, V/pi
-over the validated rows and (1-V)/(1-pi) over the complement. A block's
-plug-in, residual rows and Jacobian rows are read off those two arrays,
-and its derivatives are the rule's: -w_t/e and +w_c/(1-e) in e, and -w/pi
-(validated rows) or +w/(1-pi) (complement) in pi.
+Every estimator is a smooth function g(theta) of the solved parameters.
+``READS`` names the blocks it reads, each as the contrast m_t - m_c of the
+block's arm means or, corrected, as their misclassification-corrected
+contrast (``estimators.corrected_contrast``); the Hajek blocks are read
+corrected, so the rates are their parent. A point is sum_k c_k g_k(theta)
+with the blend coefficients c_k, and its SE the delta-method form
+sqrt(grad' C grad) on the sandwich covariance C, grad = sum_k c_k grad g_k.
 
 A block's rows read only its own parameters and its parents' (the models and
 rates it is built on), so the stack is block lower-triangular: the joint
@@ -47,22 +46,24 @@ stack (``solve_plugin``): each block solves its parameters by plug-in, then
 writes from the same per-row arrays its per-subject residuals for the meat
 and its rows of the Jacobian in closed form for the bread: logistic
 information for the model blocks, counts for the rate rows, and for the
-IPW and WLS rows their derivatives in their own parameters, in the rates
-and, through the weights, in the fitted propensities, as for IPW with
-estimated propensities (Lunceford & Davidian 2004).
+weighted rows their derivatives in their own parameters and, through the
+weights, in the fitted propensities: -w_t/e and +w_c/(1-e) in e, and -w/pi
+(validated rows) or +w/(1-pi) (complement) in pi, as for IPW with estimated
+propensities (Lunceford & Davidian 2004).
 ``EstimatingSystem.evaluate`` takes the same walk at a given theta.
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
-runner and the CLI: it solves the frame's stack in that one walk and reads
-each estimator's point and SE from the same parameters of the solved stack:
-the point from theta, the SE from the one sandwich of the walk's
-evaluation. The one point not read from theta is the IPW complement
-contrast of nonval_corrected and sy_combined, computed once per frame (see
+runner and the CLI: it solves the frame's stack in that one walk, sandwiches
+it once and reads each estimator's point and SE as g(theta) and the
+quadratic form of its gradient. The one point not read from theta is the
+IPW complement contrast of nonval_corrected and sy_combined, computed once
+per frame; their SEs read r_const's corrected Hajek contrast (see
 ``analyze_frame``). ``estimators`` holds the arithmetic these share.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -94,39 +95,42 @@ from .numerics import (
 )
 
 RESIDUAL_TOL = 1e-6
+NEGATIVE_VARIANCE_TOL = 1e-12  # a variance above -1e-12 is rounding, read as 0
 Z_95 = NormalDist().inv_cdf(0.975)  # every interval is a 95% one
 
-# block -> (kind, treatment model, selection model) its rows read; the WLS
-# kinds read the rates too. Parents come first, which is the stacked order.
+# block -> (kind, treatment model, selection model) its rows read; the
+# Hajek blocks, read corrected, have the rates as a parent too. Parents come
+# first, which is the stacked order.
 BLOCKS = {
     "gamma": ("treatment", None, None),
     "eta0": ("share", None, None),
     "eta": ("selection", None, None),
     "rates": ("rates", None, None),
-    "tau_oracle": ("ipw", "gamma", None),
-    "tau_naive": ("ipw", "gamma", None),
-    "tau_val": ("ipw", "gamma", "eta0"),
-    "tau_s_val": ("ipw", "gamma", "eta"),
-    "r_const": ("wls", "gamma", "eta0"),
-    "r_fit": ("wls", "gamma", "eta"),
-    "d": ("wls", "gamma", None),
+    "tau_oracle": ("ht", "gamma", None),
+    "tau_naive": ("ht", "gamma", None),
+    "tau_val": ("ht", "gamma", "eta0"),
+    "tau_s_val": ("ht", "gamma", "eta"),
+    "r_const": ("hajek", "gamma", "eta0"),
+    "r_fit": ("hajek", "gamma", "eta"),
+    "d": ("hajek", "gamma", None),
 }
 
-# estimator id -> the stacked parameters its point and SE read, as (block,
-# row); row 1 of a WLS block is its slope beta. A blend weights its two
-# parameters with the coefficients analyze_frame gives it.
+# estimator id -> the contrasts its point and SE read, as (block, corrected):
+# m_t - m_c of the block's arm means, or with corrected their
+# misclassification-corrected contrast. A blend weights its two contrasts
+# with the coefficients analyze_frame gives it.
 READS = {
-    "oracle": (("tau_oracle", 0),),
-    "naive": (("tau_naive", 0),),
-    "val_only": (("tau_val", 0),),
-    "nonval_corrected": (("r_const", 1),),
-    "sy_combined": (("tau_val", 0), ("r_const", 1)),
-    "s_val_only": (("tau_s_val", 0),),
-    "s_nonval": (("r_fit", 1),),
-    "s_combined": (("tau_s_val", 0), ("r_fit", 1)),
-    "all_silver": (("d", 1),),
-    "s_weighted": (("tau_s_val", 0), ("d", 1)),
-    "s_opt": (("tau_s_val", 0), ("d", 1)),
+    "oracle": (("tau_oracle", False),),
+    "naive": (("tau_naive", False),),
+    "val_only": (("tau_val", False),),
+    "nonval_corrected": (("r_const", True),),
+    "sy_combined": (("tau_val", False), ("r_const", True)),
+    "s_val_only": (("tau_s_val", False),),
+    "s_nonval": (("r_fit", True),),
+    "s_combined": (("tau_s_val", False), ("r_fit", True)),
+    "all_silver": (("d", True),),
+    "s_weighted": (("tau_s_val", False), ("d", True)),
+    "s_opt": (("tau_s_val", False), ("d", True)),
 }
 
 
@@ -166,13 +170,10 @@ class EstimatingSystem:
         self.layout = {}
         pos = 0
         for name in self.blocks:
-            kind = BLOCKS[name][0]
-            if kind in ("treatment", "selection"):
+            if name in self._designs:  # a model's coefficients, or the share
                 size = self._designs[name].shape[1]
-            elif kind == "rates":
-                size = 2 * len(self._rate_rows)
-            else:
-                size = 2 if kind == "wls" else 1
+            else:  # a pair of rates per group, or a weighted block's two arm means
+                size = 2 * len(self._rate_rows) if name == "rates" else 2
             self.layout[name] = slice(pos, pos + size)
             pos += size
         self.dim = pos
@@ -189,40 +190,12 @@ class EstimatingSystem:
     def parents(self, name: str) -> list[str]:
         kind, treat, sel = self.spec(name)
         found = [p for p in (treat, sel) if p is not None]
-        return found + ["rates"] if kind == "wls" else found
-
-    def index(self, name: str, row: int = 0) -> int:
-        """Position of row ``row`` of block ``name`` in the parameter vector."""
-        return self.layout[self.resolve(name)].start + row
+        return found + ["rates"] if kind == "hajek" else found
 
     def restrict(self, names) -> "EstimatingSystem":
         """The same stack holding only ``names`` (which must include their parents)."""
         return EstimatingSystem(self.frame, names, self.x_treat, self.x_sel,
                                 self.misclassification)
-
-    @staticmethod
-    def _shift(theta, layout: dict, name: str):
-        """Treated-minus-control silver mean implied by WLS block ``name``.
-
-        Returns the shift and its partials as (column of theta, partial)
-        pairs, in alpha and beta and in each rate. A pooled pair of rates
-        serves both arms, so its columns appear twice; the two partials sum
-        to (beta, -beta) there.
-        """
-        alpha, beta = theta[layout[name]]
-        rate_cols = layout["rates"]
-        # (control, treated) rates; one pooled pair serves both arms
-        rates = theta[rate_cols].reshape(-1, 2)
-        (p11_0, p10_0), (p11_1, p10_1) = rates[0], rates[-1]
-        # T is binary, so the per-arm rates enter as scalars. Pooled rates
-        # make the first and last terms exactly zero, leaving (p11 - p10) * beta.
-        gap0, gap1 = p11_0 - p10_0, p11_1 - p10_1
-        shift = (p10_1 - p10_0) + gap1 * beta + (gap1 / gap0 - 1.0) * (alpha - p10_0)
-        control = (alpha - p10_0) / gap0  # the control arm's corrected mean
-        first, c0, c1 = layout[name].start, rate_cols.start, rate_cols.stop - 2
-        return shift, ((first, gap1 / gap0 - 1.0), (first + 1, gap1),
-                       (c0, -gap1 * control / gap0), (c0 + 1, gap1 * (control - 1.0) / gap0),
-                       (c1, beta + control), (c1 + 1, 1.0 - beta - control))
 
     def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Per-subject residuals and their summed Jacobian at theta.
@@ -232,14 +205,14 @@ class EstimatingSystem:
         block writes contiguous residual columns, and the (dim, dim) Jacobian
         of its column sums in closed form, in the walk ``solve_plugin`` takes.
         A model block's own rows give minus its logistic information, and
-        the share row -n; a rate row gives its count; the IPW and WLS
-        rows move with their own parameters, with the rates through the WLS
-        shift, and with e and pi, each fitted probability moving by p(1-p)x
-        per unit of its model's coefficients and the constant one by 1 per
-        unit of the share. Where ``clamp_probability`` binds on a fitted
-        probability, the clamped probability is constant, so its derivative is
-        zero. The share is not clamped: it lies in (0, 1], and at 1 (every row
-        validated) no block that divides by 1 - s has solved.
+        the share row -n; a rate row gives its count; a weighted block's
+        row of arm a gives -n (HT) or -sum(w_a) (Hajek) in m_a, and moves
+        with e and pi through its weight, each fitted probability moving by
+        p(1-p)x per unit of its model's coefficients and the constant one by
+        1 per unit of the share. Where ``clamp_probability`` binds on a
+        fitted probability, the clamped probability is constant, so its
+        derivative is zero. The share is not clamped: it lies in (0, 1], and
+        at 1 (every row validated) no block that divides by 1 - s has solved.
         """
         phi, jacobian, *_ = self._walk(np.asarray(theta, dtype=float))
         return phi, jacobian
@@ -249,8 +222,10 @@ class EstimatingSystem:
         ``treat_fit``, each block first solves its parameters into theta by
         plug-in and checks its residual mean after its rows; a block that
         fails is left out with the blocks built on it, and the next takes its
-        place in theta, phi and the Jacobian. Returns (phi, jacobian, layout,
-        failed, rates)."""
+        place in theta, phi and the Jacobian. The seven weighted blocks take
+        one branch: their arm means, rows and derivatives differ only in the
+        normalization (n, or the arm's weight) and in the rows weighted.
+        Returns (phi, jacobian, layout, failed, rates)."""
         solving = treat_fit is not None
         frame = self.frame
         n = frame.n
@@ -259,10 +234,6 @@ class EstimatingSystem:
         jac = np.zeros((self.dim, self.dim))
         layout, failed, rates, pos = {}, {}, None, 0
         raw, prob, slope = {}, {}, {}  # model block -> p, clamped p, d(clamped p)/d(x'par)
-
-        def through(row, model, d_prob):
-            # row's derivative in model's coefficients, from its per-subject one in p
-            jac[row, layout[model]] += (d_prob * slope[model]) @ self._designs[model]
 
         def rows(name, cols):
             """Solve block ``name`` (when solving), then write its rows; its
@@ -306,61 +277,49 @@ class EstimatingSystem:
                     phi[:, col + 1] = ((1.0 - yv) * y_star - p10 * (1.0 - yv)) * counted * scale
                     jac[col, col] = -float(np.sum(yv * counted)) * scale
                     jac[col + 1, col + 1] = -float(np.sum((1.0 - yv) * counted)) * scale
-            elif kind == "ipw":
-                # sum(w_t Y)/n - sum(w_c Y)/n, over the validated rows (row
-                # factor V/pi) when the block reads a selection model
+            else:
+                # the arm means (m_c, m_t) of one outcome, divided by n (HT)
+                # or by the arm's weight (Hajek); with a selection model an
+                # HT block weights the validated rows (row factor V/pi) and a
+                # Hajek block the complement ((1-V)/(1-pi))
+                hajek = kind == "hajek"
                 e = prob[treat]
-                outcome = frame.y if name == "tau_oracle" else yv if sel else y_star
+                outcome = frame.y if name == "tau_oracle" else yv if sel and not hajek else y_star
                 if solving and name == "tau_oracle" and np.any(np.isnan(outcome)):
                     raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
-                in_rows, share = (v, prob[sel]) if sel else (None, None)
-                w_t, w_c = est.arm_weights(t, e, in_rows, share)
-                if solving and sel and (np.sum(w_t) == 0.0 or np.sum(w_c) == 0.0):
-                    raise EmptyValidationArm("validation rows must include both treatment arms")
-                treated, control = w_t * outcome, w_c * outcome
-                if solving:
-                    par[0] = float(np.sum(treated)) / n - float(np.sum(control)) / n
-                phi[:, row] = treated - control - par[0]
-                jac[row, row] = -n
-                # the rule's derivatives: -w_t/e, +w_c/(1-e) in e and -w/pi in pi
-                through(row, treat, -(treated / e + control / (1.0 - e)))
-                if sel:
-                    through(row, sel, -(treated - control) / share)
-            else:
-                # the Hajek arm means of Y* as (alpha, beta), over the
-                # complement (row factor (1-V)/(1-pi)) when the block reads a
-                # selection model
-                e = prob[treat]
-                if solving and sel and frame.n_v == n:
+                if solving and sel and hajek and frame.n_v == n:
                     raise EmptyComplement("every row is validated; the complement is empty")
-                in_rows, share = (1.0 - v, 1.0 - prob[sel]) if sel else (None, None)
-                w_t, w_c = est.arm_weights(t, e, in_rows, share)
-                wls_w = w_t + w_c  # one of the two is zero on every row
-                total, treated = float(np.sum(wls_w)), float(np.sum(wls_w * t))
-                if solving:
-                    control = float(np.sum(w_c))
-                    if treated == 0.0 or control == 0.0:
-                        undefined = EmptyComplementArm if sel else EmptyArm
-                        raise undefined("a treatment arm has zero weight")
-                    mean1 = float(np.sum(w_t * y_star)) / treated
-                    mean0 = float(np.sum(w_c * y_star)) / control
-                    par[:] = mean0, est.corrected_contrast(rates, mean1, mean0)
-                shift, partials = self._shift(theta, layout, name)
-                resid = y_star - par[0] - shift * t
-                # rows W (Y* - alpha - shift T) and W T (Y* - alpha - shift T)
-                phi[:, row] = wls_w * resid
-                phi[:, row + 1] = wls_w * t * resid
-                jac[row, row] = -total
-                jac[row + 1, row] = -treated
-                for col, partial in partials:
-                    jac[cols, col] -= treated * partial
-                # the rule's derivatives: -w_t/e, +w_c/(1-e) in e and +w/(1-pi) in pi
-                d_weight = {treat: -w_t / e + w_c / (1.0 - e)}
+                in_rows = share = None
                 if sel:
-                    d_weight[sel] = wls_w / share
-                for model, d_w in d_weight.items():
-                    through(row, model, d_w * resid)
-                    through(row + 1, model, d_w * t * resid)
+                    in_rows, share = (1.0 - v, 1.0 - prob[sel]) if hajek else (v, prob[sel])
+                w_t, w_c = est.arm_weights(t, e, in_rows, share)
+                totals = float(np.sum(w_c)), float(np.sum(w_t))
+                if solving and 0.0 in totals:
+                    empty = EmptyArm if not sel else EmptyComplementArm if hajek else EmptyValidationArm
+                    raise empty(f"{name}: a treatment arm of its rows has zero weight")
+                norms = totals if hajek else (n, n)
+                # the rows' weighted terms, w_a (Y - m_a) (Hajek) or w_a Y
+                # (HT, whose rows subtract m_a once the derivatives are taken)
+                terms = phi[:, cols]
+                for k, w in enumerate((w_c, w_t)):
+                    np.multiply(w, outcome, out=terms[:, k])
+                    if solving:
+                        par[k] = float(np.sum(terms[:, k])) / norms[k]
+                    if hajek:
+                        np.multiply(w, outcome - par[k], out=terms[:, k])
+                    jac[row + k, row + k] = -norms[k]
+                # the rule's derivatives in p: +w_c/(1-e) and -w_t/e in e, and
+                # -w/pi (validated rows) or +w/(1-pi) (complement) in pi, each
+                # taken to its model's coefficients by one (n, 2) product; they
+                # are column-ordered like terms, which keeps that product fast
+                d_prob = {treat: terms / np.array((1.0 - e, -e)).T}
+                if sel:
+                    d_prob[sel] = terms / (share if hajek else -share)[:, None]
+                for model, d in d_prob.items():
+                    d *= slope[model][:, None]
+                    jac[cols, layout[model]] += d.T @ self._designs[model]
+                if not hajek:
+                    terms -= par
 
         for name in self.blocks:
             parent = next((p for p in self.parents(name) if p in failed), None)
@@ -430,6 +389,20 @@ class StackedParams:
         """Parameters of block ``name`` (resolved as the stack resolves it)."""
         return self.theta[self.system.layout[self.system.resolve(name)]]
 
+    def contrast(self, name: str, corrected: bool) -> tuple[float, np.ndarray]:
+        """g(theta) of block ``name``'s arm means (m_c, m_t) and its gradient
+        over theta: m_t - m_c, or with ``corrected`` their
+        misclassification-corrected contrast at the counted rates."""
+        cols = self.system.layout[self.system.resolve(name)]
+        m_c, m_t = self.theta[cols].tolist()
+        gradient = np.zeros(self.system.dim)
+        if not corrected:
+            gradient[cols] = -1.0, 1.0
+            return m_t - m_c, gradient
+        partials = est.corrected_contrast_gradient(self.rates, m_t, m_c)
+        gradient[cols], gradient[self.system.layout["rates"]] = partials[:2], partials[2:]
+        return est.corrected_contrast(self.rates, m_t, m_c), gradient
+
 
 def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedParams:
     """Fill the stacked parameters by sequential plug-in, verify them and
@@ -438,14 +411,14 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedPa
     gamma comes from full-sample ML of the treatment model, eta0
     is the validation share (DegenerateValidation without validated rows),
     eta comes from ML of the selection model, the rates from validation
-    counting (pooled or per arm, as the system says), each (alpha, beta)
-    from its Hajek arm means (over the complement, EmptyComplement when
-    every row is validated and EmptyComplementArm when a complement arm is
-    empty; EmptyArm over every row), and each tau from its IPW contrast
-    (EmptyValidationArm over the validated rows unless they hold both
-    treatment arms). A block whose plug-in raises a MismeasureError, or
-    whose residual mean exceeds 1e-6 in max norm (ResidualCheckFailed), is
-    left out together with every block built on it: ``system`` is then
+    counting (pooled or per arm, as the system says), and each weighted
+    block's (m_c, m_t) from its weighted arm sums: MissingGoldOutcomes for
+    the oracle without the gold outcome on every row, EmptyComplement when
+    every row is validated, then for an arm of zero weight
+    EmptyValidationArm (validated rows), EmptyComplementArm (complement) or
+    EmptyArm (every row). A block whose plug-in raises a MismeasureError,
+    or whose residual mean exceeds 1e-6 in max norm (ResidualCheckFailed),
+    is left out together with every block built on it: ``system`` is then
     restricted to the rest, whose columns of the walk are ``phi`` and
     ``jacobian``. A treatment-model fit that fails raises.
     """
@@ -478,7 +451,8 @@ def sandwich(params: StackedParams) -> SandwichResult:
     condition number. The result is symmetrized as (C + C^T)/2.
     NonFiniteEvaluation when the residuals or the bread are not finite;
     SingularSystem when the bread is singular or its condition number
-    exceeds 1 / PIVOT_RTOL.
+    exceeds 1 / PIVOT_RTOL; NegativeVariance when a parameter's variance is
+    negative beyond rounding (the rule of every SE, ``_standard_error``).
     """
     n = params.phi.shape[0]
     bread = -params.jacobian / n
@@ -502,27 +476,27 @@ def sandwich(params: StackedParams) -> SandwichResult:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"singular coefficient matrix: {exc}") from None
     cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov)
-    if np.any(diag < -1e-12):
-        raise NegativeVariance(f"sandwich produced negative variance {float(diag.min()):.3e}")
-    return SandwichResult(cov, np.sqrt(np.maximum(diag, 0.0)))
+    return SandwichResult(cov, _standard_error(np.diag(cov)))
 
 
-def combine_delta(result: SandwichResult, weights: tuple[float, float],
-                  indices: tuple[int, int]) -> float:
-    """SE of c_a * theta[ia] + c_b * theta[ib].
+def _standard_error(variance):
+    """The square root of a variance, or of an array of them: a negative
+    one above -NEGATIVE_VARIANCE_TOL is rounding and reads as 0; below it,
+    NegativeVariance."""
+    if (variance < -NEGATIVE_VARIANCE_TOL).any():
+        raise NegativeVariance(f"negative variance {float(np.min(variance)):.3e}")
+    return np.sqrt(np.maximum(variance, 0.0))
 
-    First-order delta method with the weights held fixed. Raises
-    NegativeVariance rather than clamping if rounding drives the quadratic
-    form negative.
+
+def combine_delta(result: SandwichResult, gradient: np.ndarray) -> float:
+    """SE sqrt(grad' C grad) of a smooth function of the stacked parameters
+    whose gradient at the solution is ``gradient``.
+
+    First-order delta method on the sandwich covariance C; a blend's
+    gradient is its fixed coefficients times its contrasts' gradients. A
+    negative variance follows the rule of every SE (``_standard_error``).
     """
-    c_a, c_b = weights
-    ia, ib = indices
-    cov = result.covariance
-    var = (c_a ** 2) * cov[ia, ia] + (c_b ** 2) * cov[ib, ib] + 2.0 * c_a * c_b * cov[ia, ib]
-    if var < 0.0:
-        raise NegativeVariance(f"combined variance {var:.3e} is negative")
-    return float(np.sqrt(var))
+    return float(_standard_error(gradient @ result.covariance @ gradient))
 
 
 def confidence_interval(point: float, se: float) -> tuple[float, float]:
@@ -571,16 +545,17 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     estimator and its blocks follow it.
 
     The frame's stack is built from the requested ids, solved and evaluated
-    in one walk, and sandwiched once. Each point is its blend coefficients
-    times the solved parameters it reads (``READS``), the combination whose
-    SE the sandwich gives. The coefficients are 1 for a single parameter,
+    in one walk, and sandwiched once. Each point is sum_k c_k g_k(theta)
+    over the contrasts it reads (``READS``, ``StackedParams.contrast``), and
+    its SE the quadratic form of sum_k c_k grad g_k on the covariance
+    (``combine_delta``). The coefficients c_k are 1 for a single contrast,
     (lam, 1 - lam) for sy_combined, (n_V/n, (n - n_V)/n) for s_combined,
     (b, 1 - b) for s_weighted and (b_opt, 1 - b_opt) for s_opt, with b_opt
-    from the covariance. nonval_corrected and sy_combined take the IPW
-    complement contrast normalized by n - n_V in place of the slope of
-    ``r_const``, a Hajek (ratio) complement contrast that their SEs read;
-    the two contrasts differ. It is computed once per frame, from the fitted
-    e and the counted rates.
+    from the variances and covariance of its two contrasts.
+    nonval_corrected and sy_combined take the IPW complement contrast
+    normalized by n - n_V in place of r_const's corrected Hajek (ratio)
+    complement contrast, which their SEs read; the two contrasts differ.
+    It is computed once per frame, from the fitted e and the counted rates.
 
     A point exists exactly when the blocks it reads have solved. Otherwise
     its reason is the error of the first failed block in ``READS`` order;
@@ -603,8 +578,8 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
 
     n, n_v = frame.n, frame.n_v
 
-    def blend(est_id, where):
-        """(coefficients of the parameters at ``where``, reported weight)."""
+    def blend(est_id, gradients):
+        """(coefficients of the contrasts with ``gradients``, reported weight)."""
         if est_id == "sy_combined":
             lam = est.sy_combined_weight(n, n_v, w)
             return (lam, 1.0 - lam), w
@@ -617,44 +592,41 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
             if result is None:
                 raise se_error
             cov = result.covariance
-            ia, ib = where
-            b_opt = est.compute_b_opt(float(cov[ia, ia]), float(cov[ib, ib]),
-                                      float(cov[ia, ib]))
+            g_a, g_b = gradients
+            b_opt = est.compute_b_opt(float(g_a @ cov @ g_a), float(g_b @ cov @ g_b),
+                                      float(g_a @ cov @ g_b))
             return (b_opt, 1.0 - b_opt), b_opt
         return (1.0,), None
 
     complement = None
     if "r_const" in params.system.layout:
         # the IPW complement contrast of nonval_corrected and sy_combined,
-        # which no block holds yet, in place of the Hajek slope of r_const
-        # that their SEs read
+        # which no block holds yet, in place of r_const's corrected Hajek
+        # contrast that their SEs read
         w_t, w_c = est.arm_weights(frame.t, params.e, 1.0 - frame.v)
         m = float(n - n_v)
         complement = est.corrected_contrast(params.rates, float(np.sum(w_t * frame.y_star)) / m,
                                             float(np.sum(w_c * frame.y_star)) / m)
 
+    contrast = functools.cache(params.contrast)  # blends share their parts
     analysis = FrameAnalysis(rates=params.rates)
     for est_id in (i for i in ESTIMATOR_IDS if i in ids):
         try:
             for name, _ in READS[est_id]:
                 if system.resolve(name) in params.failed:
                     raise params.failed[system.resolve(name)]
-            where = [params.system.index(name, row) for name, row in READS[est_id]]
-            coefficients, weight = blend(est_id, where)
+            parts, gradients = zip(*(contrast(*read) for read in READS[est_id]))
+            coefficients, weight = blend(est_id, gradients)
         except MismeasureError as exc:
             analysis.failures[est_id] = type(exc).__name__
             continue
-        parts = [float(params.theta[i]) for i in where]
         if est_id in ("nonval_corrected", "sy_combined"):
-            parts[-1] = complement
-        tau = coefficients[0] * parts[0]
-        if len(parts) == 2:
-            tau += coefficients[1] * parts[1]
+            parts = (*parts[:-1], complement)
+        tau = sum(c * part for c, part in zip(coefficients, parts))
         try:
             if result is None:
                 raise se_error
-            se = (float(result.se[where[0]]) if len(where) == 1
-                  else combine_delta(result, coefficients, where))
+            se = combine_delta(result, sum(c * g for c, g in zip(coefficients, gradients)))
         except MismeasureError as exc:
             analysis.se_failures[est_id] = type(exc).__name__
             analysis.estimates[est_id] = AteEstimate(est_id, tau, weight_used=weight)

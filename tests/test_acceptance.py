@@ -269,9 +269,10 @@ def test_5_exact_identities():
     for block, target in (
             ("r_fit", oracles.s_nonval_corrected_tau(t, ys, v, e_hat, pi_hat, p11, p10)),
             ("d", oracles.all_silver_tau(t, ys, e_hat, p11, p10))):
-        beta = params.block(block)[1]
-        if not abs(beta - target) <= 1e-10:
-            failures.append(f"WLS-slope identity ({block}): {beta!r} vs {target!r}")
+        m_c, m_t = params.block(block)
+        corrected = est.corrected_contrast(frame_rates, m_t, m_c)
+        if not abs(corrected - target) <= 1e-10:
+            failures.append(f"Hajek-contrast identity ({block}): {corrected!r} vs {target!r}")
     result = inf.sandwich(params)
     if not np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10:
         failures.append("sandwich asymmetry")
@@ -280,7 +281,7 @@ def test_5_exact_identities():
         failures.append("treatment-model sandwich block mismatch")
 
     ok = check("5 exact identities", not failures,
-               "oracle equivalence, reductions, WLS/Hajek and sandwich checks"
+               "oracle equivalence, reductions, Hajek-contrast and sandwich checks"
                + ("" if not failures else "; " + "; ".join(failures)))
     assert ok, failures
 

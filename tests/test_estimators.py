@@ -283,8 +283,8 @@ def test_s_nonval_trivial_cases():
     assert oracles.hajek_contrast(*weights, np.ones(4)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_complement_without_an_arm_fails_its_wls_blocks():
-    # the WLS blocks over the complement check their own arm sums; the
+def test_complement_without_an_arm_fails_its_hajek_blocks():
+    # the Hajek blocks over the complement check their own arm sums; the
     # full-sample one still solves
     frame = ObservationFrame(
         x=np.zeros(6), t=np.array([1, 0, 1, 0, 1, 1]), y_star=np.array([1, 0, 0, 1, 1, 0]),
@@ -415,7 +415,7 @@ def test_s_weighted_convexity(label, b):
 )
 def test_hajek_rescaling_invariance(seed, scale):
     # a constant share scales every weight of the rule alike, so it cancels
-    # from the Hajek means of the WLS blocks (r_const under a simple random
+    # from the arm means of the Hajek blocks (r_const under a simple random
     # sample)
     rng = np.random.default_rng(seed)
     t = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
@@ -471,6 +471,29 @@ def test_by_arm_with_pooled_rates_reduces_to_pooled(d6_frame, d6_props, d6_rates
         assert by_arm[key] == pytest.approx(pooled[key], abs=1e-12), key
         assert by_arm[key] == pytest.approx(D6_EXPECTED[key], abs=1e-12), key
     assert est.corrected_contrast(same, 0.5, 0.3) == pytest.approx(0.2 / (0.67 - 0.24), abs=1e-15)
+
+
+@pytest.mark.parametrize("pairs", (((0.67, 0.24),), ((0.7, 0.2), (0.8, 0.3))))
+def test_corrected_contrast_gradient_matches_a_central_difference(pairs):
+    # the second route: central differences over (m_c, m_t, rates) of the
+    # contrast as the row-loop oracles write it
+    def contrast(point):
+        m_c, m_t, *rates = point
+        arm = np.reshape(rates, (-1, 2))
+        if len(arm) == 1:
+            return np.array([(m_t - m_c) / (arm[0, 0] - arm[0, 1])])
+        return np.array([oracles.arm_corrected_contrast(m_t, m_c, arm)])
+
+    for m_c, m_t in ((0.31, 0.47), (0.05, 0.9)):
+        numeric = oracles.numeric_jacobian(contrast, np.array([m_c, m_t, *np.ravel(pairs)]))[0]
+        analytic = est.corrected_contrast_gradient(MisclassRates(pairs), m_t, m_c)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-7, atol=1e-9)
+        # a pooled pair's partials are those of the same pair in both arms, summed
+        pair = pairs[0]
+        by_arm = est.corrected_contrast_gradient(MisclassRates((pair, pair)), m_t, m_c)
+        pooled = est.corrected_contrast_gradient(MisclassRates((pair,)), m_t, m_c)
+        np.testing.assert_allclose(pooled, [*by_arm[:2], *(by_arm[2:4] + by_arm[4:])],
+                                   rtol=1e-12)
 
 
 def test_misclassification_by_arm_counting_examples():

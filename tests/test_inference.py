@@ -47,7 +47,7 @@ def test_plugin_zeroes_residual_blocks_exactly():
         assert float(means[lay[name]].max()) <= 1e-12     # definition of the estimator
     assert float(means[lay["rates"]].max()) <= 1e-12      # plug-in identity
     for name in ("r_const", "r_fit", "d"):
-        assert float(means[lay[name]].max()) <= 1e-10     # closed-form WLS
+        assert float(means[lay[name]].max()) <= 1e-10     # Hajek arm means
     assert float(means.max()) <= 1e-6                     # whole stack
 
 
@@ -78,9 +78,10 @@ def test_mismatched_rates_fail_residual_check(monkeypatch):
     assert set(params.system.blocks) == set(system.blocks) - {"rates", "r_const", "r_fit", "d"}
 
 
-def test_wls_slope_equals_hajek_contrast_identity():
-    # beta of the fitted R block is the corrected complement contrast; beta
-    # of the D block is the corrected full-sample contrast
+def test_corrected_hajek_means_equal_the_contrast_oracles():
+    # the corrected contrast of the fitted R block's arm means is the
+    # corrected complement contrast; that of the D block's the corrected
+    # full-sample contrast
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         frame, _, _, _ = make_random_frame(rng, 400)
@@ -89,10 +90,11 @@ def test_wls_slope_equals_hajek_contrast_identity():
         ((p11, p10),) = est.estimate_misclassification(frame).pairs
         e, pi = fitted_props(frame, system.x_treat, system.x_sel)
         t, ys, v = frame.t, frame.y_star, frame.v
-        assert params.block("r_fit")[1] == pytest.approx(
+        rates = MisclassRates(((p11, p10),))
+        assert est.corrected_contrast(rates, *params.block("r_fit")[::-1]) == pytest.approx(
             oracles.s_nonval_corrected_tau(t, ys, v, e, pi, p11, p10), abs=1e-10
         )
-        assert params.block("d")[1] == pytest.approx(
+        assert est.corrected_contrast(rates, *params.block("d")[::-1]) == pytest.approx(
             oracles.all_silver_tau(t, ys, e, p11, p10), abs=1e-10
         )
 
@@ -106,8 +108,10 @@ def test_perfect_classification_reduction():
     w_t = clean.t / e
     w_c = (1.0 - clean.t) / (1.0 - e)
     hajek = oracles.hajek_contrast(w_t, w_c, clean.y)
-    ((p11, p10),) = est.estimate_misclassification(clean).pairs
-    assert params.block("d")[1] * (p11 - p10) == pytest.approx(hajek, abs=1e-10)
+    rates = est.estimate_misclassification(clean)
+    ((p11, p10),) = rates.pairs
+    m_c, m_t = params.block("d")
+    assert est.corrected_contrast(rates, m_t, m_c) * (p11 - p10) == pytest.approx(hajek, abs=1e-10)
 
 
 def test_sandwich_symmetry_and_nonnegative_diagonal():
@@ -151,17 +155,37 @@ def test_combine_delta_examples():
     system = inf.build_system(frame, ["s_opt"], x_sel=selection_design(frame))
     params = inf.solve_plugin(frame, system)
     result = inf.sandwich(params)
-    tau, beta = params.system.index("tau_s_val"), params.system.index("d", 1)
-    se = inf.combine_delta(result, (1.0, 0.0), (tau, beta))
-    assert se == pytest.approx(float(result.se[tau]), rel=1e-12)
+    _, g_tau = params.contrast("tau_s_val", False)
+    _, g_d = params.contrast("d", True)
+    # the HT contrast m_t - m_c alone: var(m_c) + var(m_t) - 2 cov(m_c, m_t)
+    m_c, m_t = range(params.system.dim)[params.system.layout["tau_s_val"]]
+    cov = result.covariance
+    se = inf.combine_delta(result, 1.0 * g_tau + 0.0 * g_d)
+    assert se == pytest.approx(np.sqrt(cov[m_c, m_c] + cov[m_t, m_t] - 2.0 * cov[m_c, m_t]),
+                               rel=1e-12)
 
     dim = result.covariance.shape[0]
+    unit = np.eye(dim)
     fake = inf.SandwichResult(np.diag(np.full(dim, 4.0)), np.full(dim, 2.0))
-    assert inf.combine_delta(fake, (0.5, 0.5), (tau, beta)) == pytest.approx(np.sqrt(2.0))
+    assert inf.combine_delta(fake, 0.5 * unit[m_c] + 0.5 * unit[m_t]) == pytest.approx(np.sqrt(2.0))
 
     negative = inf.SandwichResult(-np.eye(dim), np.zeros(dim))
     with pytest.raises(NegativeVariance):
-        inf.combine_delta(negative, (1.0, 0.0), (tau, beta))
+        inf.combine_delta(negative, unit[m_t])
+
+
+def test_one_negative_variance_rule_for_parameters_and_blends():
+    # a variance in (-1e-12, 0) is rounding and reads as an SE of 0, for a
+    # blend as for a single parameter; below -1e-12 both raise
+    delta = np.nextafter(0.5, 1.0) - 0.5  # one ulp of 0.5, 1.1e-16
+    cov = np.array([[0.5, 0.5 + 5 * delta], [0.5 + 5 * delta, 0.5]])
+    blend = np.array([1.0, -1.0])
+    assert blend @ cov @ blend == pytest.approx(-1e-15, rel=0.2)
+    assert inf.combine_delta(inf.SandwichResult(cov, np.sqrt(np.diag(cov))), blend) == 0.0
+    with pytest.raises(NegativeVariance):
+        inf.combine_delta(inf.SandwichResult(1e4 * cov, np.sqrt(np.diag(cov))), blend)
+    with pytest.raises(NegativeVariance):
+        inf.combine_delta(inf.SandwichResult(np.diag([-2e-12, 1.0]), np.ones(2)), np.array([1.0, 0.0]))
 
 
 def test_z_95_is_the_stdlib_normal_quantile():
@@ -256,9 +280,9 @@ def test_by_arm_stacked_identities():
 
     e, pi = fitted_props(frame, system.x_treat, system.x_sel)
     pairs = rates.pairs
-    assert params.block("r_fit")[1] == pytest.approx(
+    assert est.corrected_contrast(rates, *params.block("r_fit")[::-1]) == pytest.approx(
         oracles.s_nonval_by_arm_tau(frame.t, frame.y_star, frame.v, e, pi, pairs), abs=1e-10)
-    assert params.block("d")[1] == pytest.approx(
+    assert est.corrected_contrast(rates, *params.block("d")[::-1]) == pytest.approx(
         oracles.all_silver_by_arm_tau(frame.t, frame.y_star, e, pairs), abs=1e-10)
 
     result = inf.sandwich(params)
@@ -371,12 +395,13 @@ def test_points_read_from_the_stack_match_the_estimator_functions(label):
         rates = est.estimate_misclassification(frame, kwargs.get("misclassification", "pooled"))
         params = inf.solve_plugin(frame, system)
         cov = inf.sandwich(params).covariance
-        ia, ib = params.system.index("tau_s_val"), params.system.index("d", 1)
+        _, g_a = params.contrast("tau_s_val", False)
+        _, g_b = params.contrast("d", True)
         b = frame.n_v / frame.n
         want = oracle_points(frame, e, pi, rates, b=b,
                              b_opt=analysis.estimates["s_opt"].weight_used)
         weights = {"sy_combined": 0.5, "s_weighted": b,
-                   "s_opt": est.compute_b_opt(cov[ia, ia], cov[ib, ib], cov[ia, ib])}
+                   "s_opt": est.compute_b_opt(g_a @ cov @ g_a, g_b @ cov @ g_b, g_a @ cov @ g_b)}
         for est_id in ESTIMATOR_IDS:
             got = analysis.estimates[est_id]
             assert got.tau == pytest.approx(want[est_id], abs=1e-12), (seed, est_id)
@@ -449,6 +474,8 @@ def test_analytic_bread_matches_numeric_oracle(label, d6_frame):
         frame, kwargs = frame_variant(label, seed)
         params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
         assert not params.failed
+        # both normalizations of the weighted blocks are in the stack
+        assert {"ht", "hajek"} <= {inf.BLOCKS[name][0] for name in params.system.blocks}
         assert bread_gap(params.system, params.theta) <= 1e-6
         # the derivative holds at every theta, not only at the plug-in solution
         moved = params.theta + rng.normal(scale=0.05, size=params.system.dim)
@@ -624,7 +651,7 @@ def test_sandwich_raises_typed_error_on_non_finite_residuals():
     frame = simulated_frame(seed=97, n=800)
     params = inf.solve_plugin(frame, inf.build_system(frame, ["naive", "all_silver"]))
     theta = params.theta.copy()
-    theta[params.system.index("d")] = np.nan
+    theta[params.system.layout["d"]] = np.nan
     phi, jacobian = params.system.evaluate(theta)
     with pytest.raises(NonFiniteEvaluation):
         inf.sandwich(replace(params, theta=theta, phi=phi, jacobian=jacobian))
@@ -635,7 +662,7 @@ def test_singular_bread_raises_singular_system(monkeypatch):
     ids = ["naive", "all_silver"]
     params = inf.solve_plugin(frame, inf.build_system(frame, ids))
     jacobian = params.jacobian.copy()
-    jacobian[-1] = jacobian[-2]  # d's two rows alike: the bread has rank dim - 1
+    jacobian[-1] = jacobian[-2]  # d's two arm rows alike: the bread has rank dim - 1
     singular = replace(params, jacobian=jacobian)
     with pytest.raises(SingularSystem):
         inf.sandwich(singular)
