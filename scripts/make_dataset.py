@@ -37,7 +37,7 @@ def main(argv=None) -> int:
         print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
         return 2
     config = replace(catalog[args.scenario], base_seed=args.seed)
-    if args.n:
+    if args.n is not None:
         try:
             config = replace(config, dgp=replace(config.dgp, n=args.n))
         except ValueError as exc:

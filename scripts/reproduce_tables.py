@@ -21,7 +21,7 @@ from mismeasure_ate.simulation import run_scenario, scenario_catalog, true_ate_o
 MAIN = ("main_srs", "main_nonprob")
 
 
-def parse_args():
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--scenarios", default="main",
@@ -31,11 +31,20 @@ def parse_args():
                         help="5000 iterations and a 5000-population truth oracle")
     parser.add_argument("--seed", type=int, default=20250801)
     parser.add_argument("--workers", type=int, default=2)
-    return parser.parse_args()
+    return parser.parse_args(argv)
 
 
-def main() -> int:
-    args = parse_args()
+def refuse(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    # refused before any work, the truth oracle included
+    for option, count in (("--iterations", args.iterations), ("--workers", args.workers)):
+        if count < 1:
+            return refuse(f"{option} must be at least 1, got {count}")
     catalog = scenario_catalog()
     if args.scenarios == "main":
         names = list(MAIN)
@@ -44,10 +53,11 @@ def main() -> int:
         names = sorted({cfg.name for cfg in catalog.values()})
     else:
         names = [s.strip() for s in args.scenarios.split(",") if s.strip()]
+        if not names:
+            return refuse(f"--scenarios names no scenario: {args.scenarios!r}")
         unknown = [n for n in names if n not in catalog]
         if unknown:
-            print(f"unknown scenarios: {unknown}", file=sys.stderr)
-            return 2
+            return refuse(f"unknown scenarios: {unknown}")
 
     iterations = 5000 if args.full else args.iterations
     truth_populations = 5000 if args.full else 100

@@ -13,7 +13,6 @@ from .frames import (  # noqa: E402
 from .estimators import (  # noqa: E402
     compute_b_opt,
     corrected_contrast,
-    estimate_misclassification,
 )
 from .inference import (  # noqa: E402
     FrameAnalysis,
@@ -46,7 +45,6 @@ __all__ = [
     "ObservationFrame",
     "compute_b_opt",
     "corrected_contrast",
-    "estimate_misclassification",
     "FrameAnalysis",
     "SandwichResult",
     "StackedParams",

@@ -1,11 +1,11 @@
 """Arithmetic shared by the stacked plug-in and ``analyze_frame``.
 
 Every point estimate is read from the solved stack of estimating equations
-(``inference``); this module holds the pieces that stack is built from:
-the counted misclassification rates, the misclassification-corrected
-contrast and its gradient, the one arm-weighting rule of every weighted
-block (``arm_weights``), the checks on the blend weights, and the
-variance-minimizing weight b_opt.
+(``inference``), which also solves the misclassification rates as Hajek
+means of its ``rates`` block; this module holds the pieces that stack is
+built from: the misclassification-corrected contrast and its gradient, the
+one arm-weighting rule of every weighted block (``arm_weights``), the
+checks on the blend weights, and the variance-minimizing weight b_opt.
 
 Notation used in the docstrings: e is the treatment propensity, pi the
 validation-selection propensity, p11/p10 the misclassification rates, V the
@@ -22,42 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateValidation,
-    EmptyComplement,
-    EmptyValidationArm,
-    WeightOutOfRange,
-)
-from .frames import MisclassRates, ObservationFrame, rate_groups
+from .errors import EmptyComplement, EmptyValidationArm, WeightOutOfRange
+from .frames import MisclassRates
 
 B_OPT_DENOM_TOL = 1e-14
-
-
-def estimate_misclassification(frame: ObservationFrame,
-                               misclassification: str = "pooled") -> MisclassRates:
-    """Estimate (p11, p10) by direct counting on the validation rows.
-
-    p11 = sum(Y * Y*) / sum(Y) and p10 = sum((1-Y) * Y*) / sum(1-Y), over
-    each group of ``frames.rate_groups``: every row with V=1 ("pooled"), or
-    the rows with V=1, T=t for each arm ("by_arm", control first). When
-    misclassification depends on (Y, T) only, Y* is independent of V given
-    (Y, T), so per-arm counting is consistent even under a biased validation
-    selection. The counts are integers, so the sums over masked full-length
-    rows are exact. Raises DegenerateValidation when a group lacks gold
-    positives or negatives, then NonIdentifiable (from ``MisclassRates``)
-    when a pair of rates is closer than 1e-6.
-    """
-    yv, y_star = frame.y_validated, frame.y_star
-    pairs = []
-    for name, rows in rate_groups(frame, misclassification):
-        positives = float(np.sum(yv * rows))
-        negatives = float(np.sum((1.0 - yv) * rows))
-        if positives == 0.0 or negatives == 0.0:
-            raise DegenerateValidation(f"{name} validation rows contain {int(positives)} gold "
-                                       f"positives and {int(negatives)} gold negatives")
-        pairs.append((float(np.sum(yv * y_star * rows)) / positives,
-                      float(np.sum((1.0 - yv) * y_star * rows)) / negatives))
-    return MisclassRates(tuple(pairs))
 
 
 def corrected_contrast(rates: MisclassRates, mean_treated: float,

@@ -9,10 +9,12 @@ with its per-subject estimating rows:
 * ``eta0``: the constant selection probability, the validation share
   s = n_V / n (rows V - s); ``eta``: the fitted selection model (logistic
   score rows).
-* ``rates``: the pairs of ``MisclassRates`` in order, each counted on its
-  group of ``frames.rate_groups``: (p11, p10) on the validated rows when
-  pooled, and (p11_0, p10_0, p11_1, p10_1) within each treatment arm of
-  them ("by_arm").
+* ``rates``: the pairs of ``MisclassRates`` in order, one per group of
+  ``frames.rate_groups``: (p11, p10) on the validated rows when pooled, and
+  (p11_0, p10_0, p11_1, p10_1) within each treatment arm of them
+  ("by_arm"). Each rate is a Hajek mean of Y* (rows w (Y* - p), weights
+  not divided by any probability): p11 over the group's gold positives
+  (w = Y), p10 over its gold negatives (w = 1 - Y).
 * seven weighted blocks, each holding the two arm means (m_c, m_t) of one
   outcome under the weights (w_c, w_t) of ``estimators.arm_weights``, and
   differing only in normalization. The Horvitz-Thompson (HT) blocks divide
@@ -45,11 +47,11 @@ estimators (divided by n). One walk of the blocks solves and evaluates the
 stack (``solve_plugin``): each block solves its parameters by plug-in, then
 writes from the same per-row arrays its per-subject residuals for the meat
 and its rows of the Jacobian in closed form for the bread: logistic
-information for the model blocks, counts for the rate rows, and for the
-weighted rows their derivatives in their own parameters and, through the
-weights, in the fitted propensities: -w_t/e and +w_c/(1-e) in e, and -w/pi
-(validated rows) or +w/(1-pi) (complement) in pi, as for IPW with estimated
-propensities (Lunceford & Davidian 2004).
+information for the model blocks, and for the weighted rows (the rates
+among them) their derivatives in their own parameters and, through the
+weights of the arm means, in the fitted propensities: -w_t/e and
++w_c/(1-e) in e, and -w/pi (validated rows) or +w/(1-pi) (complement) in
+pi, as for IPW with estimated propensities (Lunceford & Davidian 2004).
 ``EstimatingSystem.evaluate`` takes the same walk at a given theta.
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
@@ -157,8 +159,8 @@ class EstimatingSystem:
             self._alias.update(eta="eta0", tau_s_val="tau_val", r_fit="r_const")
         self._designs = {"gamma": self.x_treat, "eta0": np.ones((frame.n, 1)),
                          "eta": self.x_sel}
-        # validated rows each (p11, p10) pair counts on
-        self._rate_rows = tuple(rows for _, rows in rate_groups(frame, misclassification))
+        # (name, validated rows) of each (p11, p10) pair
+        self._rate_groups = rate_groups(frame, misclassification)
 
         needed, pending = set(), [self.resolve(name) for name in blocks]
         while pending:
@@ -173,7 +175,7 @@ class EstimatingSystem:
             if name in self._designs:  # a model's coefficients, or the share
                 size = self._designs[name].shape[1]
             else:  # a pair of rates per group, or a weighted block's two arm means
-                size = 2 * len(self._rate_rows) if name == "rates" else 2
+                size = 2 * len(self._rate_groups) if name == "rates" else 2
             self.layout[name] = slice(pos, pos + size)
             pos += size
         self.dim = pos
@@ -205,11 +207,11 @@ class EstimatingSystem:
         block writes contiguous residual columns, and the (dim, dim) Jacobian
         of its column sums in closed form, in the walk ``solve_plugin`` takes.
         A model block's own rows give minus its logistic information, and
-        the share row -n; a rate row gives its count; a weighted block's
-        row of arm a gives -n (HT) or -sum(w_a) (Hajek) in m_a, and moves
-        with e and pi through its weight, each fitted probability moving by
-        p(1-p)x per unit of its model's coefficients and the constant one by
-        1 per unit of the share. Where ``clamp_probability`` binds on a
+        the share row -n; a weighted row gives -n (HT) or minus the sum
+        of its weights (Hajek, the rates included) in its own mean, and an
+        arm mean's row moves with e and pi through its weight, each fitted
+        probability moving by p(1-p)x per unit of its model's coefficients
+        and the constant one by 1 per unit of the share. Where ``clamp_probability`` binds on a
         fitted probability, the clamped probability is constant, so its
         derivative is zero. The share is not clamped: it lies in (0, 1], and
         at 1 (every row validated) no block that divides by 1 - s has solved.
@@ -222,9 +224,10 @@ class EstimatingSystem:
         ``treat_fit``, each block first solves its parameters into theta by
         plug-in and checks its residual mean after its rows; a block that
         fails is left out with the blocks built on it, and the next takes its
-        place in theta, phi and the Jacobian. The seven weighted blocks take
-        one branch: their arm means, rows and derivatives differ only in the
-        normalization (n, or the arm's weight) and in the rows weighted.
+        place in theta, phi and the Jacobian. The seven weighted blocks and
+        the rates take one branch: their means, rows and derivatives differ
+        only in the normalization (n, or the sum of the weights) and in the
+        weights; only the arm means' weights move with e and pi.
         Returns (phi, jacobian, layout, failed, rates)."""
         solving = treat_fit is not None
         frame = self.frame
@@ -265,49 +268,63 @@ class EstimatingSystem:
                 np.multiply(((t if kind == "treatment" else v) - raw[name])[:, None], design,
                             out=phi[:, cols])
                 jac[cols, cols] = -weighted_gram(design, info)
-            elif kind == "rates":
-                if solving:
-                    rates = est.estimate_misclassification(frame, self.misclassification)
-                    par[:] = np.ravel(rates.pairs)
-                scale = n / frame.n_v
-                for k, counted in enumerate(self._rate_rows):
-                    p11, p10 = par[2 * k], par[2 * k + 1]
-                    col = row + 2 * k
-                    phi[:, col] = (yv * y_star - p11 * yv) * counted * scale
-                    phi[:, col + 1] = ((1.0 - yv) * y_star - p10 * (1.0 - yv)) * counted * scale
-                    jac[col, col] = -float(np.sum(yv * counted)) * scale
-                    jac[col + 1, col + 1] = -float(np.sum((1.0 - yv) * counted)) * scale
             else:
-                # the arm means (m_c, m_t) of one outcome, divided by n (HT)
+                # weighted means of one outcome, two per rate group or block.
+                # The rates are Hajek means of Y*: each group's (p11, p10)
+                # over its gold positives (weight Y) and its gold negatives
+                # (1-Y). A block's arm means (m_c, m_t) are divided by n (HT)
                 # or by the arm's weight (Hajek); with a selection model an
                 # HT block weights the validated rows (row factor V/pi) and a
                 # Hajek block the complement ((1-V)/(1-pi))
-                hajek = kind == "hajek"
-                e = prob[treat]
-                outcome = frame.y if name == "tau_oracle" else yv if sel and not hajek else y_star
-                if solving and name == "tau_oracle" and np.any(np.isnan(outcome)):
-                    raise MissingGoldOutcomes("oracle estimator needs the gold outcome on every row")
-                if solving and sel and hajek and frame.n_v == n:
-                    raise EmptyComplement("every row is validated; the complement is empty")
-                in_rows = share = None
-                if sel:
-                    in_rows, share = (1.0 - v, 1.0 - prob[sel]) if hajek else (v, prob[sel])
-                w_t, w_c = est.arm_weights(t, e, in_rows, share)
-                totals = float(np.sum(w_c)), float(np.sum(w_t))
+                hajek = kind != "ht"
+                if kind == "rates":
+                    outcome = y_star
+                    weights = [w for _, counted in self._rate_groups
+                               for w in (yv * counted, (1.0 - yv) * counted)]
+                else:
+                    e = prob[treat]
+                    outcome = (frame.y if name == "tau_oracle"
+                               else yv if sel and not hajek else y_star)
+                    if solving and name == "tau_oracle" and np.any(np.isnan(outcome)):
+                        raise MissingGoldOutcomes(
+                            "oracle estimator needs the gold outcome on every row")
+                    if solving and sel and hajek and frame.n_v == n:
+                        raise EmptyComplement("every row is validated; the complement is empty")
+                    in_rows = share = None
+                    if sel:
+                        in_rows, share = (1.0 - v, 1.0 - prob[sel]) if hajek else (v, prob[sel])
+                    w_t, w_c = est.arm_weights(t, e, in_rows, share)
+                    weights = (w_c, w_t)
+                totals = [float(np.sum(w)) for w in weights]
                 if solving and 0.0 in totals:
+                    if kind == "rates":  # the first group without both gold classes
+                        k = totals.index(0.0) // 2
+                        raise DegenerateValidation(
+                            f"{self._rate_groups[k][0]} validation rows contain "
+                            f"{int(totals[2 * k])} gold positives and "
+                            f"{int(totals[2 * k + 1])} gold negatives")
                     empty = EmptyArm if not sel else EmptyComplementArm if hajek else EmptyValidationArm
                     raise empty(f"{name}: a treatment arm of its rows has zero weight")
                 norms = totals if hajek else (n, n)
-                # the rows' weighted terms, w_a (Y - m_a) (Hajek) or w_a Y
-                # (HT, whose rows subtract m_a once the derivatives are taken)
+                # the rows' weighted terms, w (Y - m) (Hajek) or w Y (HT,
+                # whose rows subtract m once the derivatives are taken)
                 terms = phi[:, cols]
-                for k, w in enumerate((w_c, w_t)):
+                for k, w in enumerate(weights):
                     np.multiply(w, outcome, out=terms[:, k])
                     if solving:
                         par[k] = float(np.sum(terms[:, k])) / norms[k]
-                    if hajek:
-                        np.multiply(w, outcome - par[k], out=terms[:, k])
                     jac[row + k, row + k] = -norms[k]
+                if solving and kind == "rates":
+                    # NonIdentifiable for a pair too close to identify; theta
+                    # takes the checked pairs, which the corrected contrasts
+                    # read, so the residual check tests those
+                    rates = MisclassRates(np.reshape(par, (-1, 2)))
+                    par[:] = np.ravel(rates.pairs)
+                if hajek:
+                    for k, w in enumerate(weights):
+                        np.multiply(w, outcome - par[k], out=terms[:, k])
+                if kind == "rates":  # no parent model
+                    return
                 # the rule's derivatives in p: +w_c/(1-e) and -w_t/e in e, and
                 # -w/pi (validated rows) or +w/(1-pi) (complement) in pi, each
                 # taken to its model's coefficients by one (n, 2) product; they
@@ -352,7 +369,8 @@ def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_trea
     The treatment design defaults to an intercept plus every covariate.
     ``x_sel`` is the selection-model design; None treats the validation
     sample as a simple random sample (constant selection probability).
-    ``misclassification`` picks two pooled rate rows or four per-arm ones.
+    ``misclassification`` picks one pooled pair of rate means or one
+    pair per arm.
     """
     unknown = [i for i in estimator_ids if i not in READS]
     if unknown:
@@ -373,7 +391,7 @@ class StackedParams:
     theta, as ``EstimatingSystem.evaluate`` gives them, which the sandwich
     reads. ``failed`` maps every other block to the error that stopped it or
     one of its parents. ``e`` is the fitted treatment propensity and
-    ``rates`` the counted misclassification rates (None unless their block
+    ``rates`` the solved misclassification rates (None unless their block
     solved).
     """
 
@@ -392,7 +410,7 @@ class StackedParams:
     def contrast(self, name: str, corrected: bool) -> tuple[float, np.ndarray]:
         """g(theta) of block ``name``'s arm means (m_c, m_t) and its gradient
         over theta: m_t - m_c, or with ``corrected`` their
-        misclassification-corrected contrast at the counted rates."""
+        misclassification-corrected contrast at the solved rates."""
         cols = self.system.layout[self.system.resolve(name)]
         m_c, m_t = self.theta[cols].tolist()
         gradient = np.zeros(self.system.dim)
@@ -410,9 +428,12 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedPa
 
     gamma comes from full-sample ML of the treatment model, eta0
     is the validation share (DegenerateValidation without validated rows),
-    eta comes from ML of the selection model, the rates from validation
-    counting (pooled or per arm, as the system says), and each weighted
-    block's (m_c, m_t) from its weighted arm sums: MissingGoldOutcomes for
+    eta comes from ML of the selection model, each pair of rates from the
+    Y* means of its group's gold positives and negatives (pooled or per
+    arm, as the system says): DegenerateValidation when a group lacks
+    either, then NonIdentifiable (``MisclassRates``) when a pair is closer
+    than 1e-6; and each weighted block's (m_c, m_t) from its weighted arm
+    sums: MissingGoldOutcomes for
     the oracle without the gold outcome on every row, EmptyComplement when
     every row is validated, then for an arm of zero weight
     EmptyValidationArm (validated rows), EmptyComplementArm (complement) or
@@ -540,7 +561,7 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     the w = 0.5 blend uses for its two pieces.
 
     ``misclassification`` is "pooled" (one (p11, p10) over every validated
-    row) or "by_arm" (rates counted and applied within each treatment arm,
+    row) or "by_arm" (rates estimated and applied within each treatment arm,
     for misclassification that depends on treatment); every rate-consuming
     estimator and its blocks follow it.
 
@@ -555,7 +576,7 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     nonval_corrected and sy_combined take the IPW complement contrast
     normalized by n - n_V in place of r_const's corrected Hajek (ratio)
     complement contrast, which their SEs read; the two contrasts differ.
-    It is computed once per frame, from the fitted e and the counted rates.
+    It is computed once per frame, from the fitted e and the solved rates.
 
     A point exists exactly when the blocks it reads have solved. Otherwise
     its reason is the error of the first failed block in ``READS`` order;

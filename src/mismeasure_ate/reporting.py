@@ -339,24 +339,31 @@ def _as_written(value):
     return value
 
 
-def _names(value) -> tuple:
-    """A list of column names."""
-    if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
-        raise ValueError(f"expected a list of column names, got {value!r}")
-    return tuple(value)
+def _strings(what: str):
+    """A JSON list of strings, as a tuple; anything else, a bare string
+    included, is refused as not a list of ``what``."""
+    def checked(value) -> tuple:
+        if not (isinstance(value, list) and all(isinstance(c, str) for c in value)):
+            raise ValueError(f"expected a list of {what}, got {value!r}")
+        return tuple(value)
+    return checked
+
+
+_names = _strings("column names")
 
 
 # config key -> converter of its JSON value; each table's keys are the keys
 # its section allows
 _DGP_FIELDS = {"n": _integer, "p11": _number, "p10": _number, "treatment_coefs": _coefficients,
-               "outcome_coefs": _coefficients, "heterogeneous_misclass": _or_none(tuple)}
+               "outcome_coefs": _coefficients, "heterogeneous_misclass": _or_none(_coefficients)}
 _SELECTION_FIELDS = {"kind": _as_written, "target_nv": _integer, "alpha0": _coefficients,
                      "misspecify_drop": _or_none(_integer)}
 _TOP_FIELDS = {
     "dgp": partial(_present, fields=_DGP_FIELDS, where="dgp"),
     "selection": partial(_present, fields=_SELECTION_FIELDS, where="selection"),
-    "iterations": _integer, "seed": _integer, "estimators": tuple, "truth": _or_none(_number),
-    "w": _number, "b": _or_none(_number), "misclassification": _as_written,
+    "iterations": _integer, "seed": _integer, "estimators": _strings("estimator ids"),
+    "truth": _or_none(_number), "w": _number, "b": _or_none(_number),
+    "misclassification": _as_written,
 }
 _SPEC_FIELDS = {"treatment_covariates": _names, "selection_covariates": _or_none(_names)}
 

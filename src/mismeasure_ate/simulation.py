@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CalibrationFailed, MismeasureError, TooManyFailures
 from .frames import ESTIMATOR_IDS, MISCLASSIFICATION_MODES, ModelSpec, ObservationFrame
-from .inference import Z_95, analyze_frame
+from .inference import analyze_frame
 from .numerics import clamp_probability, expit, fit_logistic, with_intercept
 from . import estimators as est
 
@@ -391,7 +391,7 @@ class ScenarioResult:
 def _run_iteration(config: ScenarioConfig, index: int):
     """One Monte Carlo iteration; returns (records, failures).
 
-    records maps estimator id to (tau, se); failures maps
+    records maps estimator id to (tau, se, ci_low, ci_high); failures maps
     estimator id to an error class name. An estimator with a point estimate
     but no SE counts as failed (it cannot contribute coverage).
     """
@@ -417,7 +417,7 @@ def _run_iteration(config: ScenarioConfig, index: int):
             if estimate.se is None:
                 failures[est_id] = analysis.se_failures[est_id]
             else:
-                records[est_id] = (estimate.tau, estimate.se)
+                records[est_id] = (estimate.tau, estimate.se, estimate.ci_low, estimate.ci_high)
 
     main_ids = list(config.estimators)
     if config.selection.misspecify_drop is not None and "oracle" in main_ids:
@@ -463,22 +463,19 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ScenarioResult:
     run_config = replace(config, selection=selection_used)
     outcomes = _ordered_map(partial(_run_iteration, run_config), config.iterations, workers)
 
-    taus = {e: [] for e in config.estimators}
-    ses = {e: [] for e in config.estimators}
+    kept = {e: [] for e in config.estimators}  # (tau, se, ci_low, ci_high) per iteration
     failure_reasons: dict[str, dict[str, int]] = {e: {} for e in config.estimators}
     for records, failures in outcomes:
         for est_id in config.estimators:
             if est_id in records:
-                tau, se = records[est_id]
-                taus[est_id].append(tau)
-                ses[est_id].append(se)
+                kept[est_id].append(records[est_id])
             elif est_id in failures:
                 tally = failure_reasons[est_id]
                 tally[failures[est_id]] = tally.get(failures[est_id], 0) + 1
 
     rows = []
     for est_id in config.estimators:
-        points = np.asarray(taus[est_id])
+        points, se_arr, lows, highs = np.reshape(kept[est_id], (-1, 4)).T
         n_eff = points.size
         n_failed = sum(failure_reasons[est_id].values())
         if n_failed > MAX_FAILURE_SHARE * config.iterations:
@@ -486,8 +483,6 @@ def run_scenario(config: ScenarioConfig, *, workers: int = 1) -> ScenarioResult:
                 f"{est_id} failed in {n_failed} of {config.iterations} iterations: "
                 f"{failure_reasons[est_id]}"
             )
-        se_arr = np.asarray(ses[est_id])
-        lows, highs = points - Z_95 * se_arr, points + Z_95 * se_arr
         rows.append(EstimatorSummary(
             estimator_id=est_id,
             n_effective=n_eff,

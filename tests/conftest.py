@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mismeasure_ate import numerics
+from mismeasure_ate import inference, numerics
 from mismeasure_ate.frames import MisclassRates, ObservationFrame
 from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic
 
@@ -127,6 +127,18 @@ def fitted_probability(x, y):
     """The clamped probability of the logistic fit of y on x, formed from
     its coefficients."""
     return clamp_probability(expit(x @ fit_logistic(x, y).coefficients))
+
+
+def stack_rates(frame, misclassification="pooled") -> MisclassRates:
+    """The misclassification rates the stack solves on ``frame``: a stack of
+    the ``rates`` block alone, whose rows read no model, under an
+    intercept-only treatment design. Raises the error that stopped the block."""
+    system = inference.EstimatingSystem(frame, ["rates"], np.ones((frame.n, 1)),
+                                        misclassification=misclassification)
+    params = inference.solve_plugin(frame, system)
+    if "rates" in params.failed:
+        raise params.failed["rates"]
+    return params.rates
 
 
 def oracle_points(frame, e, pi, rates, *, b, b_opt, w=0.5):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import fitted_props, oracle_points
+from conftest import fitted_props, oracle_points, stack_rates
 from mismeasure_ate import cli
 from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
@@ -207,7 +207,7 @@ def test_5_exact_identities():
     system = inf.build_system(sim_frame, x_sel=x_sel)
     xt = system.x_treat
     e_hat, pi_hat = fitted_props(sim_frame, xt, x_sel)
-    frame_rates = est.estimate_misclassification(sim_frame)
+    frame_rates = stack_rates(sim_frame)
 
     # every point read from the stack against the independent row-loop oracle
     analysis = inf.analyze_frame(sim_frame, ESTIMATOR_IDS, x_sel=x_sel)

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import json
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -509,13 +511,18 @@ def test_simulate_config_unknown_key_is_fatal(tmp_path, capsys):
     ({"truth": "0.07"}, (), "'truth': expected a number, got '0.07'"),
     ({"w": "0.5"}, (), "'w': expected a number, got '0.5'"),
     ({"b": False}, (), "'b': expected a number, got False"),
+    # lists take JSON lists of their own kind only: no boolean coefficients,
+    # and a bare string is not a list of estimator ids
+    ({"dgp": {"heterogeneous_misclass": [True, False]}}, (),
+     "'heterogeneous_misclass': expected a non-empty list of finite numbers, got [True, False]"),
+    ({"estimators": "naive"}, (), "'estimators': expected a list of estimator ids, got 'naive'"),
 ], ids=["heterogeneous_misclass", "alpha0", "misspecify_drop", "truth", "truth_option",
         "score_variant", "w", "b", "estimators", "estimators_option", "repeated_estimators",
         "repeated_estimators_option", "target_nv_n", "target_nv_above_n",
         "non_probability_target_nv_n", "empty_coefs",
         "null_coefs", "float_iterations", "string_seed", "boolean_n", "float_target_nv",
         "boolean_misspecify_drop", "string_p11", "boolean_p10", "string_truth", "string_w",
-        "boolean_b"])
+        "boolean_b", "boolean_heterogeneous_misclass", "string_estimators"])
 def test_simulate_config_values_outside_the_model_exit_2(tmp_path, capsys, changes, args,
                                                          message):
     # each would otherwise end in a traceback, a silently ignored setting or
@@ -807,3 +814,35 @@ def test_model_spec_validation(tmp_path):
     missing.write_text(json.dumps({"selection_covariates": ["x1"]}))
     with pytest.raises(ConfigParseError):
         rep.load_model_spec(missing)
+
+
+# --- scripts -------------------------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_make_dataset_refuses_a_count_below_one(tmp_path, capsys, n):
+    out = tmp_path / "demo"
+    assert load_script("make_dataset").main(["--n", n, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n must be positive\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--scenarios", ","], "--scenarios names no scenario: ','"),
+    (["--iterations", "0"], "--iterations must be at least 1, got 0"),
+    (["--workers", "0"], "--workers must be at least 1, got 0"),
+])
+def test_reproduce_tables_refuses_before_any_work(capsys, args, message):
+    assert load_script("reproduce_tables").main(args) == 2
+    captured = capsys.readouterr()
+    # nothing printed to stdout: the truth oracle never started
+    assert captured.out == "" and captured.err == f"error: {message}\n"

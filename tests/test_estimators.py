@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mismeasure_ate
 import oracles
-from conftest import D6, VARIANTS, fitted_props, frame_variant, make_random_frame
+from conftest import D6, VARIANTS, fitted_props, frame_variant, make_random_frame, stack_rates
 from mismeasure_ate import estimators as est
 from mismeasure_ate import frames
 from mismeasure_ate import inference as inf
@@ -118,7 +118,7 @@ def test_d6_matches_frozen_oracle_values(d6_frame, d6_props, d6_rates):
 
 
 def test_d6_misclassification_rates(d6_frame):
-    ((p11, p10),) = est.estimate_misclassification(d6_frame).pairs
+    ((p11, p10),) = stack_rates(d6_frame).pairs
     assert p11 == pytest.approx(1.0, abs=1e-15)
     assert p10 == pytest.approx(0.5, abs=1e-15)
 
@@ -128,14 +128,14 @@ def test_misclassification_counting_examples():
         x=np.zeros(4), t=np.array([1, 0, 1, 0]), y_star=np.array([1, 1, 1, 0]),
         v=np.ones(4), y=np.array([1.0, 1.0, 0.0, 0.0]),
     )
-    rates = est.estimate_misclassification(frame)
+    rates = stack_rates(frame)
     assert rates.pairs == ((1.0, 0.5),)
 
     perfect = ObservationFrame(
         x=np.zeros(2), t=np.array([1, 0]), y_star=np.array([1, 0]),
         v=np.ones(2), y=np.array([1.0, 0.0]),
     )
-    rates = est.estimate_misclassification(perfect)
+    rates = stack_rates(perfect)
     assert rates.pairs == ((1.0, 0.0),)
 
     tied = ObservationFrame(
@@ -143,7 +143,7 @@ def test_misclassification_counting_examples():
         v=np.ones(4), y=np.array([1.0, 1.0, 0.0, 0.0]),
     )
     with pytest.raises(NonIdentifiable):
-        est.estimate_misclassification(tied)
+        stack_rates(tied)
 
 
 def test_misclassification_degenerate_validation():
@@ -152,13 +152,13 @@ def test_misclassification_degenerate_validation():
         v=np.ones(3), y=np.ones(3),
     )
     with pytest.raises(DegenerateValidation):
-        est.estimate_misclassification(all_pos)
+        stack_rates(all_pos)
     no_val = ObservationFrame(
         x=np.zeros(3), t=np.array([1, 0, 1]), y_star=np.array([1, 1, 0]),
         v=np.zeros(3), y=np.full(3, np.nan),
     )
     with pytest.raises(DegenerateValidation):
-        est.estimate_misclassification(no_val)
+        stack_rates(no_val)
 
 
 def test_oracle_hand_arithmetic():
@@ -506,25 +506,25 @@ def test_misclassification_by_arm_counting_examples():
         v=np.array([1, 1, 1, 1, 1, 1, 1, 0]),
         y=np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, np.nan]),
     )
-    rates = est.estimate_misclassification(frame, "by_arm")
+    rates = stack_rates(frame, "by_arm")
     assert rates.pairs == ((1.0, 0.5), (1.0, 0.0))
-    assert est.estimate_misclassification(frame).pairs == ((1.0, 0.25),)
+    assert stack_rates(frame).pairs == ((1.0, 0.25),)
     with pytest.raises(ValueError):
-        est.estimate_misclassification(frame, "per_arm")
+        stack_rates(frame, "per_arm")
 
 
 def test_misclassification_by_arm_degenerate_validation(d6_frame):
     # D6's only validated control row is a gold negative
     with pytest.raises(DegenerateValidation, match="control"):
-        est.estimate_misclassification(d6_frame, "by_arm")
+        stack_rates(d6_frame, "by_arm")
     no_treated = ObservationFrame(
         x=np.zeros(4), t=np.array([0, 0, 1, 1]), y_star=np.array([1, 0, 1, 0]),
         v=np.array([1, 1, 0, 0]), y=np.array([1.0, 0.0, np.nan, np.nan]),
     )
     with pytest.raises(DegenerateValidation, match="treated"):
-        est.estimate_misclassification(no_treated, "by_arm")
+        stack_rates(no_treated, "by_arm")
     # pooled counting is still fine on both frames
-    est.estimate_misclassification(no_treated)
+    stack_rates(no_treated)
 
 
 @pytest.mark.parametrize("pairs, error, match", [
@@ -555,7 +555,7 @@ def test_misclassification_by_arm_nonidentifiable():
         v=np.ones(4), y=np.array([1.0, 0.0, 1.0, 0.0]),
     )
     with pytest.raises(NonIdentifiable, match="treated"):
-        est.estimate_misclassification(frame, "by_arm")
+        stack_rates(frame, "by_arm")
 
 
 @settings(max_examples=60, deadline=None)
@@ -586,9 +586,9 @@ def test_by_arm_brute_force_equivalence_small_frames(seed, n):
         error = NonIdentifiable if any(abs(p11 - p10) < 1e-6 for p11, p10 in want) else None
     if error is not None:
         with pytest.raises(error):
-            est.estimate_misclassification(frame, "by_arm")
+            stack_rates(frame, "by_arm")
     else:
-        got = est.estimate_misclassification(frame, "by_arm")
+        got = stack_rates(frame, "by_arm")
         np.testing.assert_allclose(np.ravel(got.pairs), np.ravel(want), rtol=0, atol=1e-15)
 
 

@@ -14,13 +14,16 @@ from conftest import (
     oracle_points,
     selection_design,
     simulated_frame,
+    stack_rates,
 )
+from mismeasure_ate import errors
 from mismeasure_ate import estimators as est
 from mismeasure_ate import inference as inf
 from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import (
     DegenerateValidation,
     EmptyValidationArm,
+    MismeasureError,
     NegativeVariance,
     NonFiniteEvaluation,
     ResidualCheckFailed,
@@ -60,9 +63,8 @@ def test_plugin_residuals_small_for_both_kinds_and_variants():
 
 
 def mismatch_rates(monkeypatch):
-    """Make the plug-in count rates that its validated rows do not give."""
-    monkeypatch.setattr(est, "estimate_misclassification",
-                        lambda frame, mode="pooled": MisclassRates(((0.9, 0.05),)))
+    """Make the plug-in solve rates that its validated rows do not give."""
+    monkeypatch.setattr(inf, "MisclassRates", lambda pairs: MisclassRates(((0.9, 0.05),)))
 
 
 def test_mismatched_rates_fail_residual_check(monkeypatch):
@@ -87,7 +89,7 @@ def test_corrected_hajek_means_equal_the_contrast_oracles():
         frame, _, _, _ = make_random_frame(rng, 400)
         system = inf.build_system(frame, x_sel=selection_design(frame))
         params = inf.solve_plugin(frame, system)
-        ((p11, p10),) = est.estimate_misclassification(frame).pairs
+        ((p11, p10),) = stack_rates(frame).pairs
         e, pi = fitted_props(frame, system.x_treat, system.x_sel)
         t, ys, v = frame.t, frame.y_star, frame.v
         rates = MisclassRates(((p11, p10),))
@@ -108,7 +110,7 @@ def test_perfect_classification_reduction():
     w_t = clean.t / e
     w_c = (1.0 - clean.t) / (1.0 - e)
     hajek = oracles.hajek_contrast(w_t, w_c, clean.y)
-    rates = est.estimate_misclassification(clean)
+    rates = stack_rates(clean)
     ((p11, p10),) = rates.pairs
     m_c, m_t = params.block("d")
     assert est.corrected_contrast(rates, m_t, m_c) * (p11 - p10) == pytest.approx(hajek, abs=1e-10)
@@ -265,7 +267,7 @@ def test_analyze_frame_oracle_needs_full_gold():
 def test_by_arm_stacked_identities():
     # the stacked-system identities of acceptance check 5, on the per-arm layout
     frame = simulated_frame(seed=53, n=3000, p10=0.12, p10_treated=0.18)
-    rates = est.estimate_misclassification(frame, "by_arm")
+    rates = stack_rates(frame, "by_arm")
     x_sel = selection_design(frame)
     pooled_dim = inf.build_system(frame, x_sel=x_sel).dim
     system = inf.build_system(frame, x_sel=x_sel, misclassification="by_arm")
@@ -334,7 +336,7 @@ def test_analyze_frame_by_arm_degenerate_arm_degrades_gracefully():
     assert analysis.failures == {"all_silver": "DegenerateValidation",
                                  "s_opt": "DegenerateValidation"}
     with pytest.raises(DegenerateValidation):
-        est.estimate_misclassification(frame, "by_arm")
+        stack_rates(frame, "by_arm")
 
 
 # --- one stack per frame -------------------------------------------------------
@@ -392,7 +394,7 @@ def test_points_read_from_the_stack_match_the_estimator_functions(label):
         assert not analysis.failures and not analysis.se_failures
         system = inf.build_system(frame, ESTIMATOR_IDS, **kwargs)
         e, pi = fitted_props(frame, system.x_treat, system.x_sel)
-        rates = est.estimate_misclassification(frame, kwargs.get("misclassification", "pooled"))
+        rates = stack_rates(frame, kwargs.get("misclassification", "pooled"))
         params = inf.solve_plugin(frame, system)
         cov = inf.sandwich(params).covariance
         _, g_a = params.contrast("tau_s_val", False)
@@ -749,3 +751,64 @@ def test_blocks_of_different_scale_do_not_read_as_singular():
     analysis = inf.analyze_frame(frame, ids, x_sel=selection_design(frame))
     assert not analysis.failures and not analysis.se_failures
     assert all(analysis.estimates[est_id].se > 0 for est_id in ids)
+
+
+# --- degenerate frames ----------------------------------------------------------
+
+def random_degenerate_frame(rng):
+    """A 3-40-row frame with its analysis options, often degenerate: one
+    treatment arm, every row or no row validated, or a constant gold or
+    silver outcome; the gold outcome kept on every row or on the validated
+    rows only, under SRS or a fitted selection model, pooled or per-arm
+    rates, and any blend weights w and b."""
+    n = int(rng.integers(3, 41))
+    kind = rng.choice(["plain", "plain", "one_arm", "all_validated", "none_validated",
+                       "constant_y_star", "constant_y"])
+    t = rng.integers(0, 2, n).astype(float)
+    v = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
+    y = rng.integers(0, 2, n).astype(float)
+    y_star = np.where(rng.random(n) < rng.uniform(0.0, 0.4), 1.0 - y, y)
+    if kind == "one_arm":
+        t[:] = rng.integers(0, 2)
+    elif kind == "all_validated":
+        v[:] = 1.0
+    elif kind == "none_validated":
+        v[:] = 0.0
+    elif kind == "constant_y_star":
+        y_star[:] = rng.integers(0, 2)
+    elif kind == "constant_y":
+        y[:] = y_star[:] = rng.integers(0, 2)
+    x = rng.normal(size=(n, 2))
+    frame = ObservationFrame(x=x, t=t, y_star=y_star, v=v,
+                             y=y if rng.integers(0, 2) else np.where(v == 1, y, np.nan))
+    options = dict(x_sel=None if rng.integers(0, 2) else np.column_stack([np.ones(n), t, x[:, 0]]),
+                   misclassification=("pooled", "by_arm")[rng.integers(0, 2)],
+                   w=(0.0, 0.5, 1.0)[rng.integers(0, 3)],
+                   b=(None, 0.0, 0.3, 1.0)[rng.integers(0, 4)])
+    return frame, options
+
+
+def test_degenerate_frames_report_finite_numbers_and_typed_reasons():
+    # analyze_frame reports every number finite and every failure by the name
+    # of a MismeasureError subclass, and raises nothing but a MismeasureError
+    # (a failed treatment-model fit); both rate errors are reached
+    typed = {name for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, MismeasureError)}
+    rng = np.random.default_rng(2023)
+    reasons = set()
+    for _ in range(1000):
+        frame, options = random_degenerate_frame(rng)
+        try:
+            analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **options)
+        except MismeasureError:
+            continue
+        reported = [*analysis.failures.values(), *analysis.se_failures.values()]
+        assert set(reported) <= typed, reported
+        reasons.update(reported)
+        for estimate in analysis.estimates.values():
+            numbers = (estimate.tau, estimate.se, estimate.ci_low, estimate.ci_high,
+                       estimate.weight_used)
+            assert all(np.isfinite(x) for x in numbers if x is not None), estimate
+        if analysis.rates is not None:
+            assert np.all(np.isfinite(analysis.rates.pairs))
+    assert {"DegenerateValidation", "NonIdentifiable"} <= reasons
