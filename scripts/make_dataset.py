@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Export one simulated dataset (CSV) plus a matching model-spec JSON,
-ready to feed to ``mismeasure-ate estimate``.
+"""Export one simulated dataset (CSV) plus the model-spec JSON of the
+preset's analyst models (``ScenarioConfig.model_spec``), ready to feed to
+``mismeasure-ate estimate``.
 
 Example:
     python scripts/make_dataset.py --scenario main_nonprob --seed 7 --out demo
@@ -10,7 +11,7 @@ Example:
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from mismeasure_ate.reporting import write_dataset_csv
 from mismeasure_ate.simulation import (
@@ -34,7 +35,7 @@ def main(argv=None) -> int:
 
     catalog = scenario_catalog()
     if args.scenario not in catalog:
-        print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
+        print(f"error: unknown scenario {args.scenario!r}", file=sys.stderr)
         return 2
     config = replace(catalog[args.scenario], base_seed=args.seed)
     if args.n is not None:
@@ -51,11 +52,9 @@ def main(argv=None) -> int:
     csv_path = f"{args.out}.csv"
     spec_path = f"{args.out}_model.json"
     write_dataset_csv(frame, csv_path)
-    columns = [f"x{j + 1}" for j in range(frame.p)]
     with open(spec_path, "w", encoding="utf-8") as handle:
-        json.dump({"treatment_covariates": columns,
-                   "selection_covariates": columns if selection_used.kind != "srs" else None},
-                  handle, indent=2)
+        # the preset's analyst models, misspecified ones included
+        json.dump(asdict(config.model_spec), handle, indent=2)
         handle.write("\n")
     print(f"wrote {csv_path} ({frame.n} rows, {frame.n_v} validated) and {spec_path}")
     if intercept is not None:

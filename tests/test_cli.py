@@ -836,6 +836,27 @@ def test_make_dataset_refuses_a_count_below_one(tmp_path, capsys, n):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("scenario, columns", [
+    ("main_nonprob", ["x1", "x2", "x3", "x4", "x5"]),
+    ("misspecified_selection", ["x1", "x3", "x4", "x5"]),
+])
+def test_make_dataset_writes_the_presets_model_spec(tmp_path, capsys, scenario, columns):
+    # the spec is the preset's analysis, so estimate on the dataset runs it
+    out = tmp_path / "demo"
+    assert load_script("make_dataset").main(["--scenario", scenario, "--n", "2000",
+                                             "--out", str(out)]) == 0
+    spec = rep.load_model_spec(tmp_path / "demo_model.json")
+    assert spec == sim.scenario_catalog()[scenario].model_spec
+    assert list(spec.treatment_covariates) == list(spec.selection_covariates) == columns
+
+
+def test_make_dataset_refuses_an_unknown_scenario(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert load_script("make_dataset").main(["--scenario", "nope", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown scenario 'nope'\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args, message", [
     (["--scenarios", ","], "--scenarios names no scenario: ','"),
     (["--iterations", "0"], "--iterations must be at least 1, got 0"),
