@@ -1,9 +1,10 @@
-"""Golden reports: today's ``simulate`` and ``estimate`` JSON against the
-reports in ``tests/golden/`` (written by ``scripts/make_golden.py``).
+"""Golden reports: today's ``simulate``, ``estimate`` and ``true-ate`` JSON
+against the reports in ``tests/golden/`` (written by
+``scripts/make_golden.py``).
 
 The tolerances are the benchmark gate's (``bench/gate.py``): every value
 that is not a float exactly; points (estimates, biases, empirical SEs, blend
-weights, counted rates) within POINT_ABS, or WEIGHTED_ABS for the estimators
+weights, counted rates, the truth and its Monte Carlo SE) within POINT_ABS, or WEIGHTED_ABS for the estimators
 whose point moves with an SE-derived weight; sandwich SEs within SE_REL
 relative; CI bounds within z * se * SE_REL plus the point tolerance; and a
 coverage within one iteration of n_effective.
@@ -52,11 +53,14 @@ def compare(want: dict, got: dict, label: str, largest: dict) -> list[str]:
 
     same(label, {k: v for k, v in want.items() if k != "rows"},
          {k: v for k, v in got.items() if k != "rows"})
-    rows = {row["estimator"]: row for row in got["rows"]}
-    if [row["estimator"] for row in want["rows"]] != [row["estimator"] for row in got["rows"]]:
+    def name(row):  # the one row of a true-ate report names no estimator
+        return row.get("estimator", "truth")
+
+    rows = {name(row): row for row in got["rows"]}
+    if [name(row) for row in want["rows"]] != [name(row) for row in got["rows"]]:
         return failures + [f"{label}: estimators {list(rows)} differ from the golden's"]
     for ref in want["rows"]:
-        est_id, row = ref["estimator"], rows[ref["estimator"]]
+        est_id, row = name(ref), rows[name(ref)]
         point_tol = gate.WEIGHTED_ABS if est_id in gate.SE_WEIGHTED else gate.POINT_ABS
         for key, golden in ref.items():
             value, where = row[key], f"{label}.{est_id}.{key}"
