@@ -16,7 +16,6 @@ from .estimators import (  # noqa: E402
 )
 from .inference import (  # noqa: E402
     FrameAnalysis,
-    SandwichResult,
     StackedParams,
     analyze_frame,
     build_system,
@@ -46,7 +45,6 @@ __all__ = [
     "compute_b_opt",
     "corrected_contrast",
     "FrameAnalysis",
-    "SandwichResult",
     "StackedParams",
     "analyze_frame",
     "build_system",

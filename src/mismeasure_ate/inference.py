@@ -41,10 +41,9 @@ alone (Stefanski & Boos 2002). A frame's stack therefore holds only the
 blocks its requested estimators read, plus their parents. Without a
 selection design the validation sample is treated as a simple random
 sample: the fitted selection model is then the constant one, and each
-fitted-selection block is its constant-selection twin. The covariance
-returned by :func:`sandwich` is already on the variance scale of the
-estimators (divided by n). One walk of the blocks solves and evaluates the
-stack (``solve_plugin``): each block solves its parameters by plug-in, then
+fitted-selection block is its constant-selection twin. One walk of the
+blocks solves and evaluates the stack (``solve_plugin``): each block, the
+two logistic models included, solves its parameters by plug-in, then
 writes from the same per-row arrays its per-subject residuals for the meat
 and its rows of the Jacobian in closed form for the bread: logistic
 information for the model blocks, and for the weighted rows (the rates
@@ -52,7 +51,10 @@ among them) their derivatives in their own parameters and, through the
 weights of the arm means, in the fitted propensities: -w_t/e and
 +w_c/(1-e) in e, and -w/pi (validated rows) or +w/(1-pi) (complement) in
 pi, as for IPW with estimated propensities (Lunceford & Davidian 2004).
-``EstimatingSystem.evaluate`` takes the same walk at a given theta.
+``EstimatingSystem.evaluate`` takes the same walk at a given theta. A
+solved stack is theta, from which every point and the rates are read, and
+the one covariance matrix of :func:`sandwich`, already on the variance scale
+of the estimators (divided by n).
 
 ``analyze_frame`` is the one-stop orchestration used by both the Monte Carlo
 runner and the CLI: it solves the frame's stack in that one walk, sandwiches
@@ -88,7 +90,6 @@ from .errors import (
 from .frames import ESTIMATOR_IDS, AteEstimate, MisclassRates, ObservationFrame, rate_groups
 from .numerics import (
     PIVOT_RTOL,
-    LogisticFit,
     clamp_probability,
     expit,
     fit_logistic,
@@ -141,17 +142,19 @@ class EstimatingSystem:
 
     ``blocks`` names what the stack must hold; their parents are added, and
     under a simple random sample (``x_sel`` None) each fitted-selection block
-    is replaced by its constant-selection twin (see ``resolve``).
+    is replaced by its constant-selection twin (see ``resolve``). The
+    treatment design defaults to an intercept plus every covariate.
     ``layout`` maps each block to its slice of the parameter vector, and
     ``evaluate`` gives the residuals and their Jacobian at a theta.
     Stateless after construction; safe to share across workers.
     """
 
-    def __init__(self, frame: ObservationFrame, blocks, x_treat: np.ndarray,
+    def __init__(self, frame: ObservationFrame, blocks, x_treat: np.ndarray | None = None,
                  x_sel: np.ndarray | None = None, misclassification: str = "pooled"):
         self.frame = frame
         # designs are kept column-contiguous (see ``numerics``)
-        self.x_treat = np.asfortranarray(x_treat, dtype=float)
+        self.x_treat = np.asfortranarray(with_intercept(frame.x) if x_treat is None else x_treat,
+                                         dtype=float)
         self.x_sel = None if x_sel is None else np.asfortranarray(x_sel, dtype=float)
         self.misclassification = misclassification
         self._alias = {}
@@ -219,29 +222,29 @@ class EstimatingSystem:
         phi, jacobian, *_ = self._walk(np.asarray(theta, dtype=float))
         return phi, jacobian
 
-    def _walk(self, theta: np.ndarray, treat_fit: LogisticFit | None = None):
-        """Walk the blocks in stacked order (see ``evaluate``). Given
-        ``treat_fit``, each block first solves its parameters into theta by
-        plug-in and checks its residual mean after its rows; a block that
-        fails is left out with the blocks built on it, and the next takes its
-        place in theta, phi and the Jacobian. The seven weighted blocks and
-        the rates take one branch: their means, rows and derivatives differ
-        only in the normalization (n, or the sum of the weights) and in the
-        weights; only the arm means' weights move with e and pi.
-        Returns (phi, jacobian, layout, failed, rates)."""
-        solving = treat_fit is not None
+    def _walk(self, theta: np.ndarray, solving: bool = False):
+        """Walk the blocks in stacked order (see ``evaluate``). When
+        ``solving``, each block first solves its parameters into theta by
+        plug-in (the two models by ``fit_logistic``) and checks its residual
+        mean after its rows; a block that fails is left out with the blocks
+        built on it, and the next takes its place in theta, phi and the
+        Jacobian. A treatment-model fit that fails raises. The seven weighted
+        blocks and the rates take one branch: their means, rows and
+        derivatives differ only in the normalization (n, or the sum of the
+        weights) and in the weights; only the arm means' weights move with e
+        and pi. Returns (phi, jacobian, layout, failed, e), e the clamped
+        treatment propensities (None without a gamma block)."""
         frame = self.frame
         n = frame.n
         t, v, y_star, yv = frame.t, frame.v, frame.y_star, frame.y_validated
         phi = np.empty((n, self.dim), order="F")
         jac = np.zeros((self.dim, self.dim))
-        layout, failed, rates, pos = {}, {}, None, 0
+        layout, failed, pos = {}, {}, 0
         raw, prob, slope = {}, {}, {}  # model block -> p, clamped p, d(clamped p)/d(x'par)
 
         def rows(name, cols):
             """Solve block ``name`` (when solving), then write its rows; its
             per-row arrays go when it returns, so one block's are held at a time."""
-            nonlocal rates
             kind, treat, sel = self.spec(name)
             par, row = theta[cols], cols.start  # a view, which the plug-in writes through
             if kind == "share":
@@ -257,7 +260,7 @@ class EstimatingSystem:
             elif kind in ("treatment", "selection"):
                 design = self._designs[name]
                 if solving:
-                    fit = treat_fit if kind == "treatment" else fit_logistic(design, v)
+                    fit = fit_logistic(design, t if kind == "treatment" else v)
                     par[:], raw[name] = fit.coefficients, fit.probabilities
                 else:
                     raw[name] = expit(design @ par)
@@ -318,8 +321,7 @@ class EstimatingSystem:
                     # NonIdentifiable for a pair too close to identify; theta
                     # takes the checked pairs, which the corrected contrasts
                     # read, so the residual check tests those
-                    rates = MisclassRates(np.reshape(par, (-1, 2)))
-                    par[:] = np.ravel(rates.pairs)
+                    par[:] = np.ravel(MisclassRates(np.reshape(par, (-1, 2))).pairs)
                 if hajek:
                     for k, w in enumerate(weights):
                         np.multiply(w, outcome - par[k], out=terms[:, k])
@@ -348,6 +350,8 @@ class EstimatingSystem:
             try:
                 rows(name, cols)
             except MismeasureError as exc:  # only the plug-in raises
+                if name == "gamma":  # no estimator stands without the treatment model
+                    raise
                 failed[name] = exc
             if solving and name not in failed:
                 worst = float(np.max(np.abs(phi[:, cols].sum(axis=0) / n)))
@@ -359,24 +363,23 @@ class EstimatingSystem:
                 jac[cols] = 0.0  # the next block's rows accumulate there
             else:
                 pos += size
-        return phi[:, :pos], jac[:pos, :pos], layout, failed, rates
+        return phi[:, :pos], jac[:pos, :pos], layout, failed, prob.get("gamma")
 
 
 def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_treat=None,
                  x_sel=None, misclassification: str = "pooled") -> EstimatingSystem:
     """The stack that the SEs of ``estimator_ids`` read (see ``READS``).
 
-    The treatment design defaults to an intercept plus every covariate.
-    ``x_sel`` is the selection-model design; None treats the validation
-    sample as a simple random sample (constant selection probability).
+    ``x_treat`` is the treatment-model design (``EstimatingSystem``'s
+    default when None) and ``x_sel`` the selection-model design; None treats
+    the validation sample as a simple random sample (constant selection
+    probability).
     ``misclassification`` picks one pooled pair of rate means or one
     pair per arm.
     """
     unknown = [i for i in estimator_ids if i not in READS]
     if unknown:
         raise ValueError(f"unknown estimator ids: {unknown}")
-    if x_treat is None:
-        x_treat = with_intercept(frame.x)
     blocks = {name for est_id in estimator_ids for name, _ in READS[est_id]}
     return EstimatingSystem(frame, blocks, x_treat, x_sel, misclassification)
 
@@ -390,9 +393,8 @@ class StackedParams:
     ``phi`` and ``jacobian`` are that stack's residuals and Jacobian at
     theta, as ``EstimatingSystem.evaluate`` gives them, which the sandwich
     reads. ``failed`` maps every other block to the error that stopped it or
-    one of its parents. ``e`` is the fitted treatment propensity and
-    ``rates`` the solved misclassification rates (None unless their block
-    solved).
+    one of its parents. ``e`` is the clamped treatment propensity the walk
+    fitted (None without a gamma block).
     """
 
     system: EstimatingSystem
@@ -400,8 +402,14 @@ class StackedParams:
     phi: np.ndarray
     jacobian: np.ndarray
     failed: dict[str, MismeasureError]
-    e: np.ndarray
-    rates: MisclassRates | None
+    e: np.ndarray | None
+
+    @functools.cached_property
+    def rates(self) -> MisclassRates | None:
+        """The solved misclassification rates, theta's ``rates`` block as
+        (p11, p10) pairs (None unless that block solved)."""
+        cols = self.system.layout.get("rates")
+        return None if cols is None else MisclassRates(np.reshape(self.theta[cols], (-1, 2)))
 
     def block(self, name: str) -> np.ndarray:
         """Parameters of block ``name`` (resolved as the stack resolves it)."""
@@ -424,7 +432,8 @@ class StackedParams:
 
 def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedParams:
     """Fill the stacked parameters by sequential plug-in, verify them and
-    evaluate the stack, in one walk of its blocks.
+    evaluate the stack, in one walk of its blocks (``frame`` is the one
+    ``system`` was built on).
 
     gamma comes from full-sample ML of the treatment model, eta0
     is the validation share (DegenerateValidation without validated rows),
@@ -441,28 +450,19 @@ def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedPa
     or whose residual mean exceeds 1e-6 in max norm (ResidualCheckFailed),
     is left out together with every block built on it: ``system`` is then
     restricted to the rest, whose columns of the walk are ``phi`` and
-    ``jacobian``. A treatment-model fit that fails raises.
+    ``jacobian``. A treatment-model fit that fails raises; a stack without
+    gamma fits no treatment model.
     """
-    treat_fit = fit_logistic(system.x_treat, frame.t)
-    e = clamp_probability(treat_fit.probabilities)
     theta = np.empty(system.dim)
-    phi, jacobian, layout, failed, rates = system._walk(theta, treat_fit)
+    phi, jacobian, layout, failed, e = system._walk(theta, solving=True)
     solved = system.restrict(layout) if failed else system
-    return StackedParams(solved, theta[:solved.dim], phi, jacobian, failed, e,
-                         rates if "rates" in layout else None)
+    return StackedParams(solved, theta[:solved.dim], phi, jacobian, failed, e)
 
 
-@dataclass(frozen=True)
-class SandwichResult:
-    """Joint covariance (variance scale, already divided by n) and SEs of
-    the stacked parameters, in the order of ``StackedParams.theta``."""
-
-    covariance: np.ndarray
-    se: np.ndarray
-
-
-def sandwich(params: StackedParams) -> SandwichResult:
-    """Empirical sandwich covariance A^-1 B A^-T / n at the plug-in solution.
+def sandwich(params: StackedParams) -> np.ndarray:
+    """Empirical sandwich covariance A^-1 B A^-T / n at the plug-in solution,
+    on the variance scale of the stacked parameters, in the order of
+    ``params.theta``; a parameter's SE is the square root of its diagonal.
 
     Reads the evaluation ``solve_plugin`` stored and walks nothing: the
     bread A is ``params.jacobian`` divided by -n; the meat B is the mean
@@ -497,7 +497,8 @@ def sandwich(params: StackedParams) -> SandwichResult:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"singular coefficient matrix: {exc}") from None
     cov = 0.5 * (cov + cov.T)
-    return SandwichResult(cov, _standard_error(np.diag(cov)))
+    _standard_error(np.diag(cov))  # NegativeVariance for a parameter's variance
+    return cov
 
 
 def _standard_error(variance):
@@ -509,15 +510,16 @@ def _standard_error(variance):
     return np.sqrt(np.maximum(variance, 0.0))
 
 
-def combine_delta(result: SandwichResult, gradient: np.ndarray) -> float:
+def combine_delta(covariance: np.ndarray, gradient: np.ndarray) -> float:
     """SE sqrt(grad' C grad) of a smooth function of the stacked parameters
-    whose gradient at the solution is ``gradient``.
+    whose gradient at the solution is ``gradient``, C the ``covariance``
+    that ``sandwich`` gives.
 
     First-order delta method on the sandwich covariance C; a blend's
     gradient is its fixed coefficients times its contrasts' gradients. A
     negative variance follows the rule of every SE (``_standard_error``).
     """
-    return float(_standard_error(gradient @ result.covariance @ gradient))
+    return float(_standard_error(gradient @ covariance @ gradient))
 
 
 def confidence_interval(point: float, se: float) -> tuple[float, float]:
@@ -590,10 +592,10 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     system = build_system(frame, ids, x_treat=x_treat, x_sel=x_sel,
                           misclassification=misclassification)
     params = solve_plugin(frame, system)
-    result = se_error = None
+    cov = se_error = None
     if params.system.dim:
         try:
-            result = sandwich(params)
+            cov = sandwich(params)
         except MismeasureError as exc:
             se_error = exc
 
@@ -610,9 +612,8 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
             b_used = est.unit_weight("b", n_v / n if b is None else b)
             return (b_used, 1.0 - b_used), b_used
         if est_id == "s_opt":
-            if result is None:
+            if cov is None:
                 raise se_error
-            cov = result.covariance
             g_a, g_b = gradients
             b_opt = est.compute_b_opt(float(g_a @ cov @ g_a), float(g_b @ cov @ g_b),
                                       float(g_a @ cov @ g_b))
@@ -645,9 +646,9 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
             parts = (*parts[:-1], complement)
         tau = sum(c * part for c, part in zip(coefficients, parts))
         try:
-            if result is None:
+            if cov is None:
                 raise se_error
-            se = combine_delta(result, sum(c * g for c, g in zip(coefficients, gradients)))
+            se = combine_delta(cov, sum(c * g for c, g in zip(coefficients, gradients)))
         except MismeasureError as exc:
             analysis.se_failures[est_id] = type(exc).__name__
             analysis.estimates[est_id] = AteEstimate(est_id, tau, weight_used=weight)

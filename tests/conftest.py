@@ -131,10 +131,9 @@ def fitted_probability(x, y):
 
 def stack_rates(frame, misclassification="pooled") -> MisclassRates:
     """The misclassification rates the stack solves on ``frame``: a stack of
-    the ``rates`` block alone, whose rows read no model, under an
-    intercept-only treatment design. Raises the error that stopped the block."""
-    system = inference.EstimatingSystem(frame, ["rates"], np.ones((frame.n, 1)),
-                                        misclassification=misclassification)
+    the ``rates`` block alone, whose rows read no model, so none is fitted.
+    Raises the error that stopped the block."""
+    system = inference.EstimatingSystem(frame, ["rates"], misclassification=misclassification)
     params = inference.solve_plugin(frame, system)
     if "rates" in params.failed:
         raise params.failed["rates"]

@@ -27,10 +27,17 @@ from mismeasure_ate.errors import (
     NegativeVariance,
     NonFiniteEvaluation,
     ResidualCheckFailed,
+    SeparationSuspected,
     SingularSystem,
 )
 from mismeasure_ate.frames import ESTIMATOR_IDS, MisclassRates, ModelSpec, ObservationFrame
-from mismeasure_ate.numerics import GRAM_BLOCK_ROWS, clamp_probability, expit, fit_logistic
+from mismeasure_ate.numerics import (
+    GRAM_BLOCK_ROWS,
+    clamp_probability,
+    expit,
+    fit_logistic,
+    with_intercept,
+)
 
 
 def mean_residuals(params):
@@ -120,10 +127,10 @@ def test_sandwich_symmetry_and_nonnegative_diagonal():
     frame = simulated_frame(seed=17, n=2500)
     for x_sel in (None, selection_design(frame)):
         params = inf.solve_plugin(frame, inf.build_system(frame, x_sel=x_sel))
-        result = inf.sandwich(params)
-        assert result.covariance.shape == (params.system.dim, params.system.dim)
-        assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
-        assert np.all(np.diag(result.covariance) >= 0.0)
+        cov = inf.sandwich(params)
+        assert cov.shape == (params.system.dim, params.system.dim)
+        assert np.max(np.abs(cov - cov.T)) <= 1e-10
+        assert np.all(np.diag(cov) >= 0.0)
 
 
 def test_model_blocks_of_a_multi_block_frame_are_minus_their_information():
@@ -146,8 +153,7 @@ def test_gamma_block_matches_independent_logistic_sandwich():
     frame = simulated_frame(seed=29, n=2500)
     system = inf.build_system(frame, x_sel=selection_design(frame))
     params = inf.solve_plugin(frame, system)
-    result = inf.sandwich(params)
-    se_gamma = result.se[params.system.layout["gamma"]]
+    se_gamma = np.sqrt(np.diag(inf.sandwich(params)))[params.system.layout["gamma"]]
     independent = oracles.logistic_sandwich_se(system.x_treat, frame.t, params.block("gamma"))
     np.testing.assert_allclose(se_gamma, independent, rtol=1e-6)
 
@@ -156,24 +162,22 @@ def test_combine_delta_examples():
     frame = simulated_frame(seed=31, n=1200)
     system = inf.build_system(frame, ["s_opt"], x_sel=selection_design(frame))
     params = inf.solve_plugin(frame, system)
-    result = inf.sandwich(params)
+    cov = inf.sandwich(params)
     _, g_tau = params.contrast("tau_s_val", False)
     _, g_d = params.contrast("d", True)
     # the HT contrast m_t - m_c alone: var(m_c) + var(m_t) - 2 cov(m_c, m_t)
     m_c, m_t = range(params.system.dim)[params.system.layout["tau_s_val"]]
-    cov = result.covariance
-    se = inf.combine_delta(result, 1.0 * g_tau + 0.0 * g_d)
+    se = inf.combine_delta(cov, 1.0 * g_tau + 0.0 * g_d)
     assert se == pytest.approx(np.sqrt(cov[m_c, m_c] + cov[m_t, m_t] - 2.0 * cov[m_c, m_t]),
                                rel=1e-12)
 
-    dim = result.covariance.shape[0]
+    dim = cov.shape[0]
     unit = np.eye(dim)
-    fake = inf.SandwichResult(np.diag(np.full(dim, 4.0)), np.full(dim, 2.0))
+    fake = np.diag(np.full(dim, 4.0))
     assert inf.combine_delta(fake, 0.5 * unit[m_c] + 0.5 * unit[m_t]) == pytest.approx(np.sqrt(2.0))
 
-    negative = inf.SandwichResult(-np.eye(dim), np.zeros(dim))
     with pytest.raises(NegativeVariance):
-        inf.combine_delta(negative, unit[m_t])
+        inf.combine_delta(-np.eye(dim), unit[m_t])
 
 
 def test_one_negative_variance_rule_for_parameters_and_blends():
@@ -183,11 +187,11 @@ def test_one_negative_variance_rule_for_parameters_and_blends():
     cov = np.array([[0.5, 0.5 + 5 * delta], [0.5 + 5 * delta, 0.5]])
     blend = np.array([1.0, -1.0])
     assert blend @ cov @ blend == pytest.approx(-1e-15, rel=0.2)
-    assert inf.combine_delta(inf.SandwichResult(cov, np.sqrt(np.diag(cov))), blend) == 0.0
+    assert inf.combine_delta(cov, blend) == 0.0
     with pytest.raises(NegativeVariance):
-        inf.combine_delta(inf.SandwichResult(1e4 * cov, np.sqrt(np.diag(cov))), blend)
+        inf.combine_delta(1e4 * cov, blend)
     with pytest.raises(NegativeVariance):
-        inf.combine_delta(inf.SandwichResult(np.diag([-2e-12, 1.0]), np.ones(2)), np.array([1.0, 0.0]))
+        inf.combine_delta(np.diag([-2e-12, 1.0]), np.array([1.0, 0.0]))
 
 
 def test_z_95_is_the_stdlib_normal_quantile():
@@ -287,9 +291,9 @@ def test_by_arm_stacked_identities():
     assert est.corrected_contrast(rates, *params.block("d")[::-1]) == pytest.approx(
         oracles.all_silver_by_arm_tau(frame.t, frame.y_star, e, pairs), abs=1e-10)
 
-    result = inf.sandwich(params)
-    assert np.max(np.abs(result.covariance - result.covariance.T)) <= 1e-10
-    assert np.all(np.diag(result.covariance) >= 0.0)
+    cov = inf.sandwich(params)
+    assert np.max(np.abs(cov - cov.T)) <= 1e-10
+    assert np.all(np.diag(cov) >= 0.0)
 
 
 def test_analyze_frame_by_arm_full_set_no_failures():
@@ -396,7 +400,7 @@ def test_points_read_from_the_stack_match_the_estimator_functions(label):
         e, pi = fitted_props(frame, system.x_treat, system.x_sel)
         rates = stack_rates(frame, kwargs.get("misclassification", "pooled"))
         params = inf.solve_plugin(frame, system)
-        cov = inf.sandwich(params).covariance
+        cov = inf.sandwich(params)
         _, g_a = params.contrast("tau_s_val", False)
         _, g_b = params.contrast("d", True)
         b = frame.n_v / frame.n
@@ -535,6 +539,45 @@ def test_analyze_frame_evaluates_the_stack_once(label, monkeypatch):
     analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
     assert not analysis.failures and not analysis.se_failures
     assert len(calls) == 1
+
+
+def count_fits(monkeypatch):
+    """Record the response of every logistic fit the walk makes."""
+    calls = []
+
+    def counted(x, y):
+        calls.append(y)
+        return fit_logistic(x, y)
+
+    monkeypatch.setattr(inf, "fit_logistic", counted)
+    return calls
+
+
+def test_the_walk_fits_only_the_models_its_stack_holds(monkeypatch):
+    # a stack fits a model only when it holds that model's block: the rates
+    # alone read none, the SRS val_only stack the treatment model, and the
+    # fitted-selection s_val_only stack both
+    frame = simulated_frame(seed=43, n=1200)
+    calls = count_fits(monkeypatch)
+    rates = inf.EstimatingSystem(frame, ["rates"], with_intercept(frame.x))
+    assert inf.solve_plugin(frame, rates).rates is not None
+    assert calls == []
+    inf.solve_plugin(frame, inf.build_system(frame, ["val_only"]))
+    assert [y is frame.t for y in calls] == [True]
+    calls.clear()
+    inf.solve_plugin(frame, inf.build_system(frame, ["s_val_only"], x_sel=selection_design(frame)))
+    assert [y is frame.t for y in calls] == [True, False]
+
+
+def test_a_treatment_fit_that_fails_raises(monkeypatch):
+    # no estimator stands without the treatment model, so its failure is
+    # raised, not recorded; a stack without it fits no treatment model
+    frame = simulated_frame(seed=47, n=800)
+    separated = replace(frame, t=(frame.x[:, 0] > 0.0).astype(float))
+    for kwargs in ({}, dict(x_sel=selection_design(separated))):
+        with pytest.raises(SeparationSuspected):
+            inf.analyze_frame(separated, ESTIMATOR_IDS, **kwargs)
+    assert stack_rates(separated) == stack_rates(frame)
 
 
 def dropping_frames():
