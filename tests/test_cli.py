@@ -538,6 +538,23 @@ def test_simulate_config_values_outside_the_model_exit_2(tmp_path, capsys, chang
     assert message in err
 
 
+@pytest.mark.parametrize("config, args, line", [
+    (None, ("main_srs", "--iterations", "3", "--truth", "0.0677",
+            "--estimators", "val_only,val_only,naive"),
+     "error: estimator 'val_only' is named twice"),
+    ({"dgp": {"n": 400}, "selection": {"kind": "srs", "target_nv": 400}, "iterations": 2}, (),
+     "error: invalid config value: target_nv must be below n = 400, got 400"),
+], ids=["repeated_estimators_preset", "target_nv_n"])
+def test_simulate_refusal_is_one_exact_error_line(tmp_path, capsys, config, args, line):
+    if config is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config))
+        args = (str(path), *args)
+    assert cli.main(["simulate", *args]) == cli.CONFIG_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
 def test_simulate_config_file_runs(tmp_path, capsys):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps({
