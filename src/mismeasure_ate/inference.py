@@ -432,8 +432,7 @@ class StackedParams:
 
 def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedParams:
     """Fill the stacked parameters by sequential plug-in, verify them and
-    evaluate the stack, in one walk of its blocks (``frame`` is the one
-    ``system`` was built on).
+    evaluate the stack, in one walk of its blocks.
 
     gamma comes from full-sample ML of the treatment model, eta0
     is the validation share (DegenerateValidation without validated rows),

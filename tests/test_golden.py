@@ -4,10 +4,11 @@ against the reports in ``tests/golden/`` (written by
 
 The tolerances are the benchmark gate's (``bench/gate.py``): every value
 that is not a float exactly; points (estimates, biases, empirical SEs, blend
-weights, counted rates, the truth and its Monte Carlo SE) within POINT_ABS, or WEIGHTED_ABS for the estimators
-whose point moves with an SE-derived weight; sandwich SEs within SE_REL
-relative; CI bounds within z * se * SE_REL plus the point tolerance; and a
-coverage within one iteration of n_effective.
+weights, counted rates, the truth and its Monte Carlo SE) within POINT_ABS,
+or WEIGHTED_ABS for the estimators whose point moves with an SE-derived
+weight; sandwich SEs within SE_REL relative; CI bounds within
+z * se * SE_REL plus the point tolerance; and a coverage within one
+iteration of n_effective.
 """
 
 import importlib.util

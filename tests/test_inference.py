@@ -569,7 +569,7 @@ def test_the_walk_fits_only_the_models_its_stack_holds(monkeypatch):
     assert [y is frame.t for y in calls] == [True, False]
 
 
-def test_a_treatment_fit_that_fails_raises(monkeypatch):
+def test_a_treatment_fit_that_fails_raises():
     # no estimator stands without the treatment model, so its failure is
     # raised, not recorded; a stack without it fits no treatment model
     frame = simulated_frame(seed=47, n=800)
