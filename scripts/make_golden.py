@@ -4,9 +4,9 @@
 The goldens are ``simulate`` JSON reports of three presets (20 iterations,
 every estimator, a fixed truth), one of them counting its rates by arm; the
 ``estimate`` JSON reports of the datasets that ``scripts/make_dataset.py``
-writes with seed 7 for three presets, each with the preset's model spec
+writes with seed 7 for four presets, each with the preset's model spec
 (fitted selection, simple random sample, a selection and treatment model
-that leave out x2); and the ``true-ate`` JSON report of ``main_srs`` over
+that leave out x2, misclassification that differs by arm); and the ``true-ate`` JSON report of ``main_srs`` over
 two 20,000-row populations. ``tests/test_golden.py`` makes the same reports
 afresh (the datasets too) and compares them with the goldens within the
 benchmark gate's tolerances. Rewrite the goldens only
@@ -33,7 +33,7 @@ GOLDEN = ROOT / "tests" / "golden"
 SIMULATE_PRESETS = ("main_nonprob", "main_srs", "heterogeneous_nonprob")
 ITERATIONS, TRUTH = 20, 0.0677
 DATASET_PRESETS, DATASET_SEED, DATASET_STEM = (
-    "main_nonprob", "main_srs", "misspecified_selection"), 7, "golden"
+    "main_nonprob", "main_srs", "misspecified_selection", "heterogeneous_nonprob"), 7, "golden"
 TRUE_ATE_ARGS = ("main_srs", "--populations", "2", "--pop-n", "20000")
 
 
