@@ -430,9 +430,9 @@ class StackedParams:
         return est.corrected_contrast(self.rates, m_t, m_c), gradient
 
 
-def solve_plugin(frame: ObservationFrame, system: EstimatingSystem) -> StackedParams:
-    """Fill the stacked parameters by sequential plug-in, verify them and
-    evaluate the stack, in one walk of its blocks.
+def solve_plugin(system: EstimatingSystem) -> StackedParams:
+    """Fill the stacked parameters of ``system`` on its frame by sequential
+    plug-in, verify them and evaluate the stack, in one walk of its blocks.
 
     gamma comes from full-sample ML of the treatment model, eta0
     is the validation share (DegenerateValidation without validated rows),
@@ -590,7 +590,7 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     ids = list(estimator_ids)
     system = build_system(frame, ids, x_treat=x_treat, x_sel=x_sel,
                           misclassification=misclassification)
-    params = solve_plugin(frame, system)
+    params = solve_plugin(system)
     cov = se_error = None
     if params.system.dim:
         try:

@@ -2,10 +2,11 @@
 
 The dataset CSV schema: header row with columns x1..xp (real), t (0/1),
 ystar (0/1), v (0/1), y (0/1 or empty, empty exactly where v=0); UTF-8,
-comma-delimited, "." decimal separator. The reader gives the cells Python's
-csv.reader would: it splits unquoted lines on commas itself, and hands the
-rest of a file to csv.reader from the first block of lines holding a '"', a
-NUL or a line longer than csv.field_size_limit().
+comma-delimited, "." decimal separator. The reader gives the frame that
+Python's csv.reader and float() would: numpy's loader reads blocks of rows,
+and csv.reader reads the rest of a file from the first block the loader
+declines (a quote, an empty line, a cell the two could read otherwise, a
+schema fault).
 
 RunReport serializations are deterministic: the JSON and CSV forms contain
 no wall-clock or worker-count information, so equal-seed runs are
@@ -38,8 +39,8 @@ from .simulation import (
 )
 
 DATASET_BASE_COLUMNS = ("t", "ystar", "v", "y")
-# Rows parsed or written per block: each column is converted in one call per
-# block, and only one block of raw cells is held at a time.
+# Rows parsed or written per block: numpy's loader reads a block in one call,
+# and only one block of lines is held at a time.
 DATASET_BLOCK_ROWS = 4096
 
 
@@ -84,25 +85,49 @@ def _covariate_column(cells: tuple) -> tuple[np.ndarray, int]:
 # _NOT_BINARY.
 _BINARY_CODES = {"0": 0.0, "1": 1.0, "": np.nan}
 _NOT_BINARY = 2.0
+# The same map for numpy's loader, which keeps two characters of a binary
+# cell: indexed by the code point of a one-character cell ("" reads as 0),
+# and by 50 for any other cell.
+_CODE_POINT_VALUES = np.full(51, _NOT_BINARY)
+_CODE_POINT_VALUES[[0, ord("0"), ord("1")]] = np.nan, 0.0, 1.0
+# Where numpy's loader and csv.reader with float() may read a cell otherwise:
+# a quote, NUL, and the separators \x1c-\x1f, which numpy strips from a
+# number as white space and float() refuses.
+_NOT_LOADED = '"\0\x1c\x1d\x1e\x1f'
 
 
-def _parse_block(counts: np.ndarray, columns, line: int, p: int) -> tuple:
-    """Columns x, t, y_star, v, y of a block of rows that starts on ``line``.
+def _schema_checks(x, t, y_star, v, y) -> list:
+    """(mask, message, column) of each check on parsed cells, in the order
+    a line's faults are named: covariates finite, then t, ystar, v, y. The
+    binary columns hold _BINARY_CODES values; ``message`` formats the cell
+    of ``column`` (its index in the row) on a failing row."""
+    p = x.shape[1]
+    validated, empty = v == 1.0, np.isnan(y)
+    checks = [(~np.isfinite(x[:, j]), f"column 'x{j + 1}' must be finite, got {{!r}}", j)
+              for j in range(p)]
+    checks += [((values != 0.0) & (values != 1.0), f"column {name!r} must be 0 or 1, got {{!r}}",
+                p + j) for j, (name, values) in enumerate(zip(("t", "ystar", "v"), (t, y_star, v)))]
+    return checks + [(validated & empty, "y must be present where v=1", p + 3),
+                     (validated & (y == _NOT_BINARY), "column 'y' must be 0 or 1, got {!r}", p + 3),
+                     ((v == 0.0) & ~empty, "y must be empty where v=0", p + 3)]
 
-    Both tokenisers feed this one checker: ``counts`` holds each row's field
-    count and ``columns(m)`` the cell columns of the block's first m rows,
-    which it asks for only while those rows all have the full width. A
-    schema fault raises SchemaError for the lowest offending line, naming
+
+def _parse_block(rows: list, line: int, p: int) -> tuple:
+    """Columns x, t, y_star, v, y of a block of csv.reader rows that starts
+    on ``line``.
+
+    A schema fault raises SchemaError for the lowest offending line, naming
     the first failing check on it in the order: field count, covariates
     (real, then finite), t, ystar, v, y.
     """
     width = p + len(DATASET_BASE_COLUMNS)
     faults = []  # (row, message): the first failure of each check, in check order
+    counts = np.fromiter(map(len, rows), np.intp, len(rows))
     short = np.flatnonzero(counts != width)
-    k = int(short[0]) if short.size else len(counts)  # the rows checked cell by cell
+    k = int(short[0]) if short.size else len(rows)  # the rows checked cell by cell
     if short.size:
         faults.append((k, f"expected {width} fields, got {counts[k]}"))
-    cells = columns(k) if k else [()] * width
+    cells = list(zip(*rows[:k])) if k else [()] * width
     x = np.empty((k, p))
     for j in range(p):
         x[:, j], bad = _covariate_column(cells[j])
@@ -110,23 +135,51 @@ def _parse_block(counts: np.ndarray, columns, line: int, p: int) -> tuple:
             faults.append((bad, "covariates must be real numbers"))
     t, y_star, v, y = (np.fromiter(map(_BINARY_CODES.get, column, repeat(_NOT_BINARY)), float, k)
                        for column in cells[p:])
-    validated, empty = v == 1.0, np.isnan(y)
-    checks = [(~np.isfinite(x[:, j]), f"column 'x{j + 1}' must be finite, got {{!r}}", cells[j])
-              for j in range(p)]
-    checks += [((values != 0.0) & (values != 1.0), f"column {name!r} must be 0 or 1, got {{!r}}",
-                column) for name, values, column in zip(("t", "ystar", "v"), (t, y_star, v), cells[p:])]
-    checks += [(validated & empty, "y must be present where v=1", cells[-1]),
-               (validated & (y == _NOT_BINARY), "column 'y' must be 0 or 1, got {!r}", cells[-1]),
-               ((v == 0.0) & ~empty, "y must be empty where v=0", cells[-1])]
-    for mask, message, column in checks:
+    for mask, message, j in _schema_checks(x, t, y_star, v, y):
         bad = np.flatnonzero(mask)
         if bad.size:
             i = int(bad[0])
-            faults.append((i, message.format(column[i])))
+            faults.append((i, message.format(cells[j][i])))
     if faults:
         i, message = min(faults, key=lambda fault: fault[0])
         raise SchemaError(f"line {line + i}: {message}")
     return x, t, y_star, v, y
+
+
+def _loaded_block(lines: list, p: int) -> tuple | None:
+    """Columns x, t, y_star, v, y of a block of lines, read by numpy's
+    loader in one pass; None when csv.reader and float() could read a cell
+    otherwise (see ``_NOT_LOADED``), or the block fails the loader or a
+    schema check, so that csv.reader reads it and ``_parse_block`` names
+    the fault.
+
+    The loader converts a number with the routine behind float() and
+    refuses what that routine refuses (float() also takes "1_0" and
+    non-ASCII digits), and it keeps two characters of a binary cell, so a
+    cell it reads as 0 or 1 is "0" or "1".
+    """
+    width = p + len(DATASET_BASE_COLUMNS)
+    # a line shorter than width is empty or short of fields; a line over
+    # the field size limit may hold a field csv.reader refuses
+    if not p or min(map(len, lines)) < width or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    text = "".join(lines)
+    if any(char in text for char in _NOT_LOADED):
+        return None
+    try:
+        block = np.loadtxt(lines, dtype=[("x", float, (p,)), ("b", "U2", (4,))],
+                           delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(block) != len(lines):  # the loader skips an empty line; csv.reader reads it as a row
+        return None
+    # each U2 cell is two UCS-4 code points, the second 0 in a cell of one
+    points = block["b"].view(np.uint32).reshape(len(block), 4, 2)
+    codes = _CODE_POINT_VALUES[np.where(points[..., 1] == 0, np.minimum(points[..., 0], 50), 50)]
+    columns = (block["x"], *codes.T)
+    if any(mask.any() for mask, _, _ in _schema_checks(*columns)):
+        return None
+    return columns
 
 
 def _not_utf8(line: int, exc: UnicodeDecodeError) -> SchemaError:
@@ -152,68 +205,15 @@ def _take(reader, count: int, lines_before: int = 0) -> list:
         raise _not_utf8(lines_before + reader.line_num + 1, exc) from None
 
 
-def _split_block(lines: list, width: int, limit: int) -> tuple | None:
-    """(field counts, ``columns``) of a block of lines as csv.reader would
-    tokenise them: each line's cells are its comma-separated parts,
-    terminator stripped, and an empty line has none. None when the block
-    holds a '"', a NUL or a line longer than ``limit``, where csv.reader's
-    rules differ from that split.
-    """
-    if max(map(len, lines)) > limit:
-        return None
-    # with newline="" a line ends at its first "\n", "\r" or "\r\n"; each
-    # line break becomes a cell "\n" of its own, which no other cell can be
-    text = ",\n,".join(map(str.rstrip, lines, repeat("\r\n")))
-    if '"' in text or "\0" in text:
-        return None
-    flat = text.split(",")
-    k, stride = len(lines), width + 1
-    # the k - 1 line breaks sit every stride cells iff each line holds width cells
-    if len(flat) == k * stride - 1 and flat[width::stride].count("\n") == k - 1:
-        counts = np.full(k, width)
-    else:
-        fields = list(map(str.rstrip, lines, repeat("\r\n")))
-        counts = np.fromiter(map(str.count, fields, repeat(",")), np.intp, k) + 1
-        if "" in fields:
-            counts[[i for i, cells in enumerate(fields) if not cells]] = 0
-    # the first m lines hold width cells each when the checker asks for them
-    return counts, lambda m: [flat[j:m * stride:stride] for j in range(width)]
-
-
-def _csv_block(rows: list) -> tuple:
-    """(field counts, ``columns``) of a block of csv.reader rows."""
-    return np.fromiter(map(len, rows), np.intp, len(rows)), lambda m: list(zip(*rows[:m]))
-
-
-def _tokenised_blocks(handle, width: int, lines_read: int):
-    """(field counts, ``columns``) of each block of up to DATASET_BLOCK_ROWS
-    records that follows the ``lines_read`` physical lines already read.
-
-    A block of lines holding no '"', no NUL and no line longer than
-    ``csv.field_size_limit()`` is split on commas: csv.reader would read
-    each of its lines as the line's cells, an empty line as no cell. From
-    the first block that holds one, csv.reader tokenises the rest of the
-    file, so quoted fields (line breaks in them included), the field-size
-    limit and NUL (a csv.Error before Python 3.11) behave as csv.reader's.
-    """
-    limit = csv.field_size_limit()
-    while True:
-        lines = []  # extended in place: it keeps the lines read before a decode error
-        try:
-            lines.extend(islice(handle, DATASET_BLOCK_ROWS))
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(lines_read + len(lines) + 1, exc) from None
-        if not lines:
-            return
-        block = _split_block(lines, width, limit)
-        if block is None:
-            break
-        lines_read += len(lines)
-        del lines  # the block is parsed from its cells alone
-        yield block
-    reader = csv.reader(chain(lines, handle))
-    for rows in iter(lambda: _take(reader, DATASET_BLOCK_ROWS, lines_read), []):
-        yield _csv_block(rows)
+def _take_lines(handle, lines_before: int) -> list:
+    """The next DATASET_BLOCK_ROWS lines of ``handle``, fewer at the end of
+    the file; a byte that is not UTF-8 is a SchemaError (``_not_utf8``)."""
+    lines = []  # extended in place: it keeps the lines read before a decode error
+    try:
+        lines.extend(islice(handle, DATASET_BLOCK_ROWS))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(lines_before + len(lines) + 1, exc) from None
+    return lines
 
 
 def read_dataset_csv(path) -> ObservationFrame:
@@ -227,11 +227,11 @@ def read_dataset_csv(path) -> ObservationFrame:
     validation row; a fault names the lowest offending line. Faults of the
     tokeniser and of the text decoding are SchemaErrors too (see ``_take``).
 
-    csv.reader reads the header. The rows are read in blocks of
-    DATASET_BLOCK_ROWS lines and split on commas, until a block holds a '"',
-    a NUL or a line longer than ``csv.field_size_limit()``; from that block
-    on csv.reader reads them (``_tokenised_blocks``). Either way the cells,
-    the frame and every message are csv.reader's.
+    csv.reader reads the header. numpy's loader reads the rows, one block
+    of DATASET_BLOCK_ROWS lines per call (``_loaded_block``), until it
+    declines a block; from that block on csv.reader reads them and
+    ``_parse_block`` checks them. Either way the frame and every message
+    are those of csv.reader's cells.
     """
     with open(path, "r", newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -253,18 +253,31 @@ def read_dataset_csv(path) -> ObservationFrame:
 
         p = len(covariate_columns)
         blocks = []
-        line = 2  # line of the block's first row; the header is line 1
+        line = 2  # line of the next block's first row; the header is line 1
+        lines_read = reader.line_num
+        declined = []  # the lines of the first block the loader declines
+        for lines in iter(lambda: _take_lines(handle, lines_read), []):
+            block = _loaded_block(lines, p)
+            if block is None:
+                declined = lines
+                break
+            blocks.append(block)
+            line += len(lines)
+            lines_read += len(lines)
+
+        reader = csv.reader(chain(declined, handle))
         blank = 0  # empty lines since the last non-empty row
-        for counts, columns in _tokenised_blocks(handle, len(header), reader.line_num):
-            filled = np.flatnonzero(counts)
-            kept = int(filled[-1]) + 1 if filled.size else 0
+        for rows in iter(lambda: _take(reader, DATASET_BLOCK_ROWS, lines_read), []):
+            kept = len(rows)
+            while kept and not rows[kept - 1]:
+                kept -= 1
             if kept:
                 if blank:  # a row follows them, so those empty lines are mid-file
                     raise SchemaError(f"line {line - blank}: expected {len(header)} fields, got 0")
-                blocks.append(_parse_block(counts[:kept], columns, line, p))
+                blocks.append(_parse_block(rows[:kept], line, p))
                 blank = 0
-            blank += len(counts) - kept
-            line += len(counts)
+            blank += len(rows) - kept
+            line += len(rows)
 
     if not blocks:
         raise SchemaError("dataset has a header but no rows")

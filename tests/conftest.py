@@ -134,7 +134,7 @@ def stack_rates(frame, misclassification="pooled") -> MisclassRates:
     the ``rates`` block alone, whose rows read no model, so none is fitted.
     Raises the error that stopped the block."""
     system = inference.EstimatingSystem(frame, ["rates"], misclassification=misclassification)
-    params = inference.solve_plugin(frame, system)
+    params = inference.solve_plugin(system)
     if "rates" in params.failed:
         raise params.failed["rates"]
     return params.rates

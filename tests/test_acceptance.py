@@ -257,7 +257,7 @@ def test_5_exact_identities():
             failures.append("perfect-rates complement reduction")
 
     # stacked-system identities
-    params = inf.solve_plugin(sim_frame, system)
+    params = inf.solve_plugin(system)
     if params.failed:
         failures.append(f"plug-in blocks failed: {sorted(params.failed)}")
     phi, _ = params.system.evaluate(params.theta)

@@ -241,23 +241,29 @@ def test_dataset_io_matches_the_row_loop_oracle(tmp_path, n):
     np.testing.assert_array_equal(loaded.x, frame.x)
 
 
-# The quotes, the bare CR, NUL and the trailing space are where a plain
-# split on commas and csv.reader could disagree.
+# The quotes, the bare CR and NUL are where numpy's loader and csv.reader
+# could split a line otherwise; the white space, the underscore, the
+# non-ASCII digit, the comment mark and the separator \x1c are where it and
+# float() could read a number otherwise.
 FAULT_TEXTS = st.sampled_from(["", "0", "1", "2", "-1", "1.0", " 1", "abc", "1e5", "0x1",
-                               '"1"', '"1,5"', '"1\r\n2"', "\r", "\x00", "1 "])
+                               '"1"', '"1,5"', '"1\r\n2"', "\r", "\x00", "1 ", "1_0", "\t1.5",
+                               "\uff11", "\xa01", "#1", "1e0", "\x1c1"])
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=st.integers(1, 25), seed=st.integers(0, 2**32 - 1), block=st.integers(1, 8),
-       faults=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 7), FAULT_TEXTS), max_size=3))
+       faults=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 8), FAULT_TEXTS), max_size=3))
 # a dropped field followed by an edit of the cell it held
 @example(n=1, seed=0, block=1, faults=[(0, 7, ""), (0, 5, "")])
+@example(n=3, seed=0, block=2, faults=[(1, 8, "")])
+@example(n=3, seed=0, block=2, faults=[(2, 0, "\x1c1")])
 def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, block, faults):
     # Each fault (row, column, text) sets a cell; column 6 appends text as an
-    # extra field and column 7 drops the row's last field. The cell edits are
-    # made first, so each names a cell of the written row. Both readers must
-    # return the same frame or fail with the same message.
+    # extra field, column 7 drops the row's last field and column 8 makes the
+    # row a line of spaces as wide as it. The cell edits are made first, so
+    # each names a cell of the written row. Both readers must return the same
+    # frame or fail with the same message.
     frame = random_frame(np.random.default_rng(seed), n, p=2)
     path = tmp_path / "d.csv"
     with pytest.MonkeyPatch.context() as patch:
@@ -272,6 +278,8 @@ def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, b
                 cells.append(text)
             elif column == 7:
                 cells.pop()
+            elif column == 8:
+                cells[:] = [" " * len(",".join(cells))]
             else:
                 cells[column] = text
         path.write_bytes("".join(",".join(cells) + "\r\n" for cells in lines).encode())
@@ -291,6 +299,34 @@ def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, b
 
 def line_of(message):
     return int(message.split(":")[0].removeprefix("line "))
+
+
+def test_reader_switches_to_csv_reader_mid_file(tmp_path, monkeypatch):
+    # float() reads "1_0" as 10.0 and numpy's loader refuses it, so the
+    # second block and the rest of the file go to csv.reader
+    data = write_with_edits(tmp_path / "d.csv", grid_frame(3 * BLOCK + 7),
+                            [(BLOCK + 40, "x2", "1_0")])
+    parsed_from = []
+    parse_block = rep._parse_block
+    monkeypatch.setattr(rep, "_parse_block",
+                        lambda rows, line, p: parsed_from.append(line) or parse_block(rows, line, p))
+    assert_frame_is(rep.read_dataset_csv(data), oracles.read_dataset_csv_rows(data))
+    assert parsed_from == [BLOCK + 2, 2 * BLOCK + 2, 3 * BLOCK + 2]
+
+
+@pytest.mark.parametrize("n", [1, BLOCK, 3 * BLOCK + 7])
+def test_written_datasets_never_reach_csv_reader(tmp_path, monkeypatch, n):
+    # a numpy whose loader declines what write_dataset_csv writes fails here
+    # rather than only reading the rows more slowly
+    frame = random_frame(np.random.default_rng(n), n)
+    rep.write_dataset_csv(frame, tmp_path / "d.csv")
+
+    def refuse(rows, line, p):
+        raise AssertionError(f"csv.reader read the rows from line {line}")
+
+    monkeypatch.setattr(rep, "_parse_block", refuse)
+    assert_frame_is(rep.read_dataset_csv(tmp_path / "d.csv"),
+                    (frame.x, frame.t, frame.y_star, frame.v, np.where(frame.v == 1, frame.y, np.nan)))
 
 
 @pytest.mark.parametrize("edits, message", [

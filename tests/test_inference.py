@@ -49,7 +49,7 @@ def mean_residuals(params):
 def test_plugin_zeroes_residual_blocks_exactly():
     frame = simulated_frame(n=5000)
     system = inf.build_system(frame, x_sel=selection_design(frame))
-    params = inf.solve_plugin(frame, system)
+    params = inf.solve_plugin(system)
     assert not params.failed and params.system.blocks == system.blocks
     lay = params.system.layout
     means = np.abs(mean_residuals(params))
@@ -64,7 +64,7 @@ def test_plugin_zeroes_residual_blocks_exactly():
 def test_plugin_residuals_small_for_both_kinds_and_variants():
     frame = simulated_frame(seed=9)
     for x_sel in (None, selection_design(frame)):
-        params = inf.solve_plugin(frame, inf.build_system(frame, x_sel=x_sel))
+        params = inf.solve_plugin(inf.build_system(frame, x_sel=x_sel))
         assert not params.failed
         assert float(np.abs(mean_residuals(params)).max()) <= 1e-6
 
@@ -78,7 +78,7 @@ def test_mismatched_rates_fail_residual_check(monkeypatch):
     frame = simulated_frame(seed=13, n=1500)
     system = inf.build_system(frame, x_sel=selection_design(frame))
     mismatch_rates(monkeypatch)
-    params = inf.solve_plugin(frame, system)
+    params = inf.solve_plugin(system)
     assert type(params.failed["rates"]) is ResidualCheckFailed
     # the blocks built on the rates go with them; the others stay
     assert {name: params.failed[name] for name in ("r_const", "r_fit", "d")} == {
@@ -95,7 +95,7 @@ def test_corrected_hajek_means_equal_the_contrast_oracles():
         rng = np.random.default_rng(seed)
         frame, _, _, _ = make_random_frame(rng, 400)
         system = inf.build_system(frame, x_sel=selection_design(frame))
-        params = inf.solve_plugin(frame, system)
+        params = inf.solve_plugin(system)
         ((p11, p10),) = stack_rates(frame).pairs
         e, pi = fitted_props(frame, system.x_treat, system.x_sel)
         t, ys, v = frame.t, frame.y_star, frame.v
@@ -112,7 +112,7 @@ def test_perfect_classification_reduction():
     frame = simulated_frame(seed=3, n=2000, p11=1.0 - 1e-9, p10=1e-9)
     clean = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y, v=frame.v, y=frame.y)
     system = inf.build_system(clean, ["all_silver"])
-    params = inf.solve_plugin(clean, system)
+    params = inf.solve_plugin(system)
     e = fitted_probability(system.x_treat, clean.t)
     w_t = clean.t / e
     w_c = (1.0 - clean.t) / (1.0 - e)
@@ -126,7 +126,7 @@ def test_perfect_classification_reduction():
 def test_sandwich_symmetry_and_nonnegative_diagonal():
     frame = simulated_frame(seed=17, n=2500)
     for x_sel in (None, selection_design(frame)):
-        params = inf.solve_plugin(frame, inf.build_system(frame, x_sel=x_sel))
+        params = inf.solve_plugin(inf.build_system(frame, x_sel=x_sel))
         cov = inf.sandwich(params)
         assert cov.shape == (params.system.dim, params.system.dim)
         assert np.max(np.abs(cov - cov.T)) <= 1e-10
@@ -138,7 +138,7 @@ def test_model_blocks_of_a_multi_block_frame_are_minus_their_information():
     # summed over two full Gram blocks and a one-row tail
     frame = simulated_frame(seed=37, n=2 * GRAM_BLOCK_ROWS + 1)
     system = inf.build_system(frame, ["s_val_only"], x_sel=selection_design(frame))
-    params = inf.solve_plugin(frame, system)
+    params = inf.solve_plugin(system)
     assert not params.failed
     _, jacobian = params.system.evaluate(params.theta)
     lay = params.system.layout
@@ -152,7 +152,7 @@ def test_model_blocks_of_a_multi_block_frame_are_minus_their_information():
 def test_gamma_block_matches_independent_logistic_sandwich():
     frame = simulated_frame(seed=29, n=2500)
     system = inf.build_system(frame, x_sel=selection_design(frame))
-    params = inf.solve_plugin(frame, system)
+    params = inf.solve_plugin(system)
     se_gamma = np.sqrt(np.diag(inf.sandwich(params)))[params.system.layout["gamma"]]
     independent = oracles.logistic_sandwich_se(system.x_treat, frame.t, params.block("gamma"))
     np.testing.assert_allclose(se_gamma, independent, rtol=1e-6)
@@ -161,7 +161,7 @@ def test_gamma_block_matches_independent_logistic_sandwich():
 def test_combine_delta_examples():
     frame = simulated_frame(seed=31, n=1200)
     system = inf.build_system(frame, ["s_opt"], x_sel=selection_design(frame))
-    params = inf.solve_plugin(frame, system)
+    params = inf.solve_plugin(system)
     cov = inf.sandwich(params)
     _, g_tau = params.contrast("tau_s_val", False)
     _, g_d = params.contrast("d", True)
@@ -276,7 +276,7 @@ def test_by_arm_stacked_identities():
     pooled_dim = inf.build_system(frame, x_sel=x_sel).dim
     system = inf.build_system(frame, x_sel=x_sel, misclassification="by_arm")
     assert system.dim == pooled_dim + 2
-    params = inf.solve_plugin(frame, system)
+    params = inf.solve_plugin(system)
     assert not params.failed
     np.testing.assert_array_equal(params.block("rates"), np.ravel(rates.pairs))
     assert params.rates == rates
@@ -382,7 +382,7 @@ def test_points_read_from_the_stack_match_the_estimator_functions(label):
         # complement blocks fail before a weight divides by 1 - s
         frame = replace(frame, v=np.ones(frame.n))
         analysis = inf.analyze_frame(frame, ESTIMATOR_IDS, **kwargs)
-        params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
+        params = inf.solve_plugin(inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
         assert params.block("eta0")[0] == 1.0
         v, t, yv = frame.v, frame.t, frame.y_validated
         w_t, w_c = est.arm_weights(t, params.e)
@@ -399,7 +399,7 @@ def test_points_read_from_the_stack_match_the_estimator_functions(label):
         system = inf.build_system(frame, ESTIMATOR_IDS, **kwargs)
         e, pi = fitted_props(frame, system.x_treat, system.x_sel)
         rates = stack_rates(frame, kwargs.get("misclassification", "pooled"))
-        params = inf.solve_plugin(frame, system)
+        params = inf.solve_plugin(system)
         cov = inf.sandwich(params)
         _, g_a = params.contrast("tau_s_val", False)
         _, g_b = params.contrast("d", True)
@@ -478,7 +478,7 @@ def test_analytic_bread_matches_numeric_oracle(label, d6_frame):
     rng = np.random.default_rng(83)
     for seed in (0, 1, 2):
         frame, kwargs = frame_variant(label, seed)
-        params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
+        params = inf.solve_plugin(inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
         assert not params.failed
         # both normalizations of the weighted blocks are in the stack
         assert {"ht", "hajek"} <= {inf.BLOCKS[name][0] for name in params.system.blocks}
@@ -560,12 +560,12 @@ def test_the_walk_fits_only_the_models_its_stack_holds(monkeypatch):
     frame = simulated_frame(seed=43, n=1200)
     calls = count_fits(monkeypatch)
     rates = inf.EstimatingSystem(frame, ["rates"], with_intercept(frame.x))
-    assert inf.solve_plugin(frame, rates).rates is not None
+    assert inf.solve_plugin(rates).rates is not None
     assert calls == []
-    inf.solve_plugin(frame, inf.build_system(frame, ["val_only"]))
+    inf.solve_plugin(inf.build_system(frame, ["val_only"]))
     assert [y is frame.t for y in calls] == [True]
     calls.clear()
-    inf.solve_plugin(frame, inf.build_system(frame, ["s_val_only"], x_sel=selection_design(frame)))
+    inf.solve_plugin(inf.build_system(frame, ["s_val_only"], x_sel=selection_design(frame)))
     assert [y is frame.t for y in calls] == [True, False]
 
 
@@ -599,7 +599,7 @@ def test_solved_stack_equals_the_evaluation_of_its_kept_blocks(monkeypatch):
     for label, frame, kwargs in dropping_frames():
         if label == "mismatched_rates":
             mismatch_rates(monkeypatch)
-        params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
+        params = inf.solve_plugin(inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
         assert bool(params.failed) == (label in ("every_row_validated", "mismatched_rates"))
         kept = inf.build_system(frame, ESTIMATOR_IDS, **kwargs).restrict(params.system.blocks)
         assert kept.layout == params.system.layout
@@ -639,7 +639,7 @@ def test_designs_and_residuals_are_column_contiguous():
     ]
     for design in designs:
         assert design.flags.f_contiguous and design.shape[0] == frame.n
-    params = inf.solve_plugin(frame, inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
+    params = inf.solve_plugin(inf.build_system(frame, ESTIMATOR_IDS, **kwargs))
     assert params.phi.flags.f_contiguous and params.phi.shape == (frame.n, params.system.dim)
 
 
@@ -651,7 +651,7 @@ def test_stored_evaluation_is_that_of_the_restricted_stack(monkeypatch):
     system = inf.build_system(frame, x_sel=selection_design(frame))
     calls = count_walks(monkeypatch)
     mismatch_rates(monkeypatch)
-    params = inf.solve_plugin(frame, system)
+    params = inf.solve_plugin(system)
     assert type(params.failed["rates"]) is ResidualCheckFailed
     assert calls == [system.dim] and params.system.dim < system.dim
     phi, jacobian = params.system.evaluate(params.theta)
@@ -668,7 +668,7 @@ def test_clamped_propensities_have_zero_derivative():
     v = (rng.random(frame.n) < expit(-1.0 + 14.0 * frame.x[:, 0])).astype(float)
     frame = ObservationFrame(x=frame.x, t=frame.t, y_star=frame.y_star, v=v, y=frame.y)
     system = inf.build_system(frame, x_sel=selection_design(frame))
-    params = inf.solve_plugin(frame, system)
+    params = inf.solve_plugin(system)
     assert not params.failed
     pi = expit(selection_design(frame) @ params.block("eta"))
     assert np.sum(clamp_probability(pi) != pi) >= 20
@@ -694,7 +694,7 @@ def test_clamped_propensities_have_zero_derivative():
 
 def test_sandwich_raises_typed_error_on_non_finite_residuals():
     frame = simulated_frame(seed=97, n=800)
-    params = inf.solve_plugin(frame, inf.build_system(frame, ["naive", "all_silver"]))
+    params = inf.solve_plugin(inf.build_system(frame, ["naive", "all_silver"]))
     theta = params.theta.copy()
     theta[params.system.layout["d"]] = np.nan
     phi, jacobian = params.system.evaluate(theta)
@@ -705,13 +705,13 @@ def test_sandwich_raises_typed_error_on_non_finite_residuals():
 def test_singular_bread_raises_singular_system(monkeypatch):
     frame = simulated_frame(seed=97, n=800)
     ids = ["naive", "all_silver"]
-    params = inf.solve_plugin(frame, inf.build_system(frame, ids))
+    params = inf.solve_plugin(inf.build_system(frame, ids))
     jacobian = params.jacobian.copy()
     jacobian[-1] = jacobian[-2]  # d's two arm rows alike: the bread has rank dim - 1
     singular = replace(params, jacobian=jacobian)
     with pytest.raises(SingularSystem):
         inf.sandwich(singular)
-    monkeypatch.setattr(inf, "solve_plugin", lambda frame, system: singular)
+    monkeypatch.setattr(inf, "solve_plugin", lambda system: singular)
     analysis = inf.analyze_frame(frame, ids)
     assert analysis.se_failures == {"naive": "SingularSystem", "all_silver": "SingularSystem"}
     assert not analysis.failures
