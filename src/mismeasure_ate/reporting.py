@@ -85,9 +85,8 @@ def _covariate_column(cells: tuple) -> tuple[np.ndarray, int]:
 # _NOT_BINARY.
 _BINARY_CODES = {"0": 0.0, "1": 1.0, "": np.nan}
 _NOT_BINARY = 2.0
-# The same map for numpy's loader, which keeps two characters of a binary
-# cell: indexed by the code point of a one-character cell ("" reads as 0),
-# and by 50 for any other cell.
+# The same map for numpy's loader: indexed by the code point of a cell of one
+# character ("" reads as 0), and by 50 for any other cell.
 _CODE_POINT_VALUES = np.full(51, _NOT_BINARY)
 _CODE_POINT_VALUES[[0, ord("0"), ord("1")]] = np.nan, 0.0, 1.0
 # Where numpy's loader and csv.reader with float() may read a cell otherwise:
@@ -97,10 +96,9 @@ _NOT_LOADED = '"\0\x1c\x1d\x1e\x1f'
 
 
 def _schema_checks(x, t, y_star, v, y) -> list:
-    """(mask, message, column) of each check on parsed cells, in the order
-    a line's faults are named: covariates finite, then t, ystar, v, y. The
-    binary columns hold _BINARY_CODES values; ``message`` formats the cell
-    of ``column`` (its index in the row) on a failing row."""
+    """(mask, message, column) of each check on parsed cells (binary ones as
+    _BINARY_CODES values), in the order a line's faults are named; the
+    message formats the failing row's cell in ``column``."""
     p = x.shape[1]
     validated, empty = v == 1.0, np.isnan(y)
     checks = [(~np.isfinite(x[:, j]), f"column 'x{j + 1}' must be finite, got {{!r}}", j)
@@ -148,19 +146,15 @@ def _parse_block(rows: list, line: int, p: int) -> tuple:
 
 def _loaded_block(lines: list, p: int) -> tuple | None:
     """Columns x, t, y_star, v, y of a block of lines, read by numpy's
-    loader in one pass; None when csv.reader and float() could read a cell
-    otherwise (see ``_NOT_LOADED``), or the block fails the loader or a
-    schema check, so that csv.reader reads it and ``_parse_block`` names
-    the fault.
+    loader in one pass; None when csv.reader and float() could read the
+    block otherwise or it fails a schema check.
 
-    The loader converts a number with the routine behind float() and
-    refuses what that routine refuses (float() also takes "1_0" and
-    non-ASCII digits), and it keeps two characters of a binary cell, so a
-    cell it reads as 0 or 1 is "0" or "1".
+    The loader parses a number with float()'s routine and refuses what that
+    routine refuses (float() also takes "1_0" and non-ASCII digits); it
+    keeps two characters of a binary cell, so one it reads as 0 is "0".
     """
     width = p + len(DATASET_BASE_COLUMNS)
-    # a line shorter than width is empty or short of fields; a line over
-    # the field size limit may hold a field csv.reader refuses
+    # a short line may be empty, a long one hold a field csv.reader refuses
     if not p or min(map(len, lines)) < width or max(map(len, lines)) > csv.field_size_limit():
         return None
     text = "".join(lines)
@@ -205,17 +199,6 @@ def _take(reader, count: int, lines_before: int = 0) -> list:
         raise _not_utf8(lines_before + reader.line_num + 1, exc) from None
 
 
-def _take_lines(handle, lines_before: int) -> list:
-    """The next DATASET_BLOCK_ROWS lines of ``handle``, fewer at the end of
-    the file; a byte that is not UTF-8 is a SchemaError (``_not_utf8``)."""
-    lines = []  # extended in place: it keeps the lines read before a decode error
-    try:
-        lines.extend(islice(handle, DATASET_BLOCK_ROWS))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(lines_before + len(lines) + 1, exc) from None
-    return lines
-
-
 def read_dataset_csv(path) -> ObservationFrame:
     """Parse a dataset CSV, enforcing the schema strictly.
 
@@ -255,17 +238,20 @@ def read_dataset_csv(path) -> ObservationFrame:
         blocks = []
         line = 2  # line of the next block's first row; the header is line 1
         lines_read = reader.line_num
-        declined = []  # the lines of the first block the loader declines
-        for lines in iter(lambda: _take_lines(handle, lines_read), []):
-            block = _loaded_block(lines, p)
-            if block is None:
-                declined = lines
+        while True:
+            lines = []  # extended in place: it keeps the lines read before a decode error
+            try:
+                lines.extend(islice(handle, DATASET_BLOCK_ROWS))
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(lines_read + len(lines) + 1, exc) from None
+            block = _loaded_block(lines, p) if lines else None
+            if block is None:  # csv.reader reads the rest of the file, these lines first
                 break
             blocks.append(block)
             line += len(lines)
             lines_read += len(lines)
 
-        reader = csv.reader(chain(declined, handle))
+        reader = csv.reader(chain(lines, handle))
         blank = 0  # empty lines since the last non-empty row
         for rows in iter(lambda: _take(reader, DATASET_BLOCK_ROWS, lines_read), []):
             kept = len(rows)
