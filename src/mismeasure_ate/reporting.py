@@ -87,8 +87,8 @@ _BINARY_CODES = {"0": 0.0, "1": 1.0, "": np.nan}
 _NOT_BINARY = 2.0
 # The same map for numpy's loader: indexed by the code point of a cell of one
 # character ("" reads as 0), and by 50 for any other cell.
-_CODE_POINT_VALUES = np.full(51, _NOT_BINARY)
-_CODE_POINT_VALUES[[0, ord("0"), ord("1")]] = np.nan, 0.0, 1.0
+_CODE_POINT_VALUES = np.array([_BINARY_CODES.get(chr(c) if c else "", _NOT_BINARY)
+                               for c in range(51)])
 # Where numpy's loader and csv.reader with float() may read a cell otherwise:
 # a quote, NUL, and the separators \x1c-\x1f, which numpy strips from a
 # number as white space and float() refuses.
