@@ -243,8 +243,8 @@ def test_dataset_io_matches_the_row_loop_oracle(tmp_path, n):
 
 # The quotes, the bare CR and NUL are where numpy's loader and csv.reader
 # could split a line otherwise; the white space, the underscore, the
-# non-ASCII digit, the comment mark and the separator \x1c are where it and
-# float() could read a number otherwise.
+# non-ASCII digit, the comment mark, the exponent and the separator \x1c are
+# where it and float() could read a number otherwise.
 FAULT_TEXTS = st.sampled_from(["", "0", "1", "2", "-1", "1.0", " 1", "abc", "1e5", "0x1",
                                '"1"', '"1,5"', '"1\r\n2"', "\r", "\x00", "1 ", "1_0", "\t1.5",
                                "\uff11", "\xa01", "#1", "1e0", "\x1c1"])
