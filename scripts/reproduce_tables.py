@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the simulation study presets and print their summary tables.
 
-Desk scale by default (1000 iterations per scenario, ~2 minutes each on a
-laptop); pass --full for the 5000-iteration study the reference results use.
+Desk scale by default (1000 iterations per scenario, 2-3 s each on the
+default 2 workers of a 2-core Intel Xeon, about 6 s for the two main tables
+with the truth oracle); pass --full for the 5000-iteration study the
+reference results use.
 
 Examples:
     python scripts/reproduce_tables.py                       # main two tables

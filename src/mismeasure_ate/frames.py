@@ -127,28 +127,37 @@ class ModelSpec:
     treatment_covariates: tuple
     selection_covariates: tuple | None
 
-    def designs(self, frame: ObservationFrame) -> tuple[np.ndarray, np.ndarray | None]:
-        """(x_treat, x_sel) of ``frame``: an intercept, then t (selection
-        design only), then the named x-columns in the spec's order, built
-        column-contiguous (``with_intercept``). An empty treatment list is
-        the intercept alone, and x_sel is None without a selection model.
-        Each name must be one of x1..xp exactly, and named once."""
-        index = {f"x{j + 1}": j for j in range(frame.p)}
+    def columns(self, p: int) -> tuple[list[int], list[int] | None]:
+        """0-based x-column indices of the treatment covariates and of the
+        selection covariates (None without a selection model), in the spec's
+        order. Each name must be one of x1..xp exactly, and named once."""
+        index = {f"x{j + 1}": j for j in range(p)}
 
-        def columns(names: tuple) -> list:
+        def indices(names: tuple) -> list:
             for k, name in enumerate(names):
                 if name not in index:
                     raise ConfigParseError(
-                        f"unknown covariate column {name!r}; the dataset has x1..x{frame.p}")
+                        f"unknown covariate column {name!r}; the dataset has x1..x{p}")
                 if name in names[:k]:
                     raise ConfigParseError(f"covariate column {name!r} is named twice")
-            return [frame.x[:, index[name]] for name in names]
+            return [index[name] for name in names]
 
-        treatment = columns(self.treatment_covariates)
-        x_treat = with_intercept(*treatment) if treatment else np.ones((frame.n, 1))
-        if self.selection_covariates is None:
+        selection = self.selection_covariates
+        return (indices(self.treatment_covariates),
+                None if selection is None else indices(selection))
+
+    def designs(self, frame: ObservationFrame) -> tuple[np.ndarray, np.ndarray | None]:
+        """(x_treat, x_sel) of ``frame``: an intercept, then t (selection
+        design only), then the x-columns ``columns`` names in the spec's
+        order, built column-contiguous (``with_intercept``). An empty
+        treatment list is the intercept alone, and x_sel is None without a
+        selection model."""
+        treatment, selection = self.columns(frame.p)
+        x_treat = (with_intercept(*(frame.x[:, j] for j in treatment)) if treatment
+                   else np.ones((frame.n, 1)))
+        if selection is None:
             return x_treat, None
-        return x_treat, with_intercept(frame.t, *columns(self.selection_covariates))
+        return x_treat, with_intercept(frame.t, *(frame.x[:, j] for j in selection))
 
 
 # Names of the (p11, p10) pairs, by their number, in the ``rates`` block's

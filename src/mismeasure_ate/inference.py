@@ -144,19 +144,24 @@ class EstimatingSystem:
     under a simple random sample (``x_sel`` None) each fitted-selection block
     is replaced by its constant-selection twin (see ``resolve``). The
     treatment design defaults to an intercept plus every covariate.
+    ``starts`` maps "gamma" and "eta" to the starting coefficients of the
+    treatment and selection fits (``fit_logistic``'s ``start``); a model
+    without one starts from zero.
     ``layout`` maps each block to its slice of the parameter vector, and
     ``evaluate`` gives the residuals and their Jacobian at a theta.
     Stateless after construction; safe to share across workers.
     """
 
     def __init__(self, frame: ObservationFrame, blocks, x_treat: np.ndarray | None = None,
-                 x_sel: np.ndarray | None = None, misclassification: str = "pooled"):
+                 x_sel: np.ndarray | None = None, misclassification: str = "pooled",
+                 starts=None):
         self.frame = frame
         # designs are kept column-contiguous (see ``numerics``)
         self.x_treat = np.asfortranarray(with_intercept(frame.x) if x_treat is None else x_treat,
                                          dtype=float)
         self.x_sel = None if x_sel is None else np.asfortranarray(x_sel, dtype=float)
         self.misclassification = misclassification
+        self.starts = dict(starts or {})
         self._alias = {}
         if x_sel is None:
             self._alias.update(eta="eta0", tau_s_val="tau_val", r_fit="r_const")
@@ -200,7 +205,7 @@ class EstimatingSystem:
     def restrict(self, names) -> "EstimatingSystem":
         """The same stack holding only ``names`` (which must include their parents)."""
         return EstimatingSystem(self.frame, names, self.x_treat, self.x_sel,
-                                self.misclassification)
+                                self.misclassification, self.starts)
 
     def evaluate(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Per-subject residuals and their summed Jacobian at theta.
@@ -225,7 +230,8 @@ class EstimatingSystem:
     def _walk(self, theta: np.ndarray, solving: bool = False):
         """Walk the blocks in stacked order (see ``evaluate``). When
         ``solving``, each block first solves its parameters into theta by
-        plug-in (the two models by ``fit_logistic``) and checks its residual
+        plug-in (the two models by ``fit_logistic``, from their ``starts``)
+        and checks its residual
         mean after its rows; a block that fails is left out with the blocks
         built on it, and the next takes its place in theta, phi and the
         Jacobian. A treatment-model fit that fails raises. The seven weighted
@@ -260,7 +266,8 @@ class EstimatingSystem:
             elif kind in ("treatment", "selection"):
                 design = self._designs[name]
                 if solving:
-                    fit = fit_logistic(design, t if kind == "treatment" else v)
+                    fit = fit_logistic(design, t if kind == "treatment" else v,
+                                       start=self.starts.get(name))
                     par[:], raw[name] = fit.coefficients, fit.probabilities
                 else:
                     raw[name] = expit(design @ par)
@@ -367,7 +374,8 @@ class EstimatingSystem:
 
 
 def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_treat=None,
-                 x_sel=None, misclassification: str = "pooled") -> EstimatingSystem:
+                 x_sel=None, misclassification: str = "pooled",
+                 starts=None) -> EstimatingSystem:
     """The stack that the SEs of ``estimator_ids`` read (see ``READS``).
 
     ``x_treat`` is the treatment-model design (``EstimatingSystem``'s
@@ -375,13 +383,13 @@ def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_trea
     the validation sample as a simple random sample (constant selection
     probability).
     ``misclassification`` picks one pooled pair of rate means or one
-    pair per arm.
+    pair per arm, and ``starts`` the two fits' starting coefficients.
     """
     unknown = [i for i in estimator_ids if i not in READS]
     if unknown:
         raise ValueError(f"unknown estimator ids: {unknown}")
     blocks = {name for est_id in estimator_ids for name, _ in READS[est_id]}
-    return EstimatingSystem(frame, blocks, x_treat, x_sel, misclassification)
+    return EstimatingSystem(frame, blocks, x_treat, x_sel, misclassification, starts)
 
 
 @dataclass(frozen=True)
@@ -436,7 +444,8 @@ def solve_plugin(system: EstimatingSystem) -> StackedParams:
 
     gamma comes from full-sample ML of the treatment model, eta0
     is the validation share (DegenerateValidation without validated rows),
-    eta comes from ML of the selection model, each pair of rates from the
+    eta comes from ML of the selection model (each fit from the system's
+    ``starts``; the maximum is the same), each pair of rates from the
     Y* means of its group's gold positives and negatives (pooled or per
     arm, as the system says): DegenerateValidation when a group lacks
     either, then NonIdentifiable (``MisclassRates``) when a pair is closer
@@ -466,7 +475,8 @@ def sandwich(params: StackedParams) -> np.ndarray:
     Reads the evaluation ``solve_plugin`` stored and walks nothing: the
     bread A is ``params.jacobian`` divided by -n; the meat B is the mean
     outer product of the rows of ``params.phi``, formed as phi^T phi / n on
-    its column-contiguous columns; A^-1 B A^-T takes two linear solves
+    its column-contiguous columns, then scaled as the bread's rows are
+    (no scaled copy of phi); A^-1 B A^-T takes two linear solves
     (``np.linalg.solve``) after one check of the scaled bread's 2-norm
     condition number. The result is symmetrized as (C + C^T)/2.
     NonFiniteEvaluation when the residuals or the bread are not finite;
@@ -485,8 +495,9 @@ def sandwich(params: StackedParams) -> np.ndarray:
     row_max = np.max(np.abs(bread), axis=1)
     scale = 1.0 / np.where(row_max > 0.0, row_max, 1.0)
     bread = bread * scale[:, None]
-    phi = params.phi * scale
-    meat = phi.T @ phi / n
+    # diag(s) phi^T phi diag(s) / n, scaled on the (dim, dim) product
+    meat = params.phi.T @ params.phi
+    meat *= scale[:, None] * (scale / n)
     # one condition check serves both solves, which share the bread
     try:
         cond = np.linalg.cond(bread)
@@ -547,7 +558,7 @@ class FrameAnalysis:
 
 def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel=None,
                   w: float = 0.5, b: float | None = None,
-                  misclassification: str = "pooled") -> FrameAnalysis:
+                  misclassification: str = "pooled", starts=None) -> FrameAnalysis:
     """Compute requested estimators with sandwich SEs and 95% CIs on one frame.
 
     ``x_sel`` is the selection-model design matrix; pass None when the
@@ -565,6 +576,11 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     row) or "by_arm" (rates estimated and applied within each treatment arm,
     for misclassification that depends on treatment); every rate-consuming
     estimator and its blocks follow it.
+
+    ``starts`` maps "gamma" and "eta" to starting coefficients of the
+    treatment and selection fits, on the columns of x_treat and x_sel; a
+    fit without one starts from zero. It moves no result beyond the fits'
+    convergence tolerance.
 
     The frame's stack is built from the requested ids, solved and evaluated
     in one walk, and sandwiched once. Each point is sum_k c_k g_k(theta)
@@ -589,7 +605,7 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     """
     ids = list(estimator_ids)
     system = build_system(frame, ids, x_treat=x_treat, x_sel=x_sel,
-                          misclassification=misclassification)
+                          misclassification=misclassification, starts=starts)
     params = solve_plugin(system)
     cov = se_error = None
     if params.system.dim:

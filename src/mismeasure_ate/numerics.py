@@ -39,6 +39,10 @@ STEP_TOL = 1e-10       # max |coefficient step| at convergence
 MAX_ITER = 100
 MAX_HALVINGS = 10      # step halvings per Newton step before giving up
 SEPARATION_COEF = 30.0 # |coef| beyond this at failure suggests separation
+# a Newton candidate that moves no linear predictor by more than this raises
+# the log-likelihood: below the root 1.7933 of e^M = 1 + M + M^2 (see
+# fit_logistic), with at least 11% of the step's quadratic-model gain kept
+SAFE_STEP_MOVE = 1.5
 
 PIVOT_RTOL = 1e-12     # a condition number above 1 / PIVOT_RTOL is singular
 
@@ -134,13 +138,15 @@ def _log_likelihood(u: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y * u - (np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))))
 
 
-def fit_logistic(x, y) -> LogisticFit:
+def fit_logistic(x, y, start=None) -> LogisticFit:
     """Maximize the Bernoulli log-likelihood by Newton/IRLS steps.
 
     Parameters
     ----------
     x : array_like, shape (n, k)
     y : array_like of 0/1, length n
+    start : array_like, shape (k,), optional
+        Finite starting coefficients; None starts at beta = 0.
 
     Convergence is declared when the max absolute score drops to 1e-8 or the
     coefficient step max-norm drops to 1e-10.
@@ -148,12 +154,18 @@ def fit_logistic(x, y) -> LogisticFit:
     Each evaluation keeps only u = X beta, p = expit(u) and the score
     X'(y - p), which the next iteration reads; the final evaluation's p is
     returned as ``probabilities``. The start beta = 0 is closed-form (u = 0,
-    p = 1/2 exactly; only its score is a product). A Newton candidate is
-    accepted when the slope of the log-likelihood along the step, step .
-    score, is still nonnegative there (the log-likelihood is concave, so it
-    rose all the way), when the candidate already passes the score test, or
-    else when its log-likelihood is no lower than the current one (formed
-    only then).
+    p = 1/2 exactly; only its score is a product); any other start is one
+    evaluation. A Newton candidate is accepted when the slope of the
+    log-likelihood along the step, step . score, is still nonnegative there
+    (the log-likelihood is concave, so it rose all the way), when the
+    candidate already passes the score test, when it moves no linear
+    predictor by more than SAFE_STEP_MOVE, or else when its log-likelihood
+    is no lower than the current one (formed only then).
+    The third test is the generalized self-concordance of the logistic loss
+    (Bach 2010, Electron. J. Statist. 4): for a step t d, 0 < t <= 1, along
+    the Newton direction d and M = max_i |x_i' t d|, the log-likelihood
+    rises by at least t d'score (1 - t (e^M - 1 - M) / M^2), which is
+    positive while e^M < 1 + M + M^2, i.e. M < 1.7933.
     Otherwise the step is halved, which survives near-separation without
     oscillating; when the full step and 10 halvings all fail, the next
     halving is accepted.
@@ -163,6 +175,11 @@ def fit_logistic(x, y) -> LogisticFit:
 
     Raises
     ------
+    DimensionMismatch
+        A design that is not 2-d or has more columns than rows, a response
+        of another length, or a start of another shape than (k,).
+    NonFiniteEvaluation
+        A non-finite entry in the design or the start.
     SingularSystem
         Information matrix is rank deficient: its smallest eigenvalue is
         not positive or its condition number exceeds 1e12.
@@ -196,9 +213,17 @@ def fit_logistic(x, y) -> LogisticFit:
             )
         return LogisticFit(beta, True, iterations, max_abs_score, p)
 
-    beta = np.zeros(k)
-    u, p = np.zeros(n), np.full(n, 0.5)
-    score = xv.T @ (y - 0.5)
+    if start is None:
+        beta = np.zeros(k)
+        u, p = np.zeros(n), np.full(n, 0.5)
+        score = xv.T @ (y - 0.5)
+    else:
+        beta = np.array(start, dtype=float)
+        if beta.shape != (k,):
+            raise DimensionMismatch(f"start has shape {beta.shape}, expected ({k},)")
+        if not np.all(np.isfinite(beta)):
+            raise NonFiniteEvaluation("start contains non-finite entries")
+        u, p, score = evaluate(beta)
     max_abs_score = np.inf
 
     for iteration in range(1, MAX_ITER + 1):
@@ -219,14 +244,15 @@ def fit_logistic(x, y) -> LogisticFit:
         # step halving keeps the likelihood monotone near separation; if the
         # full step and MAX_HALVINGS halvings all lower it, one more is taken.
         # The current log-likelihood is formed only for a candidate that
-        # fails both the slope and the score test
+        # fails the slope, the score and the move test
         loglik = None
         scale = 1.0
         for halving in range(MAX_HALVINGS + 2):
             candidate = beta + scale * step
             u_new, p_new, score_new = evaluate(candidate)
             if (step @ score_new >= 0.0 or np.max(np.abs(score_new)) <= SCORE_TOL
-                    or halving > MAX_HALVINGS):
+                    or halving > MAX_HALVINGS
+                    or np.max(np.abs(u_new - u)) <= SAFE_STEP_MOVE):
                 break
             if loglik is None:
                 loglik = _log_likelihood(u, y)

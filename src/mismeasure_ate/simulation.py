@@ -341,7 +341,9 @@ def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
     x, t, y = draw_gold_data(dgp_large, _rng(child_seed(base_seed, index)))
     x_treat = with_intercept(x)
     del x  # the covariates are not held through the fit
-    e = clamp_probability(fit_logistic(x_treat, t).probabilities)
+    # the fit starts at the coefficients that drew t
+    fit = fit_logistic(x_treat, t, start=dgp_large.treatment_coefs)
+    e = clamp_probability(fit.probabilities)
     w_t, w_c = est.arm_weights(t, e)
     return float(np.sum(w_t * y)) / dgp_large.n - float(np.sum(w_c * y)) / dgp_large.n
 
@@ -388,12 +390,30 @@ class ScenarioResult:
         return {row.estimator_id: row for row in self.rows}
 
 
+def generating_starts(config: ScenarioConfig) -> dict[str, np.ndarray]:
+    """The coefficients that generate a scenario's data, on the columns of
+    the analyst's two models (``ModelSpec.columns``), as ``analyze_frame``'s
+    ``starts``: "gamma" from ``dgp.treatment_coefs`` (intercept, x-columns)
+    and, with a selection model, "eta" from ``selection.alpha0`` (intercept,
+    t, x-columns), which should be the calibrated one. A fit started there
+    reaches the same maximum in fewer Newton steps."""
+    treatment, selection = config.model_spec.columns(config.dgp.p)
+    starts = {"gamma": np.asarray(config.dgp.treatment_coefs, dtype=float)[[0] + [
+        1 + j for j in treatment]]}
+    if selection is not None:
+        starts["eta"] = np.asarray(config.selection.alpha0, dtype=float)[[0, 1] + [
+            2 + j for j in selection]]
+    return starts
+
+
 def _run_iteration(config: ScenarioConfig, index: int):
     """One Monte Carlo iteration; returns (records, failures).
 
     records maps estimator id to (tau, se, ci_low, ci_high); failures maps
     estimator id to an error class name. An estimator with a point estimate
-    but no SE counts as failed (it cannot contribute coverage).
+    but no SE counts as failed (it cannot contribute coverage). The fits
+    start at the generating coefficients (``generating_starts``), which
+    ``config``'s calibrated selection carries.
     """
     rng = _rng(child_seed(config.base_seed, index))
     population = generate_population(config.dgp, rng)
@@ -424,9 +444,9 @@ def _run_iteration(config: ScenarioConfig, index: int):
         # the oracle benchmark keeps the full treatment model; the analyst's
         # (misspecified) covariate set applies to everything else
         main_ids.remove("oracle")
-        analyze(["oracle"])
+        analyze(["oracle"], starts={"gamma": np.asarray(config.dgp.treatment_coefs, dtype=float)})
     if main_ids:
-        analyze(main_ids, x_treat=x_treat, x_sel=x_sel)
+        analyze(main_ids, x_treat=x_treat, x_sel=x_sel, starts=generating_starts(config))
     return records, failures
 
 

@@ -545,9 +545,9 @@ def count_fits(monkeypatch):
     """Record the response of every logistic fit the walk makes."""
     calls = []
 
-    def counted(x, y):
+    def counted(x, y, start=None):
         calls.append(y)
-        return fit_logistic(x, y)
+        return fit_logistic(x, y, start)
 
     monkeypatch.setattr(inf, "fit_logistic", counted)
     return calls

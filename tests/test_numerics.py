@@ -1,5 +1,7 @@
+import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from mismeasure_ate.errors import (
     SeparationSuspected,
     SingularSystem,
 )
+from mismeasure_ate import simulation as sim
 from mismeasure_ate.numerics import (
     GRAM_BLOCK_ROWS,
+    SAFE_STEP_MOVE,
     _log_likelihood,
     clamp_probability,
     expit,
@@ -157,6 +161,114 @@ def test_downhill_slope_falls_back_to_the_log_likelihood(monkeypatch):
     assert fit.converged and calls
     reference = oracles.newton_logistic(x, y)
     np.testing.assert_allclose(fit.coefficients, reference, rtol=0.0, atol=1e-8)
+
+
+@functools.cache
+def _generating_start_fits() -> dict:
+    """(design, response, generating coefficients) of the study's fits: the
+    treatment and selection models of one 5,000-row main_nonprob frame, the
+    same two models without x2 (misspecified_selection's analyst designs),
+    and one 50,000-row truth-oracle population."""
+    config = sim.scenario_catalog()["main_nonprob"]
+    config = replace(config, selection=sim.resolve_selection(config)[0])
+    rng = sim._rng(sim.child_seed(config.base_seed, 0))
+    frame = sim.select_validation(sim.generate_population(config.dgp, rng), config.selection, rng)
+    cases = {}
+    for label, study in (("", config),
+                         ("misspecified_", replace(config, selection=replace(
+                             config.selection, misspecify_drop=2)))):
+        x_treat, x_sel = study.model_spec.designs(frame)
+        starts = sim.generating_starts(study)
+        cases[label + "treatment"] = x_treat, frame.t, starts["gamma"]
+        cases[label + "selection"] = x_sel, frame.v, starts["eta"]
+    dgp = replace(config.dgp, n=50_000)
+    x, t, _ = sim.draw_gold_data(dgp, sim._rng(sim.child_seed(config.base_seed, 1)))
+    cases["population"] = with_intercept(x), t, np.asarray(dgp.treatment_coefs)
+    return cases
+
+
+@pytest.mark.parametrize("case", ["treatment", "selection", "misspecified_treatment",
+                                  "misspecified_selection", "population"])
+def test_generating_start_reaches_the_zero_start_maximum(case):
+    # a start moves the iterate path, not the maximum: within 1e-10 of the
+    # zero-start fit and of the independent solver, in fewer Newton steps
+    x, y, start = _generating_start_fits()[case]
+    assert start.shape == (x.shape[1],)
+    started, zero = fit_logistic(x, y, start=start), fit_logistic(x, y)
+    assert started.converged and zero.converged
+    assert started.iterations < zero.iterations
+    reference = oracles.newton_logistic(x, y)
+    for other in (zero.coefficients, reference):
+        np.testing.assert_allclose(started.coefficients, other, rtol=0.0, atol=1e-10)
+    assert np.array_equal(started.probabilities, expit(x @ started.coefficients))
+
+
+def test_zero_start_is_the_default_bit_for_bit():
+    x, y, _ = _generating_start_fits()["treatment"]
+    default, zero = fit_logistic(x, y), fit_logistic(x, y, start=np.zeros(x.shape[1]))
+    assert _bits(default.coefficients) == _bits(zero.coefficients)
+    assert default.iterations == zero.iterations
+
+
+def test_start_is_checked():
+    x, y, start = _generating_start_fits()["treatment"]
+    for bad in (start[:-1], np.append(start, 0.0), start[:, None], 0.0):
+        with pytest.raises(DimensionMismatch):
+            fit_logistic(x, y, start=bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = start.copy()
+        bad[2] = value
+        with pytest.raises(NonFiniteEvaluation):
+            fit_logistic(x, y, start=bad)
+
+
+def test_safe_step_move_is_below_the_root():
+    # the move test's constant lies below the root of e^M = 1 + M + M^2,
+    # where the guaranteed share 1 - (e^M - 1 - M) / M^2 of the gain is 0
+    lo, hi = 1.0, 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if math.exp(mid) < 1.0 + mid + mid * mid else (lo, mid)
+    assert 1.7932 < lo < 1.7934
+    assert 0.0 < SAFE_STEP_MOVE < lo
+    share = 1.0 - (math.exp(SAFE_STEP_MOVE) - 1.0 - SAFE_STEP_MOVE) / SAFE_STEP_MOVE ** 2
+    assert share > 0.1
+
+
+def test_full_steps_the_move_test_accepts_raise_the_log_likelihood():
+    # random logistic problems and starts, seeded: every full Newton step
+    # that moves no linear predictor by more than SAFE_STEP_MOVE raises the
+    # log-likelihood, by at least the self-concordance bound; the problems
+    # include steps the slope test rejects (the slope has turned negative at
+    # the candidate), which only the move test accepts without a log-likelihood
+    accepted = overshoots = 0
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(20, 400)), int(rng.integers(2, 7))
+        x = with_intercept(rng.normal(size=(n, k - 1)))
+        beta = rng.normal(scale=1.0, size=k)
+        y = (rng.random(n) < expit(x @ beta)).astype(float)
+        if y.min() == y.max():
+            continue
+        start = beta + rng.normal(scale=rng.uniform(0.0, 1.0), size=k)
+        u = x @ start
+        for _ in range(3):  # the first steps of a fit from this start
+            p = expit(u)
+            score = x.T @ (y - p)
+            step = np.linalg.solve(weighted_gram(x, p * (1.0 - p)), score)
+            u_new = x @ (start + step)
+            move = float(np.max(np.abs(u_new - u)))
+            if move > SAFE_STEP_MOVE:
+                break
+            gain = _log_likelihood(u_new, y) - _log_likelihood(u, y)
+            bound = (step @ score) * (1.0 - (math.exp(move) - 1.0 - move) / move ** 2)
+            rounding = 1e-13 * n * (1.0 + float(np.max(np.abs(u_new))))
+            assert gain >= bound - rounding, (seed, gain, bound)
+            assert gain > 0.0 or bound <= rounding, (seed, gain, bound)
+            accepted += 1
+            overshoots += step @ (x.T @ (y - expit(u_new))) < 0.0
+            start, u = start + step, u_new
+    assert accepted > 400 and overshoots > 50
 
 
 def test_complete_separation_raises():

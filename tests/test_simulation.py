@@ -8,8 +8,9 @@ import oracles
 from conftest import count_log_likelihoods
 from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import CalibrationFailed, DimensionMismatch, TooManyFailures
+from mismeasure_ate import inference as inf
 from mismeasure_ate.inference import analyze_frame
-from mismeasure_ate.numerics import expit
+from mismeasure_ate.numerics import expit, fit_logistic
 
 
 BASE = sim.DgpConfig()
@@ -329,7 +330,9 @@ def test_run_scenario_aggregates_match_manual_replay():
         population = sim.generate_population(config.dgp, rng)
         frame = sim.select_validation(population, selection_used, rng)
         x_treat, x_sel = config.model_spec.designs(frame)
-        analysis = analyze_frame(frame, ["val_only"], x_treat=x_treat, x_sel=x_sel)
+        starts = sim.generating_starts(replace(config, selection=selection_used))
+        analysis = analyze_frame(frame, ["val_only"], x_treat=x_treat, x_sel=x_sel,
+                                 starts=starts)
         taus.append(analysis.estimates["val_only"].tau)
         ses.append(analysis.estimates["val_only"].se)
     row = result.rows[0]
@@ -337,6 +340,65 @@ def test_run_scenario_aggregates_match_manual_replay():
     assert row.bias == pytest.approx(np.mean(taus) - config.truth, abs=1e-12)
     assert row.empirical_se == pytest.approx(np.std(taus, ddof=1), abs=1e-12)
     assert row.mean_sandwich_se == pytest.approx(np.mean(ses), abs=1e-12)
+
+
+def _zero_start_replay(config, index):
+    """Iteration ``index`` of ``config`` (its selection calibrated) analysed
+    with every fit started at zero, the oracle of a misspecified preset on
+    the full treatment model: estimator id -> AteEstimate."""
+    rng = sim._rng(sim.child_seed(config.base_seed, index))
+    population = sim.generate_population(config.dgp, rng)
+    frame = sim.select_validation(population, config.selection, rng).with_full_y(population.y)
+    x_treat, x_sel = config.model_spec.designs(frame)
+    options = dict(w=config.w, b=config.b, misclassification=config.misclassification)
+    ids = list(config.estimators)
+    estimates = {}
+    if config.selection.misspecify_drop is not None:
+        ids.remove("oracle")
+        estimates.update(analyze_frame(frame, ["oracle"], **options).estimates)
+    estimates.update(analyze_frame(frame, ids, x_treat=x_treat, x_sel=x_sel, **options).estimates)
+    return estimates
+
+
+@pytest.mark.parametrize("preset", ["main_srs", "main_nonprob", "misspecified_selection",
+                                    "heterogeneous_nonprob"])
+def test_generating_starts_match_a_zero_start_replay(preset, monkeypatch):
+    # the scenario's fits start at the generating coefficients; each
+    # iteration's points and SEs are those of fits started at zero, to the
+    # fits' convergence tolerance
+    config = replace(sim.scenario_catalog()[preset], iterations=4)
+    config = replace(config, selection=sim.resolve_selection(config)[0])
+    assert "oracle" in config.estimators
+    starts = []
+
+    def recorded(x, y, start=None):
+        starts.append(start)
+        return fit_logistic(x, y, start)
+
+    for index in range(config.iterations):
+        with monkeypatch.context() as patch:
+            patch.setattr(inf, "fit_logistic", recorded)
+            records, failures = sim._run_iteration(config, index)
+        assert not failures
+        replay = _zero_start_replay(config, index)
+        assert sorted(records) == sorted(replay)
+        for est_id, (tau, se, _, _) in records.items():
+            assert tau == pytest.approx(replay[est_id].tau, rel=0.0, abs=1e-10), est_id
+            assert se == pytest.approx(replay[est_id].se, rel=1e-8, abs=0.0), est_id
+    assert starts and all(start is not None for start in starts)
+
+
+def test_generating_starts_read_the_analyst_columns():
+    catalog = sim.scenario_catalog()
+    srs = sim.generating_starts(catalog["main_srs"])
+    assert list(srs) == ["gamma"]
+    np.testing.assert_array_equal(srs["gamma"], catalog["main_srs"].dgp.treatment_coefs)
+    misspecified = catalog["misspecified_selection"]
+    starts = sim.generating_starts(misspecified)
+    treat, alpha = misspecified.dgp.treatment_coefs, misspecified.selection.alpha0
+    # x2 is left out: the treatment start drops slot 2, the selection start slot 3
+    np.testing.assert_array_equal(starts["gamma"], [treat[j] for j in (0, 1, 3, 4, 5)])
+    np.testing.assert_array_equal(starts["eta"], [alpha[j] for j in (0, 1, 2, 4, 5, 6)])
 
 
 def test_srs_scenario_val_only_equals_s_val_only_per_iteration():
