@@ -395,14 +395,13 @@ def generating_starts(config: ScenarioConfig) -> dict[str, np.ndarray]:
     the analyst's two models (``ModelSpec.columns``), as ``analyze_frame``'s
     ``starts``: "gamma" from ``dgp.treatment_coefs`` (intercept, x-columns)
     and, with a selection model, "eta" from ``selection.alpha0`` (intercept,
-    t, x-columns), which should be the calibrated one. A fit started there
+    t, x-columns), calibrated by ``resolve_selection``. A fit started there
     reaches the same maximum in fewer Newton steps."""
     treatment, selection = config.model_spec.columns(config.dgp.p)
-    starts = {"gamma": np.asarray(config.dgp.treatment_coefs, dtype=float)[[0] + [
-        1 + j for j in treatment]]}
+    coefs, alpha = config.dgp.treatment_coefs, config.selection.alpha0
+    starts = {"gamma": np.array([coefs[0]] + [coefs[1 + j] for j in treatment])}
     if selection is not None:
-        starts["eta"] = np.asarray(config.selection.alpha0, dtype=float)[[0, 1] + [
-            2 + j for j in selection]]
+        starts["eta"] = np.array([alpha[0], alpha[1]] + [alpha[2 + j] for j in selection])
     return starts
 
 
@@ -444,7 +443,7 @@ def _run_iteration(config: ScenarioConfig, index: int):
         # the oracle benchmark keeps the full treatment model; the analyst's
         # (misspecified) covariate set applies to everything else
         main_ids.remove("oracle")
-        analyze(["oracle"], starts={"gamma": np.asarray(config.dgp.treatment_coefs, dtype=float)})
+        analyze(["oracle"], starts={"gamma": config.dgp.treatment_coefs})
     if main_ids:
         analyze(main_ids, x_treat=x_treat, x_sel=x_sel, starts=generating_starts(config))
     return records, failures
