@@ -495,7 +495,6 @@ def sandwich(params: StackedParams) -> np.ndarray:
     row_max = np.max(np.abs(bread), axis=1)
     scale = 1.0 / np.where(row_max > 0.0, row_max, 1.0)
     bread = bread * scale[:, None]
-    # diag(s) phi^T phi diag(s) / n, scaled on the (dim, dim) product
     meat = params.phi.T @ params.phi
     meat *= scale[:, None] * (scale / n)
     # one condition check serves both solves, which share the bread
