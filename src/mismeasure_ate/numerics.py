@@ -153,11 +153,10 @@ def fit_logistic(x, y, start=None) -> LogisticFit:
 
     Each evaluation keeps only u = X beta, p = expit(u) and the score
     X'(y - p), which the next iteration reads; the final evaluation's p is
-    returned as ``probabilities``. The start beta = 0 is closed-form (u = 0,
-    p = 1/2 exactly; only its score is a product); any other start is one
-    evaluation. A Newton candidate is accepted when the slope of the
-    log-likelihood along the step, step . score, is still nonnegative there
-    (the log-likelihood is concave, so it rose all the way), when the
+    returned as ``probabilities``. The start is one such evaluation. A
+    Newton candidate is accepted when the slope of the log-likelihood along
+    the step, step . score, is still nonnegative there (the log-likelihood
+    is concave, so it rose all the way), when the
     candidate already passes the score test, when it moves no linear
     predictor by more than SAFE_STEP_MOVE, or else when its log-likelihood
     is no lower than the current one (formed only then).
@@ -213,17 +212,12 @@ def fit_logistic(x, y, start=None) -> LogisticFit:
             )
         return LogisticFit(beta, True, iterations, max_abs_score, p)
 
-    if start is None:
-        beta = np.zeros(k)
-        u, p = np.zeros(n), np.full(n, 0.5)
-        score = xv.T @ (y - 0.5)
-    else:
-        beta = np.array(start, dtype=float)
-        if beta.shape != (k,):
-            raise DimensionMismatch(f"start has shape {beta.shape}, expected ({k},)")
-        if not np.all(np.isfinite(beta)):
-            raise NonFiniteEvaluation("start contains non-finite entries")
-        u, p, score = evaluate(beta)
+    beta = np.zeros(k) if start is None else np.array(start, dtype=float)
+    if beta.shape != (k,):
+        raise DimensionMismatch(f"start has shape {beta.shape}, expected ({k},)")
+    if not np.all(np.isfinite(beta)):
+        raise NonFiniteEvaluation("start contains non-finite entries")
+    u, p, score = evaluate(beta)
     max_abs_score = np.inf
 
     for iteration in range(1, MAX_ITER + 1):

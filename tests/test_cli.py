@@ -256,14 +256,16 @@ FAULT_TEXTS = st.sampled_from(["", "0", "1", "2", "-1", "1.0", " 1", "abc", "1e5
        faults=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 8), FAULT_TEXTS), max_size=3))
 # a dropped field followed by an edit of the cell it held
 @example(n=1, seed=0, block=1, faults=[(0, 7, ""), (0, 5, "")])
+# more dropped fields than the row has
+@example(n=1, seed=0, block=1, faults=[(0, 8, ""), (0, 7, ""), (0, 7, "")])
 @example(n=3, seed=0, block=2, faults=[(1, 8, "")])
 @example(n=3, seed=0, block=2, faults=[(2, 0, "\x1c1")])
 def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, block, faults):
     # Each fault (row, column, text) sets a cell; column 6 appends text as an
-    # extra field, column 7 drops the row's last field and column 8 makes the
-    # row a line of spaces as wide as it. The cell edits are made first, so
-    # each names a cell of the written row. Both readers must return the same
-    # frame or fail with the same message.
+    # extra field, column 7 drops the row's last field (if one is left) and
+    # column 8 makes the row a line of spaces as wide as it. The cell edits
+    # are made first, so each names a cell of the written row. Both readers
+    # must return the same frame or fail with the same message.
     frame = random_frame(np.random.default_rng(seed), n, p=2)
     path = tmp_path / "d.csv"
     with pytest.MonkeyPatch.context() as patch:
@@ -277,7 +279,7 @@ def test_reader_matches_the_row_loop_oracle_on_random_files(tmp_path, n, seed, b
             if column == 6:
                 cells.append(text)
             elif column == 7:
-                cells.pop()
+                del cells[-1:]
             elif column == 8:
                 cells[:] = [" " * len(",".join(cells))]
             else:

@@ -418,7 +418,8 @@ def test_srs_scenario_val_only_equals_s_val_only_per_iteration():
 
 def test_study_fits_need_no_log_likelihood(monkeypatch):
     # on the study's 5000-row frames every Newton candidate, treatment and
-    # selection fit alike, is accepted by its slope or its score
+    # selection fit alike, is accepted by its slope, its score or its move
+    # (SAFE_STEP_MOVE)
     calls = count_log_likelihoods(monkeypatch)
     config = replace(sim.scenario_catalog()["main_nonprob"], iterations=5, base_seed=3)
     config = replace(config, selection=sim.resolve_selection(config)[0])
