@@ -1,6 +1,6 @@
 """Golden reports: today's ``simulate``, ``estimate`` and ``true-ate`` JSON
-against the reports in ``tests/golden/`` (written by
-``scripts/make_golden.py``).
+and the failure maps of the degenerate frames against the reports in
+``tests/golden/`` (written by ``scripts/make_golden.py``).
 
 The tolerances are the benchmark gate's (``bench/gate.py``): every value
 that is not a float exactly; points (estimates, biases, empirical SEs, blend
@@ -8,7 +8,8 @@ weights, counted rates, the truth and its Monte Carlo SE) within POINT_ABS,
 or WEIGHTED_ABS for the estimators whose point moves with an SE-derived
 weight; sandwich SEs within SE_REL relative; CI bounds within
 z * se * SE_REL plus the point tolerance; and a coverage within one
-iteration of n_effective.
+iteration of n_effective. Every golden and every fresh report must be
+strict JSON: a NaN or Infinity token fails the parse.
 """
 
 import importlib.util
@@ -30,6 +31,13 @@ make_golden = _load("make_golden", ROOT / "scripts" / "make_golden.py")
 
 SE_FIELDS = ("se", "mean_sandwich_se")
 CI_FIELDS = ("ci_low", "ci_high")
+
+
+def strict(text: str):
+    """The JSON value of ``text``; a NaN or Infinity token raises."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def compare(want: dict, got: dict, label: str, largest: dict) -> list[str]:
@@ -69,8 +77,8 @@ def compare(want: dict, got: dict, label: str, largest: dict) -> list[str]:
                 same(where, golden, value)
                 continue
             change = abs(value - golden)
-            if key in SE_FIELDS:
-                change, tol = change / golden, gate.SE_REL
+            if key in SE_FIELDS:  # a golden SE of 0 (a degenerate frame's) compares absolutely
+                change, tol = change / (golden or 1.0), gate.SE_REL
             elif key in CI_FIELDS:
                 half = gate.Z_975 * ref["se"]
                 change, tol = change / half, gate.SE_REL + point_tol / half
@@ -89,8 +97,14 @@ def test_reports_match_the_goldens(tmp_path):
     assert sorted(fresh) == sorted(p.name for p in make_golden.GOLDEN.glob("*.json"))
     failures, largest = [], {}
     for name, text in fresh.items():
-        want = json.loads((make_golden.GOLDEN / name).read_text(encoding="utf-8"))
-        failures += compare(want, json.loads(text), name.removesuffix(".json"), largest)
+        want, got = strict((make_golden.GOLDEN / name).read_text(encoding="utf-8")), strict(text)
+        label = name.removesuffix(".json")
+        if name == make_golden.DEGENERATE_NAME:  # one record per frame
+            assert len(want) == len(got) == make_golden.DEGENERATE_FRAMES
+            for k, (record, fresh_record) in enumerate(zip(want, got)):
+                failures += compare(record, fresh_record, f"{label}[{k}]", largest)
+        else:
+            failures += compare(want, got, label, largest)
     # the largest change per field and estimator, shown with ``pytest -s``
     fields = sorted({key for _, _, key in largest})
     estimators = list(dict.fromkeys(est_id for _, est_id, _ in largest))
@@ -104,8 +118,23 @@ def test_reports_match_the_goldens(tmp_path):
     assert not failures, failures
 
 
+def test_degenerate_frames_reach_every_block_failure():
+    # the failure classes a weighted block or the rates raise while solving,
+    # each reached by some frame of the corpus. EmptyArm (an arm of zero
+    # weight over every row) is not: a frame with one treatment arm stops
+    # at the treatment fit first, which raises SeparationSuspected
+    records = strict((make_golden.GOLDEN / make_golden.DEGENERATE_NAME).read_text(encoding="utf-8"))
+    raised = {record["raised"] for record in records} - {None}
+    reasons = {reason for record in records if record["raised"] is None
+               for reason in (*record["failures"].values(), *record["se_failures"].values())}
+    assert raised == {"SeparationSuspected"}
+    assert {"EmptyComplement", "EmptyValidationArm", "EmptyComplementArm",
+            "MissingGoldOutcomes", "DegenerateValidation", "NonIdentifiable"} <= reasons
+    assert "EmptyArm" not in reasons
+
+
 def test_comparator_applies_the_gate_tolerances():
-    want = json.loads((make_golden.GOLDEN / "simulate_main_srs.json").read_text(encoding="utf-8"))
+    want = strict((make_golden.GOLDEN / "simulate_main_srs.json").read_text(encoding="utf-8"))
 
     def moved(key, by, est_id="val_only"):
         got = json.loads(json.dumps(want))
