@@ -109,10 +109,8 @@ def _degenerate_frames() -> str:
             continue
         records.append({
             "raised": None, "failures": analysis.failures, "se_failures": analysis.se_failures,
-            "rows": [{"estimator": e.estimator_id, "tau": float(e.tau),
-                      "se": None if e.se is None else float(e.se),
-                      "weight_used": None if e.weight_used is None else float(e.weight_used)}
-                     for e in analysis.estimates.values()]})
+            "rows": [{"estimator": e.estimator_id, "tau": e.tau, "se": e.se,
+                      "weight_used": e.weight_used} for e in analysis.estimates.values()]})
     return "[\n" + ",\n".join(json.dumps(r, allow_nan=False) for r in records) + "\n]\n"
 
 

@@ -15,22 +15,24 @@ with its per-subject estimating rows:
   ("by_arm"). Each rate is a Hajek mean of Y* (rows w (Y* - p), weights
   not divided by any probability): p11 over the group's gold positives
   (w = Y), p10 over its gold negatives (w = 1 - Y).
-* seven weighted blocks, each holding the two arm means (m_c, m_t) of one
-  outcome under the weights (w_c, w_t) of ``estimators.arm_weights``, and
-  differing only in normalization. The Horvitz-Thompson (HT) blocks divide
-  by n (rows w_a Y - m_a): ``tau_oracle`` and ``tau_naive`` weight every
-  row, with Y and Y*; ``tau_val`` and ``tau_s_val`` the validated rows (row
-  factor V/pi), with the gold Y, under the constant and the fitted
-  selection model. The Hajek blocks divide by the arm's weight (rows
-  w_a (Y* - m_a)): ``r_const`` and ``r_fit`` weight the complement (row
-  factor (1-V)/(1-pi)), under the constant and the fitted selection model;
-  ``d`` weights every row.
+* the weighted blocks, each holding the two arm means (m_c, m_t) of one
+  outcome under the weights (w_c, w_t) of ``estimators.arm_weights``. Each
+  is one row of ``BLOCKS``, (kind, outcome, rows, selection model):
+
+  - kind: "ht" (Horvitz-Thompson) divides by n (rows w_a Y - m_a),
+    "hajek" by the arm's weight (rows w_a (Y - m_a));
+  - outcome: the frame attribute Y averaged, ``y`` (the gold outcome on
+    every row), ``y_validated`` (the gold outcome, 0 off the validated
+    rows) or ``y_star``;
+  - rows: ``all``, ``validated`` (row factor V/pi) or ``complement`` (row
+    factor (1-V)/(1-pi)), pi the probability of the selection model,
+    ``eta0`` or ``eta``.
 
 Every estimator is a smooth function g(theta) of the solved parameters.
-``READS`` names the blocks it reads, each as the contrast m_t - m_c of the
-block's arm means or, corrected, as their misclassification-corrected
-contrast (``estimators.corrected_contrast``); the Hajek blocks are read
-corrected, so the rates are their parent. A point is sum_k c_k g_k(theta)
+``READS`` names the blocks it reads, each as the contrast m_t - m_c of an
+HT block's arm means or as the misclassification-corrected contrast of a
+Hajek block's (``estimators.corrected_contrast``), so a Hajek block has
+the rates as a parent. A point is sum_k c_k g_k(theta)
 with the blend coefficients c_k, and its SE the delta-method form
 sqrt(grad' C grad) on the sandwich covariance C, grad = sum_k c_k grad g_k.
 
@@ -101,39 +103,41 @@ RESIDUAL_TOL = 1e-6
 NEGATIVE_VARIANCE_TOL = 1e-12  # a variance above -1e-12 is rounding, read as 0
 Z_95 = NormalDist().inv_cdf(0.975)  # every interval is a 95% one
 
-# block -> (kind, treatment model, selection model) its rows read; the
-# Hajek blocks, read corrected, have the rates as a parent too. Parents come
-# first, which is the stacked order.
+# block -> (kind, outcome, rows, selection model) (see the module
+# docstring). A weighted block's rows read the treatment model gamma, its
+# selection model and, for a Hajek block, the rates. Parents come first,
+# which is the stacked order.
 BLOCKS = {
-    "gamma": ("treatment", None, None),
-    "eta0": ("share", None, None),
-    "eta": ("selection", None, None),
-    "rates": ("rates", None, None),
-    "tau_oracle": ("ht", "gamma", None),
-    "tau_naive": ("ht", "gamma", None),
-    "tau_val": ("ht", "gamma", "eta0"),
-    "tau_s_val": ("ht", "gamma", "eta"),
-    "r_const": ("hajek", "gamma", "eta0"),
-    "r_fit": ("hajek", "gamma", "eta"),
-    "d": ("hajek", "gamma", None),
+    "gamma": ("treatment", None, None, None),
+    "eta0": ("share", None, None, None),
+    "eta": ("selection", None, None, None),
+    "rates": ("rates", "y_star", None, None),
+    "tau_oracle": ("ht", "y", "all", None),
+    "tau_naive": ("ht", "y_star", "all", None),
+    "tau_val": ("ht", "y_validated", "validated", "eta0"),
+    "tau_s_val": ("ht", "y_validated", "validated", "eta"),
+    "r_const": ("hajek", "y_star", "complement", "eta0"),
+    "r_fit": ("hajek", "y_star", "complement", "eta"),
+    "d": ("hajek", "y_star", "all", None),
 }
+# a weighted block's rows -> the error of a treatment arm of zero weight there
+EMPTY_ARM = {"all": EmptyArm, "validated": EmptyValidationArm, "complement": EmptyComplementArm}
 
-# estimator id -> the contrasts its point and SE read, as (block, corrected):
-# m_t - m_c of the block's arm means, or with corrected their
-# misclassification-corrected contrast. A blend weights its two contrasts
-# with the coefficients analyze_frame gives it.
+# estimator id -> the blocks whose contrasts its point and SE read
+# (``StackedParams.contrast``). A blend weights its two contrasts with the
+# coefficients analyze_frame gives it.
 READS = {
-    "oracle": (("tau_oracle", False),),
-    "naive": (("tau_naive", False),),
-    "val_only": (("tau_val", False),),
-    "nonval_corrected": (("r_const", True),),
-    "sy_combined": (("tau_val", False), ("r_const", True)),
-    "s_val_only": (("tau_s_val", False),),
-    "s_nonval": (("r_fit", True),),
-    "s_combined": (("tau_s_val", False), ("r_fit", True)),
-    "all_silver": (("d", True),),
-    "s_weighted": (("tau_s_val", False), ("d", True)),
-    "s_opt": (("tau_s_val", False), ("d", True)),
+    "oracle": ("tau_oracle",),
+    "naive": ("tau_naive",),
+    "val_only": ("tau_val",),
+    "nonval_corrected": ("r_const",),
+    "sy_combined": ("tau_val", "r_const"),
+    "s_val_only": ("tau_s_val",),
+    "s_nonval": ("r_fit",),
+    "s_combined": ("tau_s_val", "r_fit"),
+    "all_silver": ("d",),
+    "s_weighted": ("tau_s_val", "d"),
+    "s_opt": ("tau_s_val", "d"),
 }
 
 
@@ -192,14 +196,11 @@ class EstimatingSystem:
         """The block that stands for ``name`` in this stack."""
         return self._alias.get(name, name)
 
-    def spec(self, name: str) -> tuple[str, str | None, str | None]:
-        """(kind, treatment model, selection model) of a block, its selection model resolved."""
-        kind, treat, sel = BLOCKS[name]
-        return kind, treat, sel and self.resolve(sel)
-
     def parents(self, name: str) -> list[str]:
-        kind, treat, sel = self.spec(name)
-        found = [p for p in (treat, sel) if p is not None]
+        kind, _, _, sel = BLOCKS[name]
+        if kind not in ("ht", "hajek"):
+            return []
+        found = ["gamma", sel] if sel else ["gamma"]
         return found + ["rates"] if kind == "hajek" else found
 
     def restrict(self, names) -> "EstimatingSystem":
@@ -231,18 +232,18 @@ class EstimatingSystem:
         """Walk the blocks in stacked order (see ``evaluate``). When
         ``solving``, each block first solves its parameters into theta by
         plug-in (the two models by ``fit_logistic``, from their ``starts``)
-        and checks its residual
-        mean after its rows; a block that fails is left out with the blocks
-        built on it, and the next takes its place in theta, phi and the
-        Jacobian. A treatment-model fit that fails raises. The seven weighted
-        blocks and the rates take one branch: their means, rows and
-        derivatives differ only in the normalization (n, or the sum of the
-        weights) and in the weights; only the arm means' weights move with e
-        and pi. Returns (phi, jacobian, layout, failed, e), e the clamped
-        treatment propensities (None without a gamma block)."""
+        and checks its residual mean after its rows; a block that fails is
+        left out with the blocks built on it, and the next takes its place
+        in theta, phi and the Jacobian. A treatment-model fit that fails
+        raises. The weighted blocks and the rates take one branch, which
+        reads the block's row of ``BLOCKS``: their means, rows and
+        derivatives differ only in the outcome, the normalization (n, or the
+        sum of the weights) and the weights; only the arm means' weights move
+        with e and pi. Returns (phi, jacobian, layout, failed, e), e the
+        clamped treatment propensities (None without a gamma block)."""
         frame = self.frame
         n = frame.n
-        t, v, y_star, yv = frame.t, frame.v, frame.y_star, frame.y_validated
+        t, v, yv = frame.t, frame.v, frame.y_validated
         phi = np.empty((n, self.dim), order="F")
         jac = np.zeros((self.dim, self.dim))
         layout, failed, pos = {}, {}, 0
@@ -251,7 +252,7 @@ class EstimatingSystem:
         def rows(name, cols):
             """Solve block ``name`` (when solving), then write its rows; its
             per-row arrays go when it returns, so one block's are held at a time."""
-            kind, treat, sel = self.spec(name)
+            kind, column, where, sel = BLOCKS[name]
             par, row = theta[cols], cols.start  # a view, which the plug-in writes through
             if kind == "share":
                 # an intercept-only model with the identity link, unclamped
@@ -283,26 +284,22 @@ class EstimatingSystem:
                 # The rates are Hajek means of Y*: each group's (p11, p10)
                 # over its gold positives (weight Y) and its gold negatives
                 # (1-Y). A block's arm means (m_c, m_t) are divided by n (HT)
-                # or by the arm's weight (Hajek); with a selection model an
-                # HT block weights the validated rows (row factor V/pi) and a
-                # Hajek block the complement ((1-V)/(1-pi))
-                hajek = kind != "ht"
+                # or by the arm's weight (Hajek), over its rows
+                hajek, outcome = kind != "ht", getattr(frame, column)
                 if kind == "rates":
-                    outcome = y_star
                     weights = [w for _, counted in self._rate_groups
                                for w in (yv * counted, (1.0 - yv) * counted)]
                 else:
-                    e = prob[treat]
-                    outcome = (frame.y if name == "tau_oracle"
-                               else yv if sel and not hajek else y_star)
-                    if solving and name == "tau_oracle" and np.any(np.isnan(outcome)):
-                        raise MissingGoldOutcomes(
-                            "oracle estimator needs the gold outcome on every row")
-                    if solving and sel and hajek and frame.n_v == n:
-                        raise EmptyComplement("every row is validated; the complement is empty")
+                    e = prob["gamma"]
+                    if solving and np.any(np.isnan(outcome)):
+                        raise MissingGoldOutcomes(f"{name} needs its outcome on every row")
                     in_rows = share = None
-                    if sel:
-                        in_rows, share = (1.0 - v, 1.0 - prob[sel]) if hajek else (v, prob[sel])
+                    if where == "validated":
+                        in_rows, share = v, prob[sel]
+                    elif where == "complement":
+                        if solving and frame.n_v == n:
+                            raise EmptyComplement("every row is validated; the complement is empty")
+                        in_rows, share = 1.0 - v, 1.0 - prob[sel]
                     w_t, w_c = est.arm_weights(t, e, in_rows, share)
                     weights = (w_c, w_t)
                 totals = [float(np.sum(w)) for w in weights]
@@ -313,8 +310,7 @@ class EstimatingSystem:
                             f"{self._rate_groups[k][0]} validation rows contain "
                             f"{int(totals[2 * k])} gold positives and "
                             f"{int(totals[2 * k + 1])} gold negatives")
-                    empty = EmptyArm if not sel else EmptyComplementArm if hajek else EmptyValidationArm
-                    raise empty(f"{name}: a treatment arm of its rows has zero weight")
+                    raise EMPTY_ARM[where](f"{name}: a treatment arm of its rows has zero weight")
                 norms = totals if hajek else (n, n)
                 # the rows' weighted terms, w (Y - m) (Hajek) or w Y (HT,
                 # whose rows subtract m once the derivatives are taken)
@@ -338,9 +334,9 @@ class EstimatingSystem:
                 # -w/pi (validated rows) or +w/(1-pi) (complement) in pi, each
                 # taken to its model's coefficients by one (n, 2) product; they
                 # are column-ordered like terms, which keeps that product fast
-                d_prob = {treat: terms / np.array((1.0 - e, -e)).T}
+                d_prob = {"gamma": terms / np.array((1.0 - e, -e)).T}
                 if sel:
-                    d_prob[sel] = terms / (share if hajek else -share)[:, None]
+                    d_prob[sel] = terms / (share if where == "complement" else -share)[:, None]
                 for model, d in d_prob.items():
                     d *= slope[model][:, None]
                     jac[cols, layout[model]] += d.T @ self._designs[model]
@@ -357,7 +353,7 @@ class EstimatingSystem:
             try:
                 rows(name, cols)
             except MismeasureError as exc:  # only the plug-in raises
-                if name == "gamma":  # no estimator stands without the treatment model
+                if BLOCKS[name][0] == "treatment":  # no estimator stands without it
                     raise
                 failed[name] = exc
             if solving and name not in failed:
@@ -388,7 +384,7 @@ def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_trea
     unknown = [i for i in estimator_ids if i not in READS]
     if unknown:
         raise ValueError(f"unknown estimator ids: {unknown}")
-    blocks = {name for est_id in estimator_ids for name, _ in READS[est_id]}
+    blocks = {name for est_id in estimator_ids for name in READS[est_id]}
     return EstimatingSystem(frame, blocks, x_treat, x_sel, misclassification, starts)
 
 
@@ -423,14 +419,15 @@ class StackedParams:
         """Parameters of block ``name`` (resolved as the stack resolves it)."""
         return self.theta[self.system.layout[self.system.resolve(name)]]
 
-    def contrast(self, name: str, corrected: bool) -> tuple[float, np.ndarray]:
+    def contrast(self, name: str) -> tuple[float, np.ndarray]:
         """g(theta) of block ``name``'s arm means (m_c, m_t) and its gradient
-        over theta: m_t - m_c, or with ``corrected`` their
+        over theta: m_t - m_c of an HT block, and of a Hajek block their
         misclassification-corrected contrast at the solved rates."""
-        cols = self.system.layout[self.system.resolve(name)]
+        name = self.system.resolve(name)
+        cols = self.system.layout[name]
         m_c, m_t = self.theta[cols].tolist()
         gradient = np.zeros(self.system.dim)
-        if not corrected:
+        if BLOCKS[name][0] == "ht":
             gradient[cols] = -1.0, 1.0
             return m_t - m_c, gradient
         partials = est.corrected_contrast_gradient(self.rates, m_t, m_c)
@@ -450,11 +447,10 @@ def solve_plugin(system: EstimatingSystem) -> StackedParams:
     arm, as the system says): DegenerateValidation when a group lacks
     either, then NonIdentifiable (``MisclassRates``) when a pair is closer
     than 1e-6; and each weighted block's (m_c, m_t) from its weighted arm
-    sums: MissingGoldOutcomes for
-    the oracle without the gold outcome on every row, EmptyComplement when
-    every row is validated, then for an arm of zero weight
-    EmptyValidationArm (validated rows), EmptyComplementArm (complement) or
-    EmptyArm (every row). A block whose plug-in raises a MismeasureError,
+    sums: MissingGoldOutcomes when its outcome holds a NaN (the gold y off
+    the validated rows), EmptyComplement when its rows are the complement
+    and every row is validated, then for an arm of zero weight the class of
+    its rows (``EMPTY_ARM``). A block whose plug-in raises a MismeasureError,
     or whose residual mean exceeds 1e-6 in max norm (ResidualCheckFailed),
     is left out together with every block built on it: ``system`` is then
     restricted to the rest, whose columns of the walk are ``phi`` and
@@ -583,12 +579,14 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
 
     The frame's stack is built from the requested ids, solved and evaluated
     in one walk, and sandwiched once. Each point is sum_k c_k g_k(theta)
-    over the contrasts it reads (``READS``, ``StackedParams.contrast``), and
-    its SE the quadratic form of sum_k c_k grad g_k on the covariance
-    (``combine_delta``). The coefficients c_k are 1 for a single contrast,
-    (lam, 1 - lam) for sy_combined, (n_V/n, (n - n_V)/n) for s_combined,
-    (b, 1 - b) for s_weighted and (b_opt, 1 - b_opt) for s_opt, with b_opt
-    from the variances and covariance of its two contrasts.
+    over the blocks it reads (``READS``), g_k the contrast of a block's arm
+    means, corrected for misclassification when the block is Hajek
+    (``StackedParams.contrast``), and its SE the quadratic form of
+    sum_k c_k grad g_k on the covariance (``combine_delta``). The
+    coefficients c_k are 1 for a single contrast, (lam, 1 - lam) for
+    sy_combined, (n_V/n, (n - n_V)/n) for s_combined, (b, 1 - b) for
+    s_weighted and (b_opt, 1 - b_opt) for s_opt, with b_opt from the
+    variances and covariance of its two contrasts.
     nonval_corrected and sy_combined take the IPW complement contrast
     normalized by n - n_V in place of r_const's corrected Hajek (ratio)
     complement contrast, which their SEs read; the two contrasts differ.
@@ -648,10 +646,10 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     analysis = FrameAnalysis(rates=params.rates)
     for est_id in (i for i in ESTIMATOR_IDS if i in ids):
         try:
-            for name, _ in READS[est_id]:
+            for name in READS[est_id]:
                 if system.resolve(name) in params.failed:
                     raise params.failed[system.resolve(name)]
-            parts, gradients = zip(*(contrast(*read) for read in READS[est_id]))
+            parts, gradients = zip(*map(contrast, READS[est_id]))
             coefficients, weight = blend(est_id, gradients)
         except MismeasureError as exc:
             analysis.failures[est_id] = type(exc).__name__

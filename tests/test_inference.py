@@ -164,8 +164,8 @@ def test_combine_delta_examples():
     system = inf.build_system(frame, ["s_opt"], x_sel=selection_design(frame))
     params = inf.solve_plugin(system)
     cov = inf.sandwich(params)
-    _, g_tau = params.contrast("tau_s_val", False)
-    _, g_d = params.contrast("d", True)
+    _, g_tau = params.contrast("tau_s_val")
+    _, g_d = params.contrast("d")
     # the HT contrast m_t - m_c alone: var(m_c) + var(m_t) - 2 cov(m_c, m_t)
     m_c, m_t = range(params.system.dim)[params.system.layout["tau_s_val"]]
     se = inf.combine_delta(cov, 1.0 * g_tau + 0.0 * g_d)
@@ -213,11 +213,16 @@ def test_confidence_interval_examples():
 
 
 def test_analyze_frame_srs_identity():
+    # under SRS each fitted-selection block is its constant-selection twin:
+    # s_nonval and nonval_corrected both read r_const's corrected contrast
+    # for their SE (nonval_corrected's point is the IPW complement contrast)
     frame = simulated_frame(seed=37, n=2000, srs=True)
-    analysis = inf.analyze_frame(frame, ["val_only", "s_val_only"], x_sel=None)
+    ids = ["val_only", "nonval_corrected", "s_val_only", "s_nonval"]
+    analysis = inf.analyze_frame(frame, ids, x_sel=None)
     assert analysis.estimates["s_val_only"].tau == pytest.approx(
         analysis.estimates["val_only"].tau, abs=1e-12
     )
+    assert analysis.estimates["s_nonval"].se == analysis.estimates["nonval_corrected"].se > 0
 
 
 def test_analyze_frame_full_set_no_failures():
@@ -402,8 +407,8 @@ def test_points_read_from_the_stack_match_the_estimator_functions(label):
         rates = stack_rates(frame, kwargs.get("misclassification", "pooled"))
         params = inf.solve_plugin(system)
         cov = inf.sandwich(params)
-        _, g_a = params.contrast("tau_s_val", False)
-        _, g_b = params.contrast("d", True)
+        _, g_a = params.contrast("tau_s_val")
+        _, g_b = params.contrast("d")
         b = frame.n_v / frame.n
         want = oracle_points(frame, e, pi, rates, b=b,
                              b_opt=analysis.estimates["s_opt"].weight_used)
