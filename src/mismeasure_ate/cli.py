@@ -169,7 +169,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_true_ate(args) -> int:
     config = _resolve_scenario(args.config, args.seed)
-    populations = 5000 if args.full else args.populations
+    populations = args.populations
+    if populations is None:
+        populations = 5000 if args.full else 100
     _require_at_least_one(("--populations", populations), ("--pop-n", args.pop_n),
                           ("--workers", args.workers))
     started = time.perf_counter()
@@ -228,11 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     tru = sub.add_parser("true-ate", help="Monte Carlo oracle for the true effect")
     tru.add_argument("config", help="preset name or scenario config JSON (its dgp is used)")
-    tru.add_argument("--populations", type=int, default=100,
-                     help="number of populations to average (default 100)")
+    tru.add_argument("--populations", type=int,
+                     help="number of populations to average (default 100, 5000 with --full)")
     tru.add_argument("--pop-n", type=int, default=50_000,
                      help="rows per population (default 50000)")
-    tru.add_argument("--full", action="store_true", help="use 5000 populations")
+    tru.add_argument("--full", action="store_true",
+                     help="reference-scale run: 5000 populations unless --populations is given")
     tru.add_argument("--seed", type=int, help="override the base seed")
     tru.add_argument("--workers", type=int, default=1)
     _add_common(tru)

@@ -35,9 +35,8 @@ from .errors import (
 PROB_CLAMP = 1e-12
 
 SCORE_TOL = 1e-8       # max |score| at convergence
-STEP_TOL = 1e-10       # max |coefficient step| at convergence
+STEP_TOL = 1e-10       # max |Newton step| at convergence
 MAX_ITER = 100
-MAX_HALVINGS = 10      # step halvings per Newton step before giving up
 SEPARATION_COEF = 30.0 # |coef| beyond this at failure suggests separation
 # a Newton candidate that moves no linear predictor by more than this raises
 # the log-likelihood: below the root 1.7933 of e^M = 1 + M + M^2 (see
@@ -133,11 +132,6 @@ def _as_design(x) -> np.ndarray:
     return np.asfortranarray(values)
 
 
-def _log_likelihood(u: np.ndarray, y: np.ndarray) -> float:
-    # sum (y u - softplus(u)), softplus(u) = max(u, 0) + log1p(exp(-|u|))
-    return float(np.sum(y * u - (np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u))))))
-
-
 def fit_logistic(x, y, start=None) -> LogisticFit:
     """Maximize the Bernoulli log-likelihood by Newton/IRLS steps.
 
@@ -149,25 +143,27 @@ def fit_logistic(x, y, start=None) -> LogisticFit:
         Finite starting coefficients; None starts at beta = 0.
 
     Convergence is declared when the max absolute score drops to 1e-8 or the
-    coefficient step max-norm drops to 1e-10.
+    max-norm of the Newton step d drops to 1e-10.
 
     Each evaluation keeps only u = X beta, p = expit(u) and the score
     X'(y - p), which the next iteration reads; the final evaluation's p is
     returned as ``probabilities``. The start is one such evaluation. A
-    Newton candidate is accepted when the slope of the log-likelihood along
-    the step, step . score, is still nonnegative there (the log-likelihood
-    is concave, so it rose all the way), when the
-    candidate already passes the score test, when it moves no linear
-    predictor by more than SAFE_STEP_MOVE, or else when its log-likelihood
-    is no lower than the current one (formed only then).
-    The third test is the generalized self-concordance of the logistic loss
-    (Bach 2010, Electron. J. Statist. 4): for a step t d, 0 < t <= 1, along
-    the Newton direction d and M = max_i |x_i' t d|, the log-likelihood
-    rises by at least t d'score (1 - t (e^M - 1 - M) / M^2), which is
-    positive while e^M < 1 + M + M^2, i.e. M < 1.7933.
-    Otherwise the step is halved, which survives near-separation without
-    oscillating; when the full step and 10 halvings all fail, the next
-    halving is accepted.
+    candidate beta + t d, 0 < t <= 1, is accepted exactly when one of two
+    proofs that it raises the log-likelihood holds, and neither forms the
+    log-likelihood:
+
+    * its slope along the step, d . score, is nonnegative there: the
+      log-likelihood is concave, so it rose all the way;
+    * it moves no linear predictor by more than SAFE_STEP_MOVE: by the
+      generalized self-concordance of the logistic loss (Bach 2010,
+      Electron. J. Statist. 4), with M = max_i |x_i' t d| the
+      log-likelihood rises by at least t d'score (1 - t (e^M - 1 - M) / M^2),
+      which is positive while e^M < 1 + M + M^2, i.e. M < 1.7933.
+
+    Otherwise t is halved, with no cap, which survives near-separation
+    without oscillating. The move halves with t, so the loop ends after
+    about ceil(log2(M / 1.5)) halvings for a full-step move M; at worst t
+    underflows and the candidate is the current iterate, whose move is 0.
 
     The Newton step checks the symmetric information's 2-norm condition
     number against 1 / PIVOT_RTOL, by ``spd_condition``.
@@ -235,27 +231,18 @@ def fit_logistic(x, y, start=None) -> LogisticFit:
                 f"information condition number {cond:.3e} exceeds {1.0 / PIVOT_RTOL:.0e}")
         step = np.linalg.solve(info, score)
 
-        # step halving keeps the likelihood monotone near separation; if the
-        # full step and MAX_HALVINGS halvings all lower it, one more is taken.
-        # The current log-likelihood is formed only for a candidate that
-        # fails the slope, the score and the move test
-        loglik = None
+        # halve the step until the candidate provably raises the
+        # log-likelihood, by its slope or by its move (see above)
         scale = 1.0
-        for halving in range(MAX_HALVINGS + 2):
+        while True:
             candidate = beta + scale * step
             u_new, p_new, score_new = evaluate(candidate)
-            if (step @ score_new >= 0.0 or np.max(np.abs(score_new)) <= SCORE_TOL
-                    or halving > MAX_HALVINGS
-                    or np.max(np.abs(u_new - u)) <= SAFE_STEP_MOVE):
-                break
-            if loglik is None:
-                loglik = _log_likelihood(u, y)
-            if _log_likelihood(u_new, y) >= loglik:
+            if step @ score_new >= 0.0 or np.max(np.abs(u_new - u)) <= SAFE_STEP_MOVE:
                 break
             scale *= 0.5
         beta, u, p, score = candidate, u_new, p_new, score_new
 
-        if float(np.max(np.abs(scale * step))) <= STEP_TOL:
+        if float(np.max(np.abs(step))) <= STEP_TOL:
             return converged(beta, u, p, iteration, float(np.max(np.abs(score))))
 
     failed = LogisticFit(beta, False, MAX_ITER, max_abs_score, p)

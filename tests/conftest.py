@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from mismeasure_ate import inference, numerics
+from mismeasure_ate import inference, numerics, simulation
 from mismeasure_ate.frames import MisclassRates, ObservationFrame
 from mismeasure_ate.numerics import clamp_probability, expit, fit_logistic
 
@@ -173,14 +173,25 @@ def oracle_points(frame, e, pi, rates, *, b, b_opt, w=0.5):
             "s_val_only": oracles.s_val_only_tau(t, y, v, e, pi), **corrected}
 
 
-def count_log_likelihoods(monkeypatch) -> list:
-    """Patch the IRLS log-likelihood to record each evaluation in the
-    returned list from here on."""
-    calls, log_likelihood = [], numerics._log_likelihood
+def record_fits(monkeypatch) -> list:
+    """Patch the logistic fit, wherever the package holds it, to append the
+    (iterations, evaluations) of each fit that returns from here on to the
+    returned list; an evaluation is one call of ``numerics.expit`` within the
+    fit. A fit that halves no Newton step makes iterations + 1 evaluations."""
+    fits, evaluations = [], []
+    fit_logistic, expit = numerics.fit_logistic, numerics.expit
 
-    def counting(*args):
-        calls.append(None)
-        return log_likelihood(*args)
+    def counting_expit(u):
+        evaluations.append(None)
+        return expit(u)
 
-    monkeypatch.setattr(numerics, "_log_likelihood", counting)
-    return calls
+    def recording_fit(*args, **kwargs):
+        evaluations.clear()
+        fit = fit_logistic(*args, **kwargs)
+        fits.append((fit.iterations, len(evaluations)))
+        return fit
+
+    monkeypatch.setattr(numerics, "expit", counting_expit)
+    for module in (numerics, inference, simulation):
+        monkeypatch.setattr(module, "fit_logistic", recording_fit)
+    return fits

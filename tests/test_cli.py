@@ -485,8 +485,14 @@ def test_missing_input_files_exit_2(tmp_path, capsys):
 
 
 def test_simulate_unknown_scenario_exits_2(capsys):
-    assert cli.main(["simulate", "not_a_scenario"]) == cli.CONFIG_EXIT
-    assert "preset" in capsys.readouterr().err
+    # true-ate resolves its scenario the same way (UnknownScenario)
+    presets = ", ".join(sorted(sim.scenario_catalog()))
+    for command in ("simulate", "true-ate"):
+        assert cli.main([command, "nope"]) == cli.CONFIG_EXIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: 'nope' is neither a scenario preset nor a config "
+                                f"file; presets: {presets}\n")
 
 
 def test_simulate_config_missing_iterations_names_field(tmp_path, capsys):
@@ -772,6 +778,16 @@ def test_true_ate_command(capsys):
                      "--pop-n", "8000", "--seed", "13", "--format", "json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == payload  # deterministic
+
+
+def test_true_ate_populations_beat_full(capsys):
+    # as simulate's --iterations beats its --full
+    args = ["true-ate", "main_srs", "--populations", "2", "--pop-n", "2000", "--format", "json"]
+    assert cli.main(args) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert cli.main([*args, "--full"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert full["rows"][0]["populations"] == 2 and full == plain
 
 
 def test_true_ate_from_one_population_has_no_mc_se(capsys):

@@ -9,18 +9,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import count_log_likelihoods
+from conftest import record_fits
 from mismeasure_ate.errors import (
     DimensionMismatch,
+    NoConvergence,
     NonFiniteEvaluation,
     SeparationSuspected,
     SingularSystem,
 )
+from mismeasure_ate import numerics
 from mismeasure_ate import simulation as sim
 from mismeasure_ate.numerics import (
     GRAM_BLOCK_ROWS,
     SAFE_STEP_MOVE,
-    _log_likelihood,
     clamp_probability,
     expit,
     fit_logistic,
@@ -65,32 +66,6 @@ def test_expit_is_bitwise_the_two_branch_form(values):
     u = np.array(values)
     assert _bits(expit(u)) == _bits(oracles.expit_two_branch(u))
     assert _bits(expit(values[0])) == _bits(oracles.expit_two_branch(values[0]))
-
-
-@settings(max_examples=200)
-@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40))
-def test_softplus_matches_logaddexp_row_by_row(values):
-    # with y = 0 the log-likelihood of one row is -softplus(u)
-    with np.errstate(over="raise", invalid="raise"):
-        for value in values:
-            u = np.array([value])
-            ours = _log_likelihood(u, np.zeros(1))
-            reference = oracles.logaddexp_loglik(u, np.zeros(1))
-            assert ours == pytest.approx(reference, rel=1e-13, abs=0.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([40.0, 1e3]))
-def test_log_likelihood_matches_logaddexp_form(seed, bound):
-    # relative to the sum: a single term y u - softplus(u) with y = 1 cancels
-    # (about 2e-13 relative near u = 5 in either form), a sum of many does not
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-bound, bound, size=200)
-    y = rng.integers(0, 2, size=200).astype(float)
-    with np.errstate(over="raise", invalid="raise"):
-        ours = _log_likelihood(u, y)
-        reference = oracles.logaddexp_loglik(u, y)
-    assert ours == pytest.approx(reference, rel=1e-13, abs=0.0)
 
 
 def test_design_matrix_invariants():
@@ -140,27 +115,52 @@ def test_multi_block_fit_matches_independent_newton_solver():
 
 
 def test_uphill_steps_need_no_log_likelihood(monkeypatch):
-    # every candidate of this fit is accepted by its slope or its score
-    calls = count_log_likelihoods(monkeypatch)
+    # every full Newton step of this fit is accepted by its slope or its
+    # move, so the fit evaluates its start and one candidate per step
+    fits = record_fits(monkeypatch)
     rng = np.random.default_rng(7)
     x = with_intercept(rng.normal(size=(200, 5)))
     y = (rng.random(200) < expit(x @ np.array([0.8, 0.3, 0.3, 0.3, 0.3, 0.3]))).astype(float)
-    assert fit_logistic(x, y).converged
-    assert not calls
+    assert numerics.fit_logistic(x, y).converged
+    [(iterations, evaluations)] = fits
+    assert evaluations == iterations + 1
 
 
-def test_downhill_slope_falls_back_to_the_log_likelihood(monkeypatch):
+def test_downhill_slope_halves_the_step(monkeypatch):
     # a steep, nearly separated 40-row design: some full Newton step ends
-    # where the log-likelihood falls again along the step, so the
-    # log-likelihoods decide, and the fit still reaches the MLE
-    calls = count_log_likelihoods(monkeypatch)
+    # where the log-likelihood falls again along the step, having moved a
+    # linear predictor by more than SAFE_STEP_MOVE, so it is halved, and the
+    # fit still reaches the MLE
+    fits = record_fits(monkeypatch)
     rng = np.random.default_rng(852)
     x = with_intercept(rng.normal(size=(40, 3)))
     y = (rng.random(40) < expit(x @ rng.normal(scale=8.0, size=4))).astype(float)
-    fit = fit_logistic(x, y)
-    assert fit.converged and calls
+    fit = numerics.fit_logistic(x, y)
+    [(iterations, evaluations)] = fits
+    assert fit.converged and evaluations > iterations + 1
     reference = oracles.newton_logistic(x, y)
     np.testing.assert_allclose(fit.coefficients, reference, rtol=0.0, atol=1e-8)
+
+
+def test_exhausted_budget_raises(monkeypatch):
+    # one Newton step is not enough: the seed-7 design raises NoConvergence;
+    # on a separated design the error is decided by whether a coefficient
+    # ends beyond SEPARATION_COEF
+    monkeypatch.setattr(numerics, "MAX_ITER", 1)
+    rng = np.random.default_rng(7)
+    x = with_intercept(rng.normal(size=(200, 5)))
+    y = (rng.random(200) < expit(x @ np.array([0.8, 0.3, 0.3, 0.3, 0.3, 0.3]))).astype(float)
+    separated = with_intercept(np.linspace(-3.0, 3.0, 40))
+    cases = ((x, y, None, NoConvergence),
+             (separated, separated[:, 1] > 0, [0.0, 5.0], NoConvergence),
+             (separated, separated[:, 1] > 0, [0.0, 35.0], SeparationSuspected))
+    for design, response, start, error in cases:
+        with pytest.raises(error) as raised:
+            fit_logistic(design, response, start=start)
+        assert type(raised.value) is error
+        assert not raised.value.fit.converged and raised.value.fit.iterations == 1
+        beyond = np.max(np.abs(raised.value.fit.coefficients)) > numerics.SEPARATION_COEF
+        assert beyond == (error is SeparationSuspected)
 
 
 @functools.cache
@@ -240,7 +240,7 @@ def test_full_steps_the_move_test_accepts_raise_the_log_likelihood():
     # that moves no linear predictor by more than SAFE_STEP_MOVE raises the
     # log-likelihood, by at least the self-concordance bound; the problems
     # include steps the slope test rejects (the slope has turned negative at
-    # the candidate), which only the move test accepts without a log-likelihood
+    # the candidate), which only the move test accepts
     accepted = overshoots = 0
     for seed in range(600):
         rng = np.random.default_rng(seed)
@@ -260,7 +260,7 @@ def test_full_steps_the_move_test_accepts_raise_the_log_likelihood():
             move = float(np.max(np.abs(u_new - u)))
             if move > SAFE_STEP_MOVE:
                 break
-            gain = _log_likelihood(u_new, y) - _log_likelihood(u, y)
+            gain = oracles.logaddexp_loglik(u_new, y) - oracles.logaddexp_loglik(u, y)
             bound = (step @ score) * (1.0 - (math.exp(move) - 1.0 - move) / move ** 2)
             rounding = 1e-13 * n * (1.0 + float(np.max(np.abs(u_new))))
             assert gain >= bound - rounding, (seed, gain, bound)
@@ -309,8 +309,8 @@ def _steep():
 @pytest.mark.parametrize("design", [_quasi_separated, _rare_event, _steep],
                          ids=["quasi_separated", "rare_event", "steep"])
 def test_hard_fits_converge_to_the_independent_solver(design):
-    # step-halving counts are not pinned: where a full step is rejected, the
-    # two log-likelihoods compared differ only in their last bits
+    # step-halving counts are not pinned: a slope near zero or a move near
+    # SAFE_STEP_MOVE falls on either side of its test with the last bits
     x, y = design()
     fit = fit_logistic(x, y)
     assert fit.converged

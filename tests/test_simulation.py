@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import count_log_likelihoods
+from conftest import record_fits
 from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import CalibrationFailed, DimensionMismatch, TooManyFailures
 from mismeasure_ate import inference as inf
@@ -417,16 +417,18 @@ def test_srs_scenario_val_only_equals_s_val_only_per_iteration():
 
 
 def test_study_fits_need_no_log_likelihood(monkeypatch):
-    # on the study's 5000-row frames every Newton candidate, treatment and
-    # selection fit alike, is accepted by its slope, its score or its move
-    # (SAFE_STEP_MOVE)
-    calls = count_log_likelihoods(monkeypatch)
+    # on the study's 5000-row frames every full Newton step, treatment and
+    # selection fit alike, is accepted by its slope or its move
+    # (SAFE_STEP_MOVE): no step is halved, so each fit evaluates its start
+    # and one candidate per step
+    fits = record_fits(monkeypatch)
     config = replace(sim.scenario_catalog()["main_nonprob"], iterations=5, base_seed=3)
     config = replace(config, selection=sim.resolve_selection(config)[0])
     for index in range(5):
         records, failures = sim._run_iteration(config, index)
         assert records and not failures
-    assert not calls
+    assert len(fits) == 10
+    assert all(evaluations == iterations + 1 for iterations, evaluations in fits)
 
 
 def test_too_many_failures_raises():
