@@ -232,21 +232,22 @@ class EstimatingSystem:
         """Walk the blocks in stacked order (see ``evaluate``). When
         ``solving``, each block first solves its parameters into theta by
         plug-in (the two models by ``fit_logistic``, from their ``starts``)
-        and checks its residual mean after its rows; a block that fails is
-        left out with the blocks built on it, and the next takes its place
-        in theta, phi and the Jacobian. A treatment-model fit that fails
-        raises. The weighted blocks and the rates take one branch, which
-        reads the block's row of ``BLOCKS``: their means, rows and
+        and checks its residual mean after its rows; a block that fails, and
+        every block built on it, is recorded in ``failed`` and its columns
+        are left as they are, for ``solve_plugin`` to drop. Each block writes
+        only its own columns, ``layout[name]``. A treatment-model fit that
+        fails raises. The weighted blocks and the rates take one branch,
+        which reads the block's row of ``BLOCKS``: their means, rows and
         derivatives differ only in the outcome, the normalization (n, or the
         sum of the weights) and the weights; only the arm means' weights move
-        with e and pi. Returns (phi, jacobian, layout, failed, e), e the
-        clamped treatment propensities (None without a gamma block)."""
+        with e and pi. Returns (phi, jacobian, failed, e), e the clamped
+        treatment propensities (None without a gamma block)."""
         frame = self.frame
         n = frame.n
         t, v, yv = frame.t, frame.v, frame.y_validated
         phi = np.empty((n, self.dim), order="F")
         jac = np.zeros((self.dim, self.dim))
-        layout, failed, pos = {}, {}, 0
+        failed = {}
         raw, prob, slope = {}, {}, {}  # model block -> p, clamped p, d(clamped p)/d(x'par)
 
         def rows(name, cols):
@@ -339,7 +340,7 @@ class EstimatingSystem:
                     d_prob[sel] = terms / (share if where == "complement" else -share)[:, None]
                 for model, d in d_prob.items():
                     d *= slope[model][:, None]
-                    jac[cols, layout[model]] += d.T @ self._designs[model]
+                    jac[cols, self.layout[model]] += d.T @ self._designs[model]
                 if not hajek:
                     terms -= par
 
@@ -348,25 +349,20 @@ class EstimatingSystem:
             if parent is not None:
                 failed[name] = failed[parent]
                 continue
-            size = self.layout[name].stop - self.layout[name].start
-            cols = layout[name] = slice(pos, pos + size)
+            cols = self.layout[name]
             try:
                 rows(name, cols)
             except MismeasureError as exc:  # only the plug-in raises
                 if BLOCKS[name][0] == "treatment":  # no estimator stands without it
                     raise
                 failed[name] = exc
-            if solving and name not in failed:
+                continue
+            if solving:
                 worst = float(np.max(np.abs(phi[:, cols].sum(axis=0) / n)))
                 if worst > RESIDUAL_TOL:
                     failed[name] = ResidualCheckFailed(
                         f"{name} residual mean max-norm {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
-            if name in failed:
-                del layout[name]
-                jac[cols] = 0.0  # the next block's rows accumulate there
-            else:
-                pos += size
-        return phi[:, :pos], jac[:pos, :pos], layout, failed, prob.get("gamma")
+        return phi, jac, failed, prob.get("gamma")
 
 
 def build_system(frame: ObservationFrame, estimator_ids=ESTIMATOR_IDS, *, x_treat=None,
@@ -397,7 +393,8 @@ class StackedParams:
     ``phi`` and ``jacobian`` are that stack's residuals and Jacobian at
     theta, as ``EstimatingSystem.evaluate`` gives them, which the sandwich
     reads. ``failed`` maps every other block to the error that stopped it or
-    one of its parents. ``e`` is the clamped treatment propensity the walk
+    one of its parents; reading such a block (``block``, ``contrast``)
+    raises that error. ``e`` is the clamped treatment propensity the walk
     fitted (None without a gamma block).
     """
 
@@ -416,16 +413,21 @@ class StackedParams:
         return None if cols is None else MisclassRates(np.reshape(self.theta[cols], (-1, 2)))
 
     def block(self, name: str) -> np.ndarray:
-        """Parameters of block ``name`` (resolved as the stack resolves it)."""
-        return self.theta[self.system.layout[self.system.resolve(name)]]
+        """Parameters of block ``name`` (resolved as the stack resolves it);
+        a failed block raises its error."""
+        name = self.system.resolve(name)
+        if name in self.failed:
+            raise self.failed[name]
+        return self.theta[self.system.layout[name]]
 
     def contrast(self, name: str) -> tuple[float, np.ndarray]:
         """g(theta) of block ``name``'s arm means (m_c, m_t) and its gradient
         over theta: m_t - m_c of an HT block, and of a Hajek block their
-        misclassification-corrected contrast at the solved rates."""
+        misclassification-corrected contrast at the solved rates. A failed
+        block raises its error."""
+        m_c, m_t = self.block(name).tolist()
         name = self.system.resolve(name)
         cols = self.system.layout[name]
-        m_c, m_t = self.theta[cols].tolist()
         gradient = np.zeros(self.system.dim)
         if BLOCKS[name][0] == "ht":
             gradient[cols] = -1.0, 1.0
@@ -452,15 +454,22 @@ def solve_plugin(system: EstimatingSystem) -> StackedParams:
     and every row is validated, then for an arm of zero weight the class of
     its rows (``EMPTY_ARM``). A block whose plug-in raises a MismeasureError,
     or whose residual mean exceeds 1e-6 in max norm (ResidualCheckFailed),
-    is left out together with every block built on it: ``system`` is then
-    restricted to the rest, whose columns of the walk are ``phi`` and
-    ``jacobian``. A treatment-model fit that fails raises; a stack without
-    gamma fits no treatment model.
+    is left out together with every block built on it. This is the one
+    place that drops a failed block's columns: ``system`` is restricted to
+    the blocks that solved, and theta, the columns of phi (kept column by
+    column) and the rows and columns of the Jacobian are taken at theirs, in
+    one step; when every block solved, nothing is copied. A treatment-model
+    fit that fails raises; a stack without gamma fits no treatment model.
     """
     theta = np.empty(system.dim)
-    phi, jacobian, layout, failed, e = system._walk(theta, solving=True)
-    solved = system.restrict(layout) if failed else system
-    return StackedParams(solved, theta[:solved.dim], phi, jacobian, failed, e)
+    phi, jacobian, failed, e = system._walk(theta, solving=True)
+    solved = system
+    if failed:
+        solved = system.restrict([name for name in system.blocks if name not in failed])
+        keep = [i for name in solved.blocks for i in range(system.dim)[system.layout[name]]]
+        theta, jacobian = theta[keep], jacobian[np.ix_(keep, keep)]
+        phi = np.asfortranarray(phi[:, keep])
+    return StackedParams(solved, theta, phi, jacobian, failed, e)
 
 
 def sandwich(params: StackedParams) -> np.ndarray:
@@ -646,9 +655,6 @@ def analyze_frame(frame: ObservationFrame, estimator_ids, *, x_treat=None, x_sel
     analysis = FrameAnalysis(rates=params.rates)
     for est_id in (i for i in ESTIMATOR_IDS if i in ids):
         try:
-            for name in READS[est_id]:
-                if system.resolve(name) in params.failed:
-                    raise params.failed[system.resolve(name)]
             parts, gradients = zip(*map(contrast, READS[est_id]))
             coefficients, weight = blend(est_id, gradients)
         except MismeasureError as exc:

@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain, islice, repeat
 
@@ -494,27 +494,14 @@ class RunReport:
 
 
 def _config_metadata(config: ScenarioConfig) -> dict:
-    return {
-        "scenario": config.name,
-        "seed": config.base_seed,
-        "iterations": config.iterations,
-        "n": config.dgp.n,
-        "p11": config.dgp.p11,
-        "p10": config.dgp.p10,
-        "treatment_coefs": list(config.dgp.treatment_coefs),
-        "outcome_coefs": list(config.dgp.outcome_coefs),
-        "heterogeneous_misclass": (list(config.dgp.heterogeneous_misclass)
-                                   if config.dgp.heterogeneous_misclass else None),
-        "selection_kind": config.selection.kind,
-        "target_nv": config.selection.target_nv,
-        "alpha0": list(config.selection.alpha0) if config.selection.alpha0 else None,
-        "misspecify_drop": config.selection.misspecify_drop,
-        "estimators": list(config.estimators),
-        "w": config.w,
-        "b": config.b,
-        "misclassification": config.misclassification,
-        "version": __version__,
-    }
+    """Every field of the run's DgpConfig and SelectionConfig (``kind`` as
+    ``selection_kind``), then the top-level settings."""
+    selection = asdict(config.selection)
+    selection["selection_kind"] = selection.pop("kind")
+    return {"scenario": config.name, "seed": config.base_seed, "iterations": config.iterations,
+            **asdict(config.dgp), **selection, "estimators": list(config.estimators),
+            "w": config.w, "b": config.b, "misclassification": config.misclassification,
+            "version": __version__}
 
 
 def report_from_scenario(result: ScenarioResult, *, elapsed: float | None = None) -> RunReport:

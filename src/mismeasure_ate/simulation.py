@@ -131,6 +131,8 @@ class SelectionConfig:
             raise ValueError(f"selection kind must be 'srs' or 'non_probability', got {self.kind!r}")
         if self.kind == "non_probability" and self.alpha0 is None:
             raise ValueError("non_probability selection needs an alpha0 vector")
+        if self.kind == "srs" and self.alpha0 is not None:
+            raise ValueError(f"srs selection takes no alpha0, got {list(self.alpha0)}")
         if self.target_nv < 1:
             raise ValueError("target_nv must be positive")
 

@@ -52,28 +52,32 @@ def test_dataset_roundtrip_is_exact(tmp_path):
 
 
 def test_estimate_matches_in_process_analysis(tmp_path, capsys):
+    # the full spec, and a reordered subset of the columns in each model
     frame = make_frame(seed=3)
     data = tmp_path / "data.csv"
     spec = tmp_path / "spec.json"
     out = tmp_path / "report.json"
     rep.write_dataset_csv(frame, data)
-    write_model_spec(spec)
+    for treatment, selection in ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]), ([2, 0], [1]):
+        spec.write_text(json.dumps({
+            "treatment_covariates": [f"x{j + 1}" for j in treatment],
+            "selection_covariates": [f"x{j + 1}" for j in selection]}))
+        code = cli.main(["estimate", str(data), str(spec), "--format", "json",
+                         "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        payload = json.loads(out.read_text())
+        by_id = {row["estimator"]: row for row in payload["rows"]}
 
-    code = cli.main(["estimate", str(data), str(spec), "--format", "json",
-                     "--out", str(out)])
-    capsys.readouterr()
-    assert code == 0
-    payload = json.loads(out.read_text())
-    by_id = {row["estimator"]: row for row in payload["rows"]}
-
-    x_sel = np.column_stack([np.ones(frame.n), frame.t, frame.x])
-    reference = analyze_frame(frame, cli.ESTIMATE_ORDER, x_sel=x_sel)
-    assert set(by_id) == set(reference.estimates)
-    for est_id, estimate in reference.estimates.items():
-        assert by_id[est_id]["estimate"] == pytest.approx(estimate.tau, abs=1e-12)
-        assert by_id[est_id]["se"] == pytest.approx(estimate.se, abs=1e-12)
-        assert by_id[est_id]["ci_low"] == pytest.approx(estimate.ci_low, abs=1e-12)
-    assert payload["metadata"]["p11_hat"] == pytest.approx(reference.rates.pairs[0][0])
+        x_treat = np.column_stack([np.ones(frame.n), frame.x[:, treatment]])
+        x_sel = np.column_stack([np.ones(frame.n), frame.t, frame.x[:, selection]])
+        reference = analyze_frame(frame, cli.ESTIMATE_ORDER, x_treat=x_treat, x_sel=x_sel)
+        assert set(by_id) == set(reference.estimates)
+        for est_id, estimate in reference.estimates.items():
+            assert by_id[est_id]["estimate"] == pytest.approx(estimate.tau, abs=1e-12)
+            assert by_id[est_id]["se"] == pytest.approx(estimate.se, abs=1e-12)
+            assert by_id[est_id]["ci_low"] == pytest.approx(estimate.ci_low, abs=1e-12)
+        assert payload["metadata"]["p11_hat"] == pytest.approx(reference.rates.pairs[0][0])
 
 
 def test_estimate_includes_naive_for_contrast(tmp_path, capsys):
@@ -560,13 +564,15 @@ def test_simulate_config_unknown_key_is_fatal(tmp_path, capsys):
     ({"dgp": {"heterogeneous_misclass": [True, False]}}, (),
      "'heterogeneous_misclass': expected a non-empty list of finite numbers, got [True, False]"),
     ({"estimators": "naive"}, (), "'estimators': expected a list of estimator ids, got 'naive'"),
+    # srs selection draws no selection model, so it has no use for coefficients
+    ({"selection": {"alpha0": [1, 2]}}, (), "srs selection takes no alpha0, got [1, 2]"),
 ], ids=["heterogeneous_misclass", "alpha0", "misspecify_drop", "truth", "truth_option",
         "score_variant", "w", "b", "estimators", "estimators_option", "repeated_estimators",
         "repeated_estimators_option", "target_nv_n", "target_nv_above_n",
         "non_probability_target_nv_n", "empty_coefs",
         "null_coefs", "float_iterations", "string_seed", "boolean_n", "float_target_nv",
         "boolean_misspecify_drop", "string_p11", "boolean_p10", "string_truth", "string_w",
-        "boolean_b", "boolean_heterogeneous_misclass", "string_estimators"])
+        "boolean_b", "boolean_heterogeneous_misclass", "string_estimators", "srs_alpha0"])
 def test_simulate_config_values_outside_the_model_exit_2(tmp_path, capsys, changes, args,
                                                          message):
     # each would otherwise end in a traceback, a silently ignored setting or
@@ -632,14 +638,12 @@ def test_simulate_metadata_rebuilds_the_config(tmp_path, capsys):
     assert cli.main(["simulate", str(first), "--format", "json"]) == 0
     meta = json.loads(capsys.readouterr().out)["metadata"]
     rebuilt = tmp_path / "rebuilt.json"
+    # every key the loader accepts, read back by the loader's own key tables
+    meta["kind"] = meta.pop("selection_kind")
     rebuilt.write_text(json.dumps({
-        "dgp": {key: meta[key] for key in ("n", "p11", "p10", "treatment_coefs",
-                                           "outcome_coefs", "heterogeneous_misclass")},
-        "selection": {"kind": meta["selection_kind"],
-                      **{key: meta[key] for key in ("target_nv", "alpha0", "misspecify_drop")}},
-        "seed": meta["seed"],
-        **{key: meta[key] for key in ("iterations", "estimators", "truth", "w", "b",
-                                      "misclassification")},
+        "dgp": {key: meta[key] for key in rep._DGP_FIELDS},
+        "selection": {key: meta[key] for key in rep._SELECTION_FIELDS},
+        **{key: meta[key] for key in rep._TOP_FIELDS if key not in ("dgp", "selection")},
     }))
     rows = []
     for path in (first, rebuilt):

@@ -666,6 +666,40 @@ def test_stored_evaluation_is_that_of_the_restricted_stack(monkeypatch):
     assert params.jacobian.tobytes() == jacobian.tobytes()
 
 
+def test_degenerate_frames_store_the_evaluation_of_their_solved_blocks():
+    # on real failures (the first 300 degenerate frames), the stored stack
+    # holds the blocks that solved, in stacked order, its (phi, J) is its
+    # evaluation at theta, and reading a failed block, by its name or its
+    # alias, raises that block's own error
+    rng = np.random.default_rng(2023)
+    dropped = 0
+    for _ in range(300):
+        frame, options = random_degenerate_frame(rng)
+        system = inf.build_system(frame, x_sel=options["x_sel"],
+                                  misclassification=options["misclassification"])
+        try:
+            params = inf.solve_plugin(system)
+        except MismeasureError:  # a failed treatment-model fit
+            continue
+        if not params.failed:
+            continue
+        dropped += 1
+        assert params.system.blocks == tuple(
+            name for name in system.blocks if name not in params.failed)
+        phi, jacobian = params.system.evaluate(params.theta)
+        assert params.phi.tobytes() == phi.tobytes() and params.phi.flags.f_contiguous
+        assert params.jacobian.tobytes() == jacobian.tobytes()
+        for name in inf.BLOCKS:
+            error = params.failed.get(system.resolve(name))
+            if error is None:
+                continue
+            for read in (params.contrast, params.block):
+                with pytest.raises(MismeasureError) as raised:
+                    read(name)
+                assert raised.value is error
+    assert dropped >= 200
+
+
 def test_clamped_propensities_have_zero_derivative():
     # selection is nearly deterministic in the first covariate, so the fitted
     # selection probability is held at a bound on rows at both ends
