@@ -11,7 +11,8 @@ Subcommands:
   average treatment effect implied by a data-generating process.
 
 Exit codes: 0 on success, 2 on configuration/schema errors and on files
-that cannot be opened, read or written (OSError), 3 on computation errors.
+that cannot be opened, read or written (OSError), 3 on computation errors
+and on a request too large for memory (MemoryError).
 Formats: aligned table (default), csv, json via ``--format``; ``--out``
 writes the rendered report to a file as well.
 
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
         return CONFIG_EXIT
     except MismeasureError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return COMPUTE_EXIT
+    except MemoryError as exc:
+        sys.stderr.write(f"error: MemoryError: {exc}\n")
         return COMPUTE_EXIT
 
 

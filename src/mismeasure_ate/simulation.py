@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CalibrationFailed, MismeasureError, TooManyFailures
 from .frames import ESTIMATOR_IDS, MISCLASSIFICATION_MODES, ModelSpec, ObservationFrame
 from .inference import analyze_frame
-from .numerics import clamp_probability, expit, fit_logistic, with_intercept
+from .numerics import GRAM_BLOCK_ROWS, clamp_probability, expit, fit_logistic
 from . import estimators as est
 
 MASK64 = (1 << 64) - 1
@@ -37,6 +37,10 @@ DEFAULT_SEED = 20240501
 CALIBRATION_N = 200_000
 CALIBRATION_TOLERANCE = 1.0
 CALIBRATION_STEPS = 200
+
+# rows per chunk of a streamed covariate draw (``draw_covariates``): a chunk
+# of a few covariates stays in cache while it is reduced to its predictors
+DRAW_CHUNK_ROWS = GRAM_BLOCK_ROWS
 
 # run_scenario raises when an estimator fails in more than this share of
 # iterations
@@ -210,33 +214,104 @@ class Population:
     y_star: np.ndarray
 
 
-def draw_covariates_and_treatment(dgp: DgpConfig,
-                                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The first draws of ``generate_population``: covariates x, then the
-    treatment t, 1.0 where a uniform falls below expit(c0 + x @ c), in place."""
-    x = rng.standard_normal((dgp.n, dgp.p))
-    coefs_t = np.asarray(dgp.treatment_coefs)
-    u = x @ coefs_t[1:]
-    u += coefs_t[0]
-    t = expit(u)
-    np.less(rng.random(dgp.n), t, out=t)
-    return x, t
+def _row_chunks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) ranges of DRAW_CHUNK_ROWS rows covering range(n), a
+    last range of one row joined to the one before: numpy forms a one-row
+    product x @ c as a dot product, which may round differently from the
+    matrix-vector product of the whole x."""
+    bounds = list(range(0, n, DRAW_CHUNK_ROWS)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _chunk_predictors(n: int, p: int, coefs, fill) -> np.ndarray:
+    """The linear predictors x @ c, c in ``coefs``, of an (n, p) matrix x
+    that ``fill(chunk, start, stop)`` writes chunk by chunk into one
+    row-major buffer, as the rows of a (len(coefs), n) array. Each is
+    bitwise the product of a row-major x (under one BLAS thread)."""
+    coefs = [np.asarray(c, dtype=float) for c in coefs]
+    chunks = _row_chunks(n)
+    buffer = np.empty((max(stop - start for start, stop in chunks), p))
+    predictors = np.empty((len(coefs), n))
+    for start, stop in chunks:
+        chunk = buffer[:stop - start]
+        fill(chunk, start, stop)
+        for row, c in zip(predictors, coefs):
+            np.matmul(chunk, c, out=row[start:stop])
+    return predictors
+
+
+def draw_covariates(n: int, p: int, rng: np.random.Generator, coefs,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The linear predictors x @ c, c in ``coefs``, of n rows of p iid
+    standard-normal covariates x, drawn DRAW_CHUNK_ROWS rows at a time (the
+    stream of one ``rng.standard_normal((n, p))`` draw, bit for bit) and
+    reduced while in cache. Each chunk is also written to ``out``, an (n, p)
+    array of either order, when given; otherwise no covariate is kept."""
+    def fill(chunk, start, stop):
+        rng.standard_normal(out=chunk)
+        if out is not None:
+            out[start:stop] = chunk
+    return _chunk_predictors(n, p, coefs, fill)
+
+
+def _bernoulli(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """1.0 where a uniform falls below expit(u), else 0.0, in place."""
+    prob = expit(u)
+    np.less(rng.random(len(u)), prob, out=prob)
+    return prob
+
+
+def _treatment(u: np.ndarray, dgp: DgpConfig, rng: np.random.Generator) -> np.ndarray:
+    """The treatment from u = x @ c, c = treatment_coefs[1:], shifted in
+    place by the intercept."""
+    u += dgp.treatment_coefs[0]
+    return _bernoulli(u, rng)
+
+
+def _gold_outcome(u: np.ndarray, t: np.ndarray, dgp: DgpConfig,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The gold outcome from u = x @ c, c = outcome_coefs[2:], shifted in
+    place by c0 + c1 t."""
+    shift = dgp.outcome_coefs[1] * t
+    shift += dgp.outcome_coefs[0]
+    u += shift
+    return _bernoulli(u, rng)
 
 
 def draw_gold_data(dgp: DgpConfig,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The draws of ``generate_population`` before the misclassification:
-    covariates x and treatment t (``draw_covariates_and_treatment``), then
-    the gold outcome y from its uniforms, in place as the treatment is."""
-    x, t = draw_covariates_and_treatment(dgp, rng)
-    coefs_y = np.asarray(dgp.outcome_coefs)
-    u = x @ coefs_y[2:]
-    shift = coefs_y[1] * t
-    shift += coefs_y[0]
-    u += shift
-    y = expit(u)
-    np.less(rng.random(dgp.n), y, out=y)
-    return x, t, y
+    covariates x (``draw_covariates``), the treatment t, 1.0 where a uniform
+    falls below expit(c0 + x @ c), then the gold outcome y from its
+    uniforms, each formed in place."""
+    x = np.empty((dgp.n, dgp.p))
+    u_t, u_y = draw_covariates(dgp.n, dgp.p, rng,
+                               (dgp.treatment_coefs[1:], dgp.outcome_coefs[2:]), out=x)
+    t = _treatment(u_t, dgp, rng)
+    return x, t, _gold_outcome(u_y, t, dgp, rng)
+
+
+def draw_treatment_design(dgp: DgpConfig,
+                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The truth oracle's first draws, the covariates and treatment of
+    ``generate_population``, with the covariates written straight into the
+    column-major treatment design [1, x] (``numerics.with_intercept``'s
+    layout)."""
+    design = np.empty((dgp.n, dgp.p + 1), order="F")
+    design[:, 0] = 1.0
+    (u,) = draw_covariates(dgp.n, dgp.p, rng, (dgp.treatment_coefs[1:],), out=design[:, 1:])
+    return design, _treatment(u, dgp, rng)
+
+
+def draw_outcome(dgp: DgpConfig, x: np.ndarray, t: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The gold outcome of ``generate_population`` from its covariates x,
+    in either order (read back in row-major chunks), and treatment t."""
+    (u,) = _chunk_predictors(*x.shape, (dgp.outcome_coefs[2:],),
+                             lambda chunk, start, stop: np.copyto(chunk, x[start:stop]))
+    return _gold_outcome(u, t, dgp, rng)
 
 
 def generate_population(dgp: DgpConfig, rng: np.random.Generator) -> Population:
@@ -273,21 +348,32 @@ def calibrate_intercept(dgp: DgpConfig, selection: SelectionConfig,
     The expectation is evaluated on the covariates and treatments of one
     large calibration population (CALIBRATION_N rows), drawn as
     ``generate_population`` draws them, and scaled to the scenario's n; the
-    bracket is [-20, 20]. Each row's odds factor exp(-(t a_T + x a_x)) is
-    formed once, so a probe a takes no exponential per row:
-    mean(1 / (1 + exp(-a) * odds)) * n, where an odds product that
-    overflows to inf gives the exact limit 0.
+    bracket is [-20, 20]. No covariate is kept: each drawn chunk is reduced
+    to the treatment predictor and the selection slopes' predictor x a_x
+    (``draw_covariates``). Each row's odds factor exp(-(t a_T + x a_x)) is
+    then formed in place, once, so a probe a takes no exponential per row:
+    mean(1 / (1 + exp(-a) * odds)) * n, formed in one buffer reused by
+    every probe, where an odds product that overflows to inf gives the
+    exact limit 0.
     """
     if selection.kind == "srs":
         raise ValueError("srs selection has no intercept to calibrate")
-    x, t = draw_covariates_and_treatment(replace(dgp, n=CALIBRATION_N), rng)
     slopes = np.asarray(selection.alpha0, dtype=float)[1:]
+    u, odds = draw_covariates(CALIBRATION_N, dgp.p, rng, (dgp.treatment_coefs[1:], slopes[1:]))
+    t = _treatment(u, dgp, rng)
+    t *= slopes[0]
+    odds += t
+    del t
     with np.errstate(over="ignore"):
-        odds = np.exp(-(t * slopes[0] + x @ slopes[1:]))
+        np.exp(np.negative(odds, out=odds), out=odds)
+    probe = u  # the treatment predictor's row, free once t is drawn
 
     def expected_nv(intercept: float) -> float:
         with np.errstate(over="ignore"):
-            return float(np.mean(1.0 / (1.0 + np.exp(-intercept) * odds))) * dgp.n
+            np.multiply(odds, np.exp(-intercept), out=probe)
+        np.add(probe, 1.0, out=probe)
+        np.divide(1.0, probe, out=probe)
+        return float(np.mean(probe)) * dgp.n
 
     lo, hi = -20.0, 20.0
     if not expected_nv(lo) <= selection.target_nv <= expected_nv(hi):
@@ -340,11 +426,14 @@ class TruthEstimate:
 
 
 def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
-    x, t, y = draw_gold_data(dgp_large, _rng(child_seed(base_seed, index)))
-    x_treat = with_intercept(x)
-    del x  # the covariates are not held through the fit
-    # the fit starts at the coefficients that drew t
-    fit = fit_logistic(x_treat, t, start=dgp_large.treatment_coefs)
+    rng = _rng(child_seed(base_seed, index))
+    design, t = draw_treatment_design(dgp_large, rng)
+    # the fit starts at the coefficients that drew t, and draws nothing: the
+    # outcome's uniforms, drawn after it, follow the treatment's as in
+    # generate_population, and only the design and t are held through it
+    fit = fit_logistic(design, t, start=dgp_large.treatment_coefs)
+    y = draw_outcome(dgp_large, design[:, 1:], t, rng)
+    del design  # not held through the contrast
     e = clamp_probability(fit.probabilities)
     w_t, w_c = est.arm_weights(t, e)
     return float(np.sum(w_t * y)) / dgp_large.n - float(np.sum(w_c * y)) / dgp_large.n

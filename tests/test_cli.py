@@ -836,6 +836,22 @@ def test_true_ate_counts_below_one_exit_2(capsys):
         assert captured.err == f"error: {option} must be at least 1, got {value}\n"
 
 
+def test_population_too_large_for_memory_exits_3(capsys, monkeypatch):
+    # --pop-n 200000000000 asks numpy for an 8.73 TiB design; the oracle is
+    # replaced by one that raises as numpy does, so nothing is allocated
+    message = ("Unable to allocate 8.73 TiB for an array with shape (200000000000, 6) "
+               "and data type float64")
+
+    def oracle(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "true_ate_oracle", oracle)
+    code = cli.main(["true-ate", "main_srs", "--pop-n", "200000000000"])
+    captured = capsys.readouterr()
+    assert code == cli.COMPUTE_EXIT and captured.out == ""
+    assert captured.err == f"error: MemoryError: {message}\n"
+
+
 def test_workers_below_one_exit_2(capsys):
     # a worker count below 1 is a typo, not a request to run serially
     for command in ("simulate", "true-ate"):

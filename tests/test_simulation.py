@@ -83,12 +83,20 @@ def test_calibration_hits_target_and_survives_slope_doubling():
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_calibration_draws_are_the_population_draws(seed):
-    dgp = replace(sim.scenario_catalog()["heterogeneous_nonprob"].dgp, n=3000)
-    x, t = sim.draw_covariates_and_treatment(dgp, sim._rng(seed))
+    # the calibration keeps no covariates, only the predictors of each drawn
+    # chunk: they are bitwise the products of the population's covariates,
+    # and the stream goes on where one whole-matrix draw leaves it; two full
+    # chunks and a one-row rest are drawn
+    dgp = replace(sim.scenario_catalog()["heterogeneous_nonprob"].dgp,
+                  n=2 * sim.DRAW_CHUNK_ROWS + 1)
     population = sim.generate_population(dgp, sim._rng(seed))
-    np.testing.assert_array_equal(x, population.x)
-    np.testing.assert_array_equal(t, population.t)
-    # the truth oracle's draws: the same x and t, then the gold outcome
+    coefs = (np.asarray(dgp.treatment_coefs)[1:], np.array([1.0, 1.0, 1.0, 1.0, 0.0]))
+    rng, whole = sim._rng(seed), sim._rng(seed)
+    predictors = sim.draw_covariates(dgp.n, dgp.p, rng, coefs)
+    for row, c in zip(predictors, coefs):
+        assert row.tobytes() == (population.x @ c).tobytes()
+    whole.standard_normal((dgp.n, dgp.p))
+    assert rng.random(4).tobytes() == whole.random(4).tobytes()
     for drawn, full in zip(sim.draw_gold_data(dgp, sim._rng(seed)),
                            (population.x, population.t, population.y)):
         np.testing.assert_array_equal(drawn, full)
@@ -116,10 +124,25 @@ def test_calibration_survives_overflowing_odds():
     # the expectation is checked against expit on the same draws
     steep = sim.SelectionConfig(kind="non_probability", target_nv=2500,
                                 alpha0=(0.0, 0.0, 200.0, 0.0, 0.0, 0.0, 0.0))
-    x, _ = sim.draw_covariates_and_treatment(replace(BASE, n=200_000), sim._rng(3))
+    x, _, _ = sim.draw_gold_data(replace(BASE, n=200_000), sim._rng(3))
     assert np.min(200.0 * x[:, 0]) < -709.0
     intercept = sim.calibrate_intercept(BASE, steep, sim._rng(3))
     assert np.mean(expit(intercept + 200.0 * x[:, 0])) * BASE.n == pytest.approx(2500, abs=1.0)
+
+
+def test_calibration_working_memory():
+    # the calibration keeps no covariates: each drawn chunk is reduced to two
+    # predictors, and the odds and the probes reuse their rows; the traced
+    # peak is 4.64 vectors of CALIBRATION_N floats, 9.47 when the whole
+    # covariate matrix was drawn at once
+    selection = sim.scenario_catalog()["main_nonprob"].selection
+    tracemalloc.start()
+    try:
+        sim.calibrate_intercept(BASE, selection, sim._rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * sim.CALIBRATION_N * 8
 
 
 def test_calibration_failure_outside_bracket():
@@ -204,7 +227,7 @@ def test_true_ate_oracle_deterministic_across_worker_counts():
 def test_truth_population_working_memory():
     # one 50,000-row population holds its draws, the design and the fit's
     # n-vectors, not the covariates beside the design: the traced peak is
-    # 2.22 design sizes, 3.34 with out-of-place draws and the former kernel
+    # 2.17 design sizes, 3.34 with out-of-place draws and the former kernel
     n = 50_000
     tracemalloc.start()
     try:
@@ -215,11 +238,13 @@ def test_truth_population_working_memory():
     assert peak <= 2.75 * n * (BASE.p + 1) * 8
 
 
-@pytest.mark.parametrize("n", [1, 5000, 50_000])
+@pytest.mark.parametrize("n", [1, 5000, sim.DRAW_CHUNK_ROWS - 1, sim.DRAW_CHUNK_ROWS,
+                               sim.DRAW_CHUNK_ROWS + 1, 50_000])
 def test_draws_are_the_out_of_place_draws(n):
-    # second route: the in-place draws equal the former out-of-place ones
-    # bitwise, on every distinct preset process (heterogeneous and both p10
-    # variants included)
+    # second route: the in-place draws, streamed in row chunks, equal the
+    # former out-of-place ones bitwise, on every distinct preset process
+    # (heterogeneous and both p10 variants included); the truth oracle's
+    # covariates are its design's columns
     dgps = []
     for config in sim.scenario_catalog().values():
         if config.dgp not in dgps:
@@ -230,7 +255,10 @@ def test_draws_are_the_out_of_place_draws(n):
         expected = oracles.draw_population(n, dgp.treatment_coefs, dgp.outcome_coefs, dgp.p11,
                                            dgp.p10, dgp.heterogeneous_misclass, sim._rng(n))
         population = sim.generate_population(dgp, sim._rng(n))
-        drawn = (sim.draw_covariates_and_treatment(dgp, sim._rng(n)),
+        rng = sim._rng(n)
+        design, t = sim.draw_treatment_design(dgp, rng)
+        assert design.flags.f_contiguous and np.all(design[:, 0] == 1.0)
+        drawn = ((design[:, 1:], t, sim.draw_outcome(dgp, design[:, 1:], t, rng)),
                  sim.draw_gold_data(dgp, sim._rng(n)),
                  (population.x, population.t, population.y, population.y_star))
         for arrays in drawn:
