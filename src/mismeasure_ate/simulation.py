@@ -39,7 +39,9 @@ CALIBRATION_TOLERANCE = 1.0
 CALIBRATION_STEPS = 200
 
 # rows per chunk of a streamed covariate draw (``draw_covariates``): a chunk
-# of a few covariates stays in cache while it is reduced to its predictors
+# of a few covariates stays in cache while it is reduced to its predictors;
+# the Bernoulli draws over those predictors (``_bernoulli``) take the same
+# chunks, so they make no temporary of a whole predictor's size
 DRAW_CHUNK_ROWS = GRAM_BLOCK_ROWS
 
 # run_scenario raises when an estimator fails in more than this share of
@@ -257,15 +259,19 @@ def draw_covariates(n: int, p: int, rng: np.random.Generator, coefs,
 
 
 def _bernoulli(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """1.0 where a uniform falls below expit(u), else 0.0, in place."""
-    prob = expit(u)
-    np.less(rng.random(len(u)), prob, out=prob)
-    return prob
+    """1.0 where a uniform falls below expit(u), else 0.0, written over u
+    one ``_row_chunks`` chunk at a time; the chunks' uniforms are the values
+    of one ``rng.random(len(u))`` draw, bit for bit, so only chunk-sized
+    temporaries are made."""
+    for start, stop in _row_chunks(len(u)):
+        chunk = u[start:stop]
+        np.less(rng.random(stop - start), expit(chunk), out=chunk)
+    return u
 
 
 def _treatment(u: np.ndarray, dgp: DgpConfig, rng: np.random.Generator) -> np.ndarray:
     """The treatment from u = x @ c, c = treatment_coefs[1:], shifted in
-    place by the intercept."""
+    place by the intercept and written over u."""
     u += dgp.treatment_coefs[0]
     return _bernoulli(u, rng)
 
@@ -273,10 +279,11 @@ def _treatment(u: np.ndarray, dgp: DgpConfig, rng: np.random.Generator) -> np.nd
 def _gold_outcome(u: np.ndarray, t: np.ndarray, dgp: DgpConfig,
                   rng: np.random.Generator) -> np.ndarray:
     """The gold outcome from u = x @ c, c = outcome_coefs[2:], shifted in
-    place by c0 + c1 t."""
-    shift = dgp.outcome_coefs[1] * t
-    shift += dgp.outcome_coefs[0]
-    u += shift
+    place by c0 + c1 t chunk by chunk and written over u."""
+    for start, stop in _row_chunks(len(u)):
+        shift = dgp.outcome_coefs[1] * t[start:stop]
+        shift += dgp.outcome_coefs[0]
+        u[start:stop] += shift
     return _bernoulli(u, rng)
 
 
@@ -350,23 +357,24 @@ def calibrate_intercept(dgp: DgpConfig, selection: SelectionConfig,
     ``generate_population`` draws them, and scaled to the scenario's n; the
     bracket is [-20, 20]. No covariate is kept: each drawn chunk is reduced
     to the treatment predictor and the selection slopes' predictor x a_x
-    (``draw_covariates``). Each row's odds factor exp(-(t a_T + x a_x)) is
-    then formed in place, once, so a probe a takes no exponential per row:
-    mean(1 / (1 + exp(-a) * odds)) * n, formed in one buffer reused by
-    every probe, where an odds product that overflows to inf gives the
-    exact limit 0.
+    (``draw_covariates``), and the treatment is drawn over its predictor
+    chunk by chunk (``_bernoulli``), so the calibration holds these two
+    rows of CALIBRATION_N floats and only chunk-sized temporaries. Each
+    row's odds factor exp(-(t a_T + x a_x)) is then formed in place, once,
+    so a probe a takes no exponential per row: mean(1 / (1 + exp(-a) *
+    odds)) * n, formed in one buffer reused by every probe, where an odds
+    product that overflows to inf gives the exact limit 0.
     """
     if selection.kind == "srs":
         raise ValueError("srs selection has no intercept to calibrate")
     slopes = np.asarray(selection.alpha0, dtype=float)[1:]
     u, odds = draw_covariates(CALIBRATION_N, dgp.p, rng, (dgp.treatment_coefs[1:], slopes[1:]))
-    t = _treatment(u, dgp, rng)
+    t = _treatment(u, dgp, rng)  # written over u
     t *= slopes[0]
     odds += t
-    del t
     with np.errstate(over="ignore"):
         np.exp(np.negative(odds, out=odds), out=odds)
-    probe = u  # the treatment predictor's row, free once t is drawn
+    probe = t  # free once added to the odds
 
     def expected_nv(intercept: float) -> float:
         with np.errstate(over="ignore"):

@@ -132,9 +132,11 @@ def test_calibration_survives_overflowing_odds():
 
 def test_calibration_working_memory():
     # the calibration keeps no covariates: each drawn chunk is reduced to two
-    # predictors, and the odds and the probes reuse their rows; the traced
-    # peak is 4.64 vectors of CALIBRATION_N floats, 9.47 when the whole
-    # covariate matrix was drawn at once
+    # predictors, the treatment is drawn over its predictor chunk by chunk,
+    # and the odds and the probes reuse their rows; the traced peak is 2.21
+    # vectors of CALIBRATION_N floats, 4.17 with the treatment's expit and
+    # uniforms formed over all rows at once, 9.47 when the whole covariate
+    # matrix was drawn at once
     selection = sim.scenario_catalog()["main_nonprob"].selection
     tracemalloc.start()
     try:
@@ -142,7 +144,23 @@ def test_calibration_working_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * sim.CALIBRATION_N * 8
+    assert peak <= 3 * sim.CALIBRATION_N * 8
+
+
+def test_population_working_memory():
+    # a population keeps x, t, y and y_star; the treatment and gold outcome
+    # are drawn over their predictors chunk by chunk, so the traced peak of
+    # 200,000 rows is 1.80 covariate-matrix sizes, reached at the
+    # misclassification draw, 2.23 with the expit and uniforms formed over
+    # all rows at once
+    n = 200_000
+    tracemalloc.start()
+    try:
+        sim.generate_population(replace(BASE, n=n), sim._rng(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * n * BASE.p * 8
 
 
 def test_calibration_failure_outside_bracket():
@@ -239,7 +257,7 @@ def test_truth_population_working_memory():
 
 
 @pytest.mark.parametrize("n", [1, 5000, sim.DRAW_CHUNK_ROWS - 1, sim.DRAW_CHUNK_ROWS,
-                               sim.DRAW_CHUNK_ROWS + 1, 50_000])
+                               sim.DRAW_CHUNK_ROWS + 1, 2 * sim.DRAW_CHUNK_ROWS + 1, 50_000])
 def test_draws_are_the_out_of_place_draws(n):
     # second route: the in-place draws, streamed in row chunks, equal the
     # former out-of-place ones bitwise, on every distinct preset process
