@@ -11,7 +11,6 @@ aggregation reduces per-iteration records in iteration order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -324,14 +323,18 @@ def draw_outcome(dgp: DgpConfig, x: np.ndarray, t: np.ndarray,
 def generate_population(dgp: DgpConfig, rng: np.random.Generator) -> Population:
     """Draw one complete dataset. Draw order (fixed for reproducibility):
     covariates, treatment uniforms, outcome uniforms (``draw_gold_data``),
-    misclassification uniforms."""
+    misclassification uniforms. The silver outcome is drawn one
+    ``_row_chunks`` chunk at a time, as ``_bernoulli`` draws, with its
+    uniforms the values of one ``rng.random(n)`` draw."""
     x, t, y = draw_gold_data(dgp, rng)
-    p10 = dgp.p10
-    if dgp.heterogeneous_misclass is not None:
-        h0, h1 = dgp.heterogeneous_misclass
-        p10 = expit(h0 + h1 * t)
-    y_star = np.where(y == 1.0, dgp.p11, p10)
-    np.less(rng.random(dgp.n), y_star, out=y_star)
+    y_star = np.empty(dgp.n)
+    for start, stop in _row_chunks(dgp.n):
+        p10 = dgp.p10
+        if dgp.heterogeneous_misclass is not None:
+            h0, h1 = dgp.heterogeneous_misclass
+            p10 = expit(h0 + h1 * t[start:stop])
+        p = np.where(y[start:stop] == 1.0, dgp.p11, p10)
+        np.less(rng.random(stop - start), p, out=y_star[start:stop])
     return Population(x=x, t=t, y=y, y_star=y_star)
 
 
@@ -340,12 +343,15 @@ def selection_probabilities(selection: SelectionConfig, n: int, t: np.ndarray,
     if selection.kind == "srs":
         return np.full(n, selection.target_nv / n)
     alpha = np.asarray(selection.alpha0, dtype=float)
-    design = np.column_stack([np.ones(n), t, x])
-    if design.shape[1] != alpha.shape[0]:
+    columns = 2 + x.shape[1]  # the design [1, t, x], which is never formed
+    if columns != alpha.shape[0]:
         raise ValueError(
-            f"alpha0 has {alpha.shape[0]} entries but the selection design has {design.shape[1]} columns"
+            f"alpha0 has {alpha.shape[0]} entries but the selection design has {columns} columns"
         )
-    return expit(design @ alpha)
+    u = x @ alpha[2:]
+    u += alpha[1] * t
+    u += alpha[0]
+    return expit(u)
 
 
 def calibrate_intercept(dgp: DgpConfig, selection: SelectionConfig,
@@ -417,10 +423,17 @@ def select_validation(population: Population, selection: SelectionConfig,
 
 
 def _ordered_map(task, count: int, workers: int) -> list:
-    """``[task(i) for i in range(count)]``, on ``workers`` processes when
-    there is more than one; ``Executor.map`` yields in input order."""
+    """``[task(i) for i in range(count)]``, on min(workers, count) processes
+    when that is more than one, else in this process (so a task need not be
+    picklable there); ``Executor.map`` yields in input order."""
+    workers = min(workers, count)
     if workers <= 1:
         return [task(i) for i in range(count)]
+    # imported only here: concurrent.futures.process loads multiprocessing,
+    # logging, socket and queue, about 1.4 MiB of peak RSS and 10 ms of
+    # start-up (Python 3.11, 2-core Xeon) that a process with one worker,
+    # the common case, would pay for nothing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(task, range(count), chunksize=max(1, count // (workers * 8))))
 

@@ -1,5 +1,10 @@
+import concurrent.futures
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,19 +153,22 @@ def test_calibration_working_memory():
 
 
 def test_population_working_memory():
-    # a population keeps x, t, y and y_star; the treatment and gold outcome
-    # are drawn over their predictors chunk by chunk, so the traced peak of
-    # 200,000 rows is 1.80 covariate-matrix sizes, reached at the
-    # misclassification draw, 2.23 with the expit and uniforms formed over
-    # all rows at once
+    # a population keeps x, t, y and y_star; the treatment, gold outcome and
+    # silver outcome are drawn over their probabilities chunk by chunk, so
+    # the traced peak of 200,000 rows is 1.62 covariate-matrix sizes (1.64
+    # with misclassification by arm), 1.80 (2.03) with the silver outcome's
+    # probabilities and uniforms formed over all rows at once
     n = 200_000
-    tracemalloc.start()
-    try:
-        sim.generate_population(replace(BASE, n=n), sim._rng(1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.0 * n * BASE.p * 8
+    for preset in ("main_nonprob", "heterogeneous_nonprob"):
+        dgp = replace(sim.scenario_catalog()[preset].dgp, n=n)
+        rng = sim._rng(1)  # its first call imports numpy.random, untraced here
+        tracemalloc.start()
+        try:
+            sim.generate_population(dgp, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * n * dgp.p * 8, preset
 
 
 def test_calibration_failure_outside_bracket():
@@ -240,6 +248,46 @@ def test_true_ate_oracle_deterministic_across_worker_counts():
     serial = sim.true_ate_oracle(BASE, populations=4, population_n=5000, workers=1)
     parallel = sim.true_ate_oracle(BASE, populations=4, population_n=5000, workers=2)
     assert serial == parallel
+
+
+def test_ordered_map_runs_one_task_in_process():
+    # a lambda cannot be pickled, so a pool would fail on it
+    assert sim._ordered_map(lambda i: i * i, 1, workers=4) == [0]
+    assert sim._ordered_map(lambda i: i * i, 0, workers=4) == []
+
+
+@pytest.mark.parametrize("count, workers", [(2, 8), (5, 3)])
+def test_ordered_map_starts_no_more_workers_than_tasks(count, workers, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, items, chunksize):
+            return map(task, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert sim._ordered_map(lambda i: i * i, count, workers) == [i * i for i in range(count)]
+    assert started == [min(workers, count)]
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules (multiprocessing, logging, socket, queue) are
+    # loaded only by a map that fans out to processes
+    code = ("import sys, mismeasure_ate, mismeasure_ate.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60).stdout
+    assert loaded == "[]\n"
 
 
 def test_truth_population_working_memory():
