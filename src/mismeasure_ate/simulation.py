@@ -226,35 +226,28 @@ def _row_chunks(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _chunk_predictors(n: int, p: int, coefs, fill) -> np.ndarray:
-    """The linear predictors x @ c, c in ``coefs``, of an (n, p) matrix x
-    that ``fill(chunk, start, stop)`` writes chunk by chunk into one
-    row-major buffer, as the rows of a (len(coefs), n) array. Each is
-    bitwise the product of a row-major x (under one BLAS thread)."""
+def draw_covariates(n: int, p: int, rng: np.random.Generator, coefs,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The linear predictors x @ c, c in ``coefs``, of n rows of p iid
+    standard-normal covariates x, as the rows of a (len(coefs), n) array.
+    x is drawn DRAW_CHUNK_ROWS rows at a time into one row-major buffer (the
+    stream of one ``rng.standard_normal((n, p))`` draw, bit for bit) and
+    reduced while in cache, so each predictor is bitwise the product of a
+    row-major x (under one BLAS thread). Each chunk is also written to
+    ``out``, an (n, p) array of either order, when given; otherwise no
+    covariate is kept."""
     coefs = [np.asarray(c, dtype=float) for c in coefs]
     chunks = _row_chunks(n)
     buffer = np.empty((max(stop - start for start, stop in chunks), p))
     predictors = np.empty((len(coefs), n))
     for start, stop in chunks:
         chunk = buffer[:stop - start]
-        fill(chunk, start, stop)
-        for row, c in zip(predictors, coefs):
-            np.matmul(chunk, c, out=row[start:stop])
-    return predictors
-
-
-def draw_covariates(n: int, p: int, rng: np.random.Generator, coefs,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """The linear predictors x @ c, c in ``coefs``, of n rows of p iid
-    standard-normal covariates x, drawn DRAW_CHUNK_ROWS rows at a time (the
-    stream of one ``rng.standard_normal((n, p))`` draw, bit for bit) and
-    reduced while in cache. Each chunk is also written to ``out``, an (n, p)
-    array of either order, when given; otherwise no covariate is kept."""
-    def fill(chunk, start, stop):
         rng.standard_normal(out=chunk)
         if out is not None:
             out[start:stop] = chunk
-    return _chunk_predictors(n, p, coefs, fill)
+        for row, c in zip(predictors, coefs):
+            np.matmul(chunk, c, out=row[start:stop])
+    return predictors
 
 
 def _bernoulli(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -286,38 +279,17 @@ def _gold_outcome(u: np.ndarray, t: np.ndarray, dgp: DgpConfig,
     return _bernoulli(u, rng)
 
 
-def draw_gold_data(dgp: DgpConfig,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def draw_gold_data(dgp: DgpConfig, rng: np.random.Generator,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The draws of ``generate_population`` before the misclassification:
-    covariates x (``draw_covariates``), the treatment t, 1.0 where a uniform
-    falls below expit(c0 + x @ c), then the gold outcome y from its
-    uniforms, each formed in place."""
-    x = np.empty((dgp.n, dgp.p))
+    covariates written into x, an (n, p) array of either order
+    (``draw_covariates``), the treatment t, 1.0 where a uniform falls below
+    expit(c0 + x @ c), then the gold outcome y from its uniforms, each
+    formed in place. Returns (x, t, y)."""
     u_t, u_y = draw_covariates(dgp.n, dgp.p, rng,
                                (dgp.treatment_coefs[1:], dgp.outcome_coefs[2:]), out=x)
     t = _treatment(u_t, dgp, rng)
     return x, t, _gold_outcome(u_y, t, dgp, rng)
-
-
-def draw_treatment_design(dgp: DgpConfig,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The truth oracle's first draws, the covariates and treatment of
-    ``generate_population``, with the covariates written straight into the
-    column-major treatment design [1, x] (``numerics.with_intercept``'s
-    layout)."""
-    design = np.empty((dgp.n, dgp.p + 1), order="F")
-    design[:, 0] = 1.0
-    (u,) = draw_covariates(dgp.n, dgp.p, rng, (dgp.treatment_coefs[1:],), out=design[:, 1:])
-    return design, _treatment(u, dgp, rng)
-
-
-def draw_outcome(dgp: DgpConfig, x: np.ndarray, t: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """The gold outcome of ``generate_population`` from its covariates x,
-    in either order (read back in row-major chunks), and treatment t."""
-    (u,) = _chunk_predictors(*x.shape, (dgp.outcome_coefs[2:],),
-                             lambda chunk, start, stop: np.copyto(chunk, x[start:stop]))
-    return _gold_outcome(u, t, dgp, rng)
 
 
 def generate_population(dgp: DgpConfig, rng: np.random.Generator) -> Population:
@@ -326,7 +298,7 @@ def generate_population(dgp: DgpConfig, rng: np.random.Generator) -> Population:
     misclassification uniforms. The silver outcome is drawn one
     ``_row_chunks`` chunk at a time, as ``_bernoulli`` draws, with its
     uniforms the values of one ``rng.random(n)`` draw."""
-    x, t, y = draw_gold_data(dgp, rng)
+    x, t, y = draw_gold_data(dgp, rng, np.empty((dgp.n, dgp.p)))
     y_star = np.empty(dgp.n)
     for start, stop in _row_chunks(dgp.n):
         p10 = dgp.p10
@@ -447,13 +419,15 @@ class TruthEstimate:
 
 
 def _truth_one(dgp_large: DgpConfig, base_seed: int, index: int) -> float:
+    """One population's fitted-propensity IPW contrast; ``draw_gold_data``
+    writes its covariates straight into the column-major treatment design
+    [1, x] (``numerics.with_intercept``'s layout); no row-major x is kept."""
     rng = _rng(child_seed(base_seed, index))
-    design, t = draw_treatment_design(dgp_large, rng)
-    # the fit starts at the coefficients that drew t, and draws nothing: the
-    # outcome's uniforms, drawn after it, follow the treatment's as in
-    # generate_population, and only the design and t are held through it
+    design = np.empty((dgp_large.n, dgp_large.p + 1), order="F")
+    design[:, 0] = 1.0
+    _, t, y = draw_gold_data(dgp_large, rng, design[:, 1:])
+    # the fit starts at the coefficients that drew t
     fit = fit_logistic(design, t, start=dgp_large.treatment_coefs)
-    y = draw_outcome(dgp_large, design[:, 1:], t, rng)
     del design  # not held through the contrast
     e = clamp_probability(fit.probabilities)
     w_t, w_c = est.arm_weights(t, e)

@@ -182,7 +182,8 @@ def _generating_start_fits() -> dict:
         cases[label + "treatment"] = x_treat, frame.t, starts["gamma"]
         cases[label + "selection"] = x_sel, frame.v, starts["eta"]
     dgp = replace(config.dgp, n=50_000)
-    x, t, _ = sim.draw_gold_data(dgp, sim._rng(sim.child_seed(config.base_seed, 1)))
+    x, t, _ = sim.draw_gold_data(dgp, sim._rng(sim.child_seed(config.base_seed, 1)),
+                                 np.empty((dgp.n, dgp.p)))
     cases["population"] = with_intercept(x), t, np.asarray(dgp.treatment_coefs)
     return cases
 

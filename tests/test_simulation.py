@@ -15,7 +15,7 @@ from mismeasure_ate import simulation as sim
 from mismeasure_ate.errors import CalibrationFailed, DimensionMismatch, TooManyFailures
 from mismeasure_ate import inference as inf
 from mismeasure_ate.inference import analyze_frame
-from mismeasure_ate.numerics import expit, fit_logistic
+from mismeasure_ate.numerics import PROB_CLAMP, expit, fit_logistic
 
 
 BASE = sim.DgpConfig()
@@ -102,7 +102,7 @@ def test_calibration_draws_are_the_population_draws(seed):
         assert row.tobytes() == (population.x @ c).tobytes()
     whole.standard_normal((dgp.n, dgp.p))
     assert rng.random(4).tobytes() == whole.random(4).tobytes()
-    for drawn, full in zip(sim.draw_gold_data(dgp, sim._rng(seed)),
+    for drawn, full in zip(sim.draw_gold_data(dgp, sim._rng(seed), np.empty((dgp.n, dgp.p))),
                            (population.x, population.t, population.y)):
         np.testing.assert_array_equal(drawn, full)
 
@@ -129,7 +129,8 @@ def test_calibration_survives_overflowing_odds():
     # the expectation is checked against expit on the same draws
     steep = sim.SelectionConfig(kind="non_probability", target_nv=2500,
                                 alpha0=(0.0, 0.0, 200.0, 0.0, 0.0, 0.0, 0.0))
-    x, _, _ = sim.draw_gold_data(replace(BASE, n=200_000), sim._rng(3))
+    dgp = replace(BASE, n=200_000)
+    x, _, _ = sim.draw_gold_data(dgp, sim._rng(3), np.empty((dgp.n, dgp.p)))
     assert np.min(200.0 * x[:, 0]) < -709.0
     intercept = sim.calibrate_intercept(BASE, steep, sim._rng(3))
     assert np.mean(expit(intercept + 200.0 * x[:, 0])) * BASE.n == pytest.approx(2500, abs=1.0)
@@ -237,6 +238,28 @@ def test_true_ate_oracle_null_effect_and_determinism():
     assert abs(more.value - first.value) <= 2 * (first.mc_se + more.mc_se)
 
 
+@pytest.mark.parametrize("n", [5000, 2 * sim.DRAW_CHUNK_ROWS + 1, 20_000])
+def test_true_ate_oracle_is_the_replayed_ipw_contrast(n):
+    # second route to the truth: each population drawn out of place
+    # (oracles.draw_population on its own stream), its propensity fitted by
+    # the independent Newton solver, and the clamped IPW contrast summed
+    # row by row
+    populations, base_seed = 2, 11
+    truth_seed = sim.child_seed(base_seed, sim.TRUTH_STREAM)
+    contrasts = []
+    for index in range(populations):
+        x, t, y, _ = oracles.draw_population(n, BASE.treatment_coefs, BASE.outcome_coefs,
+                                             BASE.p11, BASE.p10, BASE.heterogeneous_misclass,
+                                             sim._rng(sim.child_seed(truth_seed, index)))
+        design = np.column_stack([np.ones(n), x])
+        e = np.clip(oracles.expit_two_branch(design @ oracles.newton_logistic(design, t)),
+                    PROB_CLAMP, 1.0 - PROB_CLAMP)
+        contrasts.append(oracles.oracle_tau(t, y, e))
+    truth = sim.true_ate_oracle(BASE, populations=populations, population_n=n,
+                                base_seed=base_seed)
+    assert abs(truth.value - sum(contrasts) / populations) <= 1e-12
+
+
 def test_zero_population_truth_is_refused():
     with pytest.raises(ValueError, match="populations must be >= 1"):
         sim.true_ate_oracle(BASE, populations=0)
@@ -293,7 +316,8 @@ def test_import_loads_no_process_pool():
 def test_truth_population_working_memory():
     # one 50,000-row population holds its draws, the design and the fit's
     # n-vectors, not the covariates beside the design: the traced peak is
-    # 2.17 design sizes, 3.34 with out-of-place draws and the former kernel
+    # 2.34 design sizes (y is held through the fit), 3.34 with out-of-place
+    # draws and the former kernel
     n = 50_000
     tracemalloc.start()
     try:
@@ -309,8 +333,8 @@ def test_truth_population_working_memory():
 def test_draws_are_the_out_of_place_draws(n):
     # second route: the in-place draws, streamed in row chunks, equal the
     # former out-of-place ones bitwise, on every distinct preset process
-    # (heterogeneous and both p10 variants included); the truth oracle's
-    # covariates are its design's columns
+    # (heterogeneous and both p10 variants included); the truth oracle draws
+    # its covariates into its column-major design [1, x]
     dgps = []
     for config in sim.scenario_catalog().values():
         if config.dgp not in dgps:
@@ -321,12 +345,11 @@ def test_draws_are_the_out_of_place_draws(n):
         expected = oracles.draw_population(n, dgp.treatment_coefs, dgp.outcome_coefs, dgp.p11,
                                            dgp.p10, dgp.heterogeneous_misclass, sim._rng(n))
         population = sim.generate_population(dgp, sim._rng(n))
-        rng = sim._rng(n)
-        design, t = sim.draw_treatment_design(dgp, rng)
+        design = np.empty((n, dgp.p + 1), order="F")
+        design[:, 0] = 1.0
+        truth = sim.draw_gold_data(dgp, sim._rng(n), design[:, 1:])
         assert design.flags.f_contiguous and np.all(design[:, 0] == 1.0)
-        drawn = ((design[:, 1:], t, sim.draw_outcome(dgp, design[:, 1:], t, rng)),
-                 sim.draw_gold_data(dgp, sim._rng(n)),
-                 (population.x, population.t, population.y, population.y_star))
+        drawn = (truth, (population.x, population.t, population.y, population.y_star))
         for arrays in drawn:
             for ours, theirs in zip(arrays, expected):
                 assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
